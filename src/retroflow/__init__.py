@@ -6,14 +6,12 @@ the RetroFlow greedy, or with a nearest baseline, and evaluates failure
 scenarios on programmability, load, and communication overhead.
 """
 
-from .domains import (FailureScenario, Placement, ResidualCapacities,
-                      enumerate_failure_scenarios, load_placement,
-                      load_placement_file, residual_capacity)
+from .domains import (FailureScenario, Placement, enumerate_failure_scenarios,
+                      load_placement, load_placement_file, residual_capacity)
 from .experiment import (QueueModel, ScenarioReport, World, emit_report,
                          load_diagnostics, make_world, queueing_penalty_ms,
                          run_scenario, sweep_summary)
-from .flows import (BetaMatrix, Flow, FlowSet, beta_to_csv, compute_beta,
-                    flows_to_csv, generate_flows, switch_flow_load)
+from .flows import BetaMatrix, Flow, FlowSet, compute_beta, generate_flows
 from .geo import (GeoCoordinate, Path, Topology, TopologyError, haversine_km,
                   has_alternative_path, load_topology, load_topology_file,
                   propagation_delay_ms, shortest_path)

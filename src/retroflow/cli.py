@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import domains as dm
@@ -44,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--flow-pairs", choices=("ordered", "unordered"), default="ordered")
     run.add_argument("--time-limit", type=float, default=120.0,
                      help="exact-solver time limit in seconds per scenario")
-    run.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized components (the core pipeline uses none)")
 
     val = sub.add_parser("validate", help="check a solution file against an instance file")
     val.add_argument("--instance", required=True)
@@ -80,8 +77,6 @@ def _parse_scenarios(spec: str, placement: dm.Placement) -> list[dm.FailureScena
 
 
 def _cmd_run(args) -> int:
-    if args.seed is not None:
-        random.seed(args.seed)
     topo = load_topology_file(args.topology)
     placement = dm.load_placement_file(args.placement, topo)
     scenarios = _parse_scenarios(args.failures, placement)
@@ -142,16 +137,19 @@ def _cmd_enumerate(args) -> int:
 def _cmd_protocol_trace(args) -> int:
     with open(args.script) as fh:
         doc = json.load(fh)
-    session = protocol.SwitchSession(
-        switch_id=int(doc["switch"]),
-        mode=protocol.SDN,
-        master=int(doc["master"]),
-        backups=tuple(int(b) for b in doc["backups"]),
-    )
-    events = [
-        protocol.Event(rec["kind"], rec.get("controller"))
-        for rec in doc["events"]
-    ]
+    try:
+        session = protocol.SwitchSession(
+            switch_id=int(doc["switch"]),
+            mode=protocol.SDN,
+            master=int(doc["master"]),
+            backups=tuple(int(b) for b in doc["backups"]),
+        )
+        events = [
+            protocol.Event(rec["kind"], rec.get("controller"))
+            for rec in doc["events"]
+        ]
+    except (KeyError, TypeError, AttributeError, OverflowError) as err:
+        raise protocol.ProtocolError(f"malformed script document: {err}") from err
     session, log = protocol.run_script(session, events)
     for line in log:
         print(line)

@@ -59,11 +59,6 @@ class FailureScenario:
         return "+".join(f"C{c}" for c in sorted(self.failed))
 
 
-@dataclass(frozen=True)
-class ResidualCapacities:
-    a_rest: dict[int, int]
-
-
 def load_placement(doc: dict, t: Topology) -> Placement:
     """Build a Placement from a parsed placement document; every topology
     node must be covered exactly once and controllers must sit on nodes."""
@@ -93,7 +88,7 @@ def load_placement(doc: dict, t: Topology) -> Placement:
         cap = rec.get("capacity", default_cap)
         if cap is None:
             raise PlacementError(f"controller {cid} has no capacity (none given, no default)")
-        controllers.append((cid, int(cap)))
+        controllers.append((cid, _whole(cap, f"controller {cid} capacity")))
         for sw in rec.get("switches", []):
             sw = int(sw)
             if sw not in node_ids:
@@ -108,8 +103,22 @@ def load_placement(doc: dict, t: Topology) -> Placement:
 
     flow_counts = doc.get("flow_counts")
     if flow_counts is not None:
-        flow_counts = {int(k): int(v) for k, v in flow_counts.items()}
+        flow_counts = {int(k): _whole(v, f"flow count of switch {k}") for k, v in flow_counts.items()}
     return Placement(controllers, domain_of, flow_counts, name=str(doc.get("name", "")))
+
+
+def _whole(value, what: str) -> int:
+    """A nonnegative whole number; 2.0 passes, while 2.7, -5, NaN and
+    infinity are rejected instead of truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise PlacementError(f"{what} must be a whole number, got {value!r}")
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise PlacementError(f"{what} must be a whole number, got {value!r}") from None
+    if n < 0:
+        raise PlacementError(f"{what} must be nonnegative, got {n}")
+    return n
 
 
 def load_placement_file(path, t: Topology) -> Placement:
@@ -137,7 +146,7 @@ def active_controllers(p: Placement, s: FailureScenario) -> tuple[int, ...]:
     return tuple(c for c in p.controller_ids if c not in s.failed)
 
 
-def residual_capacity(p: Placement, loads: dict[int, int], s: FailureScenario) -> ResidualCapacities:
+def residual_capacity(p: Placement, loads: dict[int, int], s: FailureScenario) -> dict[int, int]:
     """Remaining ability per active controller after serving its own
     surviving domain. Raises if a domain already exceeds its capacity."""
     validate_scenario(p, s)
@@ -149,7 +158,7 @@ def residual_capacity(p: Placement, loads: dict[int, int], s: FailureScenario) -
                 f"controller {cid}: own-domain load {own} exceeds capacity {p.capacity[cid]}"
             )
         rest[cid] = p.capacity[cid] - own
-    return ResidualCapacities(rest)
+    return rest
 
 
 def enumerate_failure_scenarios(p: Placement, k: int) -> list[FailureScenario]:

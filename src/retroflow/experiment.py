@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import domains as dm
 from .flows import BetaMatrix, FlowSet, compute_beta, generate_flows
 from .geo import Topology
-from .oscm import OscmInstance, Solution, build_instance, validate
+from .oscm import OscmInstance, Solution, build_instance, switch_loads
 from .solvers import SolverBudget, solve_exact, solve_nearest, solve_retroflow
 
 ALGORITHMS = ("exact", "retroflow", "nearest")
@@ -29,7 +29,6 @@ class ReportError(ValueError):
 @dataclass(frozen=True)
 class QueueModel:
     penalty_ms_per_excess_flow: float = 0.1
-    enabled: bool = True
 
     def __post_init__(self):
         if self.penalty_ms_per_excess_flow < 0:
@@ -41,7 +40,7 @@ def queueing_penalty_ms(load: int, ability: int, m: QueueModel) -> float:
     processing ability `ability`; zero at or under ability."""
     if ability < 0:
         raise ValueError("ability must be nonnegative")
-    if not m.enabled or load <= ability:
+    if load <= ability:
         return 0.0
     return m.penalty_ms_per_excess_flow * (load - ability)
 
@@ -55,15 +54,12 @@ class World:
     placement: dm.Placement
 
     def loads(self) -> dict[int, int]:
-        if self.placement.flow_counts is not None:
-            return dict(self.placement.flow_counts)
-        return self.beta.loads()
+        return switch_loads(self.placement, self.beta)
 
 
-def make_world(topology: Topology, placement: dm.Placement,
-               pairs: str = "ordered", alt_path: str = "edge_disjoint") -> World:
+def make_world(topology: Topology, placement: dm.Placement, pairs: str = "ordered") -> World:
     flows = generate_flows(topology, pairs=pairs)
-    beta = compute_beta(flows, topology, alt_path=alt_path)
+    beta = compute_beta(flows, topology)
     return World(topology, flows, beta, placement)
 
 
@@ -136,15 +132,11 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
     if not algorithms:
         raise ReportError("at least one algorithm required")
     qm = qm or QueueModel()
-    loads = world.loads()
     inst = build_instance(world.topology, world.beta, world.placement, s,
-                          q_fraction, loads=loads, control_delay=control_delay)
-
-    own_load = {
-        j: sum(loads[sw] for sw in world.placement.domain(j))
-        for j in inst.active_controllers
-    }
+                          q_fraction, control_delay=control_delay)
     ability = {j: world.placement.capacity[j] for j in inst.active_controllers}
+    # residual ability is capacity minus the controller's own-domain load
+    own_load = {j: ability[j] - inst.a_rest[j] for j in inst.active_controllers}
 
     outcomes = []
     for name in algorithms:

@@ -7,8 +7,6 @@ Per-switch load counts exactly those reprogrammable flows.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .geo import Path, Topology, has_alternative_path, shortest_path
@@ -31,8 +29,7 @@ class Flow:
 class FlowSet:
     def __init__(self, flows):
         self.flows: tuple[Flow, ...] = tuple(flows)
-        self._by_id = {f.flow_id: f for f in self.flows}
-        if len(self._by_id) != len(self.flows):
+        if len({f.flow_id for f in self.flows}) != len(self.flows):
             raise ValueError("duplicate flow ids")
 
     def __len__(self):
@@ -41,18 +38,12 @@ class FlowSet:
     def __iter__(self):
         return iter(self.flows)
 
-    def flow(self, flow_id: int) -> Flow:
-        return self._by_id[flow_id]
-
 
 class BetaMatrix:
     """Programmability indicators and the per-switch loads they induce."""
 
     def __init__(self, rows: dict[int, frozenset[int]], switch_ids):
         self._rows = {i: frozenset(rows.get(i, frozenset())) for i in switch_ids}
-
-    def beta(self, switch_id: int, flow_id: int) -> int:
-        return 1 if flow_id in self.flows_at(switch_id) else 0
 
     def flows_at(self, switch_id: int) -> frozenset[int]:
         try:
@@ -70,7 +61,7 @@ class BetaMatrix:
         return {i: len(fls) for i, fls in self._rows.items()}
 
 
-def generate_flows(t: Topology, pairs: str = "ordered", metric: str = "delay") -> FlowSet:
+def generate_flows(t: Topology, pairs: str = "ordered") -> FlowSet:
     """One flow per node pair on its shortest path.
 
     pairs='ordered' (default) builds src->dst for every ordered pair, so a
@@ -86,12 +77,12 @@ def generate_flows(t: Topology, pairs: str = "ordered", metric: str = "delay") -
         for dst in ids:
             if src == dst or (pairs == "unordered" and src > dst):
                 continue
-            flows.append(Flow(fid, src, dst, shortest_path(t, src, dst, metric=metric)))
+            flows.append(Flow(fid, src, dst, shortest_path(t, src, dst)))
             fid += 1
     return FlowSet(flows)
 
 
-def compute_beta(flows: FlowSet, t: Topology, alt_path: str = "edge_disjoint") -> BetaMatrix:
+def compute_beta(flows: FlowSet, t: Topology) -> BetaMatrix:
     """Indicator per (switch, flow): on the path, not the destination, and
     with an alternative route to the destination."""
     alt_cache: dict[tuple[int, int], bool] = {}
@@ -99,7 +90,7 @@ def compute_beta(flows: FlowSet, t: Topology, alt_path: str = "edge_disjoint") -
     def alt(i: int, dst: int) -> bool:
         key = (i, dst)
         if key not in alt_cache:
-            alt_cache[key] = has_alternative_path(t, i, dst, mode=alt_path)
+            alt_cache[key] = has_alternative_path(t, i, dst)
         return alt_cache[key]
 
     rows: dict[int, set[int]] = {i: set() for i in t.node_ids()}
@@ -108,26 +99,3 @@ def compute_beta(flows: FlowSet, t: Topology, alt_path: str = "edge_disjoint") -
             if alt(i, f.dst):
                 rows[i].add(f.flow_id)
     return BetaMatrix({i: frozenset(s) for i, s in rows.items()}, t.node_ids())
-
-
-def switch_flow_load(b: BetaMatrix, switch_id: int) -> int:
-    return b.load(switch_id)
-
-
-def flows_to_csv(flows: FlowSet) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["flow_id", "src", "dst", "path"])
-    for f in flows:
-        writer.writerow([f.flow_id, f.src, f.dst, " ".join(str(n) for n in f.path.node_ids)])
-    return buf.getvalue()
-
-
-def beta_to_csv(b: BetaMatrix) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["switch_id", "flow_id"])
-    for i in b.switch_ids():
-        for l in sorted(b.flows_at(i)):
-            writer.writerow([i, l])
-    return buf.getvalue()

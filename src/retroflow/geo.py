@@ -100,8 +100,8 @@ class Topology:
             seen.add(key)
             if dist is None:
                 dist = haversine_km(self._coord[a], self._coord[b])
-            if dist < 0:
-                raise TopologyError(f"negative distance on link {key}")
+            if not (math.isfinite(dist) and dist >= 0):
+                raise TopologyError(f"distance on link {key} must be finite and nonnegative, got {dist}")
             link = Link(key[0], key[1], dist, dist / PROPAGATION_KM_PER_MS)
             link_list.append(link)
             self._adj[a][b] = link
@@ -153,9 +153,6 @@ class Topology:
             return self._adj[a][b]
         except KeyError:
             raise TopologyError(f"no link between {a} and {b}") from None
-
-    def has_link(self, a: int, b: int) -> bool:
-        return b in self._adj.get(a, ())
 
     def _check_node(self, node_id: int):
         if node_id not in self._coord:
@@ -220,59 +217,46 @@ def propagation_delay_ms(t: Topology, p: Path) -> float:
     return total
 
 
-def shortest_path(t: Topology, src: int, dst: int, metric: str = "delay") -> Path:
+def shortest_path(t: Topology, src: int, dst: int) -> Path:
     """Minimum-delay simple path from src to dst.
 
     Ties break deterministically: fewer hops first, then the
-    lexicographically smallest node-id sequence. metric='hops' swaps the
-    primary criterion to hop count (delay as first tie-break).
+    lexicographically smallest node-id sequence.
     """
     t._check_node(src)
     t._check_node(dst)
     if src == dst:
         raise TopologyError("src and dst must differ")
-    if metric not in ("delay", "hops"):
-        raise ValueError(f"unknown path metric {metric!r}")
-    swap = metric == "hops"
 
-    # Entries are ((primary, secondary), node sequence); priorities grow
-    # strictly along edges, so the first pop per node is final under the
-    # full (metric, tie-break, node-sequence) order.
-    heap = [((0.0, 0) if not swap else (0, 0.0), (src,))]
+    # Entries are (delay, hops, node sequence); priorities grow strictly
+    # along edges, so the first pop per node is final under the full
+    # (delay, hops, node-sequence) order.
+    heap = [(0.0, 0, (src,))]
     settled = set()
     while heap:
-        prio, nodes = heapq.heappop(heap)
+        delay, hops, nodes = heapq.heappop(heap)
         u = nodes[-1]
         if u in settled:
             continue
         settled.add(u)
-        delay, hops = (prio[1], prio[0]) if swap else prio
         if u == dst:
             return Path(nodes, delay)
         for v in t.neighbors(u):
             if v in nodes:
                 continue
-            longer = (delay + t.link(u, v).delay_ms, hops + 1)
-            heapq.heappush(heap, (longer[::-1] if swap else longer, nodes + (v,)))
+            heapq.heappush(heap, (delay + t.link(u, v).delay_ms, hops + 1, nodes + (v,)))
     raise TopologyError(f"no path from {src} to {dst}")
 
 
-def has_alternative_path(t: Topology, frm: int, dst: int, mode: str = "edge_disjoint") -> bool:
-    """True iff frm can still reach dst after its default route is cut.
-
-    mode='edge_disjoint' (default): at least two edge-disjoint simple paths
-    exist, computed as unit-capacity max-flow >= 2. mode='any_two_simple':
-    at least two distinct simple paths exist.
-    """
+def has_alternative_path(t: Topology, frm: int, dst: int) -> bool:
+    """True iff frm can still reach dst after its default route is cut:
+    at least two edge-disjoint simple paths exist, computed as
+    unit-capacity max-flow >= 2."""
     t._check_node(frm)
     t._check_node(dst)
     if frm == dst:
         raise TopologyError("frm and dst must differ")
-    if mode == "edge_disjoint":
-        return _maxflow_at_least(t, frm, dst, 2)
-    if mode == "any_two_simple":
-        return _count_simple_paths(t, frm, dst, limit=2) >= 2
-    raise ValueError(f"unknown alternative-path mode {mode!r}")
+    return _maxflow_at_least(t, frm, dst, 2)
 
 
 def _maxflow_at_least(t: Topology, s: int, d: int, want: int) -> bool:
@@ -302,18 +286,3 @@ def _maxflow_at_least(t: Topology, s: int, d: int, want: int) -> bool:
             v = u
         flow += 1
     return True
-
-
-def _count_simple_paths(t: Topology, s: int, d: int, limit: int) -> int:
-    found = 0
-    stack = [(s, {s})]
-    while stack and found < limit:
-        u, visited = stack.pop()
-        for v in t.neighbors(u):
-            if v == d:
-                found += 1
-                if found >= limit:
-                    break
-            elif v not in visited:
-                stack.append((v, visited | {v}))
-    return found

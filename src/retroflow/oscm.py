@@ -21,6 +21,11 @@ class InstanceError(ValueError):
     """Inconsistent instance or solution data."""
 
 
+# what indexing, converting and iterating a parsed document of the wrong
+# shape raises: wrong types, missing keys, NaN or infinite integers
+_MALFORMED = (KeyError, ValueError, TypeError, AttributeError, OverflowError)
+
+
 class OscmInstance:
     def __init__(self, offline_switches, active_controllers, delay, g, beta, a_rest,
                  q_required, label: str = ""):
@@ -40,10 +45,12 @@ class OscmInstance:
             if self.g[i] < 0:
                 raise InstanceError(f"switch {i} has negative load")
             for j in self.active_controllers:
-                if (i, j) not in self.delay:
+                d = self.delay.get((i, j))
+                if d is None:
                     raise InstanceError(f"missing delay for switch {i}, controller {j}")
-                if self.delay[(i, j)] < 0:
-                    raise InstanceError(f"negative delay for switch {i}, controller {j}")
+                if not (math.isfinite(d) and d >= 0):
+                    raise InstanceError(f"delay {d} for switch {i}, controller {j} "
+                                        "must be finite and nonnegative")
         for j in self.active_controllers:
             if j not in self.a_rest:
                 raise InstanceError(f"controller {j} missing residual ability")
@@ -74,9 +81,6 @@ class OscmInstance:
     def w(self, i: int, j: int) -> float:
         """Overhead of controller j pulling switch i's flows: g_i * D_ij."""
         return self.g[i] * self.delay[(i, j)]
-
-    def carriers(self, flow_id: int) -> tuple[int, ...]:
-        return tuple(i for i in self.offline_switches if flow_id in self.beta[i])
 
     def to_json(self) -> str:
         doc = {
@@ -110,9 +114,9 @@ class OscmInstance:
                 q_required=doc["quota"],
                 label=doc.get("label", ""),
             )
-        except (KeyError, ValueError, TypeError) as e:
-            if isinstance(e, InstanceError):
-                raise
+        except InstanceError:
+            raise
+        except _MALFORMED as e:
             raise InstanceError(f"malformed instance document: {e}") from e
 
     @classmethod
@@ -130,9 +134,6 @@ class Solution:
     objective: float
     quota_met: bool = True
 
-    def z(self, i: int, j: int) -> int:
-        return 1 if self.assigned.get(i) == j else 0
-
     def recovered_switches(self) -> int:
         return sum(self.x.values())
 
@@ -149,13 +150,16 @@ class Solution:
     @classmethod
     def from_json(cls, text: str) -> "Solution":
         doc = json.loads(text)
-        return cls(
-            x={int(k): int(v) for k, v in doc["x"].items()},
-            assigned={int(k): int(v) for k, v in doc["assigned"].items()},
-            y=frozenset(doc["y"]),
-            objective=float(doc["objective"]),
-            quota_met=bool(doc.get("quota_met", True)),
-        )
+        try:
+            return cls(
+                x={int(k): int(v) for k, v in doc["x"].items()},
+                assigned={int(k): int(v) for k, v in doc["assigned"].items()},
+                y=frozenset(doc["y"]),
+                objective=float(doc["objective"]),
+                quota_met=bool(doc.get("quota_met", True)),
+            )
+        except _MALFORMED as e:
+            raise InstanceError(f"malformed solution document: {e}") from e
 
     @classmethod
     def from_file(cls, path) -> "Solution":
@@ -199,13 +203,20 @@ def all_legacy_solution(inst: OscmInstance) -> Solution:
     )
 
 
+def switch_loads(p: dm.Placement, b: BetaMatrix) -> dict[int, int]:
+    """Per-switch flow counts: the placement's fixture counts when it
+    carries them, otherwise the loads computed from b."""
+    if p.flow_counts is not None:
+        return dict(p.flow_counts)
+    return b.loads()
+
+
 def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureScenario,
                    q_fraction: float, loads: dict[int, int] | None = None,
                    control_delay: str = "routed") -> OscmInstance:
     """Assemble the problem for one failure scenario.
 
-    loads overrides the computed per-switch flow counts (fixture-supplied
-    counts take precedence when the placement carries them). control_delay
+    loads defaults to switch_loads(p, b). control_delay
     picks how switch-to-controller delay is measured: 'routed' walks the
     shortest path through the topology, 'geodesic' uses the direct
     great-circle distance.
@@ -216,11 +227,11 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
         raise InstanceError(f"unknown control_delay mode {control_delay!r}")
 
     if loads is None:
-        loads = p.flow_counts if p.flow_counts is not None else b.loads()
+        loads = switch_loads(p, b)
 
     offline = dm.offline_switches(p, s)
     active = dm.active_controllers(p, s)
-    rest = dm.residual_capacity(p, loads, s).a_rest
+    rest = dm.residual_capacity(p, loads, s)
 
     delay = {}
     for i in offline:

@@ -39,14 +39,6 @@ class ExactResult:
     status: str  # optimal | not_proven | infeasible
     nodes_explored: int
 
-    @property
-    def proven(self) -> bool:
-        return self.status in ("optimal", "infeasible")
-
-    @property
-    def feasible(self) -> bool:
-        return self.solution is not None
-
 
 @dataclass(frozen=True)
 class GapInstance:

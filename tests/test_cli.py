@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from retroflow.cli import main
 from retroflow.oscm import Solution
 from retroflow import fixtures
@@ -93,6 +95,55 @@ class TestValidateCommand:
         assert main(["validate", "--instance", str(bad), "--solution", str(sol)]) == 2
 
 
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"x": 5, "assigned": {}, "y": [], "objective": 0.0}',
+        '{"x": {}, "assigned": null, "y": [], "objective": 0.0}',
+    ])
+    def test_malformed_solution(self, capsys, tmp_path, text):
+        ipath, spath = self._write_pair(tmp_path)
+        with open(spath, "w") as fh:
+            fh.write(text)
+        assert main(["validate", "--instance", ipath, "--solution", spath]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed solution document")
+        assert "Traceback" not in err
+
+    def test_nan_delay_instance(self, capsys, tmp_path):
+        ipath, spath = self._write_pair(tmp_path)
+        doc = json.loads(open(ipath).read())
+        doc["delay_ms"][next(iter(doc["delay_ms"]))] = float("nan")
+        with open(ipath, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["validate", "--instance", ipath, "--solution", spath]) == 2
+        captured = capsys.readouterr()
+        assert "feasible" not in captured.out
+        assert "must be finite" in captured.err
+
+
+class TestBadNumbers:
+    def _run(self, topo, placement):
+        return main(["run", "--topology", str(topo), "--placement", str(placement),
+                     "--failures", "1", "--algorithms", "nearest"])
+
+    def test_nan_distance(self, capsys, tmp_path):
+        doc = json.loads(open(TOPO).read())
+        doc["links"][0]["distance_km"] = float("nan")
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(doc))
+        assert self._run(topo, PLACEMENT) == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [-5, 2.7])
+    def test_bad_flow_count(self, capsys, tmp_path, count):
+        doc = json.loads(open(PLACEMENT).read())
+        doc["flow_counts"]["13"] = count
+        placement = tmp_path / "placement.json"
+        placement.write_text(json.dumps(doc))
+        assert self._run(TOPO, placement) == 2
+        assert "flow count of switch 13" in capsys.readouterr().err
+
+
 class TestEnumerateCommand:
     def test_pairs(self, capsys):
         assert main(["enumerate", "--topology", TOPO, "--placement", PLACEMENT,
@@ -114,3 +165,18 @@ class TestProtocolTraceCommand:
         assert "broadcast_role_request" in out
         assert "activate_legacy_routing" in out
         assert "final: mode=LEGACY phase=STABLE master=None" in out
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"switch": None, "master": 1, "backups": [2], "events": []},
+        {"switch": float("inf"), "master": 1, "backups": [2], "events": []},
+        {"switch": 1, "master": 1, "backups": [2], "events": [5]},
+        {"master": 1, "backups": [2], "events": []},
+    ])
+    def test_malformed_script(self, capsys, tmp_path, doc):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(doc))
+        assert main(["protocol-trace", "--script", str(script)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed script document")
+        assert "Traceback" not in err

@@ -50,25 +50,51 @@ class TestLoadPlacement:
             load_placement(doc, att_topology)
 
 
+    @pytest.mark.parametrize("count", [-5, 2.7, float("nan"), float("inf"), "x", None])
+    def test_bad_flow_count_rejected(self, att_topology, count):
+        doc = {
+            "capacity": 10_000,
+            "controllers": [{"node": 0, "switches": list(range(25))}],
+            "flow_counts": {str(i): (count if i == 3 else 1) for i in range(25)},
+        }
+        with pytest.raises(PlacementError, match="flow count of switch 3"):
+            load_placement(doc, att_topology)
+
+    def test_whole_float_flow_count_accepted(self, att_topology):
+        doc = {
+            "capacity": 10_000.0,
+            "controllers": [{"node": 0, "switches": list(range(25))}],
+            "flow_counts": {str(i): 2.0 for i in range(25)},
+        }
+        p = load_placement(doc, att_topology)
+        assert p.capacity[0] == 10_000
+        assert set(p.flow_counts.values()) == {2}
+
+    def test_fractional_capacity_rejected(self, att_topology):
+        doc = {"capacity": 9.5, "controllers": [{"node": 0, "switches": list(range(25))}]}
+        with pytest.raises(PlacementError, match="controller 0 capacity"):
+            load_placement(doc, att_topology)
+
+
 class TestResidualCapacity:
     def test_published_residual_for_c2(self, att_placement):
         scenario = FailureScenario(frozenset({20}))
         rest = residual_capacity(att_placement, att_placement.flow_counts, scenario)
         # 500 - (127 + 71 + 121 + 57)
-        assert rest.a_rest[2] == 124
+        assert rest[2] == 124
 
     def test_empty_domain(self):
         p = Placement([(0, 500), (1, 500)], {0: 0, 1: 0}, {0: 10, 1: 20})
         rest = residual_capacity(p, p.flow_counts, FailureScenario(frozenset({0})))
-        assert rest.a_rest[1] == 500
+        assert rest[1] == 500
 
     def test_c13_uses_computed_arithmetic(self, att_placement):
         # the narrative quotes 23 for this controller; Table-2 arithmetic
         # gives 13 and the harness sticks to the computed value
         scenario = FailureScenario(frozenset({20}))
         rest = residual_capacity(att_placement, att_placement.flow_counts, scenario)
-        assert rest.a_rest[13] == 500 - 487 == 13
-        assert rest.a_rest[22] == 34
+        assert rest[13] == 500 - 487 == 13
+        assert rest[22] == 34
 
     def test_overfull_domain_rejected(self):
         p = Placement([(0, 5), (1, 500)], {0: 0, 2: 0, 1: 1}, {0: 3, 1: 0, 2: 4})
@@ -81,7 +107,7 @@ class TestResidualCapacity:
             for s in enumerate_failure_scenarios(att_placement, k):
                 rest = residual_capacity(att_placement, loads, s)
                 consumed = sum(
-                    att_placement.capacity[j] - rest.a_rest[j] for j in rest.a_rest
+                    att_placement.capacity[j] - rest[j] for j in rest
                 )
                 surviving = sum(
                     loads[sw] for sw, cid in att_placement.domain_of.items()

@@ -22,7 +22,7 @@ class TestQueueingPenalty:
         assert queueing_penalty_ms(511, 500, m) == pytest.approx(1.1)
 
     def test_disabled(self):
-        m = QueueModel(penalty_ms_per_excess_flow=0.1, enabled=False)
+        m = QueueModel(penalty_ms_per_excess_flow=0.0)
         assert queueing_penalty_ms(9999, 1, m) == 0.0
 
     def test_negative_penalty_rejected(self):
@@ -75,7 +75,7 @@ class TestRunScenario:
 
     def test_adjusted_equals_raw_when_model_disabled(self, att_world):
         rep = run_scenario(att_world, FailureScenario(frozenset({20})), 1.0,
-                           qm=QueueModel(enabled=False))
+                           qm=QueueModel(penalty_ms_per_excess_flow=0.0))
         o = rep.outcome("nearest")
         assert o.overloaded  # still overloaded, just not billed
         assert o.adjusted_overhead == pytest.approx(o.raw_overhead)
@@ -100,6 +100,27 @@ class TestRunScenario:
                 gr = rep.outcome("retroflow").recovered_switch_count
                 ne = rep.outcome("nearest").recovered_switch_count
                 assert gr <= ne
+
+    def test_controller_load_is_own_domain_plus_pulled(self, att_world):
+        # recomputed from the placement alone, not from the instance
+        p = att_world.placement
+        counts = p.flow_counts
+        checked = 0
+        for k in range(1, len(p.controller_ids)):
+            for s in enumerate_failure_scenarios(p, k):
+                rep = run_scenario(att_world, s, 1.0)
+                survivors = [c for c in p.controller_ids if c not in s.failed]
+                for o in rep.outcomes:
+                    if o.solution is None:
+                        continue
+                    expected = {
+                        j: sum(counts[sw] for sw, c in p.domain_of.items() if c == j)
+                        + sum(counts[i] for i, c in o.solution.assigned.items() if c == j)
+                        for j in survivors
+                    }
+                    assert o.controller_load == expected, (s.label(), o.algorithm)
+                    checked += 1
+        assert checked > 2 * 62  # retroflow and nearest always, exact when feasible
 
     def test_algorithm_subset(self, att_world):
         rep = run_scenario(att_world, FailureScenario(frozenset({20})), 1.0,

@@ -115,6 +115,15 @@ class TestLoadTopology:
         with pytest.raises(TopologyError, match="at least 2"):
             load_topology({"nodes": [{"id": 0, "lat": 0.0, "lon": 0.0}], "links": []})
 
+    @pytest.mark.parametrize("dist", [float("nan"), float("inf"), -1.0])
+    def test_bad_distance_rejected(self, dist):
+        doc = {
+            "nodes": [{"id": 0, "lat": 0.0, "lon": 0.0}, {"id": 1, "lat": 1.0, "lon": 1.0}],
+            "links": [{"a": 0, "b": 1, "distance_km": dist}],
+        }
+        with pytest.raises(TopologyError, match="finite and nonnegative"):
+            load_topology(doc)
+
     def test_link_delay_matches_distance(self, att_topology):
         for link in att_topology.links:
             expected = link.distance_km / 200.0
@@ -184,10 +193,10 @@ class TestShortestPath:
             assert shortest_path(att_topology, 0, 20).node_ids == first.node_ids
 
     def test_hop_metric(self):
-        # 0-3 direct is long; 0-1-2-3 is shorter by distance but more hops
+        # 0-3 direct is long; 0-1-2-3 is shorter by distance but more hops,
+        # and delay is the metric: hop count only breaks delay ties
         t = synthetic(4, [(0, 3, 1000.0), (0, 1, 100.0), (1, 2, 100.0), (2, 3, 100.0)])
-        assert shortest_path(t, 0, 3, metric="delay").node_ids == (0, 1, 2, 3)
-        assert shortest_path(t, 0, 3, metric="hops").node_ids == (0, 3)
+        assert shortest_path(t, 0, 3).node_ids == (0, 1, 2, 3)
 
     def test_triangle_sanity_on_att(self, att_topology):
         ids = att_topology.node_ids()
@@ -208,6 +217,11 @@ class TestAlternativePaths:
     def test_degree_one_node(self):
         t = synthetic(3, [(0, 1, 100.0), (1, 2, 100.0)])
         assert not has_alternative_path(t, 0, 2)
+        # 0-1 is a bridge: two routes beyond it do not make two disjoint paths
+        t = synthetic(5, [(0, 1, 100.0), (1, 2, 100.0), (2, 3, 100.0),
+                          (1, 4, 100.0), (4, 3, 100.0)])
+        assert not has_alternative_path(t, 0, 3)
+        assert has_alternative_path(t, 1, 3)
 
     def test_cycle(self, ring5):
         for a in ring5.node_ids():
@@ -244,10 +258,3 @@ class TestAlternativePaths:
                         continue
                     assert has_alternative_path(t, frm, dst) == \
                         two_edge_disjoint_paths_exist(edges, frm, dst)
-
-    def test_any_two_simple_mode(self):
-        # 0-1 is a bridge, but beyond it two routes exist to 3
-        t = synthetic(5, [(0, 1, 100.0), (1, 2, 100.0), (2, 3, 100.0),
-                          (1, 4, 100.0), (4, 3, 100.0)])
-        assert not has_alternative_path(t, 0, 3, mode="edge_disjoint")
-        assert has_alternative_path(t, 0, 3, mode="any_two_simple")

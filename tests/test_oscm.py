@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -227,3 +228,26 @@ class TestSerialization:
                        objective=12.5, quota_met=False)
         clone = Solution.from_json(sol.to_json())
         assert clone == sol
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
+    def test_bad_delay_rejected(self, toy, delay):
+        doc = json.loads(toy.to_json())
+        doc["delay_ms"][next(iter(doc["delay_ms"]))] = delay
+        with pytest.raises(InstanceError, match="finite and nonnegative"):
+            OscmInstance.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"x": 5, "assigned": {}, "y": [], "objective": 0.0}',
+        '{"x": {}, "assigned": {}, "y": 3, "objective": 0.0}',
+        '{"x": {"1": Infinity}, "assigned": {}, "y": [], "objective": 0.0}',
+    ])
+    def test_malformed_solution_document(self, text):
+        with pytest.raises(InstanceError, match="malformed solution document"):
+            Solution.from_json(text)
+
+    def test_malformed_instance_document(self, toy):
+        doc = json.loads(toy.to_json())
+        doc["loads"] = [1, 2]
+        with pytest.raises(InstanceError, match="malformed instance document"):
+            OscmInstance.from_json(json.dumps(doc))

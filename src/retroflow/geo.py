@@ -2,6 +2,11 @@
 
 Link delay is propagation only: distance_km / 200 gives milliseconds at
 2x10^5 km/s signal speed.
+
+Path queries answer from per-topology tables filled on first use: one
+single-source search per source holds the shortest path to every node, and
+one bridge pass labels the 2-edge-connected components that answer every
+alternative-path query.
 """
 
 from __future__ import annotations
@@ -111,6 +116,11 @@ class Topology:
         if not self._connected():
             raise TopologyError("topology is disconnected")
 
+        # Filled lazily by shortest_path and has_alternative_path; the graph
+        # never changes, so an entry stays valid for the topology's life.
+        self._paths: dict[int, dict[int, Path]] = {}
+        self._component: dict[int, int] | None = None
+
     def _connected(self) -> bool:
         if not self.nodes:
             return True
@@ -177,7 +187,7 @@ def load_topology(doc: dict) -> Topology:
     for rec in nodes_raw:
         _reject_unknown(rec, _NODE_FIELDS, "node record")
         try:
-            nid = int(rec["id"])
+            nid = _whole_id(rec["id"], "node id")
             coord = GeoCoordinate(float(rec["lat"]), float(rec["lon"]))
         except KeyError as e:
             raise TopologyError(f"node record missing field {e}") from None
@@ -187,7 +197,7 @@ def load_topology(doc: dict) -> Topology:
     for rec in links_raw:
         _reject_unknown(rec, _LINK_FIELDS, "link record")
         try:
-            a, b = int(rec["a"]), int(rec["b"])
+            a, b = _whole_id(rec["a"], "link end"), _whole_id(rec["b"], "link end")
         except KeyError as e:
             raise TopologyError(f"link record missing field {e}") from None
         dist = rec.get("distance_km")
@@ -199,6 +209,17 @@ def load_topology(doc: dict) -> Topology:
 def load_topology_file(path) -> Topology:
     with open(FsPath(path)) as fh:
         return load_topology(json.load(fh))
+
+
+def _whole_id(value, what: str) -> int:
+    """A finite whole-number id; 3.0 passes, while 0.5, NaN and infinity
+    are rejected instead of truncated or overflowing."""
+    if isinstance(value, float) and not value.is_integer():
+        raise TopologyError(f"{what} must be a whole number, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise TopologyError(f"{what} must be a whole number, got {value!r}") from None
 
 
 def _reject_unknown(rec, allowed, what):
@@ -221,68 +242,93 @@ def shortest_path(t: Topology, src: int, dst: int) -> Path:
     """Minimum-delay simple path from src to dst.
 
     Ties break deterministically: fewer hops first, then the
-    lexicographically smallest node-id sequence.
+    lexicographically smallest node-id sequence. The first query from src
+    runs one search to every node and stores the paths on t; later queries
+    from src are lookups.
     """
     t._check_node(src)
     t._check_node(dst)
     if src == dst:
         raise TopologyError("src and dst must differ")
+    paths = t._paths.get(src)
+    if paths is None:
+        paths = t._paths[src] = _paths_from(t, src)
+    return paths[dst]
 
+
+def _paths_from(t: Topology, src: int) -> dict[int, Path]:
     # Entries are (delay, hops, node sequence); priorities grow strictly
     # along edges, so the first pop per node is final under the full
-    # (delay, hops, node-sequence) order.
+    # (delay, hops, node-sequence) order. A search that stopped at the pop
+    # of one destination would pop the same nodes in the same order, so
+    # every stored delay is the same float sum it would have returned.
     heap = [(0.0, 0, (src,))]
-    settled = set()
+    paths: dict[int, Path] = {}
     while heap:
         delay, hops, nodes = heapq.heappop(heap)
         u = nodes[-1]
-        if u in settled:
+        if u in paths:
             continue
-        settled.add(u)
-        if u == dst:
-            return Path(nodes, delay)
+        paths[u] = Path(nodes, delay)
         for v in t.neighbors(u):
             if v in nodes:
                 continue
             heapq.heappush(heap, (delay + t.link(u, v).delay_ms, hops + 1, nodes + (v,)))
-    raise TopologyError(f"no path from {src} to {dst}")
+    return paths
 
 
 def has_alternative_path(t: Topology, frm: int, dst: int) -> bool:
     """True iff frm can still reach dst after its default route is cut:
-    at least two edge-disjoint simple paths exist, computed as
-    unit-capacity max-flow >= 2."""
+    at least two edge-disjoint paths exist. By Menger's theorem that holds
+    iff no bridge separates them, that is, iff both lie in one
+    2-edge-connected component; the first query labels the components."""
     t._check_node(frm)
     t._check_node(dst)
     if frm == dst:
         raise TopologyError("frm and dst must differ")
-    return _maxflow_at_least(t, frm, dst, 2)
+    if t._component is None:
+        t._component = _two_edge_components(t)
+    return t._component[frm] == t._component[dst]
 
 
-def _maxflow_at_least(t: Topology, s: int, d: int, want: int) -> bool:
-    # Unit-capacity Edmonds-Karp; an undirected edge becomes one unit of
-    # capacity each way and residual cancellation keeps disjointness honest.
-    cap = {}
-    for link in t.links:
-        cap[(link.a, link.b)] = 1
-        cap[(link.b, link.a)] = 1
-    flow = 0
-    while flow < want:
-        parent = {s: None}
-        queue = deque([s])
-        while queue and d not in parent:
-            u = queue.popleft()
+def _two_edge_components(t: Topology) -> dict[int, int]:
+    """Component label per node, after Tarjan (1974): a tree edge u-v of a
+    depth-first search is a bridge iff no back edge from v's subtree
+    reaches u or above. Both passes keep explicit stacks, so deep graphs
+    do not hit the recursion limit."""
+    root = t.nodes[0][0]
+    order = {root: 0}
+    low = {root: 0}
+    bridges = set()
+    stack = [(root, None, iter(t.neighbors(root)))]
+    while stack:
+        u, parent, todo = stack[-1]
+        for v in todo:
+            if v == parent:
+                continue
+            if v in order:
+                low[u] = min(low[u], order[v])
+            else:
+                order[v] = low[v] = len(order)
+                stack.append((v, u, iter(t.neighbors(v))))
+                break
+        else:
+            stack.pop()
+            if parent is not None:
+                low[parent] = min(low[parent], low[u])
+                if low[u] > order[parent]:
+                    bridges.add((min(u, parent), max(u, parent)))
+
+    component: dict[int, int] = {}
+    for start in t.node_ids():
+        if start in component:
+            continue
+        component[start] = start
+        reach = [start]
+        while reach:
+            u = reach.pop()
             for v in t.neighbors(u):
-                if v not in parent and cap.get((u, v), 0) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if d not in parent:
-            return False
-        v = d
-        while parent[v] is not None:
-            u = parent[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] = cap.get((v, u), 0) + 1
-            v = u
-        flow += 1
-    return True
+                if v not in component and (min(u, v), max(u, v)) not in bridges:
+                    component[v] = start
+                    reach.append(v)
+    return component

@@ -134,6 +134,18 @@ class TestBadNumbers:
         assert self._run(topo, PLACEMENT) == 2
         assert "finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["1e400", "0.5"])
+    def test_bad_node_id(self, capsys, tmp_path, raw):
+        # 1e400 parses as infinity; 0.5 would otherwise truncate to node 0
+        doc = json.loads(open(TOPO).read())
+        doc["nodes"][0]["id"] = "ID"
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(doc).replace('"ID"', raw))
+        assert self._run(topo, PLACEMENT) == 2
+        err = capsys.readouterr().err
+        assert "node id must be a whole number" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("count", [-5, 2.7])
     def test_bad_flow_count(self, capsys, tmp_path, count):
         doc = json.loads(open(PLACEMENT).read())

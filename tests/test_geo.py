@@ -18,6 +18,20 @@ def synthetic(n, weighted_links):
     return Topology(nodes, [(a, b, d) for a, b, d in weighted_links])
 
 
+def random_connected_links(rng, n, distances):
+    """A path backbone plus random extra links, each with a distance drawn
+    from `distances`."""
+    links = [(i, i + 1, rng.choice(distances)) for i in range(n - 1)]
+    present = {(i, i + 1) for i in range(n - 1)}
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.sample(range(n), 2)
+        key = (min(a, b), max(a, b))
+        if key not in present:
+            present.add(key)
+            links.append((key[0], key[1], rng.choice(distances)))
+    return links
+
+
 coords = st.builds(
     GeoCoordinate,
     st.floats(min_value=-90, max_value=90, allow_nan=False),
@@ -124,6 +138,24 @@ class TestLoadTopology:
         with pytest.raises(TopologyError, match="finite and nonnegative"):
             load_topology(doc)
 
+    @pytest.mark.parametrize("field,value", [
+        ("id", 0.5), ("id", float("inf")), ("id", float("nan")), ("id", None), ("id", "x"),
+        ("a", 0.5), ("b", float("inf")),
+    ])
+    def test_bad_id_rejected(self, field, value):
+        nodes = [{"id": 0, "lat": 0.0, "lon": 0.0}, {"id": 1, "lat": 1.0, "lon": 1.0}]
+        links = [{"a": 0, "b": 1}]
+        (nodes[0] if field == "id" else links[0])[field] = value
+        with pytest.raises(TopologyError, match="must be a whole number"):
+            load_topology({"nodes": nodes, "links": links})
+
+    def test_whole_float_id_accepted(self):
+        doc = {
+            "nodes": [{"id": 0, "lat": 0.0, "lon": 0.0}, {"id": 1.0, "lat": 1.0, "lon": 1.0}],
+            "links": [{"a": 0, "b": 1.0}],
+        }
+        assert load_topology(doc).node_ids() == (0, 1)
+
     def test_link_delay_matches_distance(self, att_topology):
         for link in att_topology.links:
             expected = link.distance_km / 200.0
@@ -212,6 +244,39 @@ class TestShortestPath:
         with pytest.raises(TopologyError, match="unknown node"):
             shortest_path(ring5, 0, 99)
 
+    def test_random_small_graphs_vs_oracle(self):
+        # whole-km distances give exact delays, so delay, hop and
+        # node-sequence ties all occur and are compared exactly
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(3, 8)
+            t = synthetic(n, random_connected_links(rng, n, (100, 200, 300)))
+            adj = {i: {} for i in range(n)}
+            for link in t.links:
+                adj[link.a][link.b] = link.delay_ms
+                adj[link.b][link.a] = link.delay_ms
+            for src in range(n):
+                for dst in range(n):
+                    if src != dst:
+                        expected = best_simple_path(adj, src, dst)
+                        got = shortest_path(t, src, dst)
+                        assert list(got.node_ids) == expected
+                        assert got.total_delay_ms == path_weight(adj, expected)
+
+    def test_query_order_does_not_matter(self):
+        rng = random.Random(37)
+        for _ in range(20):
+            n = rng.randint(4, 12)
+            links = random_connected_links(rng, n, (1, 2, 3, 7, 11))
+            pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+            shuffled = rng.sample(pairs, len(pairs))
+            t1, t2 = synthetic(n, links), synthetic(n, links)
+            first = {pair: shortest_path(t1, *pair) for pair in pairs}
+            second = {pair: shortest_path(t2, *pair) for pair in shuffled}
+            for pair in pairs:
+                assert first[pair].node_ids == second[pair].node_ids
+                assert first[pair].total_delay_ms == second[pair].total_delay_ms
+
 
 class TestAlternativePaths:
     def test_degree_one_node(self):
@@ -241,16 +306,7 @@ class TestAlternativePaths:
         rng = random.Random(23)
         for _ in range(60):
             n = rng.randint(3, 8)
-            # random connected graph: a path backbone plus random extras
-            links = [(i, i + 1, 100.0) for i in range(n - 1)]
-            present = {(i, i + 1) for i in range(n - 1)}
-            for _ in range(rng.randint(0, n)):
-                a, b = rng.sample(range(n), 2)
-                key = (min(a, b), max(a, b))
-                if key not in present:
-                    present.add(key)
-                    links.append((key[0], key[1], 100.0))
-            t = synthetic(n, links)
+            t = synthetic(n, random_connected_links(rng, n, (100.0,)))
             edges = [(l.a, l.b) for l in t.links]
             for frm in range(n):
                 for dst in range(n):
@@ -258,3 +314,27 @@ class TestAlternativePaths:
                         continue
                     assert has_alternative_path(t, frm, dst) == \
                         two_edge_disjoint_paths_exist(edges, frm, dst)
+
+
+class TestLargeTopology:
+    def test_ladder_with_pendant(self):
+        # rails 0..749 and 750..1499 joined by a rung at every position, plus
+        # node 1500 hanging off node 0: far deeper than the recursion limit
+        half = 750
+        links = [(i, i + 1, 10.0) for i in range(half - 1)]
+        links += [(half + i, half + i + 1, 10.0) for i in range(half - 1)]
+        links += [(i, half + i, 10.0) for i in range(half)]
+        links.append((0, 2 * half, 10.0))
+        nodes = [(i, GeoCoordinate(0.0, 0.0)) for i in range(2 * half + 1)]
+        t = Topology(nodes, links)
+        pendant = 2 * half
+        for other in range(2 * half):
+            assert not has_alternative_path(t, pendant, other)
+            assert not has_alternative_path(t, other, pendant)
+        rng = random.Random(41)
+        for _ in range(200):
+            a, b = rng.sample(range(2 * half), 2)
+            assert has_alternative_path(t, a, b)
+        p = shortest_path(t, 0, 2 * half - 1)
+        assert len(p) == half + 1
+        assert p.total_delay_ms == pytest.approx(half * 0.05)

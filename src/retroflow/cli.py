@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--topology", required=True, help="topology document (JSON)")
     run.add_argument("--placement", required=True, help="placement document (JSON)")
     run.add_argument("--failures", required=True,
-                     help="failure cardinality K, or explicit controller ids 'a,b'")
+                     help="failure count K, or controller ids with a comma: 'a,b' or 'a,'")
     run.add_argument("--q-fraction", type=float, default=1.0,
                      help="required fraction of recoverable flows (default 1.0)")
     run.add_argument("--algorithms", default="exact,retroflow,nearest",
@@ -65,15 +65,7 @@ def _parse_scenarios(spec: str, placement: dm.Placement) -> list[dm.FailureScena
         scenario = dm.FailureScenario(ids)
         dm.validate_scenario(placement, scenario)
         return [scenario]
-    k = int(spec)
-    if k == 0:
-        raise dm.PlacementError("failure cardinality must be at least 1")
-    if 1 <= k < len(placement.controller_ids):
-        return dm.enumerate_failure_scenarios(placement, k)
-    # a bare id: treat as a single-controller scenario
-    scenario = dm.FailureScenario(frozenset({k}))
-    dm.validate_scenario(placement, scenario)
-    return [scenario]
+    return dm.enumerate_failure_scenarios(placement, int(spec))
 
 
 def _cmd_run(args) -> int:

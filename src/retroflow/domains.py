@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
-from .geo import Topology
+from .geo import Topology, whole_number
 
 _DOC_FIELDS = {"name", "capacity", "controllers", "flow_counts"}
 _CONTROLLER_FIELDS = {"node", "capacity", "switches"}
@@ -80,7 +80,7 @@ def load_placement(doc: dict, t: Topology) -> Placement:
         if bad:
             raise PlacementError(f"controller record has unknown fields: {sorted(bad)}")
         try:
-            cid = int(rec["node"])
+            cid = whole_number(rec["node"], "controller node", PlacementError)
         except KeyError:
             raise PlacementError("controller record missing 'node'") from None
         if cid not in node_ids:
@@ -88,9 +88,9 @@ def load_placement(doc: dict, t: Topology) -> Placement:
         cap = rec.get("capacity", default_cap)
         if cap is None:
             raise PlacementError(f"controller {cid} has no capacity (none given, no default)")
-        controllers.append((cid, _whole(cap, f"controller {cid} capacity")))
+        controllers.append((cid, _count(cap, f"controller {cid} capacity")))
         for sw in rec.get("switches", []):
-            sw = int(sw)
+            sw = whole_number(sw, f"switch of controller {cid}", PlacementError)
             if sw not in node_ids:
                 raise PlacementError(f"switch {sw} not in topology")
             if sw in domain_of:
@@ -103,19 +103,14 @@ def load_placement(doc: dict, t: Topology) -> Placement:
 
     flow_counts = doc.get("flow_counts")
     if flow_counts is not None:
-        flow_counts = {int(k): _whole(v, f"flow count of switch {k}") for k, v in flow_counts.items()}
+        flow_counts = {int(k): _count(v, f"flow count of switch {k}") for k, v in flow_counts.items()}
     return Placement(controllers, domain_of, flow_counts, name=str(doc.get("name", "")))
 
 
-def _whole(value, what: str) -> int:
+def _count(value, what: str) -> int:
     """A nonnegative whole number; 2.0 passes, while 2.7, -5, NaN and
     infinity are rejected instead of truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise PlacementError(f"{what} must be a whole number, got {value!r}")
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise PlacementError(f"{what} must be a whole number, got {value!r}") from None
+    n = whole_number(value, what, PlacementError)
     if n < 0:
         raise PlacementError(f"{what} must be nonnegative, got {n}")
     return n

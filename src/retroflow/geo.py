@@ -187,8 +187,9 @@ def load_topology(doc: dict) -> Topology:
     for rec in nodes_raw:
         _reject_unknown(rec, _NODE_FIELDS, "node record")
         try:
-            nid = _whole_id(rec["id"], "node id")
-            coord = GeoCoordinate(float(rec["lat"]), float(rec["lon"]))
+            nid = whole_number(rec["id"], "node id", TopologyError)
+            coord = GeoCoordinate(_number(rec["lat"], f"node {nid} lat"),
+                                  _number(rec["lon"], f"node {nid} lon"))
         except KeyError as e:
             raise TopologyError(f"node record missing field {e}") from None
         nodes.append((nid, coord))
@@ -197,11 +198,13 @@ def load_topology(doc: dict) -> Topology:
     for rec in links_raw:
         _reject_unknown(rec, _LINK_FIELDS, "link record")
         try:
-            a, b = _whole_id(rec["a"], "link end"), _whole_id(rec["b"], "link end")
+            a = whole_number(rec["a"], "link end", TopologyError)
+            b = whole_number(rec["b"], "link end", TopologyError)
         except KeyError as e:
             raise TopologyError(f"link record missing field {e}") from None
         dist = rec.get("distance_km")
-        links.append((a, b, float(dist)) if dist is not None else (a, b))
+        links.append((a, b, _number(dist, f"link {a}-{b} distance_km"))
+                     if dist is not None else (a, b))
 
     return Topology(nodes, links, name=str(doc.get("name", "")))
 
@@ -211,15 +214,23 @@ def load_topology_file(path) -> Topology:
         return load_topology(json.load(fh))
 
 
-def _whole_id(value, what: str) -> int:
-    """A finite whole-number id; 3.0 passes, while 0.5, NaN and infinity
-    are rejected instead of truncated or overflowing."""
+def whole_number(value, what: str, error: type[ValueError]) -> int:
+    """A finite whole number read from a parsed document; 3.0 passes, while
+    0.5, NaN, infinity, null and lists raise `error` instead of being
+    truncated, overflowing or escaping as TypeError."""
     if isinstance(value, float) and not value.is_integer():
-        raise TopologyError(f"{what} must be a whole number, got {value!r}")
+        raise error(f"{what} must be a whole number, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
-        raise TopologyError(f"{what} must be a whole number, got {value!r}") from None
+        raise error(f"{what} must be a whole number, got {value!r}") from None
+
+
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise TopologyError(f"{what} must be a number, got {value!r}") from None
 
 
 def _reject_unknown(rec, allowed, what):

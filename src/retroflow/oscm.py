@@ -10,15 +10,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path as FsPath
 
 from . import domains as dm
 from .flows import BetaMatrix
-from .geo import Topology, haversine_km, shortest_path, PROPAGATION_KM_PER_MS
+from .geo import Topology, haversine_km, shortest_path, whole_number, PROPAGATION_KM_PER_MS
 
 
 class InstanceError(ValueError):
     """Inconsistent instance or solution data."""
+
+
+_whole = partial(whole_number, error=InstanceError)
 
 
 # what indexing, converting and iterating a parsed document of the wrong
@@ -30,14 +34,17 @@ class OscmInstance:
     def __init__(self, offline_switches, active_controllers, delay, g, beta, a_rest,
                  q_required, label: str = ""):
         """delay: {(switch, controller): ms}; g: {switch: flow count};
-        beta: {switch: set of flow ids}; a_rest: {controller: flow count}."""
+        beta: {switch: set of flow ids}; a_rest: {controller: flow count}.
+
+        The mappings are stored as given, so ids, counts and the quota must
+        already be ints; from_json converts and checks outside documents."""
         self.label = label
         self.offline_switches: tuple[int, ...] = tuple(sorted(offline_switches))
         self.active_controllers: tuple[int, ...] = tuple(sorted(active_controllers))
-        self.delay = {(int(i), int(j)): float(d) for (i, j), d in delay.items()}
-        self.g = {int(i): int(v) for i, v in g.items()}
-        self.beta = {int(i): frozenset(int(l) for l in fl) for i, fl in beta.items()}
-        self.a_rest = {int(j): int(v) for j, v in a_rest.items()}
+        self.delay = delay
+        self.g = g
+        self.beta = {i: frozenset(fl) for i, fl in beta.items()}
+        self.a_rest = a_rest
 
         for i in self.offline_switches:
             if i not in self.g or i not in self.beta:
@@ -60,7 +67,7 @@ class OscmInstance:
         self.flows: tuple[int, ...] = tuple(
             sorted(set().union(*(self.beta[i] for i in self.offline_switches)) if self.offline_switches else set())
         )
-        self.q_required = int(q_required)
+        self.q_required = q_required
         if not 0 <= self.q_required <= len(self.flows):
             raise InstanceError(
                 f"quota {self.q_required} outside [0, {len(self.flows)}]"
@@ -98,6 +105,8 @@ class OscmInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "OscmInstance":
+        """Parse an instance document. Loads, residuals, flow ids and the
+        quota must be whole numbers; fractions are rejected, not truncated."""
         doc = json.loads(text)
         try:
             delay = {}
@@ -108,10 +117,12 @@ class OscmInstance:
                 offline_switches=doc["offline_switches"],
                 active_controllers=doc["active_controllers"],
                 delay=delay,
-                g={int(k): v for k, v in doc["loads"].items()},
-                beta={int(k): set(v) for k, v in doc["flows"].items()},
-                a_rest={int(k): v for k, v in doc["residual"].items()},
-                q_required=doc["quota"],
+                g={int(k): _whole(v, f"load of switch {k}") for k, v in doc["loads"].items()},
+                beta={int(k): frozenset(_whole(l, f"flow id of switch {k}") for l in v)
+                      for k, v in doc["flows"].items()},
+                a_rest={int(k): _whole(v, f"residual of controller {k}")
+                        for k, v in doc["residual"].items()},
+                q_required=_whole(doc["quota"], "quota"),
                 label=doc.get("label", ""),
             )
         except InstanceError:

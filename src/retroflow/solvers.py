@@ -159,14 +159,15 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
     """Branch and bound over per-switch decisions (legacy or one of the
     active controllers).
 
-    Switches branch in descending-load order. Each node is bounded two
-    ways: the still-needed flow count priced fractionally at each undecided
+    Switches branch in descending-load order. One pass per node prices
+    each undecided switch once and bounds the node two ways: the most flows
+    the remaining total capacity could still recover (coverage upper
+    bound), then the still-needed flow count priced fractionally at each
     switch's cheapest capacity-feasible mapping (cost lower bound, no
-    capacity coupling), and the most flows the remaining total capacity
-    could still recover (coverage upper bound). Returns a proven optimum
-    when the search completes, the incumbent flagged not_proven on budget
-    exhaustion, or an infeasible verdict when no configuration meets the
-    quota within the residual abilities.
+    capacity coupling). Returns a proven optimum when the search completes,
+    the incumbent flagged not_proven on budget exhaustion, or an infeasible
+    verdict when no configuration meets the quota within the residual
+    abilities.
     """
     return _ExactSearch(inst, budget or SolverBudget()).run()
 
@@ -232,19 +233,15 @@ class _ExactSearch:
         if idx == len(self.order):
             return
 
-        undecided = self.order[idx:]
-        if self._coverage_ceiling(undecided, covered, rest) < needed:
-            return
-        bound = self._cost_floor(undecided, covered, rest, needed)
+        bound = self._bound(idx, covered, rest, needed)
         if bound is None or cost + bound >= self.best_cost:
             return
 
         i = self.order[idx]
         g_i = self.inst.g[i]
-        beta_i = self.inst.beta[i]
+        added = self.inst.beta[i] - covered
         for j in self.options[i]:
             if rest[j] >= g_i:
-                added = beta_i - covered
                 assigned[i] = j
                 rest[j] -= g_i
                 covered |= added
@@ -256,22 +253,33 @@ class _ExactSearch:
                     return
         self._descend(idx + 1, cost, covered, assigned, rest)
 
-    def _coverage_ceiling(self, undecided, covered, rest) -> int:
-        """Most new flows any completion could still gain: fractional
-        knapsack on total remaining capacity, integer-rounded upward."""
-        total_rest = sum(rest.values())
-        max_rest = max(rest.values(), default=0)
+    def _bound(self, idx, covered, rest, needed):
+        """Cost lower bound of any completion that gains `needed` more
+        flows, or None when no completion can gain them.
+
+        One pass over the undecided switches keeps those that add flows and
+        fit some surviving controller, with their uncovered-flow count and
+        cheapest fitting mapping. Coverage ceiling: fractional knapsack of
+        those counts on the total remaining capacity, rounded upward. Cost
+        floor: the needed flows bought fractionally at each switch's
+        cheapest price per flow, ignoring capacity coupling.
+        """
         usable = []
-        for i in undecided:
+        for i in self.order[idx:]:
             potential = len(self.inst.beta[i] - covered)
-            if potential == 0 or self.inst.g[i] > max_rest:
+            if potential == 0:
                 continue
-            usable.append((potential, self.inst.g[i]))
+            g_i = self.inst.g[i]
+            for j in self.options[i]:
+                if rest[j] >= g_i:
+                    cheapest = self.inst.w(i, j)
+                    usable.append((cheapest / potential, cheapest, potential, g_i))
+                    break
+
         # zero-load switches are free; count them in full
-        ceiling = sum(p for p, g in usable if g == 0)
-        weighted = sorted((g * 1.0 / p, p, g) for p, g in usable if g > 0)
-        capacity = total_rest
-        for _, p, g in weighted:
+        ceiling = sum(p for _, _, p, g in usable if g == 0)
+        capacity = sum(rest.values())
+        for _, p, g in sorted((g * 1.0 / p, p, g) for _, _, p, g in usable if g > 0):
             if capacity <= 0:
                 break
             if g <= capacity:
@@ -280,34 +288,15 @@ class _ExactSearch:
             else:
                 ceiling += (p * capacity + g - 1) // g
                 capacity = 0
-        return ceiling
-
-    def _cost_floor(self, undecided, covered, rest, needed):
-        """Cheapest fractional way to gain `needed` flows, each undecided
-        switch priced at its cheapest controller that still fits, ignoring
-        capacity coupling. None when the quota is unreachable outright."""
-        candidates = []
-        reachable = 0
-        for i in undecided:
-            potential = len(self.inst.beta[i] - covered)
-            if potential == 0:
-                continue
-            g_i = self.inst.g[i]
-            cheapest = None
-            for j in self.options[i]:
-                if rest[j] >= g_i:
-                    cheapest = self.inst.w(i, j)
-                    break
-            if cheapest is None:
-                continue
-            reachable += potential
-            candidates.append((cheapest / potential, cheapest, potential))
-        if reachable < needed:
+        # the ceiling is at most the usable switches' summed counts, so no
+        # separate reachability test is needed
+        if ceiling < needed:
             return None
-        candidates.sort()
+
+        usable.sort()
         bound = 0.0
         left = needed
-        for _, cheap, pot in candidates:
+        for _, cheap, pot, _ in usable:
             if pot >= left:
                 bound += cheap * (left / pot)
                 break

@@ -53,6 +53,18 @@ class TestRun:
                      "--placement", PLACEMENT, "--failures", "1"])
         assert code == 2
 
+    def test_bare_failure_count_is_never_an_id(self, capsys, tmp_path):
+        # six controllers: 13 is out of range as a count, even though
+        # controller 13 exists; the id needs a comma
+        assert main(["run", "--topology", TOPO, "--placement", PLACEMENT,
+                     "--failures", "13", "--algorithms", "nearest"]) == 2
+        assert "failure cardinality 13 out of range" in capsys.readouterr().err
+        out = tmp_path / "report.csv"
+        assert main(["run", "--topology", TOPO, "--placement", PLACEMENT,
+                     "--failures", "13,", "--algorithms", "nearest",
+                     "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1].startswith("C13,")
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -121,6 +133,18 @@ class TestValidateCommand:
         assert "must be finite" in captured.err
 
 
+    def test_fractional_load_instance(self, capsys, tmp_path):
+        ipath, spath = self._write_pair(tmp_path)
+        doc = json.loads(open(ipath).read())
+        doc["loads"]["20"] = 2.5
+        with open(ipath, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["validate", "--instance", ipath, "--solution", spath]) == 2
+        captured = capsys.readouterr()
+        assert "feasible" not in captured.out
+        assert "load of switch 20 must be a whole number" in captured.err
+
+
 class TestBadNumbers:
     def _run(self, topo, placement):
         return main(["run", "--topology", str(topo), "--placement", str(placement),
@@ -144,6 +168,38 @@ class TestBadNumbers:
         assert self._run(topo, PLACEMENT) == 2
         err = capsys.readouterr().err
         assert "node id must be a whole number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where, field, raw", [
+        ("nodes", "lat", "null"), ("nodes", "lon", "[1]"),
+        ("links", "distance_km", "[1]"), ("links", "distance_km", "{}"),
+    ])
+    def test_bad_number_type(self, capsys, tmp_path, where, field, raw):
+        doc = json.loads(open(TOPO).read())
+        doc[where][0][field] = "VALUE"
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(doc).replace('"VALUE"', raw))
+        assert self._run(topo, PLACEMENT) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be a number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["node", "switches"])
+    @pytest.mark.parametrize("raw", ["2.5", "null", "1e400"])
+    def test_bad_placement_id(self, capsys, tmp_path, field, raw):
+        # 2.5 would otherwise truncate to node 2; null and 1e400 would
+        # escape as TypeError and OverflowError
+        doc = json.loads(open(PLACEMENT).read())
+        rec = doc["controllers"][0]
+        if field == "node":
+            rec["node"] = "ID"
+        else:
+            rec["switches"][0] = "ID"
+        placement = tmp_path / "placement.json"
+        placement.write_text(json.dumps(doc).replace('"ID"', raw))
+        assert self._run(TOPO, placement) == 2
+        err = capsys.readouterr().err
+        assert "must be a whole number" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("count", [-5, 2.7])

@@ -246,6 +246,24 @@ class TestSerialization:
         with pytest.raises(InstanceError, match="malformed solution document"):
             Solution.from_json(text)
 
+    @pytest.mark.parametrize("section, key, raw", [
+        ("loads", "20", "2.5"), ("loads", "20", "Infinity"), ("loads", "20", "null"),
+        ("residual", "1", "2.5"), ("residual", "1", "NaN"),
+        ("flows", "20", "[0.5]"), ("flows", "20", "[[1]]"),
+        ("quota", None, "2.5"), ("quota", None, "\"many\""),
+    ])
+    def test_non_whole_numbers_rejected(self, toy, section, key, raw):
+        # a truncating int() would turn a load of 2.5 into 2 and flow id
+        # 0.5 into flow 0
+        doc = json.loads(toy.to_json())
+        if key is None:
+            doc[section] = "VALUE"
+        else:
+            doc[section][key] = "VALUE"
+        text = json.dumps(doc).replace('"VALUE"', raw)
+        with pytest.raises(InstanceError, match="must be a whole number"):
+            OscmInstance.from_json(text)
+
     def test_malformed_instance_document(self, toy):
         doc = json.loads(toy.to_json())
         doc["loads"] = [1, 2]

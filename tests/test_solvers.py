@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from retroflow.domains import FailureScenario
+from retroflow.domains import FailureScenario, enumerate_failure_scenarios
 from retroflow.oscm import OscmInstance, Solution, build_instance, validate
 from retroflow.solvers import (BudgetExhausted, GapInstance, GapSizeError,
                                SolverBudget, gap_bruteforce, reduce_to_gap,
@@ -73,6 +73,31 @@ class TestSolveExact:
     def test_budget_exhaustion_without_incumbent(self):
         with pytest.raises(BudgetExhausted, match="inconclusive"):
             solve_exact(greedy_trap_instance(), SolverBudget(max_nodes_explored=1))
+
+    def test_no_surviving_controller(self):
+        # a zero-load switch fits any capacity, but no controller is left
+        # to take it
+        inst = OscmInstance(
+            offline_switches=[1], active_controllers=[], delay={},
+            g={1: 0}, beta={1: {5}}, a_rest={}, q_required=1,
+        )
+        result = solve_exact(inst)
+        assert result.status == "infeasible"
+        assert result.solution is None
+        assert result.nodes_explored == 1
+
+    def test_att_search_size(self, att_world):
+        """Summed B&B node counts over every att25 single and double
+        failure. Pruning may only change when a bound changes: a PR that
+        tightens the bounds (ROADMAP item 2) updates these numbers and
+        records why in CHANGES.md."""
+        t, b, p = att_world.topology, att_world.beta, att_world.placement
+        nodes = {
+            (k, q): sum(solve_exact(build_instance(t, b, p, s, q)).nodes_explored
+                        for s in enumerate_failure_scenarios(p, k))
+            for k in (1, 2) for q in (0.9, 1.0)
+        }
+        assert nodes == {(1, 0.9): 210, (2, 0.9): 4441, (1, 1.0): 245, (2, 1.0): 15926}
 
     def test_oracle_equivalence_smoke(self):
         rng = random.Random(4242)

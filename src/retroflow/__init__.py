@@ -14,7 +14,7 @@ from .experiment import (QueueModel, ScenarioReport, World, emit_report,
 from .flows import BetaMatrix, Flow, FlowSet, compute_beta, generate_flows
 from .geo import (GeoCoordinate, Path, Topology, TopologyError, haversine_km,
                   has_alternative_path, load_topology, load_topology_file,
-                  propagation_delay_ms, shortest_path)
+                  shortest_path)
 from .oscm import (OscmInstance, Solution, ValidationReport, build_instance,
                    objective, programmable_flows, validate)
 from .protocol import Event, ProtocolError, SwitchSession, run_script, step

@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import domains as dm
 from . import protocol
 from .experiment import (ALGORITHMS, QueueModel, emit_report, load_diagnostics,
                          make_world, run_scenario, sweep_summary)
-from .geo import load_topology_file
+from .geo import load_topology_file, whole_number
 from .oscm import OscmInstance, Solution, validate
 from .solvers import BudgetExhausted, SolverBudget
 
@@ -129,18 +130,20 @@ def _cmd_enumerate(args) -> int:
 def _cmd_protocol_trace(args) -> int:
     with open(args.script) as fh:
         doc = json.load(fh)
+    number = partial(whole_number, error=protocol.ProtocolError)
     try:
         session = protocol.SwitchSession(
-            switch_id=int(doc["switch"]),
+            switch_id=number(doc["switch"], "switch"),
             mode=protocol.SDN,
-            master=int(doc["master"]),
-            backups=tuple(int(b) for b in doc["backups"]),
+            master=number(doc["master"], "master"),
+            backups=tuple(number(b, "backup") for b in doc["backups"]),
         )
         events = [
-            protocol.Event(rec["kind"], rec.get("controller"))
+            protocol.Event(rec["kind"], None if rec.get("controller") is None
+                           else number(rec["controller"], "event controller"))
             for rec in doc["events"]
         ]
-    except (KeyError, TypeError, AttributeError, OverflowError) as err:
+    except (KeyError, TypeError, AttributeError, protocol.ProtocolError) as err:
         raise protocol.ProtocolError(f"malformed script document: {err}") from err
     session, log = protocol.run_script(session, events)
     for line in log:

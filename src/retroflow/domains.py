@@ -47,9 +47,6 @@ class Placement:
             raise PlacementError(f"unknown controller {controller_id}")
         return tuple(sorted(sw for sw, c in self.domain_of.items() if c == controller_id))
 
-    def switch_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.domain_of))
-
 
 @dataclass(frozen=True)
 class FailureScenario:
@@ -76,6 +73,8 @@ def load_placement(doc: dict, t: Topology) -> Placement:
     controllers = []
     domain_of: dict[int, int] = {}
     for rec in recs:
+        if not isinstance(rec, dict):
+            raise PlacementError(f"controller record must be a mapping, got {rec!r}")
         bad = set(rec) - _CONTROLLER_FIELDS
         if bad:
             raise PlacementError(f"controller record has unknown fields: {sorted(bad)}")
@@ -89,7 +88,10 @@ def load_placement(doc: dict, t: Topology) -> Placement:
         if cap is None:
             raise PlacementError(f"controller {cid} has no capacity (none given, no default)")
         controllers.append((cid, _count(cap, f"controller {cid} capacity")))
-        for sw in rec.get("switches", []):
+        switches = rec.get("switches", [])
+        if not isinstance(switches, list):
+            raise PlacementError(f"controller {cid} switches must be a list, got {switches!r}")
+        for sw in switches:
             sw = whole_number(sw, f"switch of controller {cid}", PlacementError)
             if sw not in node_ids:
                 raise PlacementError(f"switch {sw} not in topology")

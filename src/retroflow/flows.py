@@ -51,12 +51,6 @@ class BetaMatrix:
         except KeyError:
             raise KeyError(f"unknown switch {switch_id}") from None
 
-    def load(self, switch_id: int) -> int:
-        return len(self.flows_at(switch_id))
-
-    def switch_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._rows))
-
     def loads(self) -> dict[int, int]:
         return {i: len(fls) for i, fls in self._rows.items()}
 

@@ -241,14 +241,6 @@ def _reject_unknown(rec, allowed, what):
         raise TopologyError(f"{what} has unknown fields: {sorted(unknown)}")
 
 
-def propagation_delay_ms(t: Topology, p: Path) -> float:
-    """Sum of link delays along p; every consecutive pair must be a link."""
-    total = 0.0
-    for u, v in zip(p.node_ids, p.node_ids[1:]):
-        total += t.link(u, v).delay_ms
-    return total
-
-
 def shortest_path(t: Topology, src: int, dst: int) -> Path:
     """Minimum-delay simple path from src to dst.
 

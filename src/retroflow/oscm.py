@@ -163,9 +163,11 @@ class Solution:
         doc = json.loads(text)
         try:
             return cls(
-                x={int(k): int(v) for k, v in doc["x"].items()},
-                assigned={int(k): int(v) for k, v in doc["assigned"].items()},
-                y=frozenset(doc["y"]),
+                x={_whole(k, "switch id"): _whole(v, f"x of switch {k}")
+                   for k, v in doc["x"].items()},
+                assigned={_whole(k, "switch id"): _whole(v, f"controller of switch {k}")
+                          for k, v in doc["assigned"].items()},
+                y=frozenset(_whole(l, "flow id") for l in doc["y"]),
                 objective=float(doc["objective"]),
                 quota_met=bool(doc.get("quota_met", True)),
             )
@@ -202,16 +204,6 @@ class ValidationReport:
         for c in self.checks:
             status = "pass" if c.passed else f"FAIL {list(c.offenders)}"
             yield f"{c.family}: {status}"
-
-
-def all_legacy_solution(inst: OscmInstance) -> Solution:
-    return Solution(
-        x={i: 0 for i in inst.offline_switches},
-        assigned={},
-        y=frozenset(),
-        objective=0.0,
-        quota_met=inst.q_required == 0,
-    )
 
 
 def switch_loads(p: dm.Placement, b: BetaMatrix) -> dict[int, int]:

@@ -12,7 +12,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .oscm import OscmInstance, Solution, objective
+from .oscm import OscmInstance, Solution
 
 
 class BudgetExhausted(RuntimeError):
@@ -69,15 +69,21 @@ class GapInstance:
         return len(self.capacities)
 
 
-def _with_objective(inst: OscmInstance, sol: Solution) -> Solution:
-    # recompute in canonical switch order so equal solutions serialize
-    # bit-identically no matter which search path produced them
+def _solution(inst: OscmInstance, assigned: dict[int, int],
+              covered: set[int] | frozenset[int]) -> Solution:
+    """The solver output for a mapping and the flows it recovers.
+
+    The objective is summed over `assigned` in the order the solver
+    inserted it, and only then are the dicts sorted: summing the same
+    overheads in another order can change the last digits of the float.
+    """
+    cost = sum(inst.w(i, j) for i, j in assigned.items())
     return Solution(
-        x=dict(sorted(sol.x.items())),
-        assigned=dict(sorted(sol.assigned.items())),
-        y=sol.y,
-        objective=objective(inst, sol),
-        quota_met=sol.quota_met,
+        x={i: (1 if i in assigned else 0) for i in inst.offline_switches},
+        assigned=dict(sorted(assigned.items())),
+        y=frozenset(covered),
+        objective=cost,
+        quota_met=len(covered) >= inst.q_required,
     )
 
 
@@ -126,14 +132,7 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
         reason = "quota" if len(covered) >= inst.q_required else "exhausted"
         log(f"stop reason={reason} covered={len(covered)} required={inst.q_required}")
 
-    sol = Solution(
-        x={i: (1 if i in assigned else 0) for i in inst.offline_switches},
-        assigned=assigned,
-        y=frozenset(covered),
-        objective=0.0,
-        quota_met=len(covered) >= inst.q_required,
-    )
-    return _with_objective(inst, sol)
+    return _solution(inst, assigned, covered)
 
 
 def solve_nearest(inst: OscmInstance) -> Solution:
@@ -143,16 +142,8 @@ def solve_nearest(inst: OscmInstance) -> Solution:
         i: min(inst.active_controllers, key=lambda j: (inst.delay[(i, j)], j))
         for i in inst.offline_switches
     }
-    covered = frozenset().union(*(inst.beta[i] for i in inst.offline_switches)) \
-        if inst.offline_switches else frozenset()
-    sol = Solution(
-        x={i: 1 for i in inst.offline_switches},
-        assigned=assigned,
-        y=covered,
-        objective=0.0,
-        quota_met=len(covered) >= inst.q_required,
-    )
-    return _with_objective(inst, sol)
+    covered = frozenset().union(*(inst.beta[i] for i in inst.offline_switches))
+    return _solution(inst, assigned, covered)
 
 
 def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> ExactResult:
@@ -167,143 +158,127 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
     capacity coupling). Returns a proven optimum when the search completes,
     the incumbent flagged not_proven on budget exhaustion, or an infeasible
     verdict when no configuration meets the quota within the residual
-    abilities.
+    abilities. The search keeps an explicit stack, so its depth (one level
+    per offline switch) is not bounded by the interpreter's recursion limit.
     """
-    return _ExactSearch(inst, budget or SolverBudget()).run()
+    budget = budget or SolverBudget()
+    deadline = time.monotonic() + budget.time_limit_ms / 1000.0
+    beta, g, w, q = inst.beta, inst.g, inst.w, inst.q_required
+    order = sorted(inst.offline_switches, key=lambda i: (-g[i], i))
+    options = {i: sorted(inst.active_controllers, key=lambda j: (w(i, j), j)) for i in order}
 
+    # the incumbent as (assigned, covered); a greedy incumbent's assigned
+    # is already sorted, so its objective is re-summed in switch order
+    best_cost, best = float("inf"), None
+    greedy = solve_retroflow(inst)
+    if greedy.quota_met:
+        best_cost, best = greedy.objective, (greedy.assigned, greedy.y)
 
-class _ExactSearch:
-    def __init__(self, inst: OscmInstance, budget: SolverBudget):
-        self.inst = inst
-        self.budget = budget
-        self.order = sorted(inst.offline_switches, key=lambda i: (-inst.g[i], i))
-        self.options = {
-            i: sorted(inst.active_controllers, key=lambda j: (inst.w(i, j), j))
-            for i in self.order
-        }
-        self.q = inst.q_required
-        self.nodes = 0
-        self.deadline = time.monotonic() + budget.time_limit_ms / 1000.0
-        self.aborted = False
-        self.best_cost = float("inf")
-        self.best: Solution | None = None
+    covered: set[int] = set()
+    assigned: dict[int, int] = {}
+    rest = dict(inst.a_rest)
+    nodes = 0
+    # (idx, cost, i, j, added) maps switch i to controller j, unless i is
+    # None, and visits node idx; (None, None, i, j, added) undoes that move
+    stack = [(0, 0.0, None, None, None)]
+    while stack:
+        idx, cost, i, j, added = stack.pop()
+        if i is not None:
+            if idx is None:
+                covered -= added
+                rest[j] += g[i]
+                del assigned[i]
+                continue
+            assigned[i] = j
+            rest[j] -= g[i]
+            covered |= added
 
-    def run(self) -> ExactResult:
-        greedy = solve_retroflow(self.inst)
-        if greedy.quota_met:
-            self.best = greedy
-            self.best_cost = greedy.objective
-
-        self._descend(0, 0.0, set(), {}, dict(self.inst.a_rest))
-
-        if self.aborted:
-            if self.best is None:
-                raise BudgetExhausted("inconclusive: budget exhausted with no incumbent")
-            return ExactResult(_with_objective(self.inst, self.best), "not_proven", self.nodes)
-        if self.best is None:
-            return ExactResult(None, "infeasible", self.nodes)
-        return ExactResult(_with_objective(self.inst, self.best), "optimal", self.nodes)
-
-    def _record(self, cost: float, assigned: dict, covered: set):
-        if cost < self.best_cost:
-            self.best_cost = cost
-            self.best = Solution(
-                x={i: (1 if i in assigned else 0) for i in self.inst.offline_switches},
-                assigned=dict(assigned),
-                y=frozenset(covered),
-                objective=cost,
-                quota_met=True,
-            )
-
-    def _descend(self, idx: int, cost: float, covered: set, assigned: dict, rest: dict):
-        if self.aborted:
-            return
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes_explored or (
-            self.nodes % 1024 == 0 and time.monotonic() > self.deadline
+        nodes += 1
+        if nodes > budget.max_nodes_explored or (
+            nodes % 1024 == 0 and time.monotonic() > deadline
         ):
-            self.aborted = True
-            return
+            if best is None:
+                raise BudgetExhausted("inconclusive: budget exhausted with no incumbent")
+            return ExactResult(_solution(inst, *best), "not_proven", nodes)
 
-        needed = self.q - len(covered)
+        needed = q - len(covered)
         if needed <= 0:
             # quota met: every further assignment only adds cost
-            self._record(cost, assigned, covered)
-            return
-        if idx == len(self.order):
-            return
+            if cost < best_cost:
+                best_cost, best = cost, (dict(assigned), frozenset(covered))
+            continue
+        if idx == len(order):
+            continue
 
-        bound = self._bound(idx, covered, rest, needed)
-        if bound is None or cost + bound >= self.best_cost:
-            return
+        bound = _bound(inst, order, options, idx, covered, rest, needed)
+        if bound is None or cost + bound >= best_cost:
+            continue
 
-        i = self.order[idx]
-        g_i = self.inst.g[i]
-        added = self.inst.beta[i] - covered
-        for j in self.options[i]:
+        # pushed so they pop in visit order: each fitting controller,
+        # cheapest first, with its subtree and then its undo; legacy last
+        i = order[idx]
+        added = beta[i] - covered
+        stack.append((idx + 1, cost, None, None, None))
+        for j in reversed([j for j in options[i] if rest[j] >= g[i]]):
+            stack.append((None, None, i, j, added))
+            stack.append((idx + 1, cost + w(i, j), i, j, added))
+
+    if best is None:
+        return ExactResult(None, "infeasible", nodes)
+    return ExactResult(_solution(inst, *best), "optimal", nodes)
+
+
+def _bound(inst, order, options, idx, covered, rest, needed):
+    """Cost lower bound of any completion that gains `needed` more
+    flows, or None when no completion can gain them.
+
+    One pass over the undecided switches keeps those that add flows and
+    fit some surviving controller, with their uncovered-flow count and
+    cheapest fitting mapping. Coverage ceiling: fractional knapsack of
+    those counts on the total remaining capacity, rounded upward. Cost
+    floor: the needed flows bought fractionally at each switch's
+    cheapest price per flow, ignoring capacity coupling.
+    """
+    usable = []
+    for i in order[idx:]:
+        potential = len(inst.beta[i] - covered)
+        if potential == 0:
+            continue
+        g_i = inst.g[i]
+        for j in options[i]:
             if rest[j] >= g_i:
-                assigned[i] = j
-                rest[j] -= g_i
-                covered |= added
-                self._descend(idx + 1, cost + self.inst.w(i, j), covered, assigned, rest)
-                covered -= added
-                rest[j] += g_i
-                del assigned[i]
-                if self.aborted:
-                    return
-        self._descend(idx + 1, cost, covered, assigned, rest)
-
-    def _bound(self, idx, covered, rest, needed):
-        """Cost lower bound of any completion that gains `needed` more
-        flows, or None when no completion can gain them.
-
-        One pass over the undecided switches keeps those that add flows and
-        fit some surviving controller, with their uncovered-flow count and
-        cheapest fitting mapping. Coverage ceiling: fractional knapsack of
-        those counts on the total remaining capacity, rounded upward. Cost
-        floor: the needed flows bought fractionally at each switch's
-        cheapest price per flow, ignoring capacity coupling.
-        """
-        usable = []
-        for i in self.order[idx:]:
-            potential = len(self.inst.beta[i] - covered)
-            if potential == 0:
-                continue
-            g_i = self.inst.g[i]
-            for j in self.options[i]:
-                if rest[j] >= g_i:
-                    cheapest = self.inst.w(i, j)
-                    usable.append((cheapest / potential, cheapest, potential, g_i))
-                    break
-
-        # zero-load switches are free; count them in full
-        ceiling = sum(p for _, _, p, g in usable if g == 0)
-        capacity = sum(rest.values())
-        for _, p, g in sorted((g * 1.0 / p, p, g) for _, _, p, g in usable if g > 0):
-            if capacity <= 0:
+                cheapest = inst.w(i, j)
+                usable.append((cheapest / potential, cheapest, potential, g_i))
                 break
-            if g <= capacity:
-                ceiling += p
-                capacity -= g
-            else:
-                ceiling += (p * capacity + g - 1) // g
-                capacity = 0
-        # the ceiling is at most the usable switches' summed counts, so no
-        # separate reachability test is needed
-        if ceiling < needed:
-            return None
 
-        usable.sort()
-        bound = 0.0
-        left = needed
-        for _, cheap, pot, _ in usable:
-            if pot >= left:
-                bound += cheap * (left / pot)
-                break
-            bound += cheap
-            left -= pot
-        # keep the bound strictly on the safe side of float rounding
-        return bound * (1.0 - 1e-12)
+    # zero-load switches are free; count them in full
+    ceiling = sum(p for _, _, p, g in usable if g == 0)
+    capacity = sum(rest.values())
+    for _, p, g in sorted((g * 1.0 / p, p, g) for _, _, p, g in usable if g > 0):
+        if capacity <= 0:
+            break
+        if g <= capacity:
+            ceiling += p
+            capacity -= g
+        else:
+            ceiling += (p * capacity + g - 1) // g
+            capacity = 0
+    # the ceiling is at most the usable switches' summed counts, so no
+    # separate reachability test is needed
+    if ceiling < needed:
+        return None
+
+    usable.sort()
+    bound = 0.0
+    left = needed
+    for _, cheap, pot, _ in usable:
+        if pot >= left:
+            bound += cheap * (left / pot)
+            break
+        bound += cheap
+        left -= pot
+    # keep the bound strictly on the safe side of float rounding
+    return bound * (1.0 - 1e-12)
 
 
 def reduce_to_gap(inst: OscmInstance) -> GapInstance | None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,14 @@ from retroflow.solvers import solve_retroflow
 
 TOPO = data_path("att25.json")
 PLACEMENT = data_path("att_table2.json")
+
+# sha256 of the att25 CSV report per failure count and quota fraction
+REPORT_SHA256 = {
+    (1, "0.9"): "ed51eef6703fca25dfe3a4d490b9278a689b23f930fb435d028339f0cad7fe54",
+    (1, "1.0"): "e978ec0ec1acfefbea61b9d1238ab2761fb92c0ec49ae02323930c74a56da7a7",
+    (2, "0.9"): "2343b49327245fddc995a718f0d580448f85017395bd449ce9725637012aed5d",
+    (2, "1.0"): "7e172469290316ffab77cfe4b3c35d80667447da5cfbd3361771e558a72c2a5f",
+}
 
 
 class TestRun:
@@ -72,6 +81,15 @@ class TestRun:
                          "--failures", "2", "--q-fraction", "0.9",
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("k, q", sorted(REPORT_SHA256))
+    def test_report_bytes_golden(self, tmp_path, k, q):
+        # pins every digit of the report: the overhead columns are float
+        # sums, and adding the same terms in another order can change them
+        out = tmp_path / "report.csv"
+        assert main(["run", "--topology", TOPO, "--placement", PLACEMENT,
+                     "--failures", str(k), "--q-fraction", q, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[k, q]
 
 
 class TestValidateCommand:
@@ -184,22 +202,29 @@ class TestBadNumbers:
         assert f"{field} must be a number" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field", ["node", "switches"])
-    @pytest.mark.parametrize("raw", ["2.5", "null", "1e400"])
-    def test_bad_placement_id(self, capsys, tmp_path, field, raw):
+    @pytest.mark.parametrize("raw, field", [
+        (raw, field) for field in ("node", "switches") for raw in ("2.5", "null", "1e400")
+    ] + [("5", "record"), ("null", "switch_list")])
+    def test_bad_placement_id(self, capsys, tmp_path, raw, field):
         # 2.5 would otherwise truncate to node 2; null and 1e400 would
-        # escape as TypeError and OverflowError
+        # escape as TypeError and OverflowError, and so would a record that
+        # is not a mapping or a switch list that is not a list
         doc = json.loads(open(PLACEMENT).read())
         rec = doc["controllers"][0]
         if field == "node":
             rec["node"] = "ID"
-        else:
+        elif field == "switches":
             rec["switches"][0] = "ID"
+        elif field == "switch_list":
+            rec["switches"] = "ID"
+        else:
+            doc["controllers"][0] = "ID"
         placement = tmp_path / "placement.json"
         placement.write_text(json.dumps(doc).replace('"ID"', raw))
         assert self._run(TOPO, placement) == 2
         err = capsys.readouterr().err
-        assert "must be a whole number" in err
+        assert {"record": "must be a mapping",
+                "switch_list": "must be a list"}.get(field, "must be a whole number") in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("count", [-5, 2.7])
@@ -240,6 +265,13 @@ class TestProtocolTraceCommand:
         {"switch": float("inf"), "master": 1, "backups": [2], "events": []},
         {"switch": 1, "master": 1, "backups": [2], "events": [5]},
         {"master": 1, "backups": [2], "events": []},
+        # fractions would otherwise truncate to switch 1 and master 2
+        {"switch": 1.5, "master": 2.9, "backups": [3], "events": []},
+        {"switch": 1, "master": 2.9, "backups": [3], "events": []},
+        {"switch": 1, "master": 2, "backups": [3.5], "events": []},
+        {"switch": 1, "master": 2, "backups": [3], "events": [
+            {"kind": "master_connection_lost"},
+            {"kind": "role_reply_accept", "controller": 3.5}]},
     ])
     def test_malformed_script(self, capsys, tmp_path, doc):
         script = tmp_path / "script.json"

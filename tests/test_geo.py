@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from retroflow.geo import (GeoCoordinate, Topology, TopologyError, haversine_km,
-                           has_alternative_path, load_topology,
-                           propagation_delay_ms, shortest_path, Path)
+                           has_alternative_path, load_topology, shortest_path)
 
 from _oracles import (best_simple_path, law_of_cosines_km, path_weight,
                       two_edge_disjoint_paths_exist)
@@ -161,25 +160,10 @@ class TestLoadTopology:
             expected = link.distance_km / 200.0
             assert link.delay_ms == pytest.approx(expected, rel=1e-9)
 
-
-class TestPropagationDelay:
-    def test_single_200km_link(self):
-        t = synthetic(2, [(0, 1, 200.0)])
-        assert propagation_delay_ms(t, Path((0, 1), 1.0)) == 1.0
-
-    def test_empty_path(self):
-        t = synthetic(2, [(0, 1, 200.0)])
-        assert propagation_delay_ms(t, Path((0,), 0.0)) == 0.0
-
-    def test_three_hop_hand_sum(self):
-        t = synthetic(4, [(0, 1, 100.0), (1, 2, 300.0), (2, 3, 200.0)])
-        # 0.5 + 1.5 + 1.0
-        assert propagation_delay_ms(t, Path((0, 1, 2, 3), 3.0)) == pytest.approx(3.0)
-
     def test_nonexistent_link(self):
         t = synthetic(3, [(0, 1, 100.0), (1, 2, 100.0)])
         with pytest.raises(TopologyError, match="no link"):
-            propagation_delay_ms(t, Path((0, 2), 0.0))
+            t.link(0, 2)
 
 
 class TestShortestPath:

@@ -6,10 +6,16 @@ import pytest
 
 from retroflow.domains import FailureScenario
 from retroflow.oscm import (InstanceError, OscmInstance, Solution,
-                            all_legacy_solution, build_instance, objective,
-                            programmable_flows, validate)
+                            build_instance, objective, programmable_flows,
+                            validate)
+from retroflow.solvers import solve_retroflow
 
 from _oracles import check_solution, random_instance
+
+
+def all_legacy(inst):
+    return Solution(x={i: 0 for i in inst.offline_switches}, assigned={},
+                    y=frozenset(), objective=0.0)
 
 
 def tiny_instance(q=0):
@@ -77,7 +83,7 @@ class TestBuildInstance:
 class TestObjective:
     def test_all_legacy_is_zero(self):
         inst = tiny_instance()
-        assert objective(inst, all_legacy_solution(inst)) == 0.0
+        assert objective(inst, all_legacy(inst)) == 0.0
 
     def test_single_assignment(self):
         inst = tiny_instance()
@@ -125,7 +131,7 @@ class TestObjective:
 class TestValidate:
     def test_all_legacy_feasible_at_zero_quota(self):
         inst = tiny_instance(q=0)
-        report = validate(inst, all_legacy_solution(inst))
+        report = validate(inst, all_legacy(inst))
         assert report.feasible
 
     def test_mapping_violation_cited(self):
@@ -251,18 +257,21 @@ class TestSerialization:
         ("residual", "1", "2.5"), ("residual", "1", "NaN"),
         ("flows", "20", "[0.5]"), ("flows", "20", "[[1]]"),
         ("quota", None, "2.5"), ("quota", None, "\"many\""),
+        ("x", "20", "0.5"), ("assigned", "20", "3.7"),
+        ("y", None, "[1.5]"), ("y", None, "[\"a\"]"),
     ])
     def test_non_whole_numbers_rejected(self, toy, section, key, raw):
-        # a truncating int() would turn a load of 2.5 into 2 and flow id
-        # 0.5 into flow 0
-        doc = json.loads(toy.to_json())
+        # a truncating int() would turn a load of 2.5 into 2, flow id 0.5
+        # into flow 0 and a solution's controller 3.7 into controller 3
+        loader = Solution if section in ("x", "assigned", "y") else OscmInstance
+        doc = json.loads((solve_retroflow(toy) if loader is Solution else toy).to_json())
         if key is None:
             doc[section] = "VALUE"
         else:
             doc[section][key] = "VALUE"
         text = json.dumps(doc).replace('"VALUE"', raw)
         with pytest.raises(InstanceError, match="must be a whole number"):
-            OscmInstance.from_json(text)
+            loader.from_json(text)
 
     def test_malformed_instance_document(self, toy):
         doc = json.loads(toy.to_json())

@@ -99,6 +99,25 @@ class TestSolveExact:
         }
         assert nodes == {(1, 0.9): 210, (2, 0.9): 4441, (1, 1.0): 245, (2, 1.0): 15926}
 
+    def test_depth_is_not_bounded_by_recursion(self):
+        # one search level per switch: 1,500 levels are past the default
+        # recursion limit of 1,000 frames
+        n = 1500
+        switches = range(1, n + 1)
+        inst = OscmInstance(
+            offline_switches=switches,
+            active_controllers=[0],
+            delay={(i, 0): 1.0 for i in switches},
+            g={i: 1 for i in switches},
+            beta={i: {i} for i in switches},
+            a_rest={0: n},
+            q_required=n,
+        )
+        result = solve_exact(inst)
+        assert result.status == "optimal"
+        assert result.solution.objective == 1500.0
+        assert result.nodes_explored == 2 * n + 1
+
     def test_oracle_equivalence_smoke(self):
         rng = random.Random(4242)
         for _ in range(40):

@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
 from . import domains as dm
 from . import protocol
+from ._doc import whole
 from .experiment import (ALGORITHMS, QueueModel, emit_report, load_diagnostics,
                          make_world, run_scenario, sweep_summary)
-from .geo import load_topology_file, whole_number
+from .geo import load_topology_file
 from .oscm import OscmInstance, Solution, validate
 from .solvers import BudgetExhausted, SolverBudget
 
@@ -130,17 +130,17 @@ def _cmd_enumerate(args) -> int:
 def _cmd_protocol_trace(args) -> int:
     with open(args.script) as fh:
         doc = json.load(fh)
-    number = partial(whole_number, error=protocol.ProtocolError)
+    error = protocol.ProtocolError
     try:
         session = protocol.SwitchSession(
-            switch_id=number(doc["switch"], "switch"),
+            switch_id=whole(doc["switch"], "switch", error),
             mode=protocol.SDN,
-            master=number(doc["master"], "master"),
-            backups=tuple(number(b, "backup") for b in doc["backups"]),
+            master=whole(doc["master"], "master", error),
+            backups=tuple(whole(b, "backup", error) for b in doc["backups"]),
         )
         events = [
             protocol.Event(rec["kind"], None if rec.get("controller") is None
-                           else number(rec["controller"], "event controller"))
+                           else whole(rec["controller"], "event controller", error))
             for rec in doc["events"]
         ]
     except (KeyError, TypeError, AttributeError, protocol.ProtocolError) as err:

@@ -7,7 +7,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
-from .geo import Topology, whole_number
+from ._doc import key, record, whole
+from .geo import Topology
 
 _DOC_FIELDS = {"name", "capacity", "controllers", "flow_counts"}
 _CONTROLLER_FIELDS = {"node", "capacity", "switches"}
@@ -31,16 +32,19 @@ class Placement:
             raise PlacementError("duplicate controller id")
         for cid, cap in self.capacity.items():
             if cap < 0:
-                raise PlacementError(f"controller {cid} has negative capacity")
+                raise PlacementError(f"controller {cid} capacity must be nonnegative, got {cap}")
         self.domain_of = dict(domain_of)
         for sw, cid in self.domain_of.items():
             if cid not in self.capacity:
                 raise PlacementError(f"switch {sw} assigned to unknown controller {cid}")
-        self.flow_counts = dict(flow_counts) if flow_counts else None
+        self.flow_counts = None if flow_counts is None else dict(flow_counts)
         if self.flow_counts is not None:
             missing = set(self.domain_of) - set(self.flow_counts)
             if missing:
                 raise PlacementError(f"flow_counts missing switches {sorted(missing)}")
+            for sw, n in self.flow_counts.items():
+                if n < 0:
+                    raise PlacementError(f"flow count of switch {sw} must be nonnegative, got {n}")
 
     def domain(self, controller_id: int) -> tuple[int, ...]:
         if controller_id not in self.capacity:
@@ -59,11 +63,7 @@ class FailureScenario:
 def load_placement(doc: dict, t: Topology) -> Placement:
     """Build a Placement from a parsed placement document; every topology
     node must be covered exactly once and controllers must sit on nodes."""
-    if not isinstance(doc, dict):
-        raise PlacementError("placement document must be a mapping")
-    unknown = set(doc) - _DOC_FIELDS
-    if unknown:
-        raise PlacementError(f"placement document has unknown fields: {sorted(unknown)}")
+    record(doc, _DOC_FIELDS, "placement document", PlacementError)
     default_cap = doc.get("capacity")
     recs = doc.get("controllers")
     if not isinstance(recs, list) or not recs:
@@ -73,26 +73,19 @@ def load_placement(doc: dict, t: Topology) -> Placement:
     controllers = []
     domain_of: dict[int, int] = {}
     for rec in recs:
-        if not isinstance(rec, dict):
-            raise PlacementError(f"controller record must be a mapping, got {rec!r}")
-        bad = set(rec) - _CONTROLLER_FIELDS
-        if bad:
-            raise PlacementError(f"controller record has unknown fields: {sorted(bad)}")
-        try:
-            cid = whole_number(rec["node"], "controller node", PlacementError)
-        except KeyError:
-            raise PlacementError("controller record missing 'node'") from None
+        record(rec, _CONTROLLER_FIELDS, "controller record", PlacementError, required=("node",))
+        cid = whole(rec["node"], "controller node", PlacementError)
         if cid not in node_ids:
             raise PlacementError(f"controller node {cid} not in topology")
         cap = rec.get("capacity", default_cap)
         if cap is None:
             raise PlacementError(f"controller {cid} has no capacity (none given, no default)")
-        controllers.append((cid, _count(cap, f"controller {cid} capacity")))
+        controllers.append((cid, whole(cap, f"controller {cid} capacity", PlacementError)))
         switches = rec.get("switches", [])
         if not isinstance(switches, list):
             raise PlacementError(f"controller {cid} switches must be a list, got {switches!r}")
         for sw in switches:
-            sw = whole_number(sw, f"switch of controller {cid}", PlacementError)
+            sw = whole(sw, f"switch of controller {cid}", PlacementError)
             if sw not in node_ids:
                 raise PlacementError(f"switch {sw} not in topology")
             if sw in domain_of:
@@ -105,17 +98,12 @@ def load_placement(doc: dict, t: Topology) -> Placement:
 
     flow_counts = doc.get("flow_counts")
     if flow_counts is not None:
-        flow_counts = {int(k): _count(v, f"flow count of switch {k}") for k, v in flow_counts.items()}
+        if not isinstance(flow_counts, dict):
+            raise PlacementError(f"flow_counts must be a mapping, got {flow_counts!r}")
+        flow_counts = {key(k, "flow_counts key", PlacementError):
+                       whole(v, f"flow count of switch {k}", PlacementError)
+                       for k, v in flow_counts.items()}
     return Placement(controllers, domain_of, flow_counts, name=str(doc.get("name", "")))
-
-
-def _count(value, what: str) -> int:
-    """A nonnegative whole number; 2.0 passes, while 2.7, -5, NaN and
-    infinity are rejected instead of truncated."""
-    n = whole_number(value, what, PlacementError)
-    if n < 0:
-        raise PlacementError(f"{what} must be nonnegative, got {n}")
-    return n
 
 
 def load_placement_file(path, t: Topology) -> Placement:

@@ -18,6 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
+from ._doc import number, record, whole
+
 EARTH_RADIUS_KM = 6371.0
 PROPAGATION_KM_PER_MS = 200.0
 
@@ -173,9 +175,7 @@ def load_topology(doc: dict) -> Topology:
     """Build a Topology from a parsed topology document (see README for the
     schema). Rejects unknown fields, bad coordinates, duplicate ids,
     self-loops, duplicate links, and disconnected graphs."""
-    if not isinstance(doc, dict):
-        raise TopologyError("topology document must be a mapping")
-    _reject_unknown(doc, _DOC_FIELDS, "topology document")
+    record(doc, _DOC_FIELDS, "topology document", TopologyError)
     nodes_raw = doc.get("nodes")
     links_raw = doc.get("links")
     if not isinstance(nodes_raw, list) or not isinstance(links_raw, list):
@@ -185,25 +185,19 @@ def load_topology(doc: dict) -> Topology:
 
     nodes = []
     for rec in nodes_raw:
-        _reject_unknown(rec, _NODE_FIELDS, "node record")
-        try:
-            nid = whole_number(rec["id"], "node id", TopologyError)
-            coord = GeoCoordinate(_number(rec["lat"], f"node {nid} lat"),
-                                  _number(rec["lon"], f"node {nid} lon"))
-        except KeyError as e:
-            raise TopologyError(f"node record missing field {e}") from None
+        record(rec, _NODE_FIELDS, "node record", TopologyError, required=("id", "lat", "lon"))
+        nid = whole(rec["id"], "node id", TopologyError)
+        coord = GeoCoordinate(number(rec["lat"], f"node {nid} lat", TopologyError),
+                              number(rec["lon"], f"node {nid} lon", TopologyError))
         nodes.append((nid, coord))
 
     links = []
     for rec in links_raw:
-        _reject_unknown(rec, _LINK_FIELDS, "link record")
-        try:
-            a = whole_number(rec["a"], "link end", TopologyError)
-            b = whole_number(rec["b"], "link end", TopologyError)
-        except KeyError as e:
-            raise TopologyError(f"link record missing field {e}") from None
+        record(rec, _LINK_FIELDS, "link record", TopologyError, required=("a", "b"))
+        a = whole(rec["a"], "link end", TopologyError)
+        b = whole(rec["b"], "link end", TopologyError)
         dist = rec.get("distance_km")
-        links.append((a, b, _number(dist, f"link {a}-{b} distance_km"))
+        links.append((a, b, number(dist, f"link {a}-{b} distance_km", TopologyError))
                      if dist is not None else (a, b))
 
     return Topology(nodes, links, name=str(doc.get("name", "")))
@@ -212,33 +206,6 @@ def load_topology(doc: dict) -> Topology:
 def load_topology_file(path) -> Topology:
     with open(FsPath(path)) as fh:
         return load_topology(json.load(fh))
-
-
-def whole_number(value, what: str, error: type[ValueError]) -> int:
-    """A finite whole number read from a parsed document; 3.0 passes, while
-    0.5, NaN, infinity, null and lists raise `error` instead of being
-    truncated, overflowing or escaping as TypeError."""
-    if isinstance(value, float) and not value.is_integer():
-        raise error(f"{what} must be a whole number, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise error(f"{what} must be a whole number, got {value!r}") from None
-
-
-def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise TopologyError(f"{what} must be a number, got {value!r}") from None
-
-
-def _reject_unknown(rec, allowed, what):
-    if not isinstance(rec, dict):
-        raise TopologyError(f"{what} must be a mapping")
-    unknown = set(rec) - allowed
-    if unknown:
-        raise TopologyError(f"{what} has unknown fields: {sorted(unknown)}")
 
 
 def shortest_path(t: Topology, src: int, dst: int) -> Path:

@@ -10,24 +10,32 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path as FsPath
 
 from . import domains as dm
+from ._doc import key, number, whole
 from .flows import BetaMatrix
-from .geo import Topology, haversine_km, shortest_path, whole_number, PROPAGATION_KM_PER_MS
+from .geo import Topology, haversine_km, shortest_path, PROPAGATION_KM_PER_MS
 
 
 class InstanceError(ValueError):
     """Inconsistent instance or solution data."""
 
 
-_whole = partial(whole_number, error=InstanceError)
+# what indexing and iterating a parsed document of the wrong shape raises:
+# missing keys, and lists, strings or numbers where a mapping belongs
+_MALFORMED = (KeyError, TypeError, AttributeError)
 
 
-# what indexing, converting and iterating a parsed document of the wrong
-# shape raises: wrong types, missing keys, NaN or infinite integers
-_MALFORMED = (KeyError, ValueError, TypeError, AttributeError, OverflowError)
+def _ids(values, what: str) -> set[int]:
+    """Whole-number ids, each listed once."""
+    ids = set()
+    for v in values:
+        i = whole(v, what, InstanceError)
+        if i in ids:
+            raise InstanceError(f"duplicate {what} {i}")
+        ids.add(i)
+    return ids
 
 
 class OscmInstance:
@@ -105,28 +113,31 @@ class OscmInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "OscmInstance":
-        """Parse an instance document. Loads, residuals, flow ids and the
-        quota must be whole numbers; fractions are rejected, not truncated."""
+        """Parse an instance document. Ids, loads, flow ids and the quota
+        must be whole numbers and keys canonical decimal; nothing truncates."""
         doc = json.loads(text)
+        error = InstanceError
         try:
             delay = {}
-            for key, val in doc["delay_ms"].items():
-                i, j = key.split(",")
-                delay[(int(i), int(j))] = float(val)
+            for pair, val in doc["delay_ms"].items():
+                i, _, j = pair.partition(",")
+                ij = (key(i, "delay switch", error), key(j, "delay controller", error))
+                delay[ij] = number(val, f"delay {pair}", error)
             return cls(
-                offline_switches=doc["offline_switches"],
-                active_controllers=doc["active_controllers"],
+                offline_switches=_ids(doc["offline_switches"], "offline switch"),
+                active_controllers=_ids(doc["active_controllers"], "active controller"),
                 delay=delay,
-                g={int(k): _whole(v, f"load of switch {k}") for k, v in doc["loads"].items()},
-                beta={int(k): frozenset(_whole(l, f"flow id of switch {k}") for l in v)
+                g={key(k, "load key", error): whole(v, f"load of switch {k}", error)
+                   for k, v in doc["loads"].items()},
+                beta={key(k, "flows key", error):
+                      frozenset(whole(l, f"flow id of switch {k}", error) for l in v)
                       for k, v in doc["flows"].items()},
-                a_rest={int(k): _whole(v, f"residual of controller {k}")
+                a_rest={key(k, "residual key", error):
+                        whole(v, f"residual of controller {k}", error)
                         for k, v in doc["residual"].items()},
-                q_required=_whole(doc["quota"], "quota"),
+                q_required=whole(doc["quota"], "quota", error),
                 label=doc.get("label", ""),
             )
-        except InstanceError:
-            raise
         except _MALFORMED as e:
             raise InstanceError(f"malformed instance document: {e}") from e
 
@@ -161,17 +172,21 @@ class Solution:
     @classmethod
     def from_json(cls, text: str) -> "Solution":
         doc = json.loads(text)
+        error = InstanceError
         try:
+            quota_met = doc.get("quota_met", True)
+            if not isinstance(quota_met, bool):
+                raise InstanceError(f"quota_met must be true or false, got {quota_met!r}")
             return cls(
-                x={_whole(k, "switch id"): _whole(v, f"x of switch {k}")
+                x={key(k, "switch id", error): whole(v, f"x of switch {k}", error)
                    for k, v in doc["x"].items()},
-                assigned={_whole(k, "switch id"): _whole(v, f"controller of switch {k}")
+                assigned={key(k, "switch id", error): whole(v, f"controller of switch {k}", error)
                           for k, v in doc["assigned"].items()},
-                y=frozenset(_whole(l, "flow id") for l in doc["y"]),
-                objective=float(doc["objective"]),
-                quota_met=bool(doc.get("quota_met", True)),
+                y=frozenset(_ids(doc["y"], "flow id")),
+                objective=number(doc["objective"], "objective", error),
+                quota_met=quota_met,
             )
-        except _MALFORMED as e:
+        except (InstanceError, *_MALFORMED) as e:
             raise InstanceError(f"malformed solution document: {e}") from e
 
     @classmethod

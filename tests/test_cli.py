@@ -280,3 +280,81 @@ class TestProtocolTraceCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed script document")
         assert "Traceback" not in err
+
+
+def _edited(tmp_path, source, path, value):
+    """Write a copy of the JSON document at source with the entry at path
+    (keys and list indexes) set to value; a new key is added at the end."""
+    doc = json.loads(open(source).read())
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+class TestStrictReaders:
+    """Strings and booleans are never numbers, and object keys naming ids
+    must be canonical decimal: every case below used to load."""
+
+    def _exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [True, "7", " 7 "])
+    def test_script_switch(self, capsys, tmp_path, value):
+        script = _edited(tmp_path, data_path("master_loss_events.json"), ["switch"], value)
+        self._exit_2(capsys, ["protocol-trace", "--script", script],
+                     "error: malformed script document: switch must be a whole number")
+
+    @pytest.mark.parametrize("path, value, message", [
+        (["capacity"], "500", "controller 2 capacity must be a whole number, got '500'"),
+        (["capacity"], True, "controller 2 capacity must be a whole number, got True"),
+        (["flow_counts", "013"], 5, "flow_counts key must be canonical decimal, got '013'"),
+        (["flow_counts", " 13"], 5, "flow_counts key must be canonical decimal, got ' 13'"),
+        (["flow_counts"], [1, 2], "flow_counts must be a mapping"),
+        (["flow_counts"], "x", "flow_counts must be a mapping"),
+        (["flow_counts"], {}, "flow_counts missing switches"),
+        # beyond the float range, a count times a delay raised OverflowError
+        (["flow_counts", "13"], 10**400, "flow count of switch 13 must be a whole number"),
+    ], ids=["capacity-str", "capacity-bool", "key-013", "key-space", "counts-list",
+            "counts-str", "counts-empty", "count-huge"])
+    def test_placement(self, capsys, tmp_path, path, value, message):
+        placement = _edited(tmp_path, PLACEMENT, path, value)
+        self._exit_2(capsys, ["enumerate", "--topology", TOPO, "--placement", placement,
+                              "--failures", "1"], message)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (["loads", "020"], 5, "load key must be canonical decimal, got '020'"),
+        (["delay_ms", "20,1"], "1e3", "delay 20,1 must be a number, got '1e3'"),
+        (["delay_ms", "20,1"], True, "delay 20,1 must be a number, got True"),
+        (["quota"], True, "quota must be a whole number, got True"),
+        (["offline_switches"], [20, 20, 21, 22, 23, 24], "duplicate offline switch 20"),
+        (["active_controllers"], [1, 1, 3], "duplicate active controller 1"),
+        (["active_controllers"], [True, 3], "active controller must be a whole number"),
+    ], ids=["key-020", "delay-str", "delay-bool", "quota-bool", "offline-dup",
+            "active-dup", "active-bool"])
+    def test_instance(self, capsys, tmp_path, path, value, message):
+        solution = tmp_path / "sol.json"
+        solution.write_text(solve_retroflow(fixtures.toy_recovery_instance()).to_json())
+        instance = _edited(tmp_path, data_path("toy_recovery.json"), path, value)
+        self._exit_2(capsys, ["validate", "--instance", instance, "--solution", str(solution)],
+                     message)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (["quota_met"], "false", "quota_met must be true or false, got 'false'"),
+        (["objective"], "5.4", "objective must be a number, got '5.4'"),
+        (["y"], [True, 2, 3], "flow id must be a whole number, got True"),
+        (["y"], [1, 1, 2, 3], "duplicate flow id 1"),
+        (["x", "020"], 0, "switch id must be canonical decimal, got '020'"),
+    ], ids=["quota_met-str", "objective-str", "y-bool", "y-dup", "key-020"])
+    def test_solution(self, capsys, tmp_path, path, value, message):
+        solution = tmp_path / "sol.json"
+        solution.write_text(solve_retroflow(fixtures.toy_recovery_instance()).to_json())
+        solution = _edited(tmp_path, str(solution), path, value)
+        self._exit_2(capsys, ["validate", "--instance", data_path("toy_recovery.json"),
+                              "--solution", solution], "error: malformed solution document: " + message)

@@ -42,6 +42,9 @@ class Placement:
             missing = set(self.domain_of) - set(self.flow_counts)
             if missing:
                 raise PlacementError(f"flow_counts missing switches {sorted(missing)}")
+            unknown = set(self.flow_counts) - set(self.domain_of)
+            if unknown:
+                raise PlacementError(f"flow_counts names switches not in the topology {sorted(unknown)}")
             for sw, n in self.flow_counts.items():
                 if n < 0:
                     raise PlacementError(f"flow count of switch {sw} must be nonnegative, got {n}")

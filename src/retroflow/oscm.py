@@ -71,6 +71,13 @@ class OscmInstance:
                 raise InstanceError(f"controller {j} missing residual ability")
             if self.a_rest[j] < 0:
                 raise InstanceError(f"controller {j} has negative residual ability")
+        offline, active = set(self.offline_switches), set(self.active_controllers)
+        for what, ids, known, kind in (("loads", self.g, offline, "offline switches"),
+                                       ("flows", self.beta, offline, "offline switches"),
+                                       ("residual", self.a_rest, active, "active controllers")):
+            unknown = sorted(set(ids) - known)
+            if unknown:
+                raise InstanceError(f"{what} names ids that are not {kind}: {unknown}")
 
         self.flows: tuple[int, ...] = tuple(
             sorted(set().union(*(self.beta[i] for i in self.offline_switches)) if self.offline_switches else set())
@@ -149,12 +156,17 @@ class OscmInstance:
 @dataclass(frozen=True)
 class Solution:
     """x: SDN-mode indicator per offline switch; assigned: switch ->
-    controller for every SDN switch; y: programmable flow ids."""
+    controller for every SDN switch; y: programmable flow ids, sorted."""
     x: dict[int, int]
     assigned: dict[int, int]
-    y: frozenset[int]
+    y: tuple[int, ...]
     objective: float
     quota_met: bool = True
+
+    def __post_init__(self):
+        # any collection of flow ids is held as the sorted tuple to_json
+        # writes: 8 bytes an id, where a frozenset takes 55 to 110
+        object.__setattr__(self, "y", tuple(sorted(self.y)))
 
     def recovered_switches(self) -> int:
         return sum(self.x.values())
@@ -163,7 +175,7 @@ class Solution:
         doc = {
             "x": {str(i): v for i, v in sorted(self.x.items())},
             "assigned": {str(i): j for i, j in sorted(self.assigned.items())},
-            "y": sorted(self.y),
+            "y": list(self.y),
             "objective": self.objective,
             "quota_met": self.quota_met,
         }
@@ -182,7 +194,7 @@ class Solution:
                    for k, v in doc["x"].items()},
                 assigned={key(k, "switch id", error): whole(v, f"controller of switch {k}", error)
                           for k, v in doc["assigned"].items()},
-                y=frozenset(_ids(doc["y"], "flow id")),
+                y=_ids(doc["y"], "flow id"),
                 objective=number(doc["objective"], "objective", error),
                 quota_met=quota_met,
             )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .oscm import OscmInstance, Solution
@@ -70,7 +71,7 @@ class GapInstance:
 
 
 def _solution(inst: OscmInstance, assigned: dict[int, int],
-              covered: set[int] | frozenset[int]) -> Solution:
+              covered: Collection[int]) -> Solution:
     """The solver output for a mapping and the flows it recovers.
 
     The objective is summed over `assigned` in the order the solver
@@ -81,7 +82,7 @@ def _solution(inst: OscmInstance, assigned: dict[int, int],
     return Solution(
         x={i: (1 if i in assigned else 0) for i in inst.offline_switches},
         assigned=dict(sorted(assigned.items())),
-        y=frozenset(covered),
+        y=covered,
         objective=cost,
         quota_met=len(covered) >= inst.q_required,
     )
@@ -150,22 +151,33 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
     """Branch and bound over per-switch decisions (legacy or one of the
     active controllers).
 
-    Switches branch in descending-load order. One pass per node prices
-    each undecided switch once and bounds the node two ways: the most flows
-    the remaining total capacity could still recover (coverage upper
-    bound), then the still-needed flow count priced fractionally at each
-    switch's cheapest capacity-feasible mapping (cost lower bound, no
-    capacity coupling). Returns a proven optimum when the search completes,
-    the incumbent flagged not_proven on budget exhaustion, or an infeasible
-    verdict when no configuration meets the quota within the residual
-    abilities. The search keeps an explicit stack, so its depth (one level
-    per offline switch) is not bounded by the interpreter's recursion limit.
+    Switches branch in descending-load order. Each node first checks the
+    flows it has already lost: uncovered flows that no undecided switch
+    carries. A flow is lost when the legacy branch passes over its last
+    carrier in branching order; more than n_flows - q lost flows leave
+    the quota out of reach, and the node is pruned without further work.
+    Otherwise one pass prices each undecided switch once and bounds the
+    node (see _bound): the flows its usable switches can still recover,
+    then the overhead of the flows still needed. Returns a proven optimum
+    when the search completes, the incumbent flagged not_proven on budget
+    exhaustion, or an infeasible verdict when no configuration meets the
+    quota within the residual abilities. The search keeps an explicit
+    stack, so its depth (one level per offline switch) is not bounded by
+    the interpreter's recursion limit.
     """
     budget = budget or SolverBudget()
     deadline = time.monotonic() + budget.time_limit_ms / 1000.0
     beta, g, w, q = inst.beta, inst.g, inst.w, inst.q_required
     order = sorted(inst.offline_switches, key=lambda i: (-g[i], i))
     options = {i: sorted(inst.active_controllers, key=lambda j: (w(i, j), j)) for i in order}
+    # dies[idx]: the flows whose last carrier in branching order is
+    # order[idx]; a node may lose at most `slack` flows
+    dies, later = [], set()
+    for i in reversed(order):
+        dies.append(beta[i] - later)
+        later |= beta[i]
+    dies.reverse()
+    slack = inst.n_flows - q
 
     # the incumbent as (assigned, covered); a greedy incumbent's assigned
     # is already sorted, so its objective is re-summed in switch order
@@ -178,11 +190,12 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
     assigned: dict[int, int] = {}
     rest = dict(inst.a_rest)
     nodes = 0
-    # (idx, cost, i, j, added) maps switch i to controller j, unless i is
-    # None, and visits node idx; (None, None, i, j, added) undoes that move
-    stack = [(0, 0.0, None, None, None)]
+    # (idx, cost, lost, i, j, added) maps switch i to controller j, unless
+    # i is None, and visits node idx having lost `lost` flows;
+    # (None, None, None, i, j, added) undoes that move
+    stack = [(0, 0.0, 0, None, None, None)]
     while stack:
-        idx, cost, i, j, added = stack.pop()
+        idx, cost, lost, i, j, added = stack.pop()
         if i is not None:
             if idx is None:
                 covered -= added
@@ -205,51 +218,65 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
         if needed <= 0:
             # quota met: every further assignment only adds cost
             if cost < best_cost:
-                best_cost, best = cost, (dict(assigned), frozenset(covered))
+                best_cost, best = cost, (dict(assigned), tuple(covered))
             continue
-        if idx == len(order):
+        if idx == len(order) or lost > slack:
             continue
 
-        bound = _bound(inst, order, options, idx, covered, rest, needed)
+        bound = _bound(inst, order, options, idx, covered, rest, needed, slack - lost)
         if bound is None or cost + bound >= best_cost:
             continue
 
         # pushed so they pop in visit order: each fitting controller,
-        # cheapest first, with its subtree and then its undo; legacy last
+        # cheapest first, with its subtree and then its undo; legacy last.
+        # A mapped switch covers every flow that dies with it; the legacy
+        # branch loses those it would have added.
         i = order[idx]
         added = beta[i] - covered
-        stack.append((idx + 1, cost, None, None, None))
+        stack.append((idx + 1, cost, lost + len(dies[idx] & added), None, None, None))
         for j in reversed([j for j in options[i] if rest[j] >= g[i]]):
-            stack.append((None, None, i, j, added))
-            stack.append((idx + 1, cost + w(i, j), i, j, added))
+            stack.append((None, None, None, i, j, added))
+            stack.append((idx + 1, cost + w(i, j), lost, i, j, added))
 
     if best is None:
         return ExactResult(None, "infeasible", nodes)
     return ExactResult(_solution(inst, *best), "optimal", nodes)
 
 
-def _bound(inst, order, options, idx, covered, rest, needed):
+def _bound(inst, order, options, idx, covered, rest, needed, spare):
     """Cost lower bound of any completion that gains `needed` more
     flows, or None when no completion can gain them.
 
-    One pass over the undecided switches keeps those that add flows and
-    fit some surviving controller, with their uncovered-flow count and
-    cheapest fitting mapping. Coverage ceiling: fractional knapsack of
-    those counts on the total remaining capacity, rounded upward. Cost
+    One pass over the undecided switches keeps the usable ones, those
+    that add flows and fit some surviving controller, with their
+    uncovered-flow count and cheapest fitting mapping. Coverage ceiling:
+    fractional knapsack of those counts on the total remaining capacity,
+    rounded upward. Reachable flows: the union of the usable switches'
+    uncovered flows must reach `needed`. The caller's lost-flow test has
+    shown that all undecided switches together reach it with `spare`
+    flows over, and the switches that fit no controller take away at
+    most their uncovered flows. So the union is only collected when
+    those exceed `spare`, and only until it reaches `needed`. Cost
     floor: the needed flows bought fractionally at each switch's
     cheapest price per flow, ignoring capacity coupling.
     """
     usable = []
+    reach = []  # the usable switches' uncovered flows
+    stranded = 0  # uncovered flows of the other switches, with repeats
     for i in order[idx:]:
-        potential = len(inst.beta[i] - covered)
-        if potential == 0:
+        gain = inst.beta[i] - covered
+        if not gain:
             continue
         g_i = inst.g[i]
         for j in options[i]:
             if rest[j] >= g_i:
                 cheapest = inst.w(i, j)
+                potential = len(gain)
                 usable.append((cheapest / potential, cheapest, potential, g_i))
+                reach.append(gain)
                 break
+        else:
+            stranded += len(gain)
 
     # zero-load switches are free; count them in full
     ceiling = sum(p for _, _, p, g in usable if g == 0)
@@ -263,10 +290,16 @@ def _bound(inst, order, options, idx, covered, rest, needed):
         else:
             ceiling += (p * capacity + g - 1) // g
             capacity = 0
-    # the ceiling is at most the usable switches' summed counts, so no
-    # separate reachability test is needed
     if ceiling < needed:
         return None
+    if stranded > spare:
+        union: set[int] = set()
+        for gain in reach:
+            union |= gain
+            if len(union) >= needed:
+                break
+        else:
+            return None
 
     usable.sort()
     bound = 0.0

@@ -296,8 +296,9 @@ def _edited(tmp_path, source, path, value):
 
 
 class TestStrictReaders:
-    """Strings and booleans are never numbers, and object keys naming ids
-    must be canonical decimal: every case below used to load."""
+    """Strings and booleans are never numbers, object keys naming ids
+    must be canonical decimal, and keyed entries must name ids the
+    document knows: every case below used to load."""
 
     def _exit_2(self, capsys, argv, message):
         assert main(argv) == 2
@@ -321,8 +322,9 @@ class TestStrictReaders:
         (["flow_counts"], {}, "flow_counts missing switches"),
         # beyond the float range, a count times a delay raised OverflowError
         (["flow_counts", "13"], 10**400, "flow count of switch 13 must be a whole number"),
+        (["flow_counts", "99"], 5000, "flow_counts names switches not in the topology [99]"),
     ], ids=["capacity-str", "capacity-bool", "key-013", "key-space", "counts-list",
-            "counts-str", "counts-empty", "count-huge"])
+            "counts-str", "counts-empty", "count-huge", "counts-unknown"])
     def test_placement(self, capsys, tmp_path, path, value, message):
         placement = _edited(tmp_path, PLACEMENT, path, value)
         self._exit_2(capsys, ["enumerate", "--topology", TOPO, "--placement", placement,
@@ -336,8 +338,11 @@ class TestStrictReaders:
         (["offline_switches"], [20, 20, 21, 22, 23, 24], "duplicate offline switch 20"),
         (["active_controllers"], [1, 1, 3], "duplicate active controller 1"),
         (["active_controllers"], [True, 3], "active controller must be a whole number"),
+        (["loads", "77"], 5, "loads names ids that are not offline switches: [77]"),
+        (["flows", "77"], [1], "flows names ids that are not offline switches: [77]"),
+        (["residual", "8"], 5, "residual names ids that are not active controllers: [8]"),
     ], ids=["key-020", "delay-str", "delay-bool", "quota-bool", "offline-dup",
-            "active-dup", "active-bool"])
+            "active-dup", "active-bool", "loads-unknown", "flows-unknown", "residual-unknown"])
     def test_instance(self, capsys, tmp_path, path, value, message):
         solution = tmp_path / "sol.json"
         solution.write_text(solve_retroflow(fixtures.toy_recovery_instance()).to_json())

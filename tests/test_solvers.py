@@ -46,7 +46,7 @@ class TestSolveExact:
         assert result.solution.objective == expected
         # the documented recovery shape: both nearby switches to controller 3
         assert result.solution.assigned == {20: 3, 22: 3}
-        assert result.solution.y == {1, 2, 3}
+        assert result.solution.y == (1, 2, 3)
 
     def test_att_double_failure_infeasible_at_full_quota(self, att_world):
         s = FailureScenario(frozenset({13, 22}))
@@ -97,7 +97,7 @@ class TestSolveExact:
                         for s in enumerate_failure_scenarios(p, k))
             for k in (1, 2) for q in (0.9, 1.0)
         }
-        assert nodes == {(1, 0.9): 210, (2, 0.9): 4441, (1, 1.0): 245, (2, 1.0): 15926}
+        assert nodes == {(1, 0.9): 173, (2, 0.9): 2339, (1, 1.0): 199, (2, 1.0): 1751}
 
     def test_depth_is_not_bounded_by_recursion(self):
         # one search level per switch: 1,500 levels are past the default
@@ -131,6 +131,49 @@ class TestSolveExact:
                 assert result.solution.objective == expected
 
 
+def shared_flow_instance(rng, quota):
+    """Switches that share flows, under residual abilities that cannot take
+    every switch: below the root, some switch that adds flows fits no
+    controller, and some branch passes over a flow's last carrier."""
+    n = rng.randint(3, 6)
+    m = rng.randint(1, 3)
+    switches = list(range(1, n + 1))
+    controllers = list(range(101, 101 + m))
+    n_flows = rng.randint(2, n + 1)
+    beta = {i: set(rng.sample(range(n_flows), rng.randint(1, min(3, n_flows))))
+            for i in switches}
+    g = {i: rng.randint(1, 9) for i in switches}
+    total = sum(g.values())
+    L = len(set().union(*beta.values()))
+    return OscmInstance(
+        offline_switches=switches,
+        active_controllers=controllers,
+        delay={(i, j): float(rng.randint(0, 20)) for i in switches for j in controllers},
+        g=g,
+        beta=beta,
+        a_rest={j: rng.randint(0, total // m) for j in controllers},
+        q_required={"all": L, "all_but_one": L - 1, "half": L // 2}[quota],
+    )
+
+
+class TestLostFlowPrune:
+    @pytest.mark.parametrize("quota", ["all", "all_but_one", "half"])
+    def test_matches_exhaustive_enumeration(self, quota):
+        rng = random.Random(707)
+        statuses = set()
+        for _ in range(60):
+            inst = shared_flow_instance(rng, quota)
+            expected, _ = enumerate_oscm(inst)
+            result = solve_exact(inst)
+            statuses.add(result.status)
+            if expected is None:
+                assert result.status == "infeasible"
+            else:
+                assert result.status == "optimal"
+                assert result.solution.objective == expected
+        assert statuses == {"optimal", "infeasible"}
+
+
 class TestSolveRetroflow:
     def test_single_switch_single_controller(self):
         inst = OscmInstance(
@@ -140,13 +183,13 @@ class TestSolveRetroflow:
         )
         sol = solve_retroflow(inst)
         assert sol.assigned == {5: 9}
-        assert sol.y == {1, 2}
+        assert sol.y == (1, 2)
         assert sol.quota_met
 
     def test_toy_structure_and_cost(self, toy):
         sol = solve_retroflow(toy)
         assert sol.assigned == {20: 3, 22: 3}
-        assert sol.y == {1, 2, 3}
+        assert sol.y == (1, 2, 3)
         assert sol.objective == 5.4
         assert sol.quota_met
 
@@ -159,7 +202,7 @@ class TestSolveRetroflow:
         )
         sol = solve_retroflow(inst)
         assert sol.assigned == {}
-        assert sol.y == frozenset()
+        assert sol.y == ()
         assert not sol.quota_met
         assert sol.recovered_switches() == 0
 

@@ -13,8 +13,8 @@ import sys
 from . import domains as dm
 from . import protocol
 from ._doc import whole
-from .experiment import (ALGORITHMS, QueueModel, emit_report, load_diagnostics,
-                         make_world, run_scenario, sweep_summary)
+from .experiment import (ALGORITHMS, FEASIBLE, QueueModel, emit_report,
+                         load_diagnostics, make_world, run_scenario, sweep_summary)
 from .geo import load_topology_file
 from .oscm import OscmInstance, Solution, validate
 from .solvers import BudgetExhausted, SolverBudget
@@ -102,10 +102,7 @@ def _cmd_run(args) -> int:
     for key, value in sorted(summary.items()):
         print(f"{key}: {value}", file=out)
 
-    any_feasible = any(
-        o.status in ("ok", "not_proven")
-        for rep in reports for o in rep.outcomes
-    )
+    any_feasible = any(o.status in FEASIBLE for rep in reports for o in rep.outcomes)
     return 0 if any_feasible else 1
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import domains as dm
@@ -20,6 +21,8 @@ from .oscm import OscmInstance, Solution, build_instance, switch_loads
 from .solvers import SolverBudget, solve_exact, solve_nearest, solve_retroflow
 
 ALGORITHMS = ("exact", "retroflow", "nearest")
+# the outcome statuses that carry a solution meeting the quota
+FEASIBLE = ("ok", "not_proven")
 
 
 class ReportError(ValueError):
@@ -31,8 +34,8 @@ class QueueModel:
     penalty_ms_per_excess_flow: float = 0.1
 
     def __post_init__(self):
-        if self.penalty_ms_per_excess_flow < 0:
-            raise ValueError("queue penalty must be nonnegative")
+        if not 0 <= self.penalty_ms_per_excess_flow < math.inf:
+            raise ValueError("queue penalty must be finite and nonnegative")
 
 
 def queueing_penalty_ms(load: int, ability: int, m: QueueModel) -> float:
@@ -85,13 +88,14 @@ def load_diagnostics(world: World) -> dict:
 
 @dataclass(frozen=True)
 class AlgorithmOutcome:
+    """One solver's result on a scenario; the metrics are null without a solution."""
     algorithm: str
     status: str  # ok | quota_unmet | infeasible | not_proven
-    solution: Solution | None
-    programmable_flow_fraction: float | None
-    recovered_switch_count: int | None
-    raw_overhead: float | None
-    adjusted_overhead: float | None
+    solution: Solution | None = None
+    programmable_flow_fraction: float | None = None
+    recovered_switch_count: int | None = None
+    raw_overhead: float | None = None
+    adjusted_overhead: float | None = None
     controller_load: dict[int, int] = field(default_factory=dict)
     controller_ability: dict[int, int] = field(default_factory=dict)
     overloaded: tuple[int, ...] = ()
@@ -135,31 +139,19 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
     inst = build_instance(world.topology, world.beta, world.placement, s,
                           q_fraction, control_delay=control_delay)
     ability = {j: world.placement.capacity[j] for j in inst.active_controllers}
-    # residual ability is capacity minus the controller's own-domain load
-    own_load = {j: ability[j] - inst.a_rest[j] for j in inst.active_controllers}
 
     outcomes = []
     for name in algorithms:
         if name == "exact":
             result = solve_exact(inst, budget)
-            if result.solution is None:
-                outcomes.append(AlgorithmOutcome(
-                    algorithm=name, status="infeasible", solution=None,
-                    programmable_flow_fraction=None, recovered_switch_count=None,
-                    raw_overhead=None, adjusted_overhead=None,
-                ))
-                continue
             sol = result.solution
-            status = "ok" if result.status == "optimal" else "not_proven"
-        elif name == "retroflow":
-            sol = solve_retroflow(inst)
-            status = "ok" if sol.quota_met else "quota_unmet"
-        elif name == "nearest":
-            sol = solve_nearest(inst)
+            status = "ok" if result.status == "optimal" else result.status
+        elif name in ("retroflow", "nearest"):
+            sol = solve_retroflow(inst) if name == "retroflow" else solve_nearest(inst)
             status = "ok" if sol.quota_met else "quota_unmet"
         else:
             raise ReportError(f"unknown algorithm {name!r}")
-        outcomes.append(_score(inst, name, status, sol, own_load, ability, qm))
+        outcomes.append(_score(inst, name, status, sol, ability, qm))
 
     return ScenarioReport(
         scenario=s,
@@ -170,9 +162,13 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
     )
 
 
-def _score(inst: OscmInstance, name: str, status: str, sol: Solution,
-           own_load: dict[int, int], ability: dict[int, int], qm: QueueModel) -> AlgorithmOutcome:
-    load = dict(own_load)
+def _score(inst: OscmInstance, name: str, status: str, sol: Solution | None,
+           ability: dict[int, int], qm: QueueModel) -> AlgorithmOutcome:
+    """Score a solver's output. A controller starts from its own-domain
+    load, which is its capacity minus its residual ability."""
+    if sol is None:
+        return AlgorithmOutcome(name, status)
+    load = {j: ability[j] - inst.a_rest[j] for j in inst.active_controllers}
     for i, j in sol.assigned.items():
         load[j] += inst.g[i]
     overloaded = tuple(j for j in inst.active_controllers if load[j] > ability[j])
@@ -204,17 +200,10 @@ _NORMALIZED_METRICS = (
     "adjusted_overhead",
 )
 
-_CSV_COLUMNS = (
-    "scenario", "q_fraction", "n_flows", "quota", "algorithm", "status",
-    "programmable_flow_fraction", "recovered_switch_count",
-    "raw_overhead", "adjusted_overhead",
-    "norm_programmable_flow_fraction", "norm_recovered_switch_count",
-    "norm_raw_overhead", "norm_adjusted_overhead",
-    "overloaded_controllers", "controller_load",
-)
-
 
 def _rows(reports) -> list[dict]:
+    """One record per (scenario, algorithm), its keys in report column
+    order: the CSV header is read from the first record."""
     rows = []
     for rep in reports:
         for o in rep.outcomes:
@@ -225,18 +214,16 @@ def _rows(reports) -> list[dict]:
                 "quota": rep.quota,
                 "algorithm": o.algorithm,
                 "status": o.status,
-                "programmable_flow_fraction": o.programmable_flow_fraction,
-                "recovered_switch_count": o.recovered_switch_count,
-                "raw_overhead": o.raw_overhead,
-                "adjusted_overhead": o.adjusted_overhead,
-                "overloaded_controllers": ";".join(str(j) for j in o.overloaded),
-                "controller_load": ";".join(
-                    f"{j}:{o.controller_load[j]}/{o.controller_ability[j]}"
-                    for j in sorted(o.controller_load)
-                ),
             }
             for metric in _NORMALIZED_METRICS:
+                row[metric] = getattr(o, metric)
+            for metric in _NORMALIZED_METRICS:
                 row[f"norm_{metric}"] = rep.normalized(o.algorithm, metric)
+            row["overloaded_controllers"] = ";".join(str(j) for j in o.overloaded)
+            row["controller_load"] = ";".join(
+                f"{j}:{o.controller_load[j]}/{o.controller_ability[j]}"
+                for j in sorted(o.controller_load)
+            )
             rows.append(row)
     return rows
 
@@ -250,7 +237,7 @@ def emit_report(reports, format: str = "csv") -> str:
     rows = _rows(reports)
     if format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
@@ -274,7 +261,7 @@ def sweep_summary(reports) -> dict:
                 base = rep.outcome("nearest")
             except KeyError:
                 continue
-            if o.status in ("ok", "not_proven"):
+            if o.status in FEASIBLE:
                 feasible += 1
             if (o.adjusted_overhead is not None and base.adjusted_overhead
                     and base.adjusted_overhead > 0):

@@ -79,17 +79,9 @@ def generate_flows(t: Topology, pairs: str = "ordered") -> FlowSet:
 def compute_beta(flows: FlowSet, t: Topology) -> BetaMatrix:
     """Indicator per (switch, flow): on the path, not the destination, and
     with an alternative route to the destination."""
-    alt_cache: dict[tuple[int, int], bool] = {}
-
-    def alt(i: int, dst: int) -> bool:
-        key = (i, dst)
-        if key not in alt_cache:
-            alt_cache[key] = has_alternative_path(t, i, dst)
-        return alt_cache[key]
-
     rows: dict[int, set[int]] = {i: set() for i in t.node_ids()}
     for f in flows:
         for i in f.path.node_ids[:-1]:
-            if alt(i, f.dst):
+            if has_alternative_path(t, i, f.dst):
                 rows[i].add(f.flow_id)
     return BetaMatrix({i: frozenset(s) for i, s in rows.items()}, t.node_ids())

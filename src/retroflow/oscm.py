@@ -274,19 +274,19 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
                 km = haversine_km(t.coordinate(i), t.coordinate(j))
                 delay[(i, j)] = km / PROPAGATION_KM_PER_MS
 
-    beta = {i: b.flows_at(i) for i in offline}
-    n_flows = len(set().union(*beta.values())) if beta else 0
-    q = math.ceil(q_fraction * n_flows)
-    return OscmInstance(
+    inst = OscmInstance(
         offline_switches=offline,
         active_controllers=active,
         delay=delay,
         g={i: loads[i] for i in offline},
-        beta=beta,
+        beta={i: b.flows_at(i) for i in offline},
         a_rest=rest,
-        q_required=q,
+        q_required=0,
         label=s.label(),
     )
+    # the quota reads the flow union the instance built; q_fraction is in [0, 1]
+    inst.q_required = math.ceil(q_fraction * inst.n_flows)
+    return inst
 
 
 def _check_dimensions(inst: OscmInstance, sol: Solution):

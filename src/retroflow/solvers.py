@@ -9,6 +9,7 @@ a generalized assignment problem, used as an independent test oracle.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -30,8 +31,8 @@ class SolverBudget:
     time_limit_ms: float = 120_000.0
 
     def __post_init__(self):
-        if self.max_nodes_explored <= 0 or self.time_limit_ms <= 0:
-            raise ValueError("budget limits must be positive")
+        if not (0 < self.max_nodes_explored < math.inf and 0 < self.time_limit_ms < math.inf):
+            raise ValueError("budget limits must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -179,12 +180,10 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
     dies.reverse()
     slack = inst.n_flows - q
 
-    # the incumbent as (assigned, covered); a greedy incumbent's assigned
-    # is already sorted, so its objective is re-summed in switch order
     best_cost, best = float("inf"), None
     greedy = solve_retroflow(inst)
     if greedy.quota_met:
-        best_cost, best = greedy.objective, (greedy.assigned, greedy.y)
+        best_cost, best = greedy.objective, greedy
 
     covered: set[int] = set()
     assigned: dict[int, int] = {}
@@ -212,13 +211,14 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
         ):
             if best is None:
                 raise BudgetExhausted("inconclusive: budget exhausted with no incumbent")
-            return ExactResult(_solution(inst, *best), "not_proven", nodes)
+            return ExactResult(best, "not_proven", nodes)
 
         needed = q - len(covered)
         if needed <= 0:
-            # quota met: every further assignment only adds cost
+            # quota met: every further assignment only adds cost. The
+            # solution sums in `assigned` insertion order, as `cost` did
             if cost < best_cost:
-                best_cost, best = cost, (dict(assigned), tuple(covered))
+                best_cost, best = cost, _solution(inst, assigned, covered)
             continue
         if idx == len(order) or lost > slack:
             continue
@@ -240,7 +240,7 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
 
     if best is None:
         return ExactResult(None, "infeasible", nodes)
-    return ExactResult(_solution(inst, *best), "optimal", nodes)
+    return ExactResult(best, "optimal", nodes)
 
 
 def _bound(inst, order, options, idx, covered, rest, needed, spare):

@@ -176,6 +176,21 @@ class TestBadNumbers:
         assert self._run(topo, PLACEMENT) == 2
         assert "finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--queue-penalty", "nan", "queue penalty must be finite and nonnegative"),
+        ("--queue-penalty", "inf", "queue penalty must be finite and nonnegative"),
+        ("--time-limit", "nan", "budget limits must be finite and positive"),
+        ("--time-limit", "inf", "budget limits must be finite and positive"),
+        ("--time-limit", "-1", "budget limits must be finite and positive"),
+    ])
+    def test_non_finite_option(self, capsys, option, value, message):
+        code = main(["run", "--topology", TOPO, "--placement", PLACEMENT,
+                     "--failures", "1", f"{option}={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("raw", ["1e400", "0.5"])
     def test_bad_node_id(self, capsys, tmp_path, raw):
         # 1e400 parses as infinity; 0.5 would otherwise truncate to node 0

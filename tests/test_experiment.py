@@ -29,6 +29,12 @@ class TestQueueingPenalty:
         with pytest.raises(ValueError):
             QueueModel(penalty_ms_per_excess_flow=-1.0)
 
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
+    def test_non_finite_penalty_rejected(self, penalty):
+        # a nan penalty would bill nan overheads, an infinite one inf
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            QueueModel(penalty_ms_per_excess_flow=penalty)
+
 
 class TestRunScenario:
     def test_single_failure_full_recovery(self, att_world):

@@ -65,10 +65,33 @@ class TestSolveExact:
         assert result.solution.quota_met
         assert result.solution.assigned == {1: 20, 2: 10}
 
+    def test_greedy_incumbent_objective_kept_as_summed(self):
+        # the greedy picks switches 3, 2, 1 and sums 0.3 + 0.2 + 0.1 = 0.6;
+        # the same overheads summed in switch order give 0.6000000000000001
+        inst = OscmInstance(
+            offline_switches=[1, 2, 3], active_controllers=[9],
+            delay={(1, 9): 0.1, (2, 9): 0.2, (3, 9): 0.3},
+            g={1: 1, 2: 1, 3: 1}, beta={1: {0}, 2: {1, 2}, 3: {3, 4, 5}},
+            a_rest={9: 3}, q_required=6,
+        )
+        result = solve_exact(inst)
+        assert result.status == "optimal"
+        assert result.solution.objective == solve_retroflow(inst).objective == 0.6
+
     def test_budget_exhaustion_with_incumbent(self, toy):
         result = solve_exact(toy, SolverBudget(max_nodes_explored=1))
         assert result.status == "not_proven"
         assert result.solution is not None  # the greedy incumbent
+
+    @pytest.mark.parametrize("limits", [
+        {"time_limit_ms": float("nan")}, {"time_limit_ms": float("inf")},
+        {"time_limit_ms": 0.0}, {"max_nodes_explored": float("inf")},
+        {"max_nodes_explored": 0},
+    ])
+    def test_budget_limits_finite_and_positive(self, limits):
+        # a nan deadline never passes, so it would switch the limit off
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverBudget(**limits)
 
     def test_budget_exhaustion_without_incumbent(self):
         with pytest.raises(BudgetExhausted, match="inconclusive"):
@@ -340,6 +363,35 @@ class TestSolverInvariants:
             result = solve_exact(inst)
             if greedy.quota_met and result.status == "optimal":
                 assert result.solution.objective <= greedy.objective
+
+    def test_dominance_with_fractional_delays(self):
+        # delays with no exact binary form, so the order in which the
+        # overheads are summed shows in the last digits
+        rng = random.Random(67)
+        delays = (0.1, 0.2, 0.3, 0.35, 0.7, 1.1, 2.3, 5.55)
+        compared = 0
+        for _ in range(300):
+            n, m = rng.randint(2, 6), rng.randint(1, 2)
+            switches = range(1, n + 1)
+            controllers = range(101, 101 + m)
+            beta = {i: set(rng.sample(range(n + 2), rng.randint(1, 3))) for i in switches}
+            g = {i: rng.randint(1, 9) for i in switches}
+            inst = OscmInstance(
+                offline_switches=switches,
+                active_controllers=controllers,
+                delay={(i, j): rng.choice(delays) for i in switches for j in controllers},
+                g=g,
+                beta=beta,
+                a_rest={j: rng.randint(sum(g.values()) // 2, sum(g.values()))
+                        for j in controllers},
+                q_required=len(set().union(*beta.values())),
+            )
+            greedy = solve_retroflow(inst)
+            result = solve_exact(inst)
+            if greedy.quota_met and result.status == "optimal":
+                compared += 1
+                assert result.solution.objective <= greedy.objective
+        assert compared > 100
 
     def test_reduction_equivalence_smoke(self):
         rng = random.Random(88)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .geo import Path, Topology, has_alternative_path, shortest_path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flow:
     flow_id: int
     src: int

@@ -52,7 +52,7 @@ class Link:
     delay_ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     node_ids: tuple[int, ...]
     total_delay_ms: float

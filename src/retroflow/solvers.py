@@ -8,6 +8,7 @@ a generalized assignment problem, used as an independent test oracle.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -98,41 +99,59 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
     smallest controller id. Always returns a solution; quota_met records
     whether the flow quota was actually reached. trace, when given,
     collects one line per decision for replay against hand executions.
+
+    The pick is lazy (Minoux's accelerated greedy): a max-heap keyed
+    (-uncovered count, switch id) holds each switch's count as of the
+    `version` of `covered` it was priced at. Counts only shrink as
+    `covered` grows, so a stale count bounds the true one from above;
+    the top is re-priced until it is current, and a current top then
+    beats every other switch on count, or ties it with a smaller id. So
+    it is the switch a full rescan would pick, and a current top of 0
+    means no switch adds a flow.
     """
-    log = trace.append if trace is not None else lambda line: None
-    remaining = list(inst.offline_switches)
+    beta = inst.beta
+    heap = [(-len(beta[i]), i, 0) for i in inst.offline_switches]
+    heapq.heapify(heap)
+    version = 0  # bumped each time `covered` grows
     rest = dict(inst.a_rest)
     covered: set[int] = set()
     assigned: dict[int, int] = {}
 
-    while remaining and len(covered) < inst.q_required:
-        delta, pick = 0, None
-        for i in remaining:
-            uncovered = len(inst.beta[i] - covered)
-            if uncovered > delta:
-                delta, pick = uncovered, i
-        if pick is None:
+    while heap and len(covered) < inst.q_required:
+        neg_delta, pick, priced = heap[0]
+        if priced != version:
+            heapq.heapreplace(heap, (-len(beta[pick] - covered), pick, version))
+            continue
+        if neg_delta == 0:
             # nothing left can add a new flow; the quota is unreachable
-            log(f"stop reason=stalled covered={len(covered)} required={inst.q_required}")
+            if trace is not None:
+                trace.append(f"stop reason=stalled covered={len(covered)} "
+                             f"required={inst.q_required}")
             break
-        log(f"pick switch={pick} delta={delta}")
+        heapq.heappop(heap)
+        if trace is not None:
+            trace.append(f"pick switch={pick} delta={-neg_delta}")
 
         for j in sorted(inst.active_controllers, key=lambda c: (inst.w(pick, c), c)):
             fit = rest[j] >= inst.g[pick]
-            log(f"test switch={pick} controller={j} w={inst.w(pick, j)} "
-                f"rest={rest[j]} fit={'yes' if fit else 'no'}")
+            if trace is not None:
+                trace.append(f"test switch={pick} controller={j} w={inst.w(pick, j)} "
+                             f"rest={rest[j]} fit={'yes' if fit else 'no'}")
             if fit:
                 assigned[pick] = j
                 rest[j] -= inst.g[pick]
-                gained = sorted(inst.beta[pick] - covered)
-                covered |= inst.beta[pick]
-                log(f"assign switch={pick} controller={j} rest={rest[j]} "
-                    f"gained={gained} covered={len(covered)}")
+                if trace is not None:
+                    gained = sorted(beta[pick] - covered)
+                    trace.append(f"assign switch={pick} controller={j} rest={rest[j]} "
+                                 f"gained={gained} covered={len(covered) + len(gained)}")
+                covered |= beta[pick]
+                version += 1
                 break
-        remaining.remove(pick)
     else:
-        reason = "quota" if len(covered) >= inst.q_required else "exhausted"
-        log(f"stop reason={reason} covered={len(covered)} required={inst.q_required}")
+        if trace is not None:
+            reason = "quota" if len(covered) >= inst.q_required else "exhausted"
+            trace.append(f"stop reason={reason} covered={len(covered)} "
+                         f"required={inst.q_required}")
 
     return _solution(inst, assigned, covered)
 
@@ -144,8 +163,8 @@ def solve_nearest(inst: OscmInstance) -> Solution:
         i: min(inst.active_controllers, key=lambda j: (inst.delay[(i, j)], j))
         for i in inst.offline_switches
     }
-    covered = frozenset().union(*(inst.beta[i] for i in inst.offline_switches))
-    return _solution(inst, assigned, covered)
+    # every offline switch is mapped, so every flow is recovered
+    return _solution(inst, assigned, inst.flows)
 
 
 def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> ExactResult:

@@ -148,6 +148,51 @@ def gap_optimum_recursive(costs, usage, capacities):
     return best[0]
 
 
+def greedy_rescan(inst, trace=None):
+    """The greedy as it was written before its lazy pick: every pick
+    rescans every remaining switch for its uncovered-flow count. Kept
+    verbatim, so the lazy solver can be checked pick for pick and trace
+    line for trace line."""
+    from retroflow.solvers import _solution
+
+    log = trace.append if trace is not None else lambda line: None
+    remaining = list(inst.offline_switches)
+    rest = dict(inst.a_rest)
+    covered: set[int] = set()
+    assigned: dict[int, int] = {}
+
+    while remaining and len(covered) < inst.q_required:
+        delta, pick = 0, None
+        for i in remaining:
+            uncovered = len(inst.beta[i] - covered)
+            if uncovered > delta:
+                delta, pick = uncovered, i
+        if pick is None:
+            # nothing left can add a new flow; the quota is unreachable
+            log(f"stop reason=stalled covered={len(covered)} required={inst.q_required}")
+            break
+        log(f"pick switch={pick} delta={delta}")
+
+        for j in sorted(inst.active_controllers, key=lambda c: (inst.w(pick, c), c)):
+            fit = rest[j] >= inst.g[pick]
+            log(f"test switch={pick} controller={j} w={inst.w(pick, j)} "
+                f"rest={rest[j]} fit={'yes' if fit else 'no'}")
+            if fit:
+                assigned[pick] = j
+                rest[j] -= inst.g[pick]
+                gained = sorted(inst.beta[pick] - covered)
+                covered |= inst.beta[pick]
+                log(f"assign switch={pick} controller={j} rest={rest[j]} "
+                    f"gained={gained} covered={len(covered)}")
+                break
+        remaining.remove(pick)
+    else:
+        reason = "quota" if len(covered) >= inst.q_required else "exhausted"
+        log(f"stop reason={reason} covered={len(covered)} required={inst.q_required}")
+
+    return _solution(inst, assigned, covered)
+
+
 def random_instance(rng, n_max=6, m_max=3, g_max=9, q_mode="mixed"):
     """Small random OSCM instance with integer delays and loads."""
     from retroflow.oscm import OscmInstance

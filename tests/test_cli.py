@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,7 +142,7 @@ class TestValidateCommand:
 
     def test_nan_delay_instance(self, capsys, tmp_path):
         ipath, spath = self._write_pair(tmp_path)
-        doc = json.loads(open(ipath).read())
+        doc = json.loads(Path(ipath).read_text())
         doc["delay_ms"][next(iter(doc["delay_ms"]))] = float("nan")
         with open(ipath, "w") as fh:
             json.dump(doc, fh)
@@ -153,7 +154,7 @@ class TestValidateCommand:
 
     def test_fractional_load_instance(self, capsys, tmp_path):
         ipath, spath = self._write_pair(tmp_path)
-        doc = json.loads(open(ipath).read())
+        doc = json.loads(Path(ipath).read_text())
         doc["loads"]["20"] = 2.5
         with open(ipath, "w") as fh:
             json.dump(doc, fh)
@@ -169,7 +170,7 @@ class TestBadNumbers:
                      "--failures", "1", "--algorithms", "nearest"])
 
     def test_nan_distance(self, capsys, tmp_path):
-        doc = json.loads(open(TOPO).read())
+        doc = json.loads(Path(TOPO).read_text())
         doc["links"][0]["distance_km"] = float("nan")
         topo = tmp_path / "topo.json"
         topo.write_text(json.dumps(doc))
@@ -194,7 +195,7 @@ class TestBadNumbers:
     @pytest.mark.parametrize("raw", ["1e400", "0.5"])
     def test_bad_node_id(self, capsys, tmp_path, raw):
         # 1e400 parses as infinity; 0.5 would otherwise truncate to node 0
-        doc = json.loads(open(TOPO).read())
+        doc = json.loads(Path(TOPO).read_text())
         doc["nodes"][0]["id"] = "ID"
         topo = tmp_path / "topo.json"
         topo.write_text(json.dumps(doc).replace('"ID"', raw))
@@ -208,7 +209,7 @@ class TestBadNumbers:
         ("links", "distance_km", "[1]"), ("links", "distance_km", "{}"),
     ])
     def test_bad_number_type(self, capsys, tmp_path, where, field, raw):
-        doc = json.loads(open(TOPO).read())
+        doc = json.loads(Path(TOPO).read_text())
         doc[where][0][field] = "VALUE"
         topo = tmp_path / "topo.json"
         topo.write_text(json.dumps(doc).replace('"VALUE"', raw))
@@ -224,7 +225,7 @@ class TestBadNumbers:
         # 2.5 would otherwise truncate to node 2; null and 1e400 would
         # escape as TypeError and OverflowError, and so would a record that
         # is not a mapping or a switch list that is not a list
-        doc = json.loads(open(PLACEMENT).read())
+        doc = json.loads(Path(PLACEMENT).read_text())
         rec = doc["controllers"][0]
         if field == "node":
             rec["node"] = "ID"
@@ -244,7 +245,7 @@ class TestBadNumbers:
 
     @pytest.mark.parametrize("count", [-5, 2.7])
     def test_bad_flow_count(self, capsys, tmp_path, count):
-        doc = json.loads(open(PLACEMENT).read())
+        doc = json.loads(Path(PLACEMENT).read_text())
         doc["flow_counts"]["13"] = count
         placement = tmp_path / "placement.json"
         placement.write_text(json.dumps(doc))
@@ -300,7 +301,7 @@ class TestProtocolTraceCommand:
 def _edited(tmp_path, source, path, value):
     """Write a copy of the JSON document at source with the entry at path
     (keys and list indexes) set to value; a new key is added at the end."""
-    doc = json.loads(open(source).read())
+    doc = json.loads(Path(source).read_text())
     parent = doc
     for step in path[:-1]:
         parent = parent[step]

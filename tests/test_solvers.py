@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,8 +9,13 @@ from retroflow.solvers import (BudgetExhausted, GapInstance, GapSizeError,
                                SolverBudget, gap_bruteforce, reduce_to_gap,
                                solve_exact, solve_nearest, solve_retroflow)
 
-from _oracles import (enumerate_oscm, gap_optimum_recursive, random_instance,
-                      random_gap_special_instance)
+from _oracles import (enumerate_oscm, gap_optimum_recursive, greedy_rescan,
+                      random_instance, random_gap_special_instance)
+
+# sha256 of the greedy's trace lines over every att25 scenario, k=1..5 at
+# q 0.9 and 1.0 (124 instances, 5,158 lines), recorded with the rescanning
+# greedy of tests/_oracles.py
+ATT25_TRACE_SHA256 = "b80cf6da4bb51c62ac04236026858fad80cdf3bca955621ebb19cd43230cda04"
 
 
 def greedy_trap_instance():
@@ -235,6 +241,73 @@ class TestSolveRetroflow:
         assert 0 < len(sol.y) < 2
 
 
+def greedy_case(rng):
+    """Random instance for the greedy: a few flow ids, so switches tie on
+    uncovered counts and run out of new flows; empty flow sets; zero loads;
+    residuals too small for some switches; quotas from 0 to every flow;
+    now and then no offline switch at all."""
+    n = rng.randint(0, 16)
+    m = rng.randint(1, 3)
+    switches = range(1, n + 1)
+    controllers = range(101, 101 + m)
+    pool = rng.randint(1, 16)
+    beta = {i: set(rng.sample(range(pool), rng.randint(0, min(5, pool)))) for i in switches}
+    n_flows = len(set().union(*beta.values()))
+    return OscmInstance(
+        offline_switches=switches,
+        active_controllers=controllers,
+        delay={(i, j): float(rng.randint(0, 4)) for i in switches for j in controllers},
+        g={i: rng.randint(0, 9) for i in switches},
+        beta=beta,
+        a_rest={j: rng.randint(0, 30) for j in controllers},
+        q_required=rng.choice([0, rng.randint(0, n_flows), n_flows, n_flows]),
+    )
+
+
+class TestLazyGreedy:
+    def test_matches_rescanning_greedy(self):
+        rng = random.Random(909)
+        seen = set()
+        for _ in range(2500):
+            inst = greedy_case(rng)
+            want, got = [], []
+            expected = greedy_rescan(inst, want)
+            sol = solve_retroflow(inst, got)
+            assert got == want
+            assert sol.to_json() == expected.to_json()
+            assert solve_retroflow(inst).to_json() == expected.to_json()
+
+            counts = sorted((len(b) for b in inst.beta.values()), reverse=True)
+            if inst.q_required and counts[1:] and counts[0] == counts[1] > 0:
+                seen.add("tie")
+            if want[-1].startswith("stop reason=stalled"):
+                seen.add("stalled")
+            if sum(l.startswith("pick") for l in want) > len(sol.assigned):
+                seen.add("no fit")
+            if any(inst.g[i] == 0 for i in sol.assigned):
+                seen.add("zero load")
+            if inst.n_switches and inst.q_required == 0:
+                seen.add("zero quota")
+            if not inst.n_switches:
+                seen.add("no switch")
+        assert seen == {"tie", "stalled", "no fit", "zero load", "zero quota", "no switch"}
+
+    def test_att25_trace_digest(self, att_world):
+        digest = hashlib.sha256()
+        lines = 0
+        for k in range(1, 6):
+            for s in enumerate_failure_scenarios(att_world.placement, k):
+                for q in (0.9, 1.0):
+                    inst = build_instance(att_world.topology, att_world.beta,
+                                          att_world.placement, s, q)
+                    trace = []
+                    solve_retroflow(inst, trace)
+                    digest.update(("\n".join(trace) + "\n").encode())
+                    lines += len(trace)
+        assert lines == 5158
+        assert digest.hexdigest() == ATT25_TRACE_SHA256
+
+
 class TestSolveNearest:
     def test_single_controller(self, toy):
         inst = OscmInstance(
@@ -258,6 +331,13 @@ class TestSolveNearest:
             a_rest={10: 5, 20: 5}, q_required=0,
         )
         assert solve_nearest(inst).assigned == {1: 10}
+
+    def test_recovers_every_flow(self):
+        rng = random.Random(32)
+        for _ in range(50):
+            inst = random_instance(rng)
+            union = set().union(*(inst.beta[i] for i in inst.offline_switches))
+            assert solve_nearest(inst).y == tuple(sorted(union))
 
     def test_argmin_invariance(self):
         rng = random.Random(31)

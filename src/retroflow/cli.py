@@ -60,10 +60,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _distinct(items: list, what: str) -> list:
+    """items, or a ValueError naming the first item that comes twice."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ValueError(f"duplicate {what} {item!r}")
+        seen.add(item)
+    return items
+
+
 def _parse_scenarios(spec: str, placement: dm.Placement) -> list[dm.FailureScenario]:
     if "," in spec:
-        ids = frozenset(int(tok) for tok in spec.split(",") if tok.strip())
-        scenario = dm.FailureScenario(ids)
+        ids = _distinct([int(tok) for tok in spec.split(",") if tok.strip()],
+                        "failed controller")
+        scenario = dm.FailureScenario(frozenset(ids))
         dm.validate_scenario(placement, scenario)
         return [scenario]
     return dm.enumerate_failure_scenarios(placement, int(spec))
@@ -73,7 +84,8 @@ def _cmd_run(args) -> int:
     topo = load_topology_file(args.topology)
     placement = dm.load_placement_file(args.placement, topo)
     scenarios = _parse_scenarios(args.failures, placement)
-    algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
+    algorithms = tuple(_distinct([a.strip() for a in args.algorithms.split(",") if a.strip()],
+                                 "algorithm"))
     for a in algorithms:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")

@@ -181,15 +181,22 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
     then the overhead of the flows still needed. Returns a proven optimum
     when the search completes, the incumbent flagged not_proven on budget
     exhaustion, or an infeasible verdict when no configuration meets the
-    quota within the residual abilities. The search keeps an explicit
-    stack, so its depth (one level per offline switch) is not bounded by
-    the interpreter's recursion limit.
+    quota within the residual abilities.
+
+    The search keeps an explicit stack, so its depth (one level per
+    offline switch) is not bounded by the interpreter's recursion limit.
+    Each stack entry carries its own node's state and nothing is undone:
+    a legacy child shares its parent's covered flows and residuals, and a
+    mapped child gets new ones. The stack holds a pending sibling per
+    level of the current path, so it takes about path depth x covered
+    flows of memory.
     """
     budget = budget or SolverBudget()
     deadline = time.monotonic() + budget.time_limit_ms / 1000.0
-    beta, g, w, q = inst.beta, inst.g, inst.w, inst.q_required
+    beta, g, q = inst.beta, inst.g, inst.q_required
     order = sorted(inst.offline_switches, key=lambda i: (-g[i], i))
-    options = {i: sorted(inst.active_controllers, key=lambda j: (w(i, j), j)) for i in order}
+    # options[i]: (overhead, controller) pairs, cheapest first
+    options = {i: sorted((inst.w(i, j), j) for j in inst.active_controllers) for i in order}
     # dies[idx]: the flows whose last carrier in branching order is
     # order[idx]; a node may lose at most `slack` flows
     dies, later = [], set()
@@ -204,26 +211,12 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
     if greedy.quota_met:
         best_cost, best = greedy.objective, greedy
 
-    covered: set[int] = set()
-    assigned: dict[int, int] = {}
-    rest = dict(inst.a_rest)
     nodes = 0
-    # (idx, cost, lost, i, j, added) maps switch i to controller j, unless
-    # i is None, and visits node idx having lost `lost` flows;
-    # (None, None, None, i, j, added) undoes that move
-    stack = [(0, 0.0, 0, None, None, None)]
+    # (idx, cost, lost, covered, rest, moves) visits node idx, reached by
+    # the (switch, controller) pairs `moves`, having lost `lost` flows
+    stack = [(0, 0.0, 0, frozenset(), inst.a_rest, ())]
     while stack:
-        idx, cost, lost, i, j, added = stack.pop()
-        if i is not None:
-            if idx is None:
-                covered -= added
-                rest[j] += g[i]
-                del assigned[i]
-                continue
-            assigned[i] = j
-            rest[j] -= g[i]
-            covered |= added
-
+        idx, cost, lost, covered, rest, moves = stack.pop()
         nodes += 1
         if nodes > budget.max_nodes_explored or (
             nodes % 1024 == 0 and time.monotonic() > deadline
@@ -235,9 +228,9 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
         needed = q - len(covered)
         if needed <= 0:
             # quota met: every further assignment only adds cost. The
-            # solution sums in `assigned` insertion order, as `cost` did
+            # solution sums in path order, as `cost` did
             if cost < best_cost:
-                best_cost, best = cost, _solution(inst, assigned, covered)
+                best_cost, best = cost, _solution(inst, dict(moves), covered)
             continue
         if idx == len(order) or lost > slack:
             continue
@@ -247,15 +240,16 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
             continue
 
         # pushed so they pop in visit order: each fitting controller,
-        # cheapest first, with its subtree and then its undo; legacy last.
-        # A mapped switch covers every flow that dies with it; the legacy
-        # branch loses those it would have added.
+        # cheapest first, then legacy. A mapped switch covers every flow
+        # that dies with it; the legacy branch loses those it would have
+        # added. `rest` is never written: a mapped child gets a copy
         i = order[idx]
         added = beta[i] - covered
-        stack.append((idx + 1, cost, lost + len(dies[idx] & added), None, None, None))
-        for j in reversed([j for j in options[i] if rest[j] >= g[i]]):
-            stack.append((None, None, None, i, j, added))
-            stack.append((idx + 1, cost + w(i, j), lost, i, j, added))
+        stack.append((idx + 1, cost, lost + len(dies[idx] & added), covered, rest, moves))
+        mapped = covered | added
+        for w_ij, j in reversed([(w_ij, j) for w_ij, j in options[i] if rest[j] >= g[i]]):
+            stack.append((idx + 1, cost + w_ij, lost, mapped,
+                          {**rest, j: rest[j] - g[i]}, moves + ((i, j),)))
 
     if best is None:
         return ExactResult(None, "infeasible", nodes)
@@ -287,9 +281,8 @@ def _bound(inst, order, options, idx, covered, rest, needed, spare):
         if not gain:
             continue
         g_i = inst.g[i]
-        for j in options[i]:
+        for cheapest, j in options[i]:
             if rest[j] >= g_i:
-                cheapest = inst.w(i, j)
                 potential = len(gain)
                 usable.append((cheapest / potential, cheapest, potential, g_i))
                 reach.append(gain)

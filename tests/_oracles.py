@@ -2,11 +2,14 @@
 
 Everything here is deliberately written from the problem statement, not
 from the package internals: full enumerations, a second distance formula,
-bridge-based connectivity reasoning.
+bridge-based connectivity reasoning. The exceptions are earlier versions
+of two solvers, kept verbatim, against which a rewrite must give the same
+results step for step.
 """
 
 import itertools
 import math
+import time
 
 
 def law_of_cosines_km(lat1, lon1, lat2, lon2, radius=6371.0):
@@ -191,6 +194,164 @@ def greedy_rescan(inst, trace=None):
         log(f"stop reason={reason} covered={len(covered)} required={inst.q_required}")
 
     return _solution(inst, assigned, covered)
+
+
+def exact_undo(inst, budget=None):
+    """The exact search as it was written before its stack entries
+    carried their own state: one shared `covered`, `rest` and `assigned`,
+    changed in place, and a second kind of entry that undoes each move.
+    Kept verbatim with its bound, so the per-entry search can be checked
+    status for status, node count for node count and solution for
+    solution."""
+    from retroflow.solvers import (BudgetExhausted, ExactResult, SolverBudget,
+                                   _solution, solve_retroflow)
+
+    budget = budget or SolverBudget()
+    deadline = time.monotonic() + budget.time_limit_ms / 1000.0
+    beta, g, w, q = inst.beta, inst.g, inst.w, inst.q_required
+    order = sorted(inst.offline_switches, key=lambda i: (-g[i], i))
+    options = {i: sorted(inst.active_controllers, key=lambda j: (w(i, j), j)) for i in order}
+    # dies[idx]: the flows whose last carrier in branching order is
+    # order[idx]; a node may lose at most `slack` flows
+    dies, later = [], set()
+    for i in reversed(order):
+        dies.append(beta[i] - later)
+        later |= beta[i]
+    dies.reverse()
+    slack = inst.n_flows - q
+
+    best_cost, best = float("inf"), None
+    greedy = solve_retroflow(inst)
+    if greedy.quota_met:
+        best_cost, best = greedy.objective, greedy
+
+    covered: set[int] = set()
+    assigned: dict[int, int] = {}
+    rest = dict(inst.a_rest)
+    nodes = 0
+    # (idx, cost, lost, i, j, added) maps switch i to controller j, unless
+    # i is None, and visits node idx having lost `lost` flows;
+    # (None, None, None, i, j, added) undoes that move
+    stack = [(0, 0.0, 0, None, None, None)]
+    while stack:
+        idx, cost, lost, i, j, added = stack.pop()
+        if i is not None:
+            if idx is None:
+                covered -= added
+                rest[j] += g[i]
+                del assigned[i]
+                continue
+            assigned[i] = j
+            rest[j] -= g[i]
+            covered |= added
+
+        nodes += 1
+        if nodes > budget.max_nodes_explored or (
+            nodes % 1024 == 0 and time.monotonic() > deadline
+        ):
+            if best is None:
+                raise BudgetExhausted("inconclusive: budget exhausted with no incumbent")
+            return ExactResult(best, "not_proven", nodes)
+
+        needed = q - len(covered)
+        if needed <= 0:
+            # quota met: every further assignment only adds cost. The
+            # solution sums in `assigned` insertion order, as `cost` did
+            if cost < best_cost:
+                best_cost, best = cost, _solution(inst, assigned, covered)
+            continue
+        if idx == len(order) or lost > slack:
+            continue
+
+        bound = _bound_undo(inst, order, options, idx, covered, rest, needed, slack - lost)
+        if bound is None or cost + bound >= best_cost:
+            continue
+
+        # pushed so they pop in visit order: each fitting controller,
+        # cheapest first, with its subtree and then its undo; legacy last.
+        # A mapped switch covers every flow that dies with it; the legacy
+        # branch loses those it would have added.
+        i = order[idx]
+        added = beta[i] - covered
+        stack.append((idx + 1, cost, lost + len(dies[idx] & added), None, None, None))
+        for j in reversed([j for j in options[i] if rest[j] >= g[i]]):
+            stack.append((None, None, None, i, j, added))
+            stack.append((idx + 1, cost + w(i, j), lost, i, j, added))
+
+    if best is None:
+        return ExactResult(None, "infeasible", nodes)
+    return ExactResult(best, "optimal", nodes)
+
+
+def _bound_undo(inst, order, options, idx, covered, rest, needed, spare):
+    """Cost lower bound of any completion that gains `needed` more
+    flows, or None when no completion can gain them.
+
+    One pass over the undecided switches keeps the usable ones, those
+    that add flows and fit some surviving controller, with their
+    uncovered-flow count and cheapest fitting mapping. Coverage ceiling:
+    fractional knapsack of those counts on the total remaining capacity,
+    rounded upward. Reachable flows: the union of the usable switches'
+    uncovered flows must reach `needed`. The caller's lost-flow test has
+    shown that all undecided switches together reach it with `spare`
+    flows over, and the switches that fit no controller take away at
+    most their uncovered flows. So the union is only collected when
+    those exceed `spare`, and only until it reaches `needed`. Cost
+    floor: the needed flows bought fractionally at each switch's
+    cheapest price per flow, ignoring capacity coupling.
+    """
+    usable = []
+    reach = []  # the usable switches' uncovered flows
+    stranded = 0  # uncovered flows of the other switches, with repeats
+    for i in order[idx:]:
+        gain = inst.beta[i] - covered
+        if not gain:
+            continue
+        g_i = inst.g[i]
+        for j in options[i]:
+            if rest[j] >= g_i:
+                cheapest = inst.w(i, j)
+                potential = len(gain)
+                usable.append((cheapest / potential, cheapest, potential, g_i))
+                reach.append(gain)
+                break
+        else:
+            stranded += len(gain)
+
+    # zero-load switches are free; count them in full
+    ceiling = sum(p for _, _, p, g in usable if g == 0)
+    capacity = sum(rest.values())
+    for _, p, g in sorted((g * 1.0 / p, p, g) for _, _, p, g in usable if g > 0):
+        if capacity <= 0:
+            break
+        if g <= capacity:
+            ceiling += p
+            capacity -= g
+        else:
+            ceiling += (p * capacity + g - 1) // g
+            capacity = 0
+    if ceiling < needed:
+        return None
+    if stranded > spare:
+        union: set[int] = set()
+        for gain in reach:
+            union |= gain
+            if len(union) >= needed:
+                break
+        else:
+            return None
+
+    usable.sort()
+    bound = 0.0
+    left = needed
+    for _, cheap, pot, _ in usable:
+        if pot >= left:
+            bound += cheap * (left / pot)
+            break
+        bound += cheap
+        left -= pot
+    # keep the bound strictly on the safe side of float rounding
+    return bound * (1.0 - 1e-12)
 
 
 def random_instance(rng, n_max=6, m_max=3, g_max=9, q_mode="mixed"):

@@ -58,6 +58,24 @@ class TestRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--algorithms", "retroflow,retroflow,nearest", "error: duplicate algorithm 'retroflow'"),
+        ("--algorithms", "exact, nearest,exact", "error: duplicate algorithm 'exact'"),
+        ("--failures", "13,13,22", "error: duplicate failed controller 13"),
+        ("--failures", "13, 13", "error: duplicate failed controller 13"),
+    ])
+    def test_duplicate_entry_is_input_error(self, capsys, option, value, message):
+        # a repeated algorithm wrote its report rows twice; a repeated
+        # failed controller was silently dropped
+        args = {"--failures": "1", "--algorithms": "nearest", option: value}
+        argv = ["run", "--topology", TOPO, "--placement", PLACEMENT]
+        for name, arg in args.items():
+            argv += [name, arg]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     def test_missing_file_is_input_error(self, capsys):
         code = main(["run", "--topology", "/nonexistent.json",
                      "--placement", PLACEMENT, "--failures", "1"])

@@ -9,8 +9,8 @@ from retroflow.solvers import (BudgetExhausted, GapInstance, GapSizeError,
                                SolverBudget, gap_bruteforce, reduce_to_gap,
                                solve_exact, solve_nearest, solve_retroflow)
 
-from _oracles import (enumerate_oscm, gap_optimum_recursive, greedy_rescan,
-                      random_instance, random_gap_special_instance)
+from _oracles import (enumerate_oscm, exact_undo, gap_optimum_recursive,
+                      greedy_rescan, random_instance, random_gap_special_instance)
 
 # sha256 of the greedy's trace lines over every att25 scenario, k=1..5 at
 # q 0.9 and 1.0 (124 instances, 5,158 lines), recorded with the rescanning
@@ -117,9 +117,9 @@ class TestSolveExact:
 
     def test_att_search_size(self, att_world):
         """Summed B&B node counts over every att25 single and double
-        failure. Pruning may only change when a bound changes: a PR that
-        tightens the bounds (ROADMAP item 2) updates these numbers and
-        records why in CHANGES.md."""
+        failure. Pruning may only change when a bound changes: a change
+        that tightens the bounds (ROADMAP item 1) updates these numbers
+        and records why in CHANGES.md."""
         t, b, p = att_world.topology, att_world.beta, att_world.placement
         nodes = {
             (k, q): sum(solve_exact(build_instance(t, b, p, s, q)).nodes_explored
@@ -183,6 +183,94 @@ def shared_flow_instance(rng, quota):
         a_rest={j: rng.randint(0, total // m) for j in controllers},
         q_required={"all": L, "all_but_one": L - 1, "half": L // 2}[quota],
     )
+
+
+def fractional_instance(rng):
+    """Every flow required, under delays with no exact binary form, so the
+    order in which the overheads are summed shows in the last digits."""
+    delays = (0.1, 0.2, 0.3, 0.35, 0.7, 1.1, 2.3, 5.55)
+    n, m = rng.randint(2, 6), rng.randint(1, 2)
+    switches = range(1, n + 1)
+    controllers = range(101, 101 + m)
+    beta = {i: set(rng.sample(range(n + 2), rng.randint(1, 3))) for i in switches}
+    g = {i: rng.randint(1, 9) for i in switches}
+    return OscmInstance(
+        offline_switches=switches,
+        active_controllers=controllers,
+        delay={(i, j): rng.choice(delays) for i in switches for j in controllers},
+        g=g,
+        beta=beta,
+        a_rest={j: rng.randint(sum(g.values()) // 2, sum(g.values())) for j in controllers},
+        q_required=len(set().union(*beta.values())),
+    )
+
+
+def seeded_instances(seed, count):
+    """`count` instances drawn in turn from the random, shared-flow and
+    fractional-delay families."""
+    rng = random.Random(seed)
+    draw = (
+        lambda: random_instance(rng),
+        lambda: shared_flow_instance(rng, rng.choice(["all", "all_but_one", "half"])),
+        lambda: fractional_instance(rng),
+    )
+    return [draw[k % 3]() for k in range(count)]
+
+
+def att25_instances(world):
+    """Every att25 scenario of one to three failures, at q 0.9 and 1.0."""
+    return [build_instance(world.topology, world.beta, world.placement, s, q)
+            for k in (1, 2, 3) for s in enumerate_failure_scenarios(world.placement, k)
+            for q in (0.9, 1.0)]
+
+
+def exact_outcome(solve, inst, budget=None):
+    try:
+        result = solve(inst, budget)
+    except BudgetExhausted:
+        return "exhausted", None, None
+    solution = result.solution and result.solution.to_json()
+    return result.status, result.nodes_explored, solution
+
+
+class TestExactWithoutUndo:
+    def test_matches_undo_search(self):
+        # the same nodes in the same order give the same count, status
+        # and incumbent; a small node budget stops both at the same node
+        statuses = set()
+        for inst in seeded_instances(1010, 2100):
+            outcome = exact_outcome(solve_exact, inst)
+            assert outcome == exact_outcome(exact_undo, inst)
+            cut = SolverBudget(max_nodes_explored=1 + outcome[1] // 2)
+            cut_outcome = exact_outcome(solve_exact, inst, cut)
+            assert cut_outcome == exact_outcome(exact_undo, inst, cut)
+            statuses.update((outcome[0], cut_outcome[0]))
+        assert statuses == {"optimal", "infeasible", "not_proven", "exhausted"}
+
+    def test_att25_matches_undo_search(self, att_world):
+        for inst in att25_instances(att_world):
+            assert exact_outcome(solve_exact, inst) == exact_outcome(exact_undo, inst)
+
+
+class TestInstanceLeftAlone:
+    """The exact search's root shares the instance's residual abilities;
+    no solver may write into the instance it was given."""
+
+    @staticmethod
+    def _check(inst):
+        before = inst.to_json()
+        solve_exact(inst)
+        solve_retroflow(inst)
+        solve_nearest(inst)
+        assert inst.to_json() == before
+
+    def test_att25(self, att_world):
+        for inst in att25_instances(att_world):
+            self._check(inst)
+
+    def test_seeded_instances(self):
+        for inst in seeded_instances(1011, 300):
+            self._check(inst)
 
 
 class TestLostFlowPrune:
@@ -445,27 +533,10 @@ class TestSolverInvariants:
                 assert result.solution.objective <= greedy.objective
 
     def test_dominance_with_fractional_delays(self):
-        # delays with no exact binary form, so the order in which the
-        # overheads are summed shows in the last digits
         rng = random.Random(67)
-        delays = (0.1, 0.2, 0.3, 0.35, 0.7, 1.1, 2.3, 5.55)
         compared = 0
         for _ in range(300):
-            n, m = rng.randint(2, 6), rng.randint(1, 2)
-            switches = range(1, n + 1)
-            controllers = range(101, 101 + m)
-            beta = {i: set(rng.sample(range(n + 2), rng.randint(1, 3))) for i in switches}
-            g = {i: rng.randint(1, 9) for i in switches}
-            inst = OscmInstance(
-                offline_switches=switches,
-                active_controllers=controllers,
-                delay={(i, j): rng.choice(delays) for i in switches for j in controllers},
-                g=g,
-                beta=beta,
-                a_rest={j: rng.randint(sum(g.values()) // 2, sum(g.values()))
-                        for j in controllers},
-                q_required=len(set().union(*beta.values())),
-            )
+            inst = fractional_instance(rng)
             greedy = solve_retroflow(inst)
             result = solve_exact(inst)
             if greedy.quota_met and result.status == "optimal":

@@ -78,10 +78,19 @@ def generate_flows(t: Topology, pairs: str = "ordered") -> FlowSet:
 
 def compute_beta(flows: FlowSet, t: Topology) -> BetaMatrix:
     """Indicator per (switch, flow): on the path, not the destination, and
-    with an alternative route to the destination."""
+    with an alternative route to the destination.
+
+    The route check depends only on (switch, destination), so it is asked
+    once per pair and kept per destination for every later flow to it.
+    """
     rows: dict[int, set[int]] = {i: set() for i in t.node_ids()}
+    alternative: dict[int, dict[int, bool]] = {}
     for f in flows:
+        known = alternative.setdefault(f.dst, {})
         for i in f.path.node_ids[:-1]:
-            if has_alternative_path(t, i, f.dst):
+            ok = known.get(i)
+            if ok is None:
+                ok = known[i] = has_alternative_path(t, i, f.dst)
+            if ok:
                 rows[i].add(f.flow_id)
     return BetaMatrix({i: frozenset(s) for i, s in rows.items()}, t.node_ids())

@@ -227,11 +227,17 @@ def shortest_path(t: Topology, src: int, dst: int) -> Path:
 
 
 def _paths_from(t: Topology, src: int) -> dict[int, Path]:
-    # Entries are (delay, hops, node sequence); priorities grow strictly
-    # along edges, so the first pop per node is final under the full
-    # (delay, hops, node-sequence) order. A search that stopped at the pop
-    # of one destination would pop the same nodes in the same order, so
-    # every stored delay is the same float sum it would have returned.
+    """One single-source search from src: the shortest path to every node.
+
+    Entries are (delay, hops, node sequence); priorities grow strictly
+    along edges, so the first pop per node is final under the full
+    (delay, hops, node-sequence) order. A search that stopped at the pop
+    of one destination would pop the same nodes in the same order, so
+    every stored delay is the same float sum it would have returned.
+    Keys are distinct, so the order neighbours are pushed in cannot change
+    a pop, and an entry for a node already settled (every node on the
+    popped path is) would only be thrown away when it popped.
+    """
     heap = [(0.0, 0, (src,))]
     paths: dict[int, Path] = {}
     while heap:
@@ -240,10 +246,9 @@ def _paths_from(t: Topology, src: int) -> dict[int, Path]:
         if u in paths:
             continue
         paths[u] = Path(nodes, delay)
-        for v in t.neighbors(u):
-            if v in nodes:
-                continue
-            heapq.heappush(heap, (delay + t.link(u, v).delay_ms, hops + 1, nodes + (v,)))
+        for v, link in t._adj[u].items():
+            if v not in paths:
+                heapq.heappush(heap, (delay + link.delay_ms, hops + 1, nodes + (v,)))
     return paths
 
 

@@ -3,10 +3,11 @@
 Everything here is deliberately written from the problem statement, not
 from the package internals: full enumerations, a second distance formula,
 bridge-based connectivity reasoning. The exceptions are earlier versions
-of two solvers, kept verbatim, against which a rewrite must give the same
-results step for step.
+of two solvers and of the world build, kept verbatim, against which a
+rewrite must give the same results step for step.
 """
 
+import heapq
 import itertools
 import math
 import time
@@ -352,6 +353,48 @@ def _bound_undo(inst, order, options, idx, covered, rest, needed, spare):
         left -= pot
     # keep the bound strictly on the safe side of float rounding
     return bound * (1.0 - 1e-12)
+
+
+def paths_from_checked(t, src):
+    """The single-source search as it was written before it walked the raw
+    adjacency: checked `neighbors()` and `link()` per edge, and a skip only
+    for nodes already on the popped path. Kept verbatim, so the new search
+    can be checked path for path and delay for delay."""
+    from retroflow.geo import Path
+
+    # Entries are (delay, hops, node sequence); priorities grow strictly
+    # along edges, so the first pop per node is final under the full
+    # (delay, hops, node-sequence) order. A search that stopped at the pop
+    # of one destination would pop the same nodes in the same order, so
+    # every stored delay is the same float sum it would have returned.
+    heap = [(0.0, 0, (src,))]
+    paths = {}
+    while heap:
+        delay, hops, nodes = heapq.heappop(heap)
+        u = nodes[-1]
+        if u in paths:
+            continue
+        paths[u] = Path(nodes, delay)
+        for v in t.neighbors(u):
+            if v in nodes:
+                continue
+            heapq.heappush(heap, (delay + t.link(u, v).delay_ms, hops + 1, nodes + (v,)))
+    return paths
+
+
+def compute_beta_per_flow(flows, t):
+    """The programmability matrix as it was built before alternative-path
+    answers were kept per (switch, destination): one query per (path node,
+    flow). Kept verbatim, so the new build can be checked row for row."""
+    from retroflow.flows import BetaMatrix
+    from retroflow.geo import has_alternative_path
+
+    rows: dict[int, set[int]] = {i: set() for i in t.node_ids()}
+    for f in flows:
+        for i in f.path.node_ids[:-1]:
+            if has_alternative_path(t, i, f.dst):
+                rows[i].add(f.flow_id)
+    return BetaMatrix({i: frozenset(s) for i, s in rows.items()}, t.node_ids())
 
 
 def random_instance(rng, n_max=6, m_max=3, g_max=9, q_mode="mixed"):

@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
+from retroflow import fixtures, flows, geo
 from retroflow.flows import BetaMatrix, Flow, FlowSet, compute_beta, generate_flows
 from retroflow.geo import GeoCoordinate, Path, Topology
-from retroflow.experiment import load_diagnostics
+from retroflow.experiment import load_diagnostics, make_world
+
+from _oracles import compute_beta_per_flow, paths_from_checked
+from test_geo import random_connected_links, synthetic
 
 
 def line3():
@@ -132,3 +138,64 @@ class TestInvariants:
         b2 = compute_beta(reduced, t)
         for i in t.node_ids():
             assert len(b.flows_at(i)) - len(b2.flows_at(i)) == (victim.flow_id in b.flows_at(i))
+
+
+class TestWorldBuildAgainstOracle:
+    """generate_flows and compute_beta against verbatim copies of the
+    per-edge-checked search and the per-flow beta build."""
+
+    @staticmethod
+    def random_links(rng):
+        # zero-length links make delay ties, so the (delay, hops,
+        # node-sequence) tie-break decides; pendant nodes hang off bridges,
+        # so some alternative-path answers are False
+        n = rng.randint(3, 10)
+        links = random_connected_links(rng, n, rng.choice(((0, 1, 2), (0, 0, 5), (0, 100, 200))))
+        pendants = rng.randint(0, 3)
+        for k in range(n, n + pendants):
+            links.append((rng.randrange(k), k, rng.choice((0, 1, 3))))
+        return n + pendants, links
+
+    def test_same_flows_and_beta_on_random_topologies(self, monkeypatch):
+        rng = random.Random(11)
+        answers = set()
+        for case in range(60):
+            n, links = self.random_links(rng)
+            pairs = ("ordered", "unordered")[case % 2]
+            got_t = synthetic(n, links)
+            got_flows = generate_flows(got_t, pairs=pairs)
+            got_beta = compute_beta(got_flows, got_t)
+            with monkeypatch.context() as m:
+                m.setattr(geo, "_paths_from", paths_from_checked)
+                want_t = synthetic(n, links)
+                want_flows = generate_flows(want_t, pairs=pairs)
+            want_beta = compute_beta_per_flow(want_flows, want_t)
+
+            assert [f.flow_id for f in got_flows] == [f.flow_id for f in want_flows]
+            for got, want in zip(got_flows, want_flows):
+                assert (got.src, got.dst) == (want.src, want.dst)
+                assert got.path.node_ids == want.path.node_ids
+                assert got.path.total_delay_ms == want.path.total_delay_ms
+            for i in got_t.node_ids():
+                assert got_beta.flows_at(i) == want_beta.flows_at(i)
+            answers.update(geo.has_alternative_path(got_t, i, j)
+                           for i in range(n) for j in range(n) if i != j)
+        assert answers == {False, True}
+
+    def test_one_query_per_switch_and_destination_on_att25(self, monkeypatch):
+        calls = {"shortest_path": 0, "has_alternative_path": 0}
+
+        def counted(name):
+            fn = getattr(flows, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(flows, name, counted(name))
+        t = fixtures.att25_topology()
+        make_world(t, fixtures.att_table2_placement(t))
+        # 25 * 24 (switch, destination) pairs, each asked once
+        assert calls == {"shortest_path": 600, "has_alternative_path": 600}

@@ -11,7 +11,7 @@ from .domains import (FailureScenario, Placement, enumerate_failure_scenarios,
 from .experiment import (QueueModel, ScenarioReport, World, emit_report,
                          load_diagnostics, make_world, queueing_penalty_ms,
                          run_scenario, sweep_summary)
-from .flows import BetaMatrix, Flow, FlowSet, compute_beta, generate_flows
+from .flows import BetaMatrix, Flow, compute_beta, generate_flows
 from .geo import (GeoCoordinate, Path, Topology, TopologyError, haversine_km,
                   has_alternative_path, load_topology, load_topology_file,
                   shortest_path)

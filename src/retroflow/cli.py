@@ -40,8 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="queueing penalty in ms per excess flow (default 0.1)")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--out", help="write the report here instead of stdout")
-    run.add_argument("--control-delay", choices=("routed", "geodesic"), default="routed")
-    run.add_argument("--flow-pairs", choices=("ordered", "unordered"), default="ordered")
     run.add_argument("--time-limit", type=float, default=120.0,
                      help="exact-solver time limit in seconds per scenario")
 
@@ -92,10 +90,9 @@ def _cmd_run(args) -> int:
     qm = QueueModel(penalty_ms_per_excess_flow=args.queue_penalty)
     budget = SolverBudget(time_limit_ms=args.time_limit * 1000.0)
 
-    world = make_world(topo, placement, pairs=args.flow_pairs)
+    world = make_world(topo, placement)
     reports = [
-        run_scenario(world, s, args.q_fraction, algorithms=algorithms, qm=qm,
-                     budget=budget, control_delay=args.control_delay)
+        run_scenario(world, s, args.q_fraction, algorithms=algorithms, qm=qm, budget=budget)
         for s in scenarios
     ]
     document = emit_report(reports, format=args.format)
@@ -171,7 +168,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, BudgetExhausted) as err:
+    # json raises RecursionError on a document nested past the interpreter's limit
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, RecursionError,
+            BudgetExhausted) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

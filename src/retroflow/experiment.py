@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import domains as dm
-from .flows import BetaMatrix, FlowSet, compute_beta, generate_flows
+from .flows import BetaMatrix, Flow, compute_beta, generate_flows
 from .geo import Topology
 from .oscm import OscmInstance, Solution, build_instance, switch_loads
 from .solvers import SolverBudget, solve_exact, solve_nearest, solve_retroflow
@@ -52,7 +52,7 @@ def queueing_penalty_ms(load: int, ability: int, m: QueueModel) -> float:
 class World:
     """Everything a scenario run needs besides the failure itself."""
     topology: Topology
-    flows: FlowSet
+    flows: tuple[Flow, ...]
     beta: BetaMatrix
     placement: dm.Placement
 
@@ -60,8 +60,8 @@ class World:
         return switch_loads(self.placement, self.beta)
 
 
-def make_world(topology: Topology, placement: dm.Placement, pairs: str = "ordered") -> World:
-    flows = generate_flows(topology, pairs=pairs)
+def make_world(topology: Topology, placement: dm.Placement) -> World:
+    flows = generate_flows(topology)
     beta = compute_beta(flows, topology)
     return World(topology, flows, beta, placement)
 
@@ -130,14 +130,12 @@ class ScenarioReport:
 
 def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
                  algorithms=ALGORITHMS, qm: QueueModel | None = None,
-                 budget: SolverBudget | None = None,
-                 control_delay: str = "routed") -> ScenarioReport:
+                 budget: SolverBudget | None = None) -> ScenarioReport:
     """Build the instance once, run each requested solver, and score it."""
     if not algorithms:
         raise ReportError("at least one algorithm required")
     qm = qm or QueueModel()
-    inst = build_instance(world.topology, world.beta, world.placement, s,
-                          q_fraction, control_delay=control_delay)
+    inst = build_instance(world.topology, world.beta, world.placement, s, q_fraction)
     ability = {j: world.placement.capacity[j] for j in inst.active_controllers}
 
     outcomes = []

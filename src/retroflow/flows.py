@@ -26,19 +26,6 @@ class Flow:
             raise ValueError(f"flow {self.flow_id}: path does not join src to dst")
 
 
-class FlowSet:
-    def __init__(self, flows):
-        self.flows: tuple[Flow, ...] = tuple(flows)
-        if len({f.flow_id for f in self.flows}) != len(self.flows):
-            raise ValueError("duplicate flow ids")
-
-    def __len__(self):
-        return len(self.flows)
-
-    def __iter__(self):
-        return iter(self.flows)
-
-
 class BetaMatrix:
     """Programmability indicators and the per-switch loads they induce."""
 
@@ -55,28 +42,18 @@ class BetaMatrix:
         return {i: len(fls) for i, fls in self._rows.items()}
 
 
-def generate_flows(t: Topology, pairs: str = "ordered") -> FlowSet:
-    """One flow per node pair on its shortest path.
-
-    pairs='ordered' (default) builds src->dst for every ordered pair, so a
-    topology with n nodes yields n*(n-1) flows; 'unordered' keeps only
-    src < dst. Flow ids follow (src, dst) lexicographic order from 0.
+def generate_flows(t: Topology) -> tuple[Flow, ...]:
+    """One flow per ordered node pair src->dst on its shortest path, so a
+    topology with n nodes yields n*(n-1) flows. Flow ids follow (src, dst)
+    lexicographic order from 0.
     """
-    if pairs not in ("ordered", "unordered"):
-        raise ValueError(f"unknown pair mode {pairs!r}")
     ids = t.node_ids()
-    flows = []
-    fid = 0
-    for src in ids:
-        for dst in ids:
-            if src == dst or (pairs == "unordered" and src > dst):
-                continue
-            flows.append(Flow(fid, src, dst, shortest_path(t, src, dst)))
-            fid += 1
-    return FlowSet(flows)
+    pairs = ((src, dst) for src in ids for dst in ids if src != dst)
+    return tuple(Flow(fid, src, dst, shortest_path(t, src, dst))
+                 for fid, (src, dst) in enumerate(pairs))
 
 
-def compute_beta(flows: FlowSet, t: Topology) -> BetaMatrix:
+def compute_beta(flows: tuple[Flow, ...], t: Topology) -> BetaMatrix:
     """Indicator per (switch, flow): on the path, not the destination, and
     with an alternative route to the destination.
 

@@ -150,10 +150,6 @@ class Topology:
             "directed_arcs": 2 * len(self.links),
         }
 
-    def coordinate(self, node_id: int) -> GeoCoordinate:
-        self._check_node(node_id)
-        return self._coord[node_id]
-
     def neighbors(self, node_id: int) -> tuple[int, ...]:
         self._check_node(node_id)
         return tuple(sorted(self._adj[node_id]))

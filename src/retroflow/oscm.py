@@ -15,7 +15,7 @@ from pathlib import Path as FsPath
 from . import domains as dm
 from ._doc import key, number, whole
 from .flows import BetaMatrix
-from .geo import Topology, haversine_km, shortest_path, PROPAGATION_KM_PER_MS
+from .geo import Topology, shortest_path
 
 
 class InstanceError(ValueError):
@@ -242,19 +242,14 @@ def switch_loads(p: dm.Placement, b: BetaMatrix) -> dict[int, int]:
 
 
 def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureScenario,
-                   q_fraction: float, loads: dict[int, int] | None = None,
-                   control_delay: str = "routed") -> OscmInstance:
+                   q_fraction: float, loads: dict[int, int] | None = None) -> OscmInstance:
     """Assemble the problem for one failure scenario.
 
-    loads defaults to switch_loads(p, b). control_delay
-    picks how switch-to-controller delay is measured: 'routed' walks the
-    shortest path through the topology, 'geodesic' uses the direct
-    great-circle distance.
+    loads defaults to switch_loads(p, b). Switch-to-controller delay is
+    that of the shortest path through the topology.
     """
     if not 0.0 <= q_fraction <= 1.0:
         raise InstanceError(f"q_fraction {q_fraction} outside [0, 1]")
-    if control_delay not in ("routed", "geodesic"):
-        raise InstanceError(f"unknown control_delay mode {control_delay!r}")
 
     if loads is None:
         loads = switch_loads(p, b)
@@ -266,13 +261,7 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     delay = {}
     for i in offline:
         for j in active:
-            if i == j:
-                delay[(i, j)] = 0.0
-            elif control_delay == "routed":
-                delay[(i, j)] = shortest_path(t, i, j).total_delay_ms
-            else:
-                km = haversine_km(t.coordinate(i), t.coordinate(j))
-                delay[(i, j)] = km / PROPAGATION_KM_PER_MS
+            delay[(i, j)] = 0.0 if i == j else shortest_path(t, i, j).total_delay_ms
 
     inst = OscmInstance(
         offline_switches=offline,

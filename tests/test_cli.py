@@ -397,3 +397,29 @@ class TestStrictReaders:
         solution = _edited(tmp_path, str(solution), path, value)
         self._exit_2(capsys, ["validate", "--instance", data_path("toy_recovery.json"),
                               "--solution", solution], "error: malformed solution document: " + message)
+
+
+@pytest.mark.parametrize("reader", ["run-topology", "run-placement", "validate-instance",
+                                    "validate-solution", "enumerate", "protocol-trace"])
+def test_deeply_nested_document(capsys, tmp_path, reader):
+    # json's decoder recurses once per nesting level: its RecursionError
+    # printed a traceback and exited 1, the code for "no feasible result"
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    solution = tmp_path / "sol.json"
+    solution.write_text(solve_retroflow(fixtures.toy_recovery_instance()).to_json())
+    deep, solution, instance = str(deep), str(solution), data_path("toy_recovery.json")
+    argv = {
+        "run-topology": ["run", "--topology", deep, "--placement", PLACEMENT, "--failures", "1"],
+        "run-placement": ["run", "--topology", TOPO, "--placement", deep, "--failures", "1"],
+        "validate-instance": ["validate", "--instance", deep, "--solution", solution],
+        "validate-solution": ["validate", "--instance", instance, "--solution", deep],
+        "enumerate": ["enumerate", "--topology", deep, "--placement", PLACEMENT,
+                      "--failures", "1"],
+        "protocol-trace": ["protocol-trace", "--script", deep],
+    }[reader]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

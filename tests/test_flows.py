@@ -3,7 +3,7 @@ import random
 import pytest
 
 from retroflow import fixtures, flows, geo
-from retroflow.flows import BetaMatrix, Flow, FlowSet, compute_beta, generate_flows
+from retroflow.flows import BetaMatrix, Flow, compute_beta, generate_flows
 from retroflow.geo import GeoCoordinate, Path, Topology
 from retroflow.experiment import load_diagnostics, make_world
 
@@ -14,6 +14,14 @@ from test_geo import random_connected_links, synthetic
 def line3():
     nodes = [(i, GeoCoordinate(10.0 + i, 20.0)) for i in range(3)]
     return Topology(nodes, [(0, 1, 100.0), (1, 2, 100.0)])
+
+
+def assert_ordered_pair_ids(fs, t):
+    """n*(n-1) flows, one per ordered pair, numbered 0.. in (src, dst) order."""
+    ids = sorted(t.node_ids())
+    want = [(src, dst) for src in ids for dst in ids if src != dst]
+    assert [(f.flow_id, f.src, f.dst) for f in fs] == [
+        (fid, src, dst) for fid, (src, dst) in enumerate(want)]
 
 
 def ring5_named():
@@ -38,14 +46,8 @@ class TestGenerateFlows:
         t = Topology([(0, GeoCoordinate(0.0, 0.0))], [])
         assert len(generate_flows(t)) == 0
 
-    def test_unordered_pairs(self):
-        t = ring5_named()
-        assert len(generate_flows(t, pairs="unordered")) == 5 * 4 // 2
-
     def test_ids_lexicographic(self, att_world):
-        pairs = [(f.src, f.dst) for f in att_world.flows]
-        assert pairs == sorted(pairs)
-        assert [f.flow_id for f in att_world.flows] == list(range(len(pairs)))
+        assert_ordered_pair_ids(att_world.flows, att_world.topology)
 
 
 class TestComputeBeta:
@@ -58,7 +60,7 @@ class TestComputeBeta:
 
     def test_one_hop_flow_source_with_alternative(self):
         t = ring5_named()
-        fs = FlowSet([Flow(0, 20, 21, Path((20, 21), 0.5))])
+        fs = (Flow(0, 20, 21, Path((20, 21), 0.5)),)
         b = compute_beta(fs, t)
         assert 0 in b.flows_at(20)  # the cycle offers a second route
         assert 0 not in b.flows_at(21)
@@ -74,11 +76,11 @@ class TestComputeBeta:
 
     def test_hand_enumeration_on_five_switch_ring(self):
         t = ring5_named()
-        fs = FlowSet([
+        fs = (
             Flow(1, 20, 22, Path((20, 21, 22), 1.25)),
             Flow(2, 22, 24, Path((22, 23, 24), 2.25)),
             Flow(3, 24, 20, Path((24, 20), 1.5)),
-        ])
+        )
         b = compute_beta(fs, t)
         assert b.flows_at(20) == {1}
         assert b.flows_at(21) == {1}
@@ -133,8 +135,8 @@ class TestInvariants:
         t = ring5_named()
         fs = generate_flows(t)
         b = compute_beta(fs, t)
-        victim = fs.flows[7]
-        reduced = FlowSet([f for f in fs if f.flow_id != victim.flow_id])
+        victim = fs[7]
+        reduced = tuple(f for f in fs if f.flow_id != victim.flow_id)
         b2 = compute_beta(reduced, t)
         for i in t.node_ids():
             assert len(b.flows_at(i)) - len(b2.flows_at(i)) == (victim.flow_id in b.flows_at(i))
@@ -159,16 +161,16 @@ class TestWorldBuildAgainstOracle:
     def test_same_flows_and_beta_on_random_topologies(self, monkeypatch):
         rng = random.Random(11)
         answers = set()
-        for case in range(60):
+        for _ in range(60):
             n, links = self.random_links(rng)
-            pairs = ("ordered", "unordered")[case % 2]
             got_t = synthetic(n, links)
-            got_flows = generate_flows(got_t, pairs=pairs)
+            got_flows = generate_flows(got_t)
+            assert_ordered_pair_ids(got_flows, got_t)
             got_beta = compute_beta(got_flows, got_t)
             with monkeypatch.context() as m:
                 m.setattr(geo, "_paths_from", paths_from_checked)
                 want_t = synthetic(n, links)
-                want_flows = generate_flows(want_t, pairs=pairs)
+                want_flows = generate_flows(want_t)
             want_beta = compute_beta_per_flow(want_flows, want_t)
 
             assert [f.flow_id for f in got_flows] == [f.flow_id for f in want_flows]

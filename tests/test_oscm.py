@@ -59,16 +59,6 @@ class TestBuildInstance:
                               att_world.placement, s, 1.0)
         assert inst.g[19] == 49 and inst.g[20] == 61  # published counts
 
-    def test_geodesic_delay_never_exceeds_routed(self, att_world):
-        s = FailureScenario(frozenset({20}))
-        routed = build_instance(att_world.topology, att_world.beta,
-                                att_world.placement, s, 1.0)
-        direct = build_instance(att_world.topology, att_world.beta,
-                                att_world.placement, s, 1.0,
-                                control_delay="geodesic")
-        for key, d in direct.delay.items():
-            assert d <= routed.delay[key] + 1e-9
-
     def test_bad_fraction(self, att_world):
         with pytest.raises(InstanceError, match="q_fraction"):
             build_instance(att_world.topology, att_world.beta,

@@ -12,7 +12,7 @@ import sys
 
 from . import domains as dm
 from . import protocol
-from ._doc import whole
+from ._doc import record, whole
 from .experiment import (ALGORITHMS, FEASIBLE, QueueModel, emit_report,
                          load_diagnostics, make_world, run_scenario, sweep_summary)
 from .geo import load_topology_file
@@ -137,19 +137,24 @@ def _cmd_protocol_trace(args) -> int:
     with open(args.script) as fh:
         doc = json.load(fh)
     error = protocol.ProtocolError
+    fields = ("switch", "master", "backups", "events")
     try:
+        record(doc, set(fields), "script", error, required=fields)
         session = protocol.SwitchSession(
             switch_id=whole(doc["switch"], "switch", error),
             mode=protocol.SDN,
             master=whole(doc["master"], "master", error),
             backups=tuple(whole(b, "backup", error) for b in doc["backups"]),
         )
-        events = [
-            protocol.Event(rec["kind"], None if rec.get("controller") is None
-                           else whole(rec["controller"], "event controller", error))
-            for rec in doc["events"]
-        ]
-    except (KeyError, TypeError, AttributeError, protocol.ProtocolError) as err:
+        events = []
+        for rec in doc["events"]:
+            record(rec, {"kind", "controller"}, "event", error, required=("kind",))
+            events.append(protocol.Event(
+                rec["kind"], None if rec.get("controller") is None
+                else whole(rec["controller"], "event controller", error)))
+    # record() has checked every mapping and required field; a list field
+    # that is not iterable raises TypeError
+    except (TypeError, protocol.ProtocolError) as err:
         raise protocol.ProtocolError(f"malformed script document: {err}") from err
     session, log = protocol.run_script(session, events)
     for line in log:

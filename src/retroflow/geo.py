@@ -3,10 +3,10 @@
 Link delay is propagation only: distance_km / 200 gives milliseconds at
 2x10^5 km/s signal speed.
 
-Path queries answer from per-topology tables filled on first use: one
-single-source search per source holds the shortest path to every node, and
-one bridge pass labels the 2-edge-connected components that answer every
-alternative-path query.
+Construction makes one depth-first pass that proves the graph connected
+and labels its 2-edge-connected components, which answer every
+alternative-path query. Shortest paths are filled on first use: one
+single-source search per source holds the shortest path to every node.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -73,7 +72,9 @@ def haversine_km(a: GeoCoordinate, b: GeoCoordinate) -> float:
 
 class Topology:
     """Immutable geographic graph. Node ids are unique ints; links are
-    unordered pairs carrying distance_km and the derived delay_ms."""
+    unordered pairs carrying distance_km and the derived delay_ms. The
+    graph is connected, and its 2-edge-connected components are labelled
+    when it is built."""
 
     def __init__(self, nodes, links, name: str = ""):
         """nodes: iterable of (node_id, GeoCoordinate); links: iterable of
@@ -82,15 +83,17 @@ class Topology:
         self.name = name
         node_list = sorted(nodes, key=lambda nc: nc[0])
         ids = [nid for nid, _ in node_list]
-        if len(set(ids)) != len(ids):
-            dup = next(i for i in ids if ids.count(i) > 1)
+        if not ids:
+            raise TopologyError("topology has no nodes")
+        # sorted, so a duplicate sits next to its twin
+        dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+        if dup is not None:
             raise TopologyError(f"duplicate node id {dup}")
         self.nodes: tuple[tuple[int, GeoCoordinate], ...] = tuple(node_list)
         self._coord = dict(node_list)
 
         self._adj: dict[int, dict[int, Link]] = {nid: {} for nid in ids}
         link_list = []
-        seen = set()
         for entry in links:
             if len(entry) == 2:
                 a, b, dist = entry[0], entry[1], None
@@ -102,9 +105,8 @@ class Topology:
                 missing = a if a not in self._coord else b
                 raise TopologyError(f"link references unknown node {missing}")
             key = (min(a, b), max(a, b))
-            if key in seen:
+            if b in self._adj[a]:
                 raise TopologyError(f"duplicate link {key}")
-            seen.add(key)
             if dist is None:
                 dist = haversine_km(self._coord[a], self._coord[b])
             if not (math.isfinite(dist) and dist >= 0):
@@ -115,27 +117,13 @@ class Topology:
             self._adj[b][a] = link
         self.links: tuple[Link, ...] = tuple(sorted(link_list, key=lambda l: (l.a, l.b)))
 
-        if not self._connected():
+        # The graph never changes, so the labels and every path stored
+        # below stay valid for the topology's life.
+        self._component = _two_edge_components(self._adj, ids[0])
+        if len(self._component) < len(ids):
             raise TopologyError("topology is disconnected")
-
-        # Filled lazily by shortest_path and has_alternative_path; the graph
-        # never changes, so an entry stays valid for the topology's life.
+        # Filled lazily by shortest_path.
         self._paths: dict[int, dict[int, Path]] = {}
-        self._component: dict[int, int] | None = None
-
-    def _connected(self) -> bool:
-        if not self.nodes:
-            return True
-        start = self.nodes[0][0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == len(self.nodes)
 
     def node_ids(self) -> tuple[int, ...]:
         return tuple(nid for nid, _ in self.nodes)
@@ -252,26 +240,29 @@ def has_alternative_path(t: Topology, frm: int, dst: int) -> bool:
     """True iff frm can still reach dst after its default route is cut:
     at least two edge-disjoint paths exist. By Menger's theorem that holds
     iff no bridge separates them, that is, iff both lie in one
-    2-edge-connected component; the first query labels the components."""
+    2-edge-connected component, as labelled when t was built."""
     t._check_node(frm)
     t._check_node(dst)
     if frm == dst:
         raise TopologyError("frm and dst must differ")
-    if t._component is None:
-        t._component = _two_edge_components(t)
     return t._component[frm] == t._component[dst]
 
 
-def _two_edge_components(t: Topology) -> dict[int, int]:
-    """Component label per node, after Tarjan (1974): a tree edge u-v of a
-    depth-first search is a bridge iff no back edge from v's subtree
-    reaches u or above. Both passes keep explicit stacks, so deep graphs
-    do not hit the recursion limit."""
-    root = t.nodes[0][0]
+def _two_edge_components(adj: dict[int, dict[int, Link]], root: int) -> dict[int, int]:
+    """Component label per node reachable from root, after Tarjan (1974).
+
+    One depth-first search: low[u] is the smallest order reached by a back
+    edge from u's subtree. When the search leaves u with low[u] == order[u],
+    the tree edge into u is a bridge (or u is the root), so the nodes
+    visited since u and not yet labelled are exactly u's component. Links
+    are never duplicated, so skipping the parent skips only the tree edge.
+    The stacks are explicit, so deep graphs do not hit the recursion limit.
+    """
     order = {root: 0}
     low = {root: 0}
-    bridges = set()
-    stack = [(root, None, iter(t.neighbors(root)))]
+    component: dict[int, int] = {}
+    unlabelled = [root]
+    stack = [(root, None, iter(adj[root]))]
     while stack:
         u, parent, todo = stack[-1]
         for v in todo:
@@ -281,25 +272,16 @@ def _two_edge_components(t: Topology) -> dict[int, int]:
                 low[u] = min(low[u], order[v])
             else:
                 order[v] = low[v] = len(order)
-                stack.append((v, u, iter(t.neighbors(v))))
+                unlabelled.append(v)
+                stack.append((v, u, iter(adj[v])))
                 break
         else:
             stack.pop()
             if parent is not None:
                 low[parent] = min(low[parent], low[u])
-                if low[u] > order[parent]:
-                    bridges.add((min(u, parent), max(u, parent)))
-
-    component: dict[int, int] = {}
-    for start in t.node_ids():
-        if start in component:
-            continue
-        component[start] = start
-        reach = [start]
-        while reach:
-            u = reach.pop()
-            for v in t.neighbors(u):
-                if v not in component and (min(u, v), max(u, v)) not in bridges:
-                    component[v] = start
-                    reach.append(v)
+            if low[u] == order[u]:
+                v = None
+                while v != u:
+                    v = unlabelled.pop()
+                    component[v] = u
     return component

@@ -78,6 +78,12 @@ class OscmInstance:
             unknown = sorted(set(ids) - known)
             if unknown:
                 raise InstanceError(f"{what} names ids that are not {kind}: {unknown}")
+        # every required pair is present, so only extra pairs change the count
+        if len(self.delay) != self.n_switches * self.n_controllers:
+            pairs = {(i, j) for i in self.offline_switches for j in self.active_controllers}
+            unknown = [f"{i},{j}" for i, j in sorted(set(self.delay) - pairs)]
+            raise InstanceError("delay_ms names pairs that are not "
+                                f"(offline switch, active controller): {unknown}")
 
         self.flows: tuple[int, ...] = tuple(
             sorted(set().union(*(self.beta[i] for i in self.offline_switches)) if self.offline_switches else set())

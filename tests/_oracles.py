@@ -3,8 +3,8 @@
 Everything here is deliberately written from the problem statement, not
 from the package internals: full enumerations, a second distance formula,
 bridge-based connectivity reasoning. The exceptions are earlier versions
-of two solvers and of the world build, kept verbatim, against which a
-rewrite must give the same results step for step.
+of two solvers, of the world build and of the component labelling, kept
+verbatim, against which a rewrite must give the same results step for step.
 """
 
 import heapq
@@ -395,6 +395,53 @@ def compute_beta_per_flow(flows, t):
             if has_alternative_path(t, i, f.dst):
                 rows[i].add(f.flow_id)
     return BetaMatrix({i: frozenset(s) for i, s in rows.items()}, t.node_ids())
+
+
+def two_edge_components_two_pass(t):
+    """The 2-edge-connected component labelling as it was written before
+    one depth-first pass did it: a bridge pass, then a flood fill that
+    avoids bridges, both over the checked, sorting `neighbors()`. Kept
+    verbatim, so the new labelling can be checked partition for partition."""
+    # Component label per node, after Tarjan (1974): a tree edge u-v of a
+    # depth-first search is a bridge iff no back edge from v's subtree
+    # reaches u or above. Both passes keep explicit stacks, so deep graphs
+    # do not hit the recursion limit.
+    root = t.nodes[0][0]
+    order = {root: 0}
+    low = {root: 0}
+    bridges = set()
+    stack = [(root, None, iter(t.neighbors(root)))]
+    while stack:
+        u, parent, todo = stack[-1]
+        for v in todo:
+            if v == parent:
+                continue
+            if v in order:
+                low[u] = min(low[u], order[v])
+            else:
+                order[v] = low[v] = len(order)
+                stack.append((v, u, iter(t.neighbors(v))))
+                break
+        else:
+            stack.pop()
+            if parent is not None:
+                low[parent] = min(low[parent], low[u])
+                if low[u] > order[parent]:
+                    bridges.add((min(u, parent), max(u, parent)))
+
+    component: dict[int, int] = {}
+    for start in t.node_ids():
+        if start in component:
+            continue
+        component[start] = start
+        reach = [start]
+        while reach:
+            u = reach.pop()
+            for v in t.neighbors(u):
+                if v not in component and (min(u, v), max(u, v)) not in bridges:
+                    component[v] = start
+                    reach.append(v)
+    return component
 
 
 def random_instance(rng, n_max=6, m_max=3, g_max=9, q_mode="mixed"):

@@ -347,6 +347,17 @@ class TestStrictReaders:
                      "error: malformed script document: switch must be a whole number")
 
     @pytest.mark.parametrize("path, value, message", [
+        (["events", 1], {"kind": "role_reply_reject_legacy", "controler": 2},
+         "event has unknown fields: ['controler']"),
+        (["mastr"], 1, "script has unknown fields: ['mastr']"),
+    ], ids=["event-field", "top-field"])
+    def test_script_unknown_field(self, capsys, tmp_path, path, value, message):
+        script = _edited(tmp_path, data_path("master_loss_events.json"), path, value)
+        assert main(["protocol-trace", "--script", script]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: malformed script document: {message}\n"
+
+    @pytest.mark.parametrize("path, value, message", [
         (["capacity"], "500", "controller 2 capacity must be a whole number, got '500'"),
         (["capacity"], True, "controller 2 capacity must be a whole number, got True"),
         (["flow_counts", "013"], 5, "flow_counts key must be canonical decimal, got '013'"),
@@ -375,8 +386,11 @@ class TestStrictReaders:
         (["loads", "77"], 5, "loads names ids that are not offline switches: [77]"),
         (["flows", "77"], [1], "flows names ids that are not offline switches: [77]"),
         (["residual", "8"], 5, "residual names ids that are not active controllers: [8]"),
+        (["delay_ms", "77,8"], 1.0,
+         "delay_ms names pairs that are not (offline switch, active controller): ['77,8']"),
     ], ids=["key-020", "delay-str", "delay-bool", "quota-bool", "offline-dup",
-            "active-dup", "active-bool", "loads-unknown", "flows-unknown", "residual-unknown"])
+            "active-dup", "active-bool", "loads-unknown", "flows-unknown", "residual-unknown",
+            "delay-unknown"])
     def test_instance(self, capsys, tmp_path, path, value, message):
         solution = tmp_path / "sol.json"
         solution.write_text(solve_retroflow(fixtures.toy_recovery_instance()).to_json())

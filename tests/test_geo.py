@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ from retroflow.geo import (GeoCoordinate, Topology, TopologyError, haversine_km,
                            has_alternative_path, load_topology, shortest_path)
 
 from _oracles import (best_simple_path, law_of_cosines_km, path_weight,
-                      two_edge_disjoint_paths_exist)
+                      two_edge_components_two_pass, two_edge_disjoint_paths_exist)
 
 
 def synthetic(n, weighted_links):
@@ -29,6 +30,39 @@ def random_connected_links(rng, n, distances):
             present.add(key)
             links.append((key[0], key[1], rng.choice(distances)))
     return links
+
+
+def random_tree_with_links(rng, n):
+    """n ids drawn from 0..10n-1, a random spanning tree on them, and for
+    half the graphs up to n extra links: trees, pendant nodes and cycles."""
+    ids = rng.sample(range(10 * n), n)
+    present = set()
+    for k in range(1, n):
+        a, b = ids[k], ids[rng.randrange(k)]
+        present.add((min(a, b), max(a, b)))
+    for _ in range(rng.choice((0, rng.randint(0, n))) if n > 1 else 0):
+        a, b = rng.sample(ids, 2)
+        present.add((min(a, b), max(a, b)))
+    return ids, sorted(present)
+
+
+def ladder_with_pendant(half):
+    """Rails 0..half-1 and half..2half-1 joined by a rung at every
+    position, plus node 2half hanging off node 0."""
+    links = [(i, i + 1, 10.0) for i in range(half - 1)]
+    links += [(half + i, half + i + 1, 10.0) for i in range(half - 1)]
+    links += [(i, half + i, 10.0) for i in range(half)]
+    links.append((0, 2 * half, 10.0))
+    nodes = [(i, GeoCoordinate(0.0, 0.0)) for i in range(2 * half + 1)]
+    return Topology(nodes, links)
+
+
+def partition(labels):
+    """The node sets that share a label."""
+    groups = {}
+    for node, label in labels.items():
+        groups.setdefault(label, set()).add(node)
+    return {frozenset(g) for g in groups.values()}
 
 
 coords = st.builds(
@@ -99,6 +133,20 @@ class TestLoadTopology:
         }
         with pytest.raises(TopologyError, match="duplicate node id"):
             load_topology(doc)
+
+    def test_duplicate_node_id_among_many(self):
+        # duplicates are found in one pass; a count per id would take minutes here
+        n = 50_000
+        nodes = [(i, GeoCoordinate(0.0, 0.0)) for i in range(n)]
+        nodes.append((n - 1, GeoCoordinate(1.0, 1.0)))
+        start = time.perf_counter()
+        with pytest.raises(TopologyError, match=f"^duplicate node id {n - 1}$"):
+            Topology(nodes, [])
+        assert time.perf_counter() - start < 2.0
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(TopologyError, match="no nodes"):
+            Topology((), ())
 
     def test_unknown_fields_rejected(self):
         doc = {
@@ -300,17 +348,27 @@ class TestAlternativePaths:
                         two_edge_disjoint_paths_exist(edges, frm, dst)
 
 
+class TestComponentsAgainstOracle:
+    """The one-pass labelling partitions the nodes as the two-pass one did."""
+
+    def test_random_graphs(self):
+        rng = random.Random(53)
+        for _ in range(1000):
+            ids, links = random_tree_with_links(rng, rng.randint(1, 40))
+            t = Topology([(i, GeoCoordinate(0.0, 0.0)) for i in ids],
+                         [(a, b, 1.0) for a, b in links])
+            assert partition(t._component) == partition(two_edge_components_two_pass(t))
+
+    def test_ladder_with_pendant(self):
+        t = ladder_with_pendant(750)
+        assert partition(t._component) == partition(two_edge_components_two_pass(t))
+
+
 class TestLargeTopology:
     def test_ladder_with_pendant(self):
-        # rails 0..749 and 750..1499 joined by a rung at every position, plus
-        # node 1500 hanging off node 0: far deeper than the recursion limit
+        # 1,501 nodes: far deeper than the recursion limit
         half = 750
-        links = [(i, i + 1, 10.0) for i in range(half - 1)]
-        links += [(half + i, half + i + 1, 10.0) for i in range(half - 1)]
-        links += [(i, half + i, 10.0) for i in range(half)]
-        links.append((0, 2 * half, 10.0))
-        nodes = [(i, GeoCoordinate(0.0, 0.0)) for i in range(2 * half + 1)]
-        t = Topology(nodes, links)
+        t = ladder_with_pendant(half)
         pendant = 2 * half
         for other in range(2 * half):
             assert not has_alternative_path(t, pendant, other)
@@ -322,3 +380,16 @@ class TestLargeTopology:
         p = shortest_path(t, 0, 2 * half - 1)
         assert len(p) == half + 1
         assert p.total_delay_ms == pytest.approx(half * 0.05)
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+    def test_path_and_cycle(self, closed):
+        # the search from node 0 goes 5,000 deep: on a path every link is a
+        # bridge, on a cycle none is
+        n = 5000
+        links = [(i, i + 1, 1.0) for i in range(n - 1)]
+        if closed:
+            links.append((0, n - 1, 1.0))
+        t = Topology([(i, GeoCoordinate(0.0, 0.0)) for i in range(n)], links)
+        assert len(partition(t._component)) == (1 if closed else n)
+        assert has_alternative_path(t, 0, n - 1) == closed
+        assert has_alternative_path(t, n // 2, n // 2 + 1) == closed

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -262,6 +263,16 @@ class TestSerialization:
         text = json.dumps(doc).replace('"VALUE"', raw)
         with pytest.raises(InstanceError, match="must be a whole number"):
             loader.from_json(text)
+
+    @pytest.mark.parametrize("pair", [(77, 8), (20, 8), (77, 1)],
+                             ids=["neither", "inactive-controller", "online-switch"])
+    def test_delay_for_unknown_pair_rejected(self, toy, pair):
+        delay = {**toy.delay, pair: 1.0}
+        message = ("delay_ms names pairs that are not (offline switch, active controller): "
+                   f"['{pair[0]},{pair[1]}']")
+        with pytest.raises(InstanceError, match=re.escape(message)):
+            OscmInstance(toy.offline_switches, toy.active_controllers, delay, toy.g,
+                         toy.beta, toy.a_rest, toy.q_required)
 
     def test_malformed_instance_document(self, toy):
         doc = json.loads(toy.to_json())

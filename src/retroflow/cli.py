@@ -146,9 +146,17 @@ def _cmd_protocol_trace(args) -> int:
             master=whole(doc["master"], "master", error),
             backups=tuple(whole(b, "backup", error) for b in doc["backups"]),
         )
+        # only here: after role_reply_accept the new master is a backup
+        if session.master in session.backups:
+            raise error(f"master {session.master} is also a backup")
         events = []
         for rec in doc["events"]:
             record(rec, {"kind", "controller"}, "event", error, required=("kind",))
+            # step rejects an unknown kind too, but run_script would log
+            # that as a replayed event; a misspelled kind is a bad script
+            if rec["kind"] not in protocol.EVENT_KINDS:
+                raise error(f"unknown event kind {rec['kind']!r}; expected one of "
+                            f"{list(protocol.EVENT_KINDS)}")
             events.append(protocol.Event(
                 rec["kind"], None if rec.get("controller") is None
                 else whole(rec["controller"], "event controller", error)))

@@ -8,6 +8,7 @@ Per-switch load counts exactly those reprogrammable flows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .geo import Path, Topology, has_alternative_path, shortest_path
 
@@ -26,11 +27,44 @@ class Flow:
             raise ValueError(f"flow {self.flow_id}: path does not join src to dst")
 
 
+# '0' -> 0 and '1' -> 1, so a binary numeral selects items for compress
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def index_flows(rows: dict[int, frozenset[int]]) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Flow sets as int bitmasks over one flow index: (ids, masks), where
+    ids lists every flow id of rows once, ascending, and masks[key] has
+    bit k set when ids[k] is in rows[key].
+
+    Bit k is the rank of a flow id, never the id itself: an id may be any
+    whole number, negative or beyond any shift. The id-to-rank dict lives
+    only while the masks are built.
+    """
+    ids = tuple(sorted(set().union(*rows.values())))
+    rank = {l: k for k, l in enumerate(ids)}
+    masks = {}
+    for key, row in rows.items():
+        # digit k is bit k; reversed, the digits read as a binary numeral
+        digits = bytearray(b"0") * len(ids)
+        for l in row:
+            digits[rank[l]] = 49  # ord("1")
+        digits.reverse()
+        masks[key] = int(digits or b"0", 2)
+    return ids, masks
+
+
+def flows_of(mask: int, ids: tuple[int, ...]) -> tuple[int, ...]:
+    """The flow ids whose bits are set in mask, ascending; ids is the index
+    the mask was built over (see index_flows)."""
+    return tuple(compress(ids, format(mask, "b")[::-1].encode().translate(_BITS)))
+
+
 class BetaMatrix:
     """Programmability indicators and the per-switch loads they induce."""
 
     def __init__(self, rows: dict[int, frozenset[int]], switch_ids):
         self._rows = {i: frozenset(rows.get(i, frozenset())) for i in switch_ids}
+        self._index = None
 
     def flows_at(self, switch_id: int) -> frozenset[int]:
         try:
@@ -40,6 +74,14 @@ class BetaMatrix:
 
     def loads(self) -> dict[int, int]:
         return {i: len(fls) for i, fls in self._rows.items()}
+
+    def index(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        """Every switch's flows as a bitmask over one index of the matrix's
+        flow ids (see index_flows). Built on the first call, not with the
+        matrix, so a world pays for it only once an instance is built."""
+        if self._index is None:
+            self._index = index_flows(self._rows)
+        return self._index
 
 
 def generate_flows(t: Topology) -> tuple[Flow, ...]:

@@ -14,7 +14,7 @@ from pathlib import Path as FsPath
 
 from . import domains as dm
 from ._doc import key, number, whole
-from .flows import BetaMatrix
+from .flows import BetaMatrix, flows_of, index_flows
 from .geo import Topology, shortest_path
 
 
@@ -40,12 +40,17 @@ def _ids(values, what: str) -> set[int]:
 
 class OscmInstance:
     def __init__(self, offline_switches, active_controllers, delay, g, beta, a_rest,
-                 q_required, label: str = ""):
+                 q_required, label: str = "", _index=None):
         """delay: {(switch, controller): ms}; g: {switch: flow count};
         beta: {switch: set of flow ids}; a_rest: {controller: flow count}.
 
         The mappings are stored as given, so ids, counts and the quota must
-        already be ints; from_json converts and checks outside documents."""
+        already be ints; from_json converts and checks outside documents.
+
+        masks[i] holds beta[i] as an int bitmask over a flow index (see
+        flows.index_flows), and flows_of decodes one. The index is built
+        here from beta, unless build_instance hands over its world's
+        (`_index`, from BetaMatrix.index, whose rows beta must be)."""
         self.label = label
         self.offline_switches: tuple[int, ...] = tuple(sorted(offline_switches))
         self.active_controllers: tuple[int, ...] = tuple(sorted(active_controllers))
@@ -85,9 +90,13 @@ class OscmInstance:
             raise InstanceError("delay_ms names pairs that are not "
                                 f"(offline switch, active controller): {unknown}")
 
-        self.flows: tuple[int, ...] = tuple(
-            sorted(set().union(*(self.beta[i] for i in self.offline_switches)) if self.offline_switches else set())
-        )
+        # beta names exactly the offline switches
+        self._ids, masks = index_flows(self.beta) if _index is None else _index
+        self.masks: dict[int, int] = {i: masks[i] for i in self.offline_switches}
+        union = 0
+        for m in self.masks.values():
+            union |= m
+        self.flows: tuple[int, ...] = self.flows_of(union)
         self.q_required = q_required
         if not 0 <= self.q_required <= len(self.flows):
             raise InstanceError(
@@ -105,6 +114,10 @@ class OscmInstance:
     @property
     def n_flows(self) -> int:
         return len(self.flows)
+
+    def flows_of(self, mask: int) -> tuple[int, ...]:
+        """The flow ids of a bitmask over this instance's index, ascending."""
+        return flows_of(mask, self._ids)
 
     def w(self, i: int, j: int) -> float:
         """Overhead of controller j pulling switch i's flows: g_i * D_ij."""
@@ -278,6 +291,7 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
         a_rest=rest,
         q_required=0,
         label=s.label(),
+        _index=b.index(),
     )
     # the quota reads the flow union the instance built; q_fraction is in [0, 1]
     inst.q_required = math.ceil(q_fraction * inst.n_flows)

@@ -19,6 +19,7 @@ MASTER_CONNECTION_LOST = "master_connection_lost"
 REPLY_REJECT_LEGACY = "role_reply_reject_legacy"
 REPLY_ACCEPT = "role_reply_accept"
 ADOPT = "adopt"
+EVENT_KINDS = (MASTER_CONNECTION_LOST, REPLY_REJECT_LEGACY, REPLY_ACCEPT, ADOPT)
 
 
 class ProtocolError(ValueError):
@@ -52,6 +53,8 @@ class SwitchSession:
             raise ProtocolError("legacy mode cannot keep a master")
         if self.phase == AWAITING and self.master is not None:
             raise ProtocolError("awaiting replies implies no master")
+        if len(set(self.backups)) != len(self.backups):
+            raise ProtocolError(f"backups {list(self.backups)} name a controller twice")
 
     def check_invariants(self):
         assert (self.mode == SDN) == (self.master is not None)

@@ -108,24 +108,28 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
     beats every other switch on count, or ties it with a smaller id. So
     it is the switch a full rescan would pick, and a current top of 0
     means no switch adds a flow.
+
+    Flow sets are the instance's int bitmasks (OscmInstance.masks), so a
+    count is `(mask & ~covered).bit_count()`; flow ids are decoded only
+    for the trace and the solution.
     """
-    beta = inst.beta
-    heap = [(-len(beta[i]), i, 0) for i in inst.offline_switches]
+    masks = inst.masks
+    heap = [(-masks[i].bit_count(), i, 0) for i in inst.offline_switches]
     heapq.heapify(heap)
     version = 0  # bumped each time `covered` grows
     rest = dict(inst.a_rest)
-    covered: set[int] = set()
+    covered = 0
     assigned: dict[int, int] = {}
 
-    while heap and len(covered) < inst.q_required:
+    while heap and covered.bit_count() < inst.q_required:
         neg_delta, pick, priced = heap[0]
         if priced != version:
-            heapq.heapreplace(heap, (-len(beta[pick] - covered), pick, version))
+            heapq.heapreplace(heap, (-(masks[pick] & ~covered).bit_count(), pick, version))
             continue
         if neg_delta == 0:
             # nothing left can add a new flow; the quota is unreachable
             if trace is not None:
-                trace.append(f"stop reason=stalled covered={len(covered)} "
+                trace.append(f"stop reason=stalled covered={covered.bit_count()} "
                              f"required={inst.q_required}")
             break
         heapq.heappop(heap)
@@ -141,19 +145,19 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
                 assigned[pick] = j
                 rest[j] -= inst.g[pick]
                 if trace is not None:
-                    gained = sorted(beta[pick] - covered)
+                    gained = list(inst.flows_of(masks[pick] & ~covered))
                     trace.append(f"assign switch={pick} controller={j} rest={rest[j]} "
-                                 f"gained={gained} covered={len(covered) + len(gained)}")
-                covered |= beta[pick]
+                                 f"gained={gained} covered={covered.bit_count() + len(gained)}")
+                covered |= masks[pick]
                 version += 1
                 break
     else:
         if trace is not None:
-            reason = "quota" if len(covered) >= inst.q_required else "exhausted"
-            trace.append(f"stop reason={reason} covered={len(covered)} "
+            reason = "quota" if covered.bit_count() >= inst.q_required else "exhausted"
+            trace.append(f"stop reason={reason} covered={covered.bit_count()} "
                          f"required={inst.q_required}")
 
-    return _solution(inst, assigned, covered)
+    return _solution(inst, assigned, inst.flows_of(covered))
 
 
 def solve_nearest(inst: OscmInstance) -> Solution:

@@ -316,6 +316,27 @@ class TestProtocolTraceCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("path, value, message", [
+        (["events", 0, "kind"], "master_conection_lost",
+         "unknown event kind 'master_conection_lost'; expected one of "
+         "['master_connection_lost', 'role_reply_reject_legacy', 'role_reply_accept', 'adopt']"),
+        (["events", 0, "kind"], ["adopt"], "unknown event kind ['adopt']"),
+        (["backups"], [1, 1], "backups [1, 1] name a controller twice"),
+        (["backups"], [2, 3, 2], "backups [2, 3, 2] name a controller twice"),
+        (["backups"], [2, 1], "master 1 is also a backup"),
+    ], ids=["kind-typo", "kind-list", "backups-master-twice", "backups-twice",
+            "backups-master"])
+    def test_bad_script_exits_before_replay(self, capsys, tmp_path, path, value, message):
+        """A script that only says the replay is wrong never replays: one
+        error line, nothing on stdout, exit 2."""
+        script = _edited(tmp_path, data_path("master_loss_events.json"), path, value)
+        assert main(["protocol-trace", "--script", script]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: malformed script document: {message}")
+        assert err.count("\n") == 1
+
+
 def _edited(tmp_path, source, path, value):
     """Write a copy of the JSON document at source with the entry at path
     (keys and list indexes) set to value; a new key is added at the end."""

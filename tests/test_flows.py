@@ -3,7 +3,8 @@ import random
 import pytest
 
 from retroflow import fixtures, flows, geo
-from retroflow.flows import BetaMatrix, Flow, compute_beta, generate_flows
+from retroflow.flows import (BetaMatrix, Flow, compute_beta, flows_of, generate_flows,
+                             index_flows)
 from retroflow.geo import GeoCoordinate, Path, Topology
 from retroflow.experiment import load_diagnostics, make_world
 
@@ -113,6 +114,56 @@ class TestLoads:
         assert diag["computed_total"] == sum(
             rec["computed"] for rec in diag["per_switch"].values()
         )
+
+
+class TestFlowIndex:
+    def test_bits_are_ranks_not_ids(self):
+        rows = {0: {10**300, -7}, 1: {3, -7}, 2: set()}
+        ids, masks = index_flows(rows)
+        assert ids == (-7, 3, 10**300)
+        assert masks == {0: 0b101, 1: 0b011, 2: 0}
+        for key, row in rows.items():
+            assert flows_of(masks[key], ids) == tuple(sorted(row))
+
+    def test_no_flows(self):
+        assert index_flows({}) == ((), {})
+        assert index_flows({4: frozenset()}) == ((), {4: 0})
+        assert flows_of(0, ()) == ()
+
+    def test_random_rows_round_trip(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            pool = rng.sample(range(-50, 10**6), rng.randint(1, 300))
+            rows = {k: set(rng.sample(pool, rng.randint(0, len(pool)))) for k in range(4)}
+            ids, masks = index_flows(rows)
+            assert ids == tuple(sorted(set().union(*rows.values())))
+            for key, row in rows.items():
+                assert masks[key].bit_count() == len(row)
+                assert flows_of(masks[key], ids) == tuple(sorted(row))
+            union = masks[0] | masks[1]
+            assert flows_of(union, ids) == tuple(sorted(rows[0] | rows[1]))
+
+    def test_world_index_matches_rows(self, att_world):
+        b = att_world.beta
+        ids, masks = b.index()
+        assert b.index() is b.index()
+        # every att25 flow is carried by some switch
+        assert ids == tuple(f.flow_id for f in att_world.flows)
+        for i, load in b.loads().items():
+            assert flows_of(masks[i], ids) == tuple(sorted(b.flows_at(i)))
+            assert masks[i].bit_count() == load
+
+    def test_index_built_on_first_use(self):
+        t = ring5_named()
+        b = compute_beta(generate_flows(t), t)
+        assert b._index is None
+        ids, masks = b.index()
+        assert ids == tuple(range(20))
+        assert {i: flows_of(m, ids) for i, m in masks.items()} == {
+            i: tuple(sorted(b.flows_at(i))) for i in t.node_ids()}
+        b = BetaMatrix({0: frozenset({1, 2, 3})}, [0, 1])
+        assert b._index is None
+        assert b.index() == ((1, 2, 3), {0: 0b111, 1: 0})
 
 
 class TestInvariants:

@@ -65,6 +65,15 @@ class TestTransitions:
         with pytest.raises(ProtocolError, match="stable legacy"):
             step(fresh(), Event(ADOPT, 2))
 
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ProtocolError, match="unknown event kind 'master_conection_lost'"):
+            step(fresh(), Event("master_conection_lost"))
+
+    @pytest.mark.parametrize("backups", [(1, 1), (2, 3, 2)])
+    def test_repeated_backup_rejected(self, backups):
+        with pytest.raises(ProtocolError, match="name a controller twice"):
+            SwitchSession(switch_id=1, mode=SDN, master=1, backups=backups)
+
     def test_loss_without_backups_goes_straight_to_legacy(self):
         s = SwitchSession(switch_id=1, mode=SDN, master=1, backups=())
         s, actions = step(s, Event(MASTER_CONNECTION_LOST))

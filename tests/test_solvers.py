@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from retroflow.domains import FailureScenario, enumerate_failure_scenarios
+from retroflow.domains import FailureScenario, Placement, enumerate_failure_scenarios
+from retroflow.flows import compute_beta, generate_flows
 from retroflow.oscm import OscmInstance, Solution, build_instance, validate
 from retroflow.solvers import (BudgetExhausted, GapInstance, GapSizeError,
                                SolverBudget, gap_bruteforce, reduce_to_gap,
@@ -11,6 +12,7 @@ from retroflow.solvers import (BudgetExhausted, GapInstance, GapSizeError,
 
 from _oracles import (enumerate_oscm, exact_undo, gap_optimum_recursive,
                       greedy_rescan, random_instance, random_gap_special_instance)
+from test_geo import random_connected_links, synthetic
 
 # sha256 of the greedy's trace lines over every att25 scenario, k=1..5 at
 # q 0.9 and 1.0 (124 instances, 5,158 lines), recorded with the rescanning
@@ -394,6 +396,70 @@ class TestLazyGreedy:
                     lines += len(trace)
         assert lines == 5158
         assert digest.hexdigest() == ATT25_TRACE_SHA256
+
+
+def assert_same_greedy(inst):
+    """The greedy on an instance holding its world's flow index and on
+    its document, which indexes its own flows, agree line for line."""
+    clone = OscmInstance.from_json(inst.to_json())
+    assert inst.flows == clone.flows == tuple(sorted(set().union(*inst.beta.values())))
+    got, want = [], []
+    sol = solve_retroflow(inst, got)
+    assert sol.to_json() == solve_retroflow(clone, want).to_json()
+    assert got == want
+    assert clone.to_json() == inst.to_json()
+
+
+class TestFlowMasks:
+    """Flow sets as bitmasks: an instance built from a world uses the
+    world's index, one read from a document derives its own."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_att25_world_and_document_index_agree(self, att_world, k):
+        for s in enumerate_failure_scenarios(att_world.placement, k):
+            for q in (0.9, 1.0):
+                inst = build_instance(att_world.topology, att_world.beta,
+                                      att_world.placement, s, q)
+                # the world ranks flows the instance does not carry
+                assert len(inst._ids) > inst.n_flows
+                assert_same_greedy(inst)
+
+    def test_random_worlds(self):
+        rng = random.Random(1414)
+        for _ in range(40):
+            n = rng.randint(3, 12)
+            t = synthetic(n, random_connected_links(rng, n, (0, 50, 100, 300)))
+            beta = compute_beta(generate_flows(t), t)
+            loads = beta.loads()
+            controllers = rng.sample(range(n), rng.randint(2, min(4, n)))
+            domain_of = {i: rng.choice(controllers) for i in range(n)}
+            # each controller serves its own domain, with room to spare for some
+            capacity = [(c, sum(loads[i] for i, d in domain_of.items() if d == c)
+                         + rng.choice((0, rng.randint(0, 4 * n))))
+                        for c in controllers]
+            placement = Placement(capacity, domain_of)
+            for k in range(1, len(controllers)):
+                for s in enumerate_failure_scenarios(placement, k):
+                    inst = build_instance(t, beta, placement, s, rng.choice((0.5, 0.9, 1.0)))
+                    assert_same_greedy(inst)
+
+    def test_huge_and_negative_flow_ids(self):
+        inst = OscmInstance(
+            offline_switches=[1, 2, 3, 4],
+            active_controllers=[10, 20],
+            delay={(i, j): float((i * j) % 7) for i in (1, 2, 3, 4) for j in (10, 20)},
+            g={1: 3, 2: 4, 3: 2, 4: 5},
+            beta={1: {10**300, -7, 0}, 2: {-7, -(10**300), 5}, 3: {10**300}, 4: {2**64, 5}},
+            a_rest={10: 7, 20: 6},
+            q_required=5,
+        )
+        assert inst.flows == (-(10**300), -7, 0, 5, 2**64, 10**300)
+        want, got = [], []
+        expected = greedy_rescan(inst, want)
+        assert solve_retroflow(inst, got).to_json() == expected.to_json()
+        assert got == want
+        assert any(str(10**300) in line for line in got)
+        assert_same_greedy(inst)
 
 
 class TestSolveNearest:

@@ -157,9 +157,13 @@ def _cmd_protocol_trace(args) -> int:
             if rec["kind"] not in protocol.EVENT_KINDS:
                 raise error(f"unknown event kind {rec['kind']!r}; expected one of "
                             f"{list(protocol.EVENT_KINDS)}")
+            controller = rec.get("controller")
+            # and step would log a reply or adoption without one as rejected
+            if controller is None and rec["kind"] != protocol.MASTER_CONNECTION_LOST:
+                raise error(f"{rec['kind']} event needs a controller")
             events.append(protocol.Event(
-                rec["kind"], None if rec.get("controller") is None
-                else whole(rec["controller"], "event controller", error)))
+                rec["kind"], None if controller is None
+                else whole(controller, "event controller", error)))
     # record() has checked every mapping and required field; a list field
     # that is not iterable raises TypeError
     except (TypeError, protocol.ProtocolError) as err:

@@ -176,7 +176,7 @@ def _score(inst: OscmInstance, name: str, status: str, sol: Solution | None,
         penalty = queueing_penalty_ms(load[j], ability[j], qm)
         adjusted += inst.g[i] * (inst.delay[(i, j)] + penalty)
 
-    fraction = len(sol.y) / inst.n_flows if inst.n_flows else 1.0
+    fraction = sol.n_programmable / inst.n_flows if inst.n_flows else 1.0
     return AlgorithmOutcome(
         algorithm=name,
         status=status,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path as FsPath
 
 from . import domains as dm
@@ -48,9 +49,10 @@ class OscmInstance:
         already be ints; from_json converts and checks outside documents.
 
         masks[i] holds beta[i] as an int bitmask over a flow index (see
-        flows.index_flows), and flows_of decodes one. The index is built
-        here from beta, unless build_instance hands over its world's
-        (`_index`, from BetaMatrix.index, whose rows beta must be)."""
+        flows.index_flows), union their OR, and flows_of decodes one. The
+        index is built here from beta, unless build_instance hands over
+        its world's (`_index`, from BetaMatrix.index, whose rows beta must
+        be)."""
         self.label = label
         self.offline_switches: tuple[int, ...] = tuple(sorted(offline_switches))
         self.active_controllers: tuple[int, ...] = tuple(sorted(active_controllers))
@@ -96,11 +98,11 @@ class OscmInstance:
         union = 0
         for m in self.masks.values():
             union |= m
-        self.flows: tuple[int, ...] = self.flows_of(union)
+        self.union = union
         self.q_required = q_required
-        if not 0 <= self.q_required <= len(self.flows):
+        if not 0 <= self.q_required <= self.n_flows:
             raise InstanceError(
-                f"quota {self.q_required} outside [0, {len(self.flows)}]"
+                f"quota {self.q_required} outside [0, {self.n_flows}]"
             )
 
     @property
@@ -113,7 +115,13 @@ class OscmInstance:
 
     @property
     def n_flows(self) -> int:
-        return len(self.flows)
+        return self.union.bit_count()
+
+    @cached_property
+    def flows(self) -> tuple[int, ...]:
+        """Every flow some offline switch carries, ascending; decoded from
+        the union on the first read, which the solvers never make."""
+        return self.flows_of(self.union)
 
     def flows_of(self, mask: int) -> tuple[int, ...]:
         """The flow ids of a bitmask over this instance's index, ascending."""
@@ -172,20 +180,61 @@ class OscmInstance:
         return cls.from_json(FsPath(path).read_text())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Solution:
     """x: SDN-mode indicator per offline switch; assigned: switch ->
-    controller for every SDN switch; y: programmable flow ids, sorted."""
+    controller for every SDN switch; y: programmable flow ids, sorted.
+
+    The flows are held as a bitmask over a flow index (`_mask` over
+    `_ids`, see flows.index_flows) and y decodes them on every read,
+    keeping nothing: a solver's solution shares its instance's index, and
+    most callers only count the flows (n_programmable). `==` and repr
+    read y, not the mask, so they match a solution built from the ids."""
     x: dict[int, int]
     assigned: dict[int, int]
-    y: tuple[int, ...]
     objective: float
-    quota_met: bool = True
+    quota_met: bool
+    _mask: int
+    _ids: tuple[int, ...]
 
-    def __post_init__(self):
-        # any collection of flow ids is held as the sorted tuple to_json
-        # writes: 8 bytes an id, where a frozenset takes 55 to 110
-        object.__setattr__(self, "y", tuple(sorted(self.y)))
+    def __init__(self, x: dict[int, int], assigned: dict[int, int], y,
+                 objective: float, quota_met: bool = True):
+        # any collection of flow ids is its own index, every bit set
+        ids = tuple(sorted(y))
+        self.__dict__.update(x=x, assigned=assigned, objective=objective,
+                             quota_met=quota_met, _mask=(1 << len(ids)) - 1, _ids=ids)
+
+    @classmethod
+    def _of_mask(cls, x, assigned, objective, quota_met, mask: int,
+                 ids: tuple[int, ...]) -> "Solution":
+        """The solution whose flows are the bits of mask over the index ids."""
+        sol = cls(x, assigned, (), objective, quota_met)
+        sol.__dict__.update(_mask=mask, _ids=ids)
+        return sol
+
+    @property
+    def y(self) -> tuple[int, ...]:
+        if self._mask.bit_count() == len(self._ids):
+            return self._ids
+        return flows_of(self._mask, self._ids)
+
+    @property
+    def n_programmable(self) -> int:
+        """len(y), counted without decoding the ids."""
+        return self._mask.bit_count()
+
+    def _fields(self) -> tuple:
+        return (self.x, self.assigned, self.y, self.objective, self.quota_met)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        names = ("x", "assigned", "y", "objective", "quota_met")
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
 
     def recovered_switches(self) -> int:
         return sum(self.x.values())
@@ -298,7 +347,8 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     return inst
 
 
-def _check_dimensions(inst: OscmInstance, sol: Solution):
+def _check_dimensions(inst: OscmInstance, sol: Solution, y: tuple[int, ...]):
+    """y: sol.y, decoded once by the caller."""
     switches = set(inst.offline_switches)
     if set(sol.x) != switches:
         raise InstanceError("solution x not indexed over the offline switches")
@@ -306,19 +356,20 @@ def _check_dimensions(inst: OscmInstance, sol: Solution):
         raise InstanceError("solution assigns unknown switches")
     if not set(sol.assigned.values()) <= set(inst.active_controllers):
         raise InstanceError("solution assigns to unknown controllers")
-    if not set(sol.y) <= set(inst.flows):
+    if not set(y) <= set(inst.flows):
         raise InstanceError("solution marks unknown flows programmable")
 
 
 def objective(inst: OscmInstance, sol: Solution) -> float:
     """Total communication overhead: sum of w_ij over assignments."""
-    _check_dimensions(inst, sol)
+    _check_dimensions(inst, sol, sol.y)
     return sum(inst.w(i, j) for i, j in sol.assigned.items())
 
 
 def validate(inst: OscmInstance, sol: Solution) -> ValidationReport:
     """Check every constraint family and report pass/fail per family."""
-    _check_dimensions(inst, sol)
+    y = sol.y
+    _check_dimensions(inst, sol, y)
 
     mapping_bad = []
     for i in inst.offline_switches:
@@ -334,18 +385,18 @@ def validate(inst: OscmInstance, sol: Solution) -> ValidationReport:
 
     support_bad = []
     supported = programmable_flows(inst, sol.x)
-    for l in sorted(sol.y):
+    for l in y:
         if l not in supported:
             support_bad.append(l)
 
-    quota_ok = len(sol.y) >= inst.q_required
+    quota_ok = len(y) >= inst.q_required
 
     checks = (
         ConstraintCheck("mapping", not mapping_bad, tuple(mapping_bad)),
         ConstraintCheck("capacity", not capacity_bad, tuple(capacity_bad)),
         ConstraintCheck("programmability", not support_bad, tuple(support_bad)),
         ConstraintCheck("quota", quota_ok,
-                        () if quota_ok else (f"{len(sol.y)}<{inst.q_required}",)),
+                        () if quota_ok else (f"{len(y)}<{inst.q_required}",)),
     )
     return ValidationReport(checks)
 

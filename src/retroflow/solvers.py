@@ -12,7 +12,6 @@ import heapq
 import itertools
 import math
 import time
-from collections.abc import Collection
 from dataclasses import dataclass
 
 from .oscm import OscmInstance, Solution
@@ -72,21 +71,22 @@ class GapInstance:
         return len(self.capacities)
 
 
-def _solution(inst: OscmInstance, assigned: dict[int, int],
-              covered: Collection[int]) -> Solution:
-    """The solver output for a mapping and the flows it recovers.
+def _solution(inst: OscmInstance, assigned: dict[int, int], mask: int) -> Solution:
+    """The solver output for a mapping and the flows it recovers, a
+    bitmask over the instance's flow index, which the solution shares.
 
     The objective is summed over `assigned` in the order the solver
     inserted it, and only then are the dicts sorted: summing the same
     overheads in another order can change the last digits of the float.
     """
     cost = sum(inst.w(i, j) for i, j in assigned.items())
-    return Solution(
+    return Solution._of_mask(
         x={i: (1 if i in assigned else 0) for i in inst.offline_switches},
         assigned=dict(sorted(assigned.items())),
-        y=covered,
         objective=cost,
-        quota_met=len(covered) >= inst.q_required,
+        quota_met=mask.bit_count() >= inst.q_required,
+        mask=mask,
+        ids=inst._ids,
     )
 
 
@@ -109,27 +109,29 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
     it is the switch a full rescan would pick, and a current top of 0
     means no switch adds a flow.
 
-    Flow sets are the instance's int bitmasks (OscmInstance.masks), so a
-    count is `(mask & ~covered).bit_count()`; flow ids are decoded only
-    for the trace and the solution.
+    Flow sets are the instance's int bitmasks (OscmInstance.masks). The
+    flows not yet covered are held as one mask, `uncovered` (all bits
+    set at the start: ~0), so a count is `(mask & uncovered).bit_count()`,
+    and the covered count `n_covered` grows by the current count of each
+    assigned switch. Flow ids are decoded only for the trace.
     """
     masks = inst.masks
     heap = [(-masks[i].bit_count(), i, 0) for i in inst.offline_switches]
     heapq.heapify(heap)
-    version = 0  # bumped each time `covered` grows
+    version = 0  # bumped each time `uncovered` shrinks
     rest = dict(inst.a_rest)
-    covered = 0
+    uncovered, n_covered = ~0, 0
     assigned: dict[int, int] = {}
 
-    while heap and covered.bit_count() < inst.q_required:
+    while heap and n_covered < inst.q_required:
         neg_delta, pick, priced = heap[0]
         if priced != version:
-            heapq.heapreplace(heap, (-(masks[pick] & ~covered).bit_count(), pick, version))
+            heapq.heapreplace(heap, (-(masks[pick] & uncovered).bit_count(), pick, version))
             continue
         if neg_delta == 0:
             # nothing left can add a new flow; the quota is unreachable
             if trace is not None:
-                trace.append(f"stop reason=stalled covered={covered.bit_count()} "
+                trace.append(f"stop reason=stalled covered={n_covered} "
                              f"required={inst.q_required}")
             break
         heapq.heappop(heap)
@@ -145,19 +147,21 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
                 assigned[pick] = j
                 rest[j] -= inst.g[pick]
                 if trace is not None:
-                    gained = list(inst.flows_of(masks[pick] & ~covered))
+                    gained = list(inst.flows_of(masks[pick] & uncovered))
                     trace.append(f"assign switch={pick} controller={j} rest={rest[j]} "
-                                 f"gained={gained} covered={covered.bit_count() + len(gained)}")
-                covered |= masks[pick]
+                                 f"gained={gained} covered={n_covered - neg_delta}")
+                # the pick's count is current: it adds -neg_delta flows
+                uncovered &= ~masks[pick]
+                n_covered -= neg_delta
                 version += 1
                 break
     else:
         if trace is not None:
-            reason = "quota" if covered.bit_count() >= inst.q_required else "exhausted"
-            trace.append(f"stop reason={reason} covered={covered.bit_count()} "
+            reason = "quota" if n_covered >= inst.q_required else "exhausted"
+            trace.append(f"stop reason={reason} covered={n_covered} "
                          f"required={inst.q_required}")
 
-    return _solution(inst, assigned, inst.flows_of(covered))
+    return _solution(inst, assigned, ~uncovered)
 
 
 def solve_nearest(inst: OscmInstance) -> Solution:
@@ -168,7 +172,7 @@ def solve_nearest(inst: OscmInstance) -> Solution:
         for i in inst.offline_switches
     }
     # every offline switch is mapped, so every flow is recovered
-    return _solution(inst, assigned, inst.flows)
+    return _solution(inst, assigned, inst.union)
 
 
 def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> ExactResult:
@@ -232,9 +236,13 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
         needed = q - len(covered)
         if needed <= 0:
             # quota met: every further assignment only adds cost. The
-            # solution sums in path order, as `cost` did
+            # solution sums in path order, as `cost` did. `covered` is the
+            # union of the mapped switches' flows, so is their masks' OR
             if cost < best_cost:
-                best_cost, best = cost, _solution(inst, dict(moves), covered)
+                mask = 0
+                for i, _ in moves:
+                    mask |= inst.masks[i]
+                best_cost, best = cost, _solution(inst, dict(moves), mask)
             continue
         if idx == len(order) or lost > slack:
             continue

@@ -152,13 +152,28 @@ def gap_optimum_recursive(costs, usage, capacities):
     return best[0]
 
 
+def solution_of(inst, assigned, covered):
+    """The solver output for a mapping and the set of flows it recovers,
+    built through the public constructor. The objective is summed over
+    `assigned` in insertion order, as the solvers sum it: another order
+    can change the last digits of the float."""
+    from retroflow.oscm import Solution
+
+    cost = sum(inst.w(i, j) for i, j in assigned.items())
+    return Solution(
+        x={i: (1 if i in assigned else 0) for i in inst.offline_switches},
+        assigned=dict(sorted(assigned.items())),
+        y=covered,
+        objective=cost,
+        quota_met=len(covered) >= inst.q_required,
+    )
+
+
 def greedy_rescan(inst, trace=None):
     """The greedy as it was written before its lazy pick: every pick
     rescans every remaining switch for its uncovered-flow count. Kept
     verbatim, so the lazy solver can be checked pick for pick and trace
     line for trace line."""
-    from retroflow.solvers import _solution
-
     log = trace.append if trace is not None else lambda line: None
     remaining = list(inst.offline_switches)
     rest = dict(inst.a_rest)
@@ -194,7 +209,7 @@ def greedy_rescan(inst, trace=None):
         reason = "quota" if len(covered) >= inst.q_required else "exhausted"
         log(f"stop reason={reason} covered={len(covered)} required={inst.q_required}")
 
-    return _solution(inst, assigned, covered)
+    return solution_of(inst, assigned, covered)
 
 
 def exact_undo(inst, budget=None):
@@ -204,8 +219,7 @@ def exact_undo(inst, budget=None):
     Kept verbatim with its bound, so the per-entry search can be checked
     status for status, node count for node count and solution for
     solution."""
-    from retroflow.solvers import (BudgetExhausted, ExactResult, SolverBudget,
-                                   _solution, solve_retroflow)
+    from retroflow.solvers import BudgetExhausted, ExactResult, SolverBudget, solve_retroflow
 
     budget = budget or SolverBudget()
     deadline = time.monotonic() + budget.time_limit_ms / 1000.0
@@ -259,7 +273,7 @@ def exact_undo(inst, budget=None):
             # quota met: every further assignment only adds cost. The
             # solution sums in `assigned` insertion order, as `cost` did
             if cost < best_cost:
-                best_cost, best = cost, _solution(inst, assigned, covered)
+                best_cost, best = cost, solution_of(inst, assigned, covered)
             continue
         if idx == len(order) or lost > slack:
             continue

@@ -324,8 +324,14 @@ class TestProtocolTraceCommand:
         (["backups"], [1, 1], "backups [1, 1] name a controller twice"),
         (["backups"], [2, 3, 2], "backups [2, 3, 2] name a controller twice"),
         (["backups"], [2, 1], "master 1 is also a backup"),
+        (["events", 1], {"kind": "role_reply_reject_legacy"},
+         "role_reply_reject_legacy event needs a controller"),
+        (["events", 2], {"kind": "role_reply_accept", "controller": None},
+         "role_reply_accept event needs a controller"),
+        (["events", 2], {"kind": "adopt"}, "adopt event needs a controller"),
     ], ids=["kind-typo", "kind-list", "backups-master-twice", "backups-twice",
-            "backups-master"])
+            "backups-master", "reject-no-controller", "accept-null-controller",
+            "adopt-no-controller"])
     def test_bad_script_exits_before_replay(self, capsys, tmp_path, path, value, message):
         """A script that only says the replay is wrong never replays: one
         error line, nothing on stdout, exit 2."""

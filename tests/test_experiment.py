@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from retroflow import experiment
 from retroflow.domains import FailureScenario, enumerate_failure_scenarios
 from retroflow.experiment import (QueueModel, ReportError, emit_report,
                                   queueing_penalty_ms, run_scenario,
@@ -50,6 +51,23 @@ class TestRunScenario:
         assert not rep.outcome("retroflow").overloaded
         for j in nearest.overloaded:
             assert nearest.controller_load[j] > nearest.controller_ability[j] == 500
+
+    def test_flow_ids_never_decoded(self, att_world, monkeypatch):
+        """The solvers and the scoring count flows on masks: the instance's
+        flow ids are decoded only once someone reads them."""
+        built = []
+        build = experiment.build_instance
+        monkeypatch.setattr(experiment, "build_instance",
+                            lambda *args: built.append(build(*args)) or built[-1])
+        scenarios = enumerate_failure_scenarios(att_world.placement, 2)[:3]
+        reports = [run_scenario(att_world, s, q) for s in scenarios for q in (0.9, 1.0)]
+        assert len(built) == 6
+        for inst, rep in zip(built, reports):
+            assert "flows" not in vars(inst)
+            for o in rep.outcomes:
+                if o.solution is not None:
+                    assert o.programmable_flow_fraction == len(o.solution.y) / len(inst.flows)
+            assert "flows" in vars(inst)
 
     def test_zero_quota(self, att_world):
         rep = run_scenario(att_world, FailureScenario(frozenset({20})), 0.0)

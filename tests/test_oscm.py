@@ -226,6 +226,14 @@ class TestSerialization:
         clone = Solution.from_json(sol.to_json())
         assert clone == sol
 
+    @pytest.mark.parametrize("y", [(5, -7, 10**300, 0), [5, -7, 10**300, 0]],
+                             ids=["tuple", "list"])
+    def test_solution_sorts_flow_ids(self, y):
+        sol = Solution(x={1: 1}, assigned={1: 10}, y=y, objective=1.0)
+        assert sol.y == (-7, 0, 5, 10**300)
+        assert sol.n_programmable == 4
+        assert sol.to_json() == Solution.from_json(sol.to_json()).to_json()
+
     @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
     def test_bad_delay_rejected(self, toy, delay):
         doc = json.loads(toy.to_json())

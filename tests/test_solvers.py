@@ -1,5 +1,8 @@
+import copy
 import hashlib
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -410,6 +413,27 @@ def assert_same_greedy(inst):
     assert clone.to_json() == inst.to_json()
 
 
+def random_world_instances(seed, worlds):
+    """Every failure scenario's instance on `worlds` seeded random
+    topologies, each with its own placement and a drawn quota fraction."""
+    rng = random.Random(seed)
+    for _ in range(worlds):
+        n = rng.randint(3, 12)
+        t = synthetic(n, random_connected_links(rng, n, (0, 50, 100, 300)))
+        beta = compute_beta(generate_flows(t), t)
+        loads = beta.loads()
+        controllers = rng.sample(range(n), rng.randint(2, min(4, n)))
+        domain_of = {i: rng.choice(controllers) for i in range(n)}
+        # each controller serves its own domain, with room to spare for some
+        capacity = [(c, sum(loads[i] for i, d in domain_of.items() if d == c)
+                     + rng.choice((0, rng.randint(0, 4 * n))))
+                    for c in controllers]
+        placement = Placement(capacity, domain_of)
+        for k in range(1, len(controllers)):
+            for s in enumerate_failure_scenarios(placement, k):
+                yield build_instance(t, beta, placement, s, rng.choice((0.5, 0.9, 1.0)))
+
+
 class TestFlowMasks:
     """Flow sets as bitmasks: an instance built from a world uses the
     world's index, one read from a document derives its own."""
@@ -425,23 +449,8 @@ class TestFlowMasks:
                 assert_same_greedy(inst)
 
     def test_random_worlds(self):
-        rng = random.Random(1414)
-        for _ in range(40):
-            n = rng.randint(3, 12)
-            t = synthetic(n, random_connected_links(rng, n, (0, 50, 100, 300)))
-            beta = compute_beta(generate_flows(t), t)
-            loads = beta.loads()
-            controllers = rng.sample(range(n), rng.randint(2, min(4, n)))
-            domain_of = {i: rng.choice(controllers) for i in range(n)}
-            # each controller serves its own domain, with room to spare for some
-            capacity = [(c, sum(loads[i] for i, d in domain_of.items() if d == c)
-                         + rng.choice((0, rng.randint(0, 4 * n))))
-                        for c in controllers]
-            placement = Placement(capacity, domain_of)
-            for k in range(1, len(controllers)):
-                for s in enumerate_failure_scenarios(placement, k):
-                    inst = build_instance(t, beta, placement, s, rng.choice((0.5, 0.9, 1.0)))
-                    assert_same_greedy(inst)
+        for inst in random_world_instances(1414, 40):
+            assert_same_greedy(inst)
 
     def test_huge_and_negative_flow_ids(self):
         inst = OscmInstance(
@@ -460,6 +469,57 @@ class TestFlowMasks:
         assert got == want
         assert any(str(10**300) in line for line in got)
         assert_same_greedy(inst)
+
+
+def assert_like_constructed(sol):
+    """A solver's solution, which holds its flows as a mask over its
+    instance's flow index, behaves as the solution the public constructor
+    builds from the same flow ids, given unsorted."""
+    y = sol.y
+    assert type(y) is tuple and all(a < b for a, b in zip(y, y[1:]))
+    assert sol.n_programmable == len(y)
+    public = Solution(x=dict(sol.x), assigned=dict(sol.assigned), y=list(reversed(y)),
+                      objective=sol.objective, quota_met=sol.quota_met)
+    assert sol == public and public == sol
+    assert sol.to_json() == public.to_json()
+    assert repr(sol) == repr(public) == (
+        f"Solution(x={sol.x!r}, assigned={sol.assigned!r}, y={y!r}, "
+        f"objective={sol.objective!r}, quota_met={sol.quota_met!r})")
+    for twin in (pickle.loads(pickle.dumps(sol)), copy.copy(sol), copy.deepcopy(sol)):
+        assert twin == public and twin.to_json() == public.to_json()
+        assert repr(twin) == repr(public)
+    if y:
+        assert sol != Solution(sol.x, sol.assigned, y[1:], sol.objective, sol.quota_met)
+    with pytest.raises(FrozenInstanceError):
+        sol.y = ()
+    with pytest.raises(FrozenInstanceError):
+        sol.objective = 0.0
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(sol)
+
+
+def solver_solutions(inst):
+    """Every solution the three solvers return for inst."""
+    yield solve_retroflow(inst)
+    yield solve_nearest(inst)
+    result = solve_exact(inst)
+    if result.solution is not None:
+        yield result.solution
+
+
+class TestSolutionMasks:
+    """Solvers hand out their flow masks undecoded; the solution decodes
+    y on each read and otherwise acts as one built from flow ids."""
+
+    def test_att25(self, att_world):
+        for inst in att25_instances(att_world):
+            for sol in solver_solutions(inst):
+                assert_like_constructed(sol)
+
+    def test_random_worlds(self):
+        for inst in random_world_instances(1515, 15):
+            for sol in solver_solutions(inst):
+                assert_like_constructed(sol)
 
 
 class TestSolveNearest:

@@ -13,9 +13,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import domains as dm
-from .flows import BetaMatrix, Flow, compute_beta, generate_flows
+# generate_flows and compute_beta are the per-flow reference for
+# programmability, the build make_world uses; perfbench/tracing.py wraps
+# all three here by name
+from .flows import BetaMatrix, Flow, compute_beta, generate_flows, programmability
 from .geo import Topology
 from .oscm import OscmInstance, Solution, build_instance, switch_loads
 from .solvers import SolverBudget, solve_exact, solve_nearest, solve_retroflow
@@ -52,18 +56,21 @@ def queueing_penalty_ms(load: int, ability: int, m: QueueModel) -> float:
 class World:
     """Everything a scenario run needs besides the failure itself."""
     topology: Topology
-    flows: tuple[Flow, ...]
     beta: BetaMatrix
     placement: dm.Placement
+
+    @cached_property
+    def flows(self) -> tuple[Flow, ...]:
+        """One flow per ordered node pair; beta's bit k is flow id k.
+        Generated on the first read, which a scenario run never makes."""
+        return generate_flows(self.topology)
 
     def loads(self) -> dict[int, int]:
         return switch_loads(self.placement, self.beta)
 
 
 def make_world(topology: Topology, placement: dm.Placement) -> World:
-    flows = generate_flows(topology)
-    beta = compute_beta(flows, topology)
-    return World(topology, flows, beta, placement)
+    return World(topology, programmability(topology), placement)
 
 
 def load_diagnostics(world: World) -> dict:
@@ -138,14 +145,16 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
     inst = build_instance(world.topology, world.beta, world.placement, s, q_fraction)
     ability = {j: world.placement.capacity[j] for j in inst.active_controllers}
 
+    # one greedy run serves its own row and the exact search's incumbent
+    greedy = solve_retroflow(inst) if "retroflow" in algorithms else None
     outcomes = []
     for name in algorithms:
         if name == "exact":
-            result = solve_exact(inst, budget)
+            result = solve_exact(inst, budget, _greedy=greedy)
             sol = result.solution
             status = "ok" if result.status == "optimal" else result.status
         elif name in ("retroflow", "nearest"):
-            sol = solve_retroflow(inst) if name == "retroflow" else solve_nearest(inst)
+            sol = greedy if name == "retroflow" else solve_nearest(inst)
             status = "ok" if sol.quota_met else "quota_unmet"
         else:
             raise ReportError(f"unknown algorithm {name!r}")

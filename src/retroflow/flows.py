@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .geo import Path, Topology, has_alternative_path, shortest_path
+from .geo import Path, Topology, has_alternative_path, shortest_path, shortest_path_tree
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,28 +60,76 @@ def flows_of(mask: int, ids: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class BetaMatrix:
-    """Programmability indicators and the per-switch loads they induce."""
+    """Programmability indicators and the per-switch loads they induce.
+
+    masks[i] has bit k set when switch i can reprogram flow ids[k] (see
+    index_flows). A switch's flow ids are decoded on its first flows_at
+    and kept for the matrix's life; the loads are counted once.
+    """
 
     def __init__(self, rows: dict[int, frozenset[int]], switch_ids):
         self._rows = {i: frozenset(rows.get(i, frozenset())) for i in switch_ids}
-        self._index = None
+        self.ids, self.masks = index_flows(self._rows)
+        self._loads = {i: len(fls) for i, fls in self._rows.items()}
+
+    @classmethod
+    def _of_masks(cls, masks: dict[int, int], ids) -> "BetaMatrix":
+        """The matrix whose rows are the bits of masks over the index ids;
+        no row is decoded until it is read."""
+        b = cls.__new__(cls)
+        b._rows, b.ids, b.masks = {}, ids, masks
+        b._loads = {i: m.bit_count() for i, m in masks.items()}
+        return b
 
     def flows_at(self, switch_id: int) -> frozenset[int]:
-        try:
-            return self._rows[switch_id]
-        except KeyError:
-            raise KeyError(f"unknown switch {switch_id}") from None
+        row = self._rows.get(switch_id)
+        if row is None:
+            try:
+                mask = self.masks[switch_id]
+            except KeyError:
+                raise KeyError(f"unknown switch {switch_id}") from None
+            # through a set, whose table is sized as compute_beta's rows are
+            row = self._rows[switch_id] = frozenset(set(flows_of(mask, self.ids)))
+        return row
 
     def loads(self) -> dict[int, int]:
-        return {i: len(fls) for i, fls in self._rows.items()}
+        return dict(self._loads)
 
-    def index(self) -> tuple[tuple[int, ...], dict[int, int]]:
-        """Every switch's flows as a bitmask over one index of the matrix's
-        flow ids (see index_flows). Built on the first call, not with the
-        matrix, so a world pays for it only once an instance is built."""
-        if self._index is None:
-            self._index = index_flows(self._rows)
-        return self._index
+
+def programmability(t: Topology) -> BetaMatrix:
+    """The matrix compute_beta(generate_flows(t), t) builds, with bit k
+    standing for flow id k itself, from one shortest-path tree per source
+    and no per-pair query.
+
+    Switch i can reprogram flow src->dst when i is on the path, is not
+    dst, and lies in dst's 2-edge-connected component. A simple path
+    between two nodes of one component never leaves it, so the flows i
+    can reprogram from src are its descendants in src's tree that it
+    reaches through nodes of its own component. One walk of the tree,
+    children before parents, collects them: the destinations below u
+    through a child v of u's component are v and those below v.
+    """
+    ids = t.node_ids()
+    n = len(ids)
+    component = t._component
+    masks = dict.fromkeys(ids, 0)
+    for s, src in enumerate(ids):
+        # flow ids run in (src, dst) order, so dst's bit among src's n - 1
+        # flows is its position with src left out
+        bit = {dst: 1 << (k - (k > s)) for k, dst in enumerate(ids)}
+        below: dict[int, int] = {}
+        for v, path in reversed(shortest_path_tree(t, src).items()):
+            if v == src:
+                continue
+            u = path.node_ids[-2]
+            if component[u] == component[v]:
+                below[u] = below.get(u, 0) | bit[v] | below.get(v, 0)
+        shift = s * (n - 1)
+        for u, m in below.items():
+            masks[u] |= m << shift
+    # a tuple, not a range: every decoded row then shares one int object
+    # per flow id, and set operations across rows match ids by identity
+    return BetaMatrix._of_masks(masks, tuple(range(n * (n - 1))))
 
 
 def generate_flows(t: Topology) -> tuple[Flow, ...]:

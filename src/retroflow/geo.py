@@ -122,7 +122,7 @@ class Topology:
         self._component = _two_edge_components(self._adj, ids[0])
         if len(self._component) < len(ids):
             raise TopologyError("topology is disconnected")
-        # Filled lazily by shortest_path.
+        # Filled lazily by shortest_path_tree.
         self._paths: dict[int, dict[int, Path]] = {}
 
     def node_ids(self) -> tuple[int, ...]:
@@ -200,14 +200,26 @@ def shortest_path(t: Topology, src: int, dst: int) -> Path:
     runs one search to every node and stores the paths on t; later queries
     from src are lookups.
     """
-    t._check_node(src)
+    paths = shortest_path_tree(t, src)
     t._check_node(dst)
     if src == dst:
         raise TopologyError("src and dst must differ")
+    return paths[dst]
+
+
+def shortest_path_tree(t: Topology, src: int) -> dict[int, Path]:
+    """The shortest path from src to every node, src's own one-node path
+    included, keyed in the order the search settled them. The first call
+    from src runs the search and stores its paths on t.
+
+    The paths form a tree: a path less its last node is the path to
+    that node's parent, which was settled earlier.
+    """
+    t._check_node(src)
     paths = t._paths.get(src)
     if paths is None:
         paths = t._paths[src] = _paths_from(t, src)
-    return paths[dst]
+    return paths
 
 
 def _paths_from(t: Topology, src: int) -> dict[int, Path]:

@@ -15,7 +15,7 @@ from pathlib import Path as FsPath
 
 from . import domains as dm
 from ._doc import key, number, whole
-from .flows import BetaMatrix, flows_of, index_flows
+from .flows import BetaMatrix, flows_of
 from .geo import Topology, shortest_path
 
 
@@ -41,28 +41,31 @@ def _ids(values, what: str) -> set[int]:
 
 class OscmInstance:
     def __init__(self, offline_switches, active_controllers, delay, g, beta, a_rest,
-                 q_required, label: str = "", _index=None):
+                 q_required, label: str = ""):
         """delay: {(switch, controller): ms}; g: {switch: flow count};
-        beta: {switch: set of flow ids}; a_rest: {controller: flow count}.
+        beta: {switch: set of flow ids}, or a world's BetaMatrix, whose
+        offline switches' rows are read; a_rest: {controller: flow count}.
 
         The mappings are stored as given, so ids, counts and the quota must
         already be ints; from_json converts and checks outside documents.
 
         masks[i] holds beta[i] as an int bitmask over a flow index (see
-        flows.index_flows), union their OR, and flows_of decodes one. The
-        index is built here from beta, unless build_instance hands over
-        its world's (`_index`, from BetaMatrix.index, whose rows beta must
-        be)."""
+        flows.index_flows), union their OR, and flows_of decodes one. Sets
+        are indexed here; a matrix lends its index and masks, and `beta`
+        is then decoded on the first read, through the matrix's rows, so
+        every instance of a world shares the rows it decodes."""
         self.label = label
         self.offline_switches: tuple[int, ...] = tuple(sorted(offline_switches))
         self.active_controllers: tuple[int, ...] = tuple(sorted(active_controllers))
         self.delay = delay
         self.g = g
-        self.beta = {i: frozenset(fl) for i, fl in beta.items()}
+        matrix = beta if isinstance(beta, BetaMatrix) else BetaMatrix(beta, beta)
+        self._beta = matrix
+        self._rows = None  # beta, once read
         self.a_rest = a_rest
 
         for i in self.offline_switches:
-            if i not in self.g or i not in self.beta:
+            if i not in self.g or i not in matrix.masks:
                 raise InstanceError(f"switch {i} missing load or flow data")
             if self.g[i] < 0:
                 raise InstanceError(f"switch {i} has negative load")
@@ -79,8 +82,10 @@ class OscmInstance:
             if self.a_rest[j] < 0:
                 raise InstanceError(f"controller {j} has negative residual ability")
         offline, active = set(self.offline_switches), set(self.active_controllers)
+        # a world's matrix has a row for every switch, not only the offline ones
         for what, ids, known, kind in (("loads", self.g, offline, "offline switches"),
-                                       ("flows", self.beta, offline, "offline switches"),
+                                       ("flows", () if beta is matrix else beta, offline,
+                                        "offline switches"),
                                        ("residual", self.a_rest, active, "active controllers")):
             unknown = sorted(set(ids) - known)
             if unknown:
@@ -92,9 +97,8 @@ class OscmInstance:
             raise InstanceError("delay_ms names pairs that are not "
                                 f"(offline switch, active controller): {unknown}")
 
-        # beta names exactly the offline switches
-        self._ids, masks = index_flows(self.beta) if _index is None else _index
-        self.masks: dict[int, int] = {i: masks[i] for i in self.offline_switches}
+        self._ids = matrix.ids
+        self.masks: dict[int, int] = {i: matrix.masks[i] for i in self.offline_switches}
         union = 0
         for m in self.masks.values():
             union |= m
@@ -116,6 +120,18 @@ class OscmInstance:
     @property
     def n_flows(self) -> int:
         return self.union.bit_count()
+
+    @property
+    def beta(self) -> dict[int, frozenset[int]]:
+        """Each offline switch's flow ids, decoded on the first read, which
+        the greedy and the baseline never make.
+
+        A property, not a cached_property: one would reach for the
+        instance's __dict__, and an instance with a __dict__ loses the
+        interpreter's fast attribute reads in the solvers' loops."""
+        if self._rows is None:
+            self._rows = {i: self._beta.flows_at(i) for i in self.offline_switches}
+        return self._rows
 
     @cached_property
     def flows(self) -> tuple[int, ...]:
@@ -336,11 +352,10 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
         active_controllers=active,
         delay=delay,
         g={i: loads[i] for i in offline},
-        beta={i: b.flows_at(i) for i in offline},
+        beta=b,
         a_rest=rest,
         q_required=0,
         label=s.label(),
-        _index=b.index(),
     )
     # the quota reads the flow union the instance built; q_fraction is in [0, 1]
     inst.q_required = math.ceil(q_fraction * inst.n_flows)
@@ -404,8 +419,8 @@ def validate(inst: OscmInstance, sol: Solution) -> ValidationReport:
 def programmable_flows(inst: OscmInstance, x: dict[int, int]) -> frozenset[int]:
     """Flows carried by at least one SDN-mode switch; each flow counts once
     no matter how many selected switches carry it."""
-    out = set()
+    mask = 0
     for i in inst.offline_switches:
         if x.get(i, 0):
-            out |= inst.beta[i]
-    return frozenset(out)
+            mask |= inst.masks[i]
+    return frozenset(inst.flows_of(mask))

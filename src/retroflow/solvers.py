@@ -175,7 +175,8 @@ def solve_nearest(inst: OscmInstance) -> Solution:
     return _solution(inst, assigned, inst.union)
 
 
-def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> ExactResult:
+def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
+                _greedy: Solution | None = None) -> ExactResult:
     """Branch and bound over per-switch decisions (legacy or one of the
     active controllers).
 
@@ -190,6 +191,9 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
     when the search completes, the incumbent flagged not_proven on budget
     exhaustion, or an infeasible verdict when no configuration meets the
     quota within the residual abilities.
+
+    _greedy is solve_retroflow(inst), for a caller that has already run
+    it; without it the search runs the greedy itself.
 
     The search keeps an explicit stack, so its depth (one level per
     offline switch) is not bounded by the interpreter's recursion limit.
@@ -215,7 +219,7 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None) -> Exact
     slack = inst.n_flows - q
 
     best_cost, best = float("inf"), None
-    greedy = solve_retroflow(inst)
+    greedy = solve_retroflow(inst) if _greedy is None else _greedy
     if greedy.quota_met:
         best_cost, best = greedy.objective, greedy
 
@@ -285,11 +289,12 @@ def _bound(inst, order, options, idx, covered, rest, needed, spare):
     floor: the needed flows bought fractionally at each switch's
     cheapest price per flow, ignoring capacity coupling.
     """
+    beta = inst.beta
     usable = []
     reach = []  # the usable switches' uncovered flows
     stranded = 0  # uncovered flows of the other switches, with repeats
     for i in order[idx:]:
-        gain = inst.beta[i] - covered
+        gain = beta[i] - covered
         if not gain:
             continue
         g_i = inst.g[i]

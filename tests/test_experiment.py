@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from retroflow import experiment
+from retroflow import experiment, fixtures, solvers
 from retroflow.domains import FailureScenario, enumerate_failure_scenarios
 from retroflow.experiment import (QueueModel, ReportError, emit_report,
                                   queueing_penalty_ms, run_scenario,
@@ -68,6 +68,42 @@ class TestRunScenario:
                 if o.solution is not None:
                     assert o.programmable_flow_fraction == len(o.solution.y) / len(inst.flows)
             assert "flows" in vars(inst)
+
+    def test_greedy_and_baseline_decode_no_beta_row(self):
+        """The greedy, the baseline, the scoring and the report count flows
+        on the world's masks: a whole att25 sweep decodes no row of it."""
+        t = fixtures.att25_topology()
+        world = experiment.make_world(t, fixtures.att_table2_placement(t))
+        for k in range(1, 6):
+            for q in (0.9, 1.0):
+                emit_report([run_scenario(world, s, q, algorithms=("retroflow", "nearest"))
+                             for s in enumerate_failure_scenarios(world.placement, k)])
+        assert world.beta._rows == {}
+
+    def test_one_greedy_run_per_scenario(self, att_world, monkeypatch):
+        """The retroflow row's solution is also the exact search's
+        starting incumbent."""
+        runs = []
+        greedy = solvers.solve_retroflow
+
+        def counted(inst, trace=None):
+            runs.append(inst)
+            return greedy(inst, trace)
+        monkeypatch.setattr(experiment, "solve_retroflow", counted)
+        monkeypatch.setattr(solvers, "solve_retroflow", counted)
+        for s in enumerate_failure_scenarios(att_world.placement, 2):
+            runs.clear()
+            rep = run_scenario(att_world, s, 0.9)
+            assert len(runs) == 1
+            exact = solvers.solve_exact(runs[0])
+            assert len(runs) == 2
+            outcome = rep.outcome("exact")
+            assert outcome.status == ("ok" if exact.status == "optimal" else exact.status)
+            assert outcome.solution == exact.solution
+        # exact alone runs the greedy itself
+        runs.clear()
+        run_scenario(att_world, s, 0.9, algorithms=("exact",))
+        assert len(runs) == 1
 
     def test_zero_quota(self, att_world):
         rep = run_scenario(att_world, FailureScenario(frozenset({20})), 0.0)

@@ -1,10 +1,13 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path as FsPath
 
 import pytest
 
 from retroflow import fixtures, flows, geo
 from retroflow.flows import (BetaMatrix, Flow, compute_beta, flows_of, generate_flows,
-                             index_flows)
+                             index_flows, programmability)
 from retroflow.geo import GeoCoordinate, Path, Topology
 from retroflow.experiment import load_diagnostics, make_world
 
@@ -144,26 +147,28 @@ class TestFlowIndex:
             assert flows_of(union, ids) == tuple(sorted(rows[0] | rows[1]))
 
     def test_world_index_matches_rows(self, att_world):
+        # a world's bit k stands for flow id k
         b = att_world.beta
-        ids, masks = b.index()
-        assert b.index() is b.index()
-        # every att25 flow is carried by some switch
-        assert ids == tuple(f.flow_id for f in att_world.flows)
+        assert b.ids == tuple(f.flow_id for f in att_world.flows) == tuple(range(25 * 24))
         for i, load in b.loads().items():
-            assert flows_of(masks[i], ids) == tuple(sorted(b.flows_at(i)))
-            assert masks[i].bit_count() == load
+            assert flows_of(b.masks[i], b.ids) == tuple(sorted(b.flows_at(i)))
+            assert b.masks[i].bit_count() == load
 
-    def test_index_built_on_first_use(self):
+    def test_rows_decoded_on_first_use(self):
         t = ring5_named()
-        b = compute_beta(generate_flows(t), t)
-        assert b._index is None
-        ids, masks = b.index()
-        assert ids == tuple(range(20))
-        assert {i: flows_of(m, ids) for i, m in masks.items()} == {
-            i: tuple(sorted(b.flows_at(i))) for i in t.node_ids()}
+        b = programmability(t)
+        assert b._rows == {}
+        want = compute_beta(generate_flows(t), t)
+        row = b.flows_at(22)
+        assert row == want.flows_at(22)
+        assert b.flows_at(22) is row
+        assert list(b._rows) == [22]
+        # decoded rows share the index's int objects
+        assert all(l is b.ids[l] for l in row)
+        # a matrix built from rows holds them from the start
         b = BetaMatrix({0: frozenset({1, 2, 3})}, [0, 1])
-        assert b._index is None
-        assert b.index() == ((1, 2, 3), {0: 0b111, 1: 0})
+        assert (b.ids, b.masks) == ((1, 2, 3), {0: 0b111, 1: 0})
+        assert b._rows == {0: {1, 2, 3}, 1: frozenset()}
 
 
 class TestInvariants:
@@ -193,9 +198,26 @@ class TestInvariants:
             assert len(b.flows_at(i)) - len(b2.flows_at(i)) == (victim.flow_id in b.flows_at(i))
 
 
+def id_masks(b) -> dict[int, int]:
+    """Each switch's flows as a mask whose bit k is flow id k."""
+    return {i: sum(1 << l for l in b.flows_at(i)) for i in b.masks}
+
+
+def load_perfbench_workloads():
+    """perfbench/workloads.py, which generates the benchmark's grids."""
+    path = FsPath(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestWorldBuildAgainstOracle:
-    """generate_flows and compute_beta against verbatim copies of the
-    per-edge-checked search and the per-flow beta build."""
+    """The world's masks, built from one path tree per source, against
+    generate_flows over verbatim copies of the per-edge-checked search and
+    the per-flow beta build."""
 
     @staticmethod
     def random_links(rng):
@@ -209,46 +231,76 @@ class TestWorldBuildAgainstOracle:
             links.append((rng.randrange(k), k, rng.choice((0, 1, 3))))
         return n + pendants, links
 
+    @staticmethod
+    def per_flow(t, monkeypatch):
+        """generate_flows over the checked search, and the per-flow beta."""
+        with monkeypatch.context() as m:
+            m.setattr(geo, "_paths_from", paths_from_checked)
+            want_flows = generate_flows(t)
+        assert_ordered_pair_ids(want_flows, t)
+        return want_flows, compute_beta_per_flow(want_flows, t)
+
+    @staticmethod
+    def assert_same_masks(got, want_flows, want):
+        assert got.ids == tuple(range(len(want_flows)))
+        assert got.masks == id_masks(want)
+        assert got.loads() == want.loads()
+
     def test_same_flows_and_beta_on_random_topologies(self, monkeypatch):
         rng = random.Random(11)
         answers = set()
+        uncarried = 0
         for _ in range(60):
             n, links = self.random_links(rng)
             got_t = synthetic(n, links)
             got_flows = generate_flows(got_t)
-            assert_ordered_pair_ids(got_flows, got_t)
-            got_beta = compute_beta(got_flows, got_t)
-            with monkeypatch.context() as m:
-                m.setattr(geo, "_paths_from", paths_from_checked)
-                want_t = synthetic(n, links)
-                want_flows = generate_flows(want_t)
-            want_beta = compute_beta_per_flow(want_flows, want_t)
+            got = programmability(got_t)
+            want_flows, want = self.per_flow(synthetic(n, links), monkeypatch)
 
             assert [f.flow_id for f in got_flows] == [f.flow_id for f in want_flows]
-            for got, want in zip(got_flows, want_flows):
-                assert (got.src, got.dst) == (want.src, want.dst)
-                assert got.path.node_ids == want.path.node_ids
-                assert got.path.total_delay_ms == want.path.total_delay_ms
-            for i in got_t.node_ids():
-                assert got_beta.flows_at(i) == want_beta.flows_at(i)
+            for g, w in zip(got_flows, want_flows):
+                assert (g.src, g.dst) == (w.src, w.dst)
+                assert g.path.node_ids == w.path.node_ids
+                assert g.path.total_delay_ms == w.path.total_delay_ms
+            self.assert_same_masks(got, want_flows, want)
+            union = 0
+            for mask in got.masks.values():
+                union |= mask
+            uncarried += len(got_flows) - union.bit_count()
             answers.update(geo.has_alternative_path(got_t, i, j)
                            for i in range(n) for j in range(n) if i != j)
         assert answers == {False, True}
+        # pendant nodes leave flows that no switch carries
+        assert uncarried > 0
 
-    def test_one_query_per_switch_and_destination_on_att25(self, monkeypatch):
-        calls = {"shortest_path": 0, "has_alternative_path": 0}
+    def test_same_masks_on_att25_and_benchmark_grids(self, monkeypatch):
+        workloads = load_perfbench_workloads()
+        # grid49-exact's fixed seed, and grid100-greedy's seed 1
+        grids = [workloads.grid_topology(side, random.Random(1)) for side in (7, 10)]
+        loaders = [fixtures.att25_topology] + [lambda doc=doc: geo.load_topology(doc)
+                                               for doc in grids]
+        for load in loaders:
+            got = programmability(load())
+            self.assert_same_masks(got, *self.per_flow(load(), monkeypatch))
 
-        def counted(name):
-            fn = getattr(flows, name)
+    def test_one_search_per_source_and_no_pair_query_on_att25(self, monkeypatch):
+        calls = {(geo, "_paths_from"): 0}
+        for module in (flows, geo):
+            for name in ("shortest_path", "has_alternative_path"):
+                calls[(module, name)] = 0
+
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args):
-                calls[name] += 1
+                calls[(module, name)] += 1
                 return fn(*args)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(flows, name, counted(name))
+        for module, name in calls:
+            monkeypatch.setattr(module, name, counted(module, name))
         t = fixtures.att25_topology()
         make_world(t, fixtures.att_table2_placement(t))
-        # 25 * 24 (switch, destination) pairs, each asked once
-        assert calls == {"shortest_path": 600, "has_alternative_path": 600}
+        searches = calls.pop((geo, "_paths_from"))
+        assert searches == 25
+        assert set(calls.values()) == {0}

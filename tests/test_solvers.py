@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from retroflow.domains import FailureScenario, Placement, enumerate_failure_scenarios
+from retroflow.experiment import make_world
 from retroflow.flows import compute_beta, generate_flows
 from retroflow.oscm import OscmInstance, Solution, build_instance, validate
 from retroflow.solvers import (BudgetExhausted, GapInstance, GapSizeError,
@@ -451,6 +452,30 @@ class TestFlowMasks:
     def test_random_worlds(self):
         for inst in random_world_instances(1414, 40):
             assert_same_greedy(inst)
+
+    def test_flows_without_a_carrier(self):
+        """A world's bit is its flow id, so a flow no switch carries leaves
+        a gap in the masks; a matrix built from rows ranks its ids and
+        leaves none. Flow counts, quotas and solutions are the same."""
+        # node 3 hangs off a bridge: no switch reprograms a flow to it,
+        # and node 3 itself reprograms nothing
+        t = synthetic(4, [(0, 1, 100), (1, 2, 100), (0, 2, 150), (2, 3, 100)])
+        placement = Placement([(0, 40), (2, 40)], {0: 0, 1: 0, 2: 2, 3: 2})
+        world = make_world(t, placement)
+        ranked = compute_beta(world.flows, t)
+        carried = set().union(*(ranked.flows_at(i) for i in t.node_ids()))
+        assert len(carried) < len(world.flows) == 12
+        assert world.beta.ids == tuple(range(12)) != ranked.ids == tuple(sorted(carried))
+        for s in enumerate_failure_scenarios(placement, 1):
+            for q in (0.5, 0.9, 1.0):
+                got = build_instance(t, world.beta, placement, s, q)
+                want = build_instance(t, ranked, placement, s, q)
+                assert (got.n_flows, got.q_required) == (want.n_flows, want.q_required)
+                assert got.flows == want.flows
+                for solve in (solve_retroflow, solve_nearest):
+                    assert solve(got).y == solve(want).y
+                    assert solve(got) == solve(want)
+                assert exact_outcome(solve_exact, got) == exact_outcome(solve_exact, want)
 
     def test_huge_and_negative_flow_ids(self):
         inst = OscmInstance(

@@ -13,13 +13,12 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import domains as dm
 # generate_flows and compute_beta are the per-flow reference for
 # programmability, the build make_world uses; perfbench/tracing.py wraps
 # all three here by name
-from .flows import BetaMatrix, Flow, compute_beta, generate_flows, programmability
+from .flows import BetaMatrix, compute_beta, generate_flows, programmability
 from .geo import Topology
 from .oscm import OscmInstance, Solution, build_instance, switch_loads
 from .solvers import SolverBudget, solve_exact, solve_nearest, solve_retroflow
@@ -58,12 +57,6 @@ class World:
     topology: Topology
     beta: BetaMatrix
     placement: dm.Placement
-
-    @cached_property
-    def flows(self) -> tuple[Flow, ...]:
-        """One flow per ordered node pair; beta's bit k is flow id k.
-        Generated on the first read, which a scenario run never makes."""
-        return generate_flows(self.topology)
 
     def loads(self) -> dict[int, int]:
         return switch_loads(self.placement, self.beta)

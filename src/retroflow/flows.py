@@ -7,6 +7,7 @@ Per-switch load counts exactly those reprogrammable flows.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import compress
 
@@ -31,26 +32,25 @@ class Flow:
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def index_flows(rows: dict[int, frozenset[int]]) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Flow sets as int bitmasks over one flow index: (ids, masks), where
-    ids lists every flow id of rows once, ascending, and masks[key] has
-    bit k set when ids[k] is in rows[key].
+def index_flows(rows: dict[int, Iterable[int]]) -> BetaMatrix:
+    """The matrix of rows (switch -> flow ids) over one flow index: ids
+    lists every flow id of rows once, ascending, and masks[switch] has bit
+    k set when ids[k] is in the switch's row.
 
     Bit k is the rank of a flow id, never the id itself: an id may be any
-    whole number, negative or beyond any shift. The id-to-rank dict lives
-    only while the masks are built.
+    whole number, negative or beyond any shift. Each mask ORs one shifted
+    bit per flow id of its row, so indexing costs O(β entries) shifts; the
+    id-to-rank dict lives only while the masks are built.
     """
     ids = tuple(sorted(set().union(*rows.values())))
     rank = {l: k for k, l in enumerate(ids)}
     masks = {}
     for key, row in rows.items():
-        # digit k is bit k; reversed, the digits read as a binary numeral
-        digits = bytearray(b"0") * len(ids)
+        mask = 0
         for l in row:
-            digits[rank[l]] = 49  # ord("1")
-        digits.reverse()
-        masks[key] = int(digits or b"0", 2)
-    return ids, masks
+            mask |= 1 << rank[l]
+        masks[key] = mask
+    return BetaMatrix(masks, ids)
 
 
 def flows_of(mask: int, ids: tuple[int, ...]) -> tuple[int, ...]:
@@ -62,24 +62,16 @@ def flows_of(mask: int, ids: tuple[int, ...]) -> tuple[int, ...]:
 class BetaMatrix:
     """Programmability indicators and the per-switch loads they induce.
 
-    masks[i] has bit k set when switch i can reprogram flow ids[k] (see
-    index_flows). A switch's flow ids are decoded on its first flows_at
-    and kept for the matrix's life; the loads are counted once.
+    masks[i] has bit k set when switch i can reprogram flow ids[k]; rows
+    of flow ids become a matrix through index_flows. A switch's flow ids
+    are decoded on its first flows_at and kept for the matrix's life; the
+    loads are counted once.
     """
 
-    def __init__(self, rows: dict[int, frozenset[int]], switch_ids):
-        self._rows = {i: frozenset(rows.get(i, frozenset())) for i in switch_ids}
-        self.ids, self.masks = index_flows(self._rows)
-        self._loads = {i: len(fls) for i, fls in self._rows.items()}
-
-    @classmethod
-    def _of_masks(cls, masks: dict[int, int], ids) -> "BetaMatrix":
-        """The matrix whose rows are the bits of masks over the index ids;
-        no row is decoded until it is read."""
-        b = cls.__new__(cls)
-        b._rows, b.ids, b.masks = {}, ids, masks
-        b._loads = {i: m.bit_count() for i, m in masks.items()}
-        return b
+    def __init__(self, masks: dict[int, int], ids: tuple[int, ...]):
+        self.masks, self.ids = masks, ids
+        self._rows: dict[int, frozenset[int]] = {}
+        self._loads = {i: m.bit_count() for i, m in masks.items()}
 
     def flows_at(self, switch_id: int) -> frozenset[int]:
         row = self._rows.get(switch_id)
@@ -129,7 +121,7 @@ def programmability(t: Topology) -> BetaMatrix:
             masks[u] |= m << shift
     # a tuple, not a range: every decoded row then shares one int object
     # per flow id, and set operations across rows match ids by identity
-    return BetaMatrix._of_masks(masks, tuple(range(n * (n - 1))))
+    return BetaMatrix(masks, tuple(range(n * (n - 1))))
 
 
 def generate_flows(t: Topology) -> tuple[Flow, ...]:
@@ -160,4 +152,4 @@ def compute_beta(flows: tuple[Flow, ...], t: Topology) -> BetaMatrix:
                 ok = known[i] = has_alternative_path(t, i, f.dst)
             if ok:
                 rows[i].add(f.flow_id)
-    return BetaMatrix({i: frozenset(s) for i, s in rows.items()}, t.node_ids())
+    return index_flows(rows)

@@ -15,7 +15,7 @@ from pathlib import Path as FsPath
 
 from . import domains as dm
 from ._doc import key, number, whole
-from .flows import BetaMatrix, flows_of
+from .flows import BetaMatrix, flows_of, index_flows
 from .geo import Topology, shortest_path
 
 
@@ -49,17 +49,18 @@ class OscmInstance:
         The mappings are stored as given, so ids, counts and the quota must
         already be ints; from_json converts and checks outside documents.
 
-        masks[i] holds beta[i] as an int bitmask over a flow index (see
-        flows.index_flows), union their OR, and flows_of decodes one. Sets
-        are indexed here; a matrix lends its index and masks, and `beta`
-        is then decoded on the first read, through the matrix's rows, so
-        every instance of a world shares the rows it decodes."""
+        masks[i] holds beta[i] as an int bitmask over a flow index, union
+        their OR, and flows_of decodes one. Sets go through
+        flows.index_flows into a matrix of their own; a world's matrix
+        lends its index and masks. Either way `beta` is decoded on the
+        first read, through the matrix's rows, so every instance of a
+        world shares the rows it decodes."""
         self.label = label
         self.offline_switches: tuple[int, ...] = tuple(sorted(offline_switches))
         self.active_controllers: tuple[int, ...] = tuple(sorted(active_controllers))
         self.delay = delay
         self.g = g
-        matrix = beta if isinstance(beta, BetaMatrix) else BetaMatrix(beta, beta)
+        matrix = beta if isinstance(beta, BetaMatrix) else index_flows(beta)
         self._beta = matrix
         self._rows = None  # beta, once read
         self.a_rest = a_rest
@@ -179,8 +180,7 @@ class OscmInstance:
                 delay=delay,
                 g={key(k, "load key", error): whole(v, f"load of switch {k}", error)
                    for k, v in doc["loads"].items()},
-                beta={key(k, "flows key", error):
-                      frozenset(whole(l, f"flow id of switch {k}", error) for l in v)
+                beta={key(k, "flows key", error): _ids(v, f"switch {k} flow id")
                       for k, v in doc["flows"].items()},
                 a_rest={key(k, "residual key", error):
                         whole(v, f"residual of controller {k}", error)

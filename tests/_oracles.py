@@ -400,7 +400,7 @@ def compute_beta_per_flow(flows, t):
     """The programmability matrix as it was built before alternative-path
     answers were kept per (switch, destination): one query per (path node,
     flow). Kept verbatim, so the new build can be checked row for row."""
-    from retroflow.flows import BetaMatrix
+    from retroflow.flows import index_flows
     from retroflow.geo import has_alternative_path
 
     rows: dict[int, set[int]] = {i: set() for i in t.node_ids()}
@@ -408,7 +408,25 @@ def compute_beta_per_flow(flows, t):
         for i in f.path.node_ids[:-1]:
             if has_alternative_path(t, i, f.dst):
                 rows[i].add(f.flow_id)
-    return BetaMatrix({i: frozenset(s) for i, s in rows.items()}, t.node_ids())
+    return index_flows(rows)
+
+
+def index_flows_by_digits(rows):
+    """(ids, masks) as flows.index_flows built them before it OR-ed one
+    shifted bit per flow id: one binary numeral per row, as long as the
+    whole index. Kept verbatim, so the new index can be checked mask for
+    mask."""
+    ids = tuple(sorted(set().union(*rows.values())))
+    rank = {l: k for k, l in enumerate(ids)}
+    masks = {}
+    for key, row in rows.items():
+        # digit k is bit k; reversed, the digits read as a binary numeral
+        digits = bytearray(b"0") * len(ids)
+        for l in row:
+            digits[rank[l]] = 49  # ord("1")
+        digits.reverse()
+        masks[key] = int(digits or b"0", 2)
+    return ids, masks
 
 
 def two_edge_components_two_pass(t):

@@ -412,12 +412,13 @@ class TestStrictReaders:
         (["active_controllers"], [True, 3], "active controller must be a whole number"),
         (["loads", "77"], 5, "loads names ids that are not offline switches: [77]"),
         (["flows", "77"], [1], "flows names ids that are not offline switches: [77]"),
+        (["flows", "20"], [1, 3, 1, 3], "duplicate switch 20 flow id 1"),
         (["residual", "8"], 5, "residual names ids that are not active controllers: [8]"),
         (["delay_ms", "77,8"], 1.0,
          "delay_ms names pairs that are not (offline switch, active controller): ['77,8']"),
     ], ids=["key-020", "delay-str", "delay-bool", "quota-bool", "offline-dup",
-            "active-dup", "active-bool", "loads-unknown", "flows-unknown", "residual-unknown",
-            "delay-unknown"])
+            "active-dup", "active-bool", "loads-unknown", "flows-unknown", "flows-dup",
+            "residual-unknown", "delay-unknown"])
     def test_instance(self, capsys, tmp_path, path, value, message):
         solution = tmp_path / "sol.json"
         solution.write_text(solve_retroflow(fixtures.toy_recovery_instance()).to_json())

@@ -11,7 +11,7 @@ from retroflow.flows import (BetaMatrix, Flow, compute_beta, flows_of, generate_
 from retroflow.geo import GeoCoordinate, Path, Topology
 from retroflow.experiment import load_diagnostics, make_world
 
-from _oracles import compute_beta_per_flow, paths_from_checked
+from _oracles import compute_beta_per_flow, index_flows_by_digits, paths_from_checked
 from test_geo import random_connected_links, synthetic
 
 
@@ -44,14 +44,14 @@ class TestGenerateFlows:
         assert [(f.src, f.dst) for f in fs] == [(0, 1), (1, 0)]
 
     def test_att_all_pairs(self, att_world):
-        assert len(att_world.flows) == 25 * 24
+        assert len(generate_flows(att_world.topology)) == 25 * 24
 
     def test_single_node(self):
         t = Topology([(0, GeoCoordinate(0.0, 0.0))], [])
         assert len(generate_flows(t)) == 0
 
     def test_ids_lexicographic(self, att_world):
-        assert_ordered_pair_ids(att_world.flows, att_world.topology)
+        assert_ordered_pair_ids(generate_flows(att_world.topology), att_world.topology)
 
 
 class TestComputeBeta:
@@ -95,16 +95,16 @@ class TestComputeBeta:
 
 class TestLoads:
     def test_off_path_switch_is_zero(self):
-        b = BetaMatrix({0: frozenset({1, 2, 3})}, [0, 1])
+        b = index_flows({0: {1, 2, 3}, 1: set()})
         assert b.loads()[1] == 0
 
     def test_three_ones(self):
-        b = BetaMatrix({0: frozenset({1, 2, 3})}, [0, 1])
+        b = index_flows({0: {1, 2, 3}, 1: set()})
         assert b.loads()[0] == 3
 
     def test_unknown_switch(self):
-        b = BetaMatrix({}, [0])
-        with pytest.raises(KeyError):
+        b = index_flows({0: set()})
+        with pytest.raises(KeyError, match="unknown switch 9"):
             b.flows_at(9)
 
     def test_att_diagnostic_reports_fixture_counts(self, att_world):
@@ -122,15 +122,20 @@ class TestLoads:
 class TestFlowIndex:
     def test_bits_are_ranks_not_ids(self):
         rows = {0: {10**300, -7}, 1: {3, -7}, 2: set()}
-        ids, masks = index_flows(rows)
-        assert ids == (-7, 3, 10**300)
-        assert masks == {0: 0b101, 1: 0b011, 2: 0}
+        b = index_flows(rows)
+        assert isinstance(b, BetaMatrix)
+        assert b.ids == (-7, 3, 10**300)
+        assert b.masks == {0: 0b101, 1: 0b011, 2: 0}
+        assert b.loads() == {0: 2, 1: 2, 2: 0}
         for key, row in rows.items():
-            assert flows_of(masks[key], ids) == tuple(sorted(row))
+            assert flows_of(b.masks[key], b.ids) == tuple(sorted(row))
+            assert b.flows_at(key) == row
 
     def test_no_flows(self):
-        assert index_flows({}) == ((), {})
-        assert index_flows({4: frozenset()}) == ((), {4: 0})
+        b = index_flows({})
+        assert (b.ids, b.masks, b.loads()) == ((), {}, {})
+        b = index_flows({4: frozenset()})
+        assert (b.ids, b.masks, b.flows_at(4)) == ((), {4: 0}, frozenset())
         assert flows_of(0, ()) == ()
 
     def test_random_rows_round_trip(self):
@@ -138,18 +143,27 @@ class TestFlowIndex:
         for _ in range(200):
             pool = rng.sample(range(-50, 10**6), rng.randint(1, 300))
             rows = {k: set(rng.sample(pool, rng.randint(0, len(pool)))) for k in range(4)}
-            ids, masks = index_flows(rows)
+            b = index_flows(rows)
+            ids, masks = b.ids, b.masks
+            assert (ids, masks) == index_flows_by_digits(rows)
             assert ids == tuple(sorted(set().union(*rows.values())))
             for key, row in rows.items():
-                assert masks[key].bit_count() == len(row)
+                assert masks[key].bit_count() == len(row) == b.loads()[key]
                 assert flows_of(masks[key], ids) == tuple(sorted(row))
             union = masks[0] | masks[1]
             assert flows_of(union, ids) == tuple(sorted(rows[0] | rows[1]))
 
+    def test_same_index_as_digit_strings_on_att25(self, att_world):
+        t = att_world.topology
+        ranked = compute_beta(generate_flows(t), t)
+        rows = {i: ranked.flows_at(i) for i in t.node_ids()}
+        assert (ranked.ids, ranked.masks) == index_flows_by_digits(rows)
+
     def test_world_index_matches_rows(self, att_world):
         # a world's bit k stands for flow id k
         b = att_world.beta
-        assert b.ids == tuple(f.flow_id for f in att_world.flows) == tuple(range(25 * 24))
+        fs = generate_flows(att_world.topology)
+        assert b.ids == tuple(f.flow_id for f in fs) == tuple(range(25 * 24))
         for i, load in b.loads().items():
             assert flows_of(b.masks[i], b.ids) == tuple(sorted(b.flows_at(i)))
             assert b.masks[i].bit_count() == load
@@ -165,16 +179,23 @@ class TestFlowIndex:
         assert list(b._rows) == [22]
         # decoded rows share the index's int objects
         assert all(l is b.ids[l] for l in row)
-        # a matrix built from rows holds them from the start
-        b = BetaMatrix({0: frozenset({1, 2, 3})}, [0, 1])
+        # a matrix indexed from rows keeps none of them: it decodes each
+        # on its first read, as a world's does
+        b = index_flows({0: frozenset({1, 2, 3}), 1: frozenset()})
         assert (b.ids, b.masks) == ((1, 2, 3), {0: 0b111, 1: 0})
-        assert b._rows == {0: {1, 2, 3}, 1: frozenset()}
+        assert b._rows == {}
+        row = b.flows_at(0)
+        assert row == {1, 2, 3} and b.flows_at(0) is row
+        assert list(b._rows) == [0]
+        assert all(l is b.ids[k] for k, l in enumerate(sorted(row)))
+        assert b.flows_at(1) == frozenset()
+        assert list(b._rows) == [0, 1]
 
 
 class TestInvariants:
     def test_per_flow_beta_bounded_by_path_length(self, att_world):
         b = att_world.beta
-        for f in att_world.flows:
+        for f in generate_flows(att_world.topology):
             count = sum(f.flow_id in b.flows_at(i) for i in f.path.node_ids)
             assert count <= len(f.path.node_ids) - 1
 
@@ -183,7 +204,7 @@ class TestInvariants:
         by_switch = sum(b.loads().values())
         by_flow = sum(
             sum(f.flow_id in b.flows_at(i) for i in f.path.node_ids)
-            for f in att_world.flows
+            for f in generate_flows(att_world.topology)
         )
         assert by_switch == by_flow
 

@@ -220,6 +220,31 @@ class TestSerialization:
         assert clone.a_rest == toy.a_rest
         assert clone.q_required == toy.q_required
 
+    def test_large_sparse_instance_round_trip(self):
+        # 5,000 switches with three flow ids each, drawn from ids that run
+        # negative and past 2**64: the index ranks them, one bit per rank
+        rng = random.Random(17)
+        pool = list({rng.randrange(-(2**70), 2**70) for _ in range(12_000)})
+        switches = range(1, 5001)
+        inst = OscmInstance(
+            offline_switches=switches,
+            active_controllers=[7001, 7002],
+            delay={(i, j): float((i * j) % 13) for i in switches for j in (7001, 7002)},
+            g={i: 3 for i in switches},
+            beta={i: set(rng.sample(pool, 3)) for i in switches},
+            a_rest={7001: 9000, 7002: 9000},
+            q_required=0,
+        )
+        assert inst.n_flows == len(inst._ids) > 8_000
+        assert inst.flows[0] < 0 and inst.flows[-1] > 2**64
+        inst.q_required = inst.n_flows // 2
+        text = inst.to_json()
+        clone = OscmInstance.from_json(text)
+        assert clone.to_json() == text
+        sol = solve_retroflow(clone)
+        assert sol.quota_met
+        assert validate(clone, sol).feasible
+
     def test_solution_round_trip(self):
         sol = Solution(x={1: 1, 2: 0}, assigned={1: 10}, y=frozenset({4, 5}),
                        objective=12.5, quota_met=False)

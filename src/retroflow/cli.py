@@ -17,7 +17,7 @@ from .experiment import (ALGORITHMS, FEASIBLE, QueueModel, emit_report,
                          load_diagnostics, make_world, run_scenario, sweep_summary)
 from .geo import load_topology_file
 from .oscm import OscmInstance, Solution, validate
-from .solvers import BudgetExhausted, SolverBudget
+from .solvers import SolverBudget
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,8 +186,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     # json raises RecursionError on a document nested past the interpreter's limit
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, RecursionError,
-            BudgetExhausted) as err:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

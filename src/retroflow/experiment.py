@@ -21,7 +21,8 @@ from . import domains as dm
 from .flows import BetaMatrix, compute_beta, generate_flows, programmability
 from .geo import Topology
 from .oscm import OscmInstance, Solution, build_instance, switch_loads
-from .solvers import SolverBudget, solve_exact, solve_nearest, solve_retroflow
+from .solvers import (BudgetExhausted, SolverBudget, solve_exact, solve_nearest,
+                      solve_retroflow)
 
 ALGORITHMS = ("exact", "retroflow", "nearest")
 # the outcome statuses that carry a solution meeting the quota
@@ -90,7 +91,7 @@ def load_diagnostics(world: World) -> dict:
 class AlgorithmOutcome:
     """One solver's result on a scenario; the metrics are null without a solution."""
     algorithm: str
-    status: str  # ok | quota_unmet | infeasible | not_proven
+    status: str  # ok | quota_unmet | infeasible | not_proven | budget_exhausted
     solution: Solution | None = None
     programmable_flow_fraction: float | None = None
     recovered_switch_count: int | None = None
@@ -131,7 +132,11 @@ class ScenarioReport:
 def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
                  algorithms=ALGORITHMS, qm: QueueModel | None = None,
                  budget: SolverBudget | None = None) -> ScenarioReport:
-    """Build the instance once, run each requested solver, and score it."""
+    """Build the instance once, run each requested solver, and score it.
+
+    An exact search that exhausts its budget before it finds any solution
+    gives a budget_exhausted row with null metrics, as an infeasible one
+    does, instead of ending the sweep."""
     if not algorithms:
         raise ReportError("at least one algorithm required")
     qm = qm or QueueModel()
@@ -143,9 +148,13 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
     outcomes = []
     for name in algorithms:
         if name == "exact":
-            result = solve_exact(inst, budget, _greedy=greedy)
-            sol = result.solution
-            status = "ok" if result.status == "optimal" else result.status
+            try:
+                result = solve_exact(inst, budget, _greedy=greedy)
+            except BudgetExhausted:
+                sol, status = None, "budget_exhausted"
+            else:
+                sol = result.solution
+                status = "ok" if result.status == "optimal" else result.status
         elif name in ("retroflow", "nearest"):
             sol = greedy if name == "retroflow" else solve_nearest(inst)
             status = "ok" if sol.quota_met else "quota_unmet"

@@ -6,7 +6,8 @@ Link delay is propagation only: distance_km / 200 gives milliseconds at
 Construction makes one depth-first pass that proves the graph connected
 and labels its 2-edge-connected components, which answer every
 alternative-path query. Shortest paths are filled on first use: one
-single-source search per source holds the shortest path to every node.
+single-source search per source keeps its tree, each node's parent and
+delay, and a Path is built only when one is asked for.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path as FsPath
+from typing import NamedTuple
 
 from ._doc import number, record, whole
 
@@ -58,6 +60,15 @@ class Path:
 
     def __len__(self):
         return len(self.node_ids)
+
+
+class SearchTree(NamedTuple):
+    """One single-source search: parent[v] for every node but the source
+    and delay[v] for every node, the source's 0.0 included, both keyed in
+    the order the search settled them, so a parent comes before its
+    children."""
+    parent: dict[int, int]
+    delay: dict[int, float]
 
 
 def haversine_km(a: GeoCoordinate, b: GeoCoordinate) -> float:
@@ -117,13 +128,13 @@ class Topology:
             self._adj[b][a] = link
         self.links: tuple[Link, ...] = tuple(sorted(link_list, key=lambda l: (l.a, l.b)))
 
-        # The graph never changes, so the labels and every path stored
+        # The graph never changes, so the labels and every tree stored
         # below stay valid for the topology's life.
         self._component = _two_edge_components(self._adj, ids[0])
         if len(self._component) < len(ids):
             raise TopologyError("topology is disconnected")
         # Filled lazily by shortest_path_tree.
-        self._paths: dict[int, dict[int, Path]] = {}
+        self._trees: dict[int, SearchTree] = {}
 
     def node_ids(self) -> tuple[int, ...]:
         return tuple(nid for nid, _ in self.nodes)
@@ -197,33 +208,32 @@ def shortest_path(t: Topology, src: int, dst: int) -> Path:
 
     Ties break deterministically: fewer hops first, then the
     lexicographically smallest node-id sequence. The first query from src
-    runs one search to every node and stores the paths on t; later queries
-    from src are lookups.
+    runs one search to every node and stores its tree on t; each query
+    builds its Path by following dst's parents back to src.
     """
-    paths = shortest_path_tree(t, src)
+    parent, delay = shortest_path_tree(t, src)
     t._check_node(dst)
     if src == dst:
         raise TopologyError("src and dst must differ")
-    return paths[dst]
+    nodes = [dst]
+    while nodes[-1] != src:
+        nodes.append(parent[nodes[-1]])
+    return Path(tuple(reversed(nodes)), delay[dst])
 
 
-def shortest_path_tree(t: Topology, src: int) -> dict[int, Path]:
-    """The shortest path from src to every node, src's own one-node path
-    included, keyed in the order the search settled them. The first call
-    from src runs the search and stores its paths on t.
-
-    The paths form a tree: a path less its last node is the path to
-    that node's parent, which was settled earlier.
-    """
+def shortest_path_tree(t: Topology, src: int) -> SearchTree:
+    """The shortest-path tree from src: every node's parent and delay. The
+    first call from src runs the search and stores the tree on t."""
     t._check_node(src)
-    paths = t._paths.get(src)
-    if paths is None:
-        paths = t._paths[src] = _paths_from(t, src)
-    return paths
+    tree = t._trees.get(src)
+    if tree is None:
+        tree = t._trees[src] = _paths_from(t, src)
+    return tree
 
 
-def _paths_from(t: Topology, src: int) -> dict[int, Path]:
-    """One single-source search from src: the shortest path to every node.
+def _paths_from(t: Topology, src: int) -> SearchTree:
+    """One single-source search from src: the tree of shortest paths to
+    every node, as parents and delays; no Path is built.
 
     Entries are (delay, hops, node sequence); priorities grow strictly
     along edges, so the first pop per node is final under the full
@@ -231,21 +241,30 @@ def _paths_from(t: Topology, src: int) -> dict[int, Path]:
     of one destination would pop the same nodes in the same order, so
     every stored delay is the same float sum it would have returned.
     Keys are distinct, so the order neighbours are pushed in cannot change
-    a pop, and an entry for a node already settled (every node on the
-    popped path is) would only be thrown away when it popped.
+    a pop. No entry is pushed for a settled node, nor for one that already
+    holds a strictly smaller tentative delay: such an entry would only be
+    thrown away when it popped. An equal delay is pushed, because its
+    hops or node sequence may still win.
     """
     heap = [(0.0, 0, (src,))]
-    paths: dict[int, Path] = {}
+    parent: dict[int, int] = {}
+    delay: dict[int, float] = {}
+    tentative = {src: 0.0}
     while heap:
-        delay, hops, nodes = heapq.heappop(heap)
+        d, hops, nodes = heapq.heappop(heap)
         u = nodes[-1]
-        if u in paths:
+        if u in delay:
             continue
-        paths[u] = Path(nodes, delay)
+        delay[u] = d
+        if hops:
+            parent[u] = nodes[-2]
         for v, link in t._adj[u].items():
-            if v not in paths:
-                heapq.heappush(heap, (delay + link.delay_ms, hops + 1, nodes + (v,)))
-    return paths
+            if v not in delay:
+                dv = d + link.delay_ms
+                if dv <= tentative.get(v, math.inf):
+                    tentative[v] = dv
+                    heapq.heappush(heap, (dv, hops + 1, nodes + (v,)))
+    return SearchTree(parent, delay)
 
 
 def has_alternative_path(t: Topology, frm: int, dst: int) -> bool:

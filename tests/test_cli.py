@@ -52,6 +52,22 @@ class TestRun:
                      "--algorithms", "exact", "--out", str(out)])
         assert code == 1
 
+    def test_budget_exhausted_keeps_the_report(self, capsys, tmp_path):
+        # a budget that ends an exact search with no incumbent was exit 2
+        # with no report; the exit code now follows the feasible outcomes
+        out = tmp_path / "report.csv"
+        argv = ["run", "--topology", TOPO, "--placement", PLACEMENT, "--failures", "4",
+                "--q-fraction", "0.9", "--time-limit", "1e-9", "--out", str(out)]
+        assert main(argv) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 15 * 3
+        assert any(",exact,budget_exhausted," in row for row in rows)
+        assert capsys.readouterr().err == ""
+        # exact alone: infeasible or budget_exhausted, none feasible
+        assert main(argv + ["--algorithms", "exact"]) == 1
+        statuses = {row.split(",")[5] for row in out.read_text().splitlines()[1:]}
+        assert statuses == {"infeasible", "budget_exhausted"}
+
     def test_bad_algorithm_is_input_error(self, capsys):
         code = main(["run", "--topology", TOPO, "--placement", PLACEMENT,
                      "--failures", "1", "--algorithms", "magic"])

@@ -122,6 +122,33 @@ class TestRunScenario:
         assert greedy.status == "quota_unmet"
         assert greedy.raw_overhead is not None
 
+    def test_budget_exhausted_is_a_row(self, att_world):
+        """An exact search that ends its budget with no incumbent gives a
+        row without a solution, as an infeasible one does, and every
+        solver keeps its row."""
+        budget = solvers.SolverBudget(max_nodes_explored=1)
+        statuses = set()
+        for s in enumerate_failure_scenarios(att_world.placement, 3):
+            rep = run_scenario(att_world, s, 0.9, budget=budget)
+            assert [o.algorithm for o in rep.outcomes] == ["exact", "retroflow", "nearest"]
+            exact, greedy = rep.outcome("exact"), rep.outcome("retroflow")
+            statuses.add((greedy.status, exact.status))
+            if exact.status == "budget_exhausted":
+                # the greedy's solution would have been the incumbent
+                assert greedy.status == "quota_unmet"
+                with pytest.raises(solvers.BudgetExhausted):
+                    solvers.solve_exact(experiment.build_instance(
+                        att_world.topology, att_world.beta, att_world.placement, s, 0.9),
+                        budget)
+                assert exact.solution is None
+                assert exact.raw_overhead is None
+                assert exact.adjusted_overhead is None
+                assert exact.programmable_flow_fraction is None
+                assert rep.normalized("exact", "raw_overhead") is None
+        assert ("quota_unmet", "budget_exhausted") in statuses
+        assert ("ok", "not_proven") in statuses
+        assert "budget_exhausted" not in experiment.FEASIBLE
+
     def test_adjusted_equals_raw_without_overload(self, att_world):
         # capacity-respecting solvers never trip the queue penalty
         for k in (1, 2):

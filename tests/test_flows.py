@@ -5,11 +5,13 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from retroflow import fixtures, flows, geo
+from retroflow import domains, fixtures, flows, geo
+from retroflow.domains import enumerate_failure_scenarios
 from retroflow.flows import (BetaMatrix, Flow, compute_beta, flows_of, generate_flows,
                              index_flows, programmability)
 from retroflow.geo import GeoCoordinate, Path, Topology
-from retroflow.experiment import load_diagnostics, make_world
+from retroflow.experiment import emit_report, load_diagnostics, make_world, run_scenario
+from retroflow.oscm import build_instance
 
 from _oracles import compute_beta_per_flow, index_flows_by_digits, paths_from_checked
 from test_geo import random_connected_links, synthetic
@@ -224,6 +226,14 @@ def id_masks(b) -> dict[int, int]:
     return {i: sum(1 << l for l in b.flows_at(i)) for i in b.masks}
 
 
+def checked_tree(t, src):
+    """paths_from_checked's paths as the tree _paths_from returns: each
+    path's second-to-last node is the parent, its total the delay."""
+    paths = paths_from_checked(t, src)
+    return geo.SearchTree({v: p.node_ids[-2] for v, p in paths.items() if v != src},
+                          {v: p.total_delay_ms for v, p in paths.items()})
+
+
 def load_perfbench_workloads():
     """perfbench/workloads.py, which generates the benchmark's grids."""
     path = FsPath(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -256,7 +266,7 @@ class TestWorldBuildAgainstOracle:
     def per_flow(t, monkeypatch):
         """generate_flows over the checked search, and the per-flow beta."""
         with monkeypatch.context() as m:
-            m.setattr(geo, "_paths_from", paths_from_checked)
+            m.setattr(geo, "_paths_from", checked_tree)
             want_flows = generate_flows(t)
         assert_ordered_pair_ids(want_flows, t)
         return want_flows, compute_beta_per_flow(want_flows, t)
@@ -325,3 +335,130 @@ class TestWorldBuildAgainstOracle:
         searches = calls.pop((geo, "_paths_from"))
         assert searches == 25
         assert set(calls.values()) == {0}
+
+
+def benchmark_worlds():
+    """(topology, placement) of att25 and of the benchmark grids, each on a
+    topology no search has touched: grid49-exact's fixed seed and
+    grid100-greedy's seed 1, with their k-center placements."""
+    workloads = load_perfbench_workloads()
+    t = fixtures.att25_topology()
+    worlds = [(t, fixtures.att_table2_placement(t))]
+    for side in (7, 10):
+        doc = workloads.grid_topology(side, random.Random(1))
+        place = workloads.kcenter_placement(doc, workloads.grid_topology(side),
+                                            workloads.CONTROLLERS, workloads.SLACK)
+        t = geo.load_topology(doc)
+        worlds.append((t, domains.load_placement(place, t)))
+    return worlds
+
+
+class TestSearchTrees:
+    """One search tree per source, parents and delays, against the verbatim
+    per-edge-checked search, and the paths and delays read from it."""
+
+    @staticmethod
+    def assert_same_trees(t):
+        for src in t.node_ids():
+            tree = geo.shortest_path_tree(t, src)
+            want = paths_from_checked(t, src)
+            # settle order: the source first, a parent before its children
+            assert list(tree.delay) == list(want)
+            assert list(tree.parent) == list(want)[1:]
+            for v, path in want.items():
+                assert tree.delay[v].hex() == path.total_delay_ms.hex()
+                if v == src:
+                    continue
+                assert tree.parent[v] == path.node_ids[-2]
+                got = geo.shortest_path(t, src, v)
+                assert got.node_ids == path.node_ids
+                assert got.total_delay_ms.hex() == path.total_delay_ms.hex()
+
+    def test_same_trees_on_random_topologies(self):
+        # TestWorldBuildAgainstOracle's 60 topologies: zero-length links
+        # make delay ties, so hops and node sequences decide
+        rng = random.Random(11)
+        for _ in range(60):
+            n, links = TestWorldBuildAgainstOracle.random_links(rng)
+            self.assert_same_trees(synthetic(n, links))
+
+    def test_same_trees_on_att25_and_benchmark_grids(self):
+        for t, _ in benchmark_worlds():
+            self.assert_same_trees(t)
+
+    def test_instance_delays_are_shortest_path_delays(self):
+        # every (switch, controller) pair an instance can hold: the single
+        # failures take each switch offline, its own controller failed
+        for t, p in benchmark_worlds():
+            b = programmability(t)
+            pairs = set()
+            for s in enumerate_failure_scenarios(p, 1):
+                inst = build_instance(t, b, p, s, 1.0)
+                for (i, j), d in inst.delay.items():
+                    want = 0.0 if i == j else geo.shortest_path(t, i, j).total_delay_ms
+                    assert d.hex() == want.hex()
+                pairs |= set(inst.delay)
+            assert pairs == {(i, j) for i in t.node_ids() for j in p.controller_ids
+                             if p.domain_of[i] != j}
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_search_per_source_per_world_build(self, monkeypatch):
+        searches = self.count_calls(monkeypatch, geo, "_paths_from")
+        for (t, p), n in zip(benchmark_worlds(), (25, 49, 100)):
+            searches.clear()
+            make_world(t, p)
+            assert len(searches) == n
+            assert sorted(src for _, src in searches) == list(t.node_ids())
+
+    def test_att25_sweep_builds_no_path(self, monkeypatch):
+        """The world build and every instance build read the trees; a
+        Path is built only when shortest_path is asked for one."""
+        t = fixtures.att25_topology()
+        p = fixtures.att_table2_placement(t)
+        searches = self.count_calls(monkeypatch, geo, "_paths_from")
+        paths = self.count_calls(monkeypatch, geo, "Path")
+        world = make_world(t, p)
+        for k in range(1, 6):
+            for q in (0.9, 1.0):
+                emit_report([run_scenario(world, s, q)
+                             for s in enumerate_failure_scenarios(p, k)])
+        assert (len(searches), len(paths)) == (25, 0)
+        geo.shortest_path(t, 0, 20)
+        assert (len(searches), len(paths)) == (25, 1)
+
+
+class TestSparseDecoding:
+    def test_walked_bits_match_the_index_scan(self, monkeypatch):
+        """flows_of walks the set bits of a sparse mask and scans the
+        index for any other; both give every set bit's id, ascending."""
+        walked = []
+        walk = flows._set_bits
+        monkeypatch.setattr(flows, "_set_bits",
+                            lambda mask, ids: walked.append(mask) or walk(mask, ids))
+        rng = random.Random(18)
+        for n in (1, 17, 600, 3000):
+            # negative ids and ids beyond 2**64
+            ids = tuple(sorted(rng.sample(range(-10**6, 10**6), n // 2)
+                               + rng.sample(range(2**64, 2**64 + 10**6), n - n // 2)))
+            for bits in sorted({b for b in (0, 1, 3, 32, 33, n // 10, n // 2, n) if b <= n}):
+                for _ in range(3):
+                    ranks = rng.sample(range(n), bits)
+                    mask = 0
+                    for k in ranks:
+                        mask |= 1 << k
+                    want = tuple(ids[k] for k in sorted(ranks))
+                    walked.clear()
+                    assert flows_of(mask, ids) == want
+                    sparse = bits <= min(32, n >> 4)
+                    assert walked == ([mask] if sparse else [])
+                    assert walk(mask, ids) == want

@@ -18,8 +18,7 @@ from .geo import (GeoCoordinate, Path, Topology, TopologyError, haversine_km,
 from .oscm import (OscmInstance, Solution, ValidationReport, build_instance,
                    objective, programmable_flows, validate)
 from .protocol import Event, ProtocolError, SwitchSession, run_script, step
-from .solvers import (BudgetExhausted, ExactResult, GapInstance, SolverBudget,
-                      gap_bruteforce, reduce_to_gap, solve_exact,
-                      solve_nearest, solve_retroflow)
+from .solvers import (ExactResult, GapInstance, SolverBudget, gap_bruteforce,
+                      reduce_to_gap, solve_exact, solve_nearest, solve_retroflow)
 
 __version__ = "0.1.0"

@@ -21,8 +21,7 @@ from . import domains as dm
 from .flows import BetaMatrix, compute_beta, generate_flows, programmability
 from .geo import Topology
 from .oscm import OscmInstance, Solution, build_instance, switch_loads
-from .solvers import (BudgetExhausted, SolverBudget, solve_exact, solve_nearest,
-                      solve_retroflow)
+from .solvers import SolverBudget, solve_exact, solve_nearest, solve_retroflow
 
 ALGORITHMS = ("exact", "retroflow", "nearest")
 # the outcome statuses that carry a solution meeting the quota
@@ -134,9 +133,9 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
                  budget: SolverBudget | None = None) -> ScenarioReport:
     """Build the instance once, run each requested solver, and score it.
 
-    An exact search that exhausts its budget before it finds any solution
-    gives a budget_exhausted row with null metrics, as an infeasible one
-    does, instead of ending the sweep."""
+    An exact row takes the search's status, with `optimal` written as
+    `ok`; a budget_exhausted or infeasible search has no solution, so
+    its row has null metrics."""
     if not algorithms:
         raise ReportError("at least one algorithm required")
     qm = qm or QueueModel()
@@ -148,13 +147,9 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
     outcomes = []
     for name in algorithms:
         if name == "exact":
-            try:
-                result = solve_exact(inst, budget, _greedy=greedy)
-            except BudgetExhausted:
-                sol, status = None, "budget_exhausted"
-            else:
-                sol = result.solution
-                status = "ok" if result.status == "optimal" else result.status
+            result = solve_exact(inst, budget, _greedy=greedy)
+            sol = result.solution
+            status = "ok" if result.status == "optimal" else result.status
         elif name in ("retroflow", "nearest"):
             sol = greedy if name == "retroflow" else solve_nearest(inst)
             status = "ok" if sol.quota_met else "quota_unmet"

@@ -14,7 +14,7 @@ from functools import cached_property
 from pathlib import Path as FsPath
 
 from . import domains as dm
-from ._doc import key, number, whole
+from ._doc import key, number, record, whole
 from .flows import BetaMatrix, flows_of, index_flows
 # build_instance reads its delays from shortest_path_tree; shortest_path
 # stays importable here because perfbench/tracing.py wraps it by name and
@@ -29,6 +29,11 @@ class InstanceError(ValueError):
 # what indexing and iterating a parsed document of the wrong shape raises:
 # missing keys, and lists, strings or numbers where a mapping belongs
 _MALFORMED = (KeyError, TypeError, AttributeError)
+
+# the required fields of each document; `label` and `quota_met` are optional
+_INSTANCE_FIELDS = ("offline_switches", "active_controllers", "delay_ms", "loads", "flows",
+                    "residual", "quota")
+_SOLUTION_FIELDS = ("x", "assigned", "y", "objective")
 
 
 def _ids(values, what: str) -> set[int]:
@@ -159,7 +164,7 @@ class OscmInstance:
             "delay_ms": {f"{i},{j}": self.delay[(i, j)]
                          for i in self.offline_switches for j in self.active_controllers},
             "loads": {str(i): self.g[i] for i in self.offline_switches},
-            "flows": {str(i): sorted(self.beta[i]) for i in self.offline_switches},
+            "flows": {str(i): self.flows_of(self.masks[i]) for i in self.offline_switches},
             "residual": {str(j): self.a_rest[j] for j in self.active_controllers},
             "quota": self.q_required,
         }
@@ -171,6 +176,8 @@ class OscmInstance:
         must be whole numbers and keys canonical decimal; nothing truncates."""
         doc = json.loads(text)
         error = InstanceError
+        record(doc, {*_INSTANCE_FIELDS, "label"}, "instance document", error,
+               required=_INSTANCE_FIELDS)
         try:
             delay = {}
             for pair, val in doc["delay_ms"].items():
@@ -273,6 +280,8 @@ class Solution:
         doc = json.loads(text)
         error = InstanceError
         try:
+            record(doc, {*_SOLUTION_FIELDS, "quota_met"}, "solution", error,
+                   required=_SOLUTION_FIELDS)
             quota_met = doc.get("quota_met", True)
             if not isinstance(quota_met, bool):
                 raise InstanceError(f"quota_met must be true or false, got {quota_met!r}")

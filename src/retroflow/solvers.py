@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from .oscm import OscmInstance, Solution
 
 
-class BudgetExhausted(RuntimeError):
-    """Search aborted before finding any feasible solution."""
-
-
 class GapSizeError(ValueError):
     """Brute-force search space above the desk-scale bound."""
 
@@ -38,7 +34,7 @@ class SolverBudget:
 @dataclass(frozen=True)
 class ExactResult:
     solution: Solution | None
-    status: str  # optimal | not_proven | infeasible
+    status: str  # optimal | not_proven | infeasible | budget_exhausted
     nodes_explored: int
 
 
@@ -187,10 +183,11 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
     the quota out of reach, and the node is pruned without further work.
     Otherwise one pass prices each undecided switch once and bounds the
     node (see _bound): the flows its usable switches can still recover,
-    then the overhead of the flows still needed. Returns a proven optimum
-    when the search completes, the incumbent flagged not_proven on budget
-    exhaustion, or an infeasible verdict when no configuration meets the
-    quota within the residual abilities.
+    then the overhead of the flows still needed. The result's status is
+    every outcome: `optimal` or `infeasible` when the search completes
+    with or without an incumbent, `not_proven` (the incumbent) or
+    `budget_exhausted` (no solution) when a limit ends it first. Both
+    limits are checked at every node, the clock from the call's start.
 
     _greedy is solve_retroflow(inst), for a caller that has already run
     it; without it the search runs the greedy itself.
@@ -230,12 +227,9 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
     while stack:
         idx, cost, lost, covered, rest, moves = stack.pop()
         nodes += 1
-        if nodes > budget.max_nodes_explored or (
-            nodes % 1024 == 0 and time.monotonic() > deadline
-        ):
-            if best is None:
-                raise BudgetExhausted("inconclusive: budget exhausted with no incumbent")
-            return ExactResult(best, "not_proven", nodes)
+        if nodes > budget.max_nodes_explored or time.monotonic() > deadline:
+            return ExactResult(best, "budget_exhausted" if best is None else "not_proven",
+                               nodes)
 
         needed = q - len(covered)
         if needed <= 0:
@@ -350,15 +344,12 @@ def reduce_to_gap(inst: OscmInstance) -> GapInstance | None:
     Returns None when the instance is not of the special shape."""
     if inst.q_required != inst.n_flows:
         return None
-    seen: set[int] = set()
+    seen = 0
     for i in inst.offline_switches:
-        flows = inst.beta[i]
-        if len(flows) != 1:
+        mask = inst.masks[i]
+        if mask.bit_count() != 1 or mask & seen:
             return None
-        (l,) = flows
-        if l in seen:
-            return None
-        seen.add(l)
+        seen |= mask
     m = inst.active_controllers
     return GapInstance(
         costs=tuple(tuple(inst.w(i, j) for j in m) for i in inst.offline_switches),

@@ -219,7 +219,7 @@ def exact_undo(inst, budget=None):
     Kept verbatim with its bound, so the per-entry search can be checked
     status for status, node count for node count and solution for
     solution."""
-    from retroflow.solvers import BudgetExhausted, ExactResult, SolverBudget, solve_retroflow
+    from retroflow.solvers import ExactResult, SolverBudget, solve_retroflow
 
     budget = budget or SolverBudget()
     deadline = time.monotonic() + budget.time_limit_ms / 1000.0
@@ -265,7 +265,7 @@ def exact_undo(inst, budget=None):
             nodes % 1024 == 0 and time.monotonic() > deadline
         ):
             if best is None:
-                raise BudgetExhausted("inconclusive: budget exhausted with no incumbent")
+                return ExactResult(None, "budget_exhausted", nodes)
             return ExactResult(best, "not_proven", nodes)
 
         needed = q - len(covered)

@@ -63,10 +63,11 @@ class TestRun:
         assert len(rows) == 15 * 3
         assert any(",exact,budget_exhausted," in row for row in rows)
         assert capsys.readouterr().err == ""
-        # exact alone: infeasible or budget_exhausted, none feasible
+        # exact alone: the greedy meets no quota at k=4, and the limit is
+        # read at the first node, so every search ends without an incumbent
         assert main(argv + ["--algorithms", "exact"]) == 1
         statuses = {row.split(",")[5] for row in out.read_text().splitlines()[1:]}
-        assert statuses == {"infeasible", "budget_exhausted"}
+        assert statuses == {"budget_exhausted"}
 
     def test_bad_algorithm_is_input_error(self, capsys):
         code = main(["run", "--topology", TOPO, "--placement", PLACEMENT,
@@ -455,6 +456,31 @@ class TestStrictReaders:
         solution = _edited(tmp_path, str(solution), path, value)
         self._exit_2(capsys, ["validate", "--instance", data_path("toy_recovery.json"),
                               "--solution", solution], "error: malformed solution document: " + message)
+
+    @pytest.mark.parametrize("document, field, value, message", [
+        ("instance", "quotaa", 5, "instance document has unknown fields: ['quotaa']"),
+        ("instance", "quota", None, "instance document missing field 'quota'"),
+        ("solution", "quota_mett", False,
+         "malformed solution document: solution has unknown fields: ['quota_mett']"),
+        ("solution", "objective", None,
+         "malformed solution document: solution missing field 'objective'"),
+    ], ids=["instance-unknown", "instance-missing", "solution-unknown", "solution-missing"])
+    def test_fields(self, capsys, tmp_path, document, field, value, message):
+        # value None deletes the field; a misspelled optional field is an
+        # unknown one, so "quota_mett": false cannot pass for quota_met
+        solution = tmp_path / "sol.json"
+        solution.write_text(solve_retroflow(fixtures.toy_recovery_instance()).to_json())
+        paths = {"instance": data_path("toy_recovery.json"), "solution": str(solution)}
+        doc = json.loads(Path(paths[document]).read_text())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        paths[document] = str(tmp_path / "edited.json")
+        Path(paths[document]).write_text(json.dumps(doc))
+        assert main(["validate", "--instance", paths["instance"],
+                     "--solution", paths["solution"]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("reader", ["run-topology", "run-placement", "validate-instance",

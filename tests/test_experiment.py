@@ -136,10 +136,10 @@ class TestRunScenario:
             if exact.status == "budget_exhausted":
                 # the greedy's solution would have been the incumbent
                 assert greedy.status == "quota_unmet"
-                with pytest.raises(solvers.BudgetExhausted):
-                    solvers.solve_exact(experiment.build_instance(
-                        att_world.topology, att_world.beta, att_world.placement, s, 0.9),
-                        budget)
+                result = solvers.solve_exact(experiment.build_instance(
+                    att_world.topology, att_world.beta, att_world.placement, s, 0.9), budget)
+                assert result.status == "budget_exhausted"
+                assert result.solution is None
                 assert exact.solution is None
                 assert exact.raw_overhead is None
                 assert exact.adjusted_overhead is None

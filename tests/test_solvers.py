@@ -10,9 +10,8 @@ from retroflow.domains import FailureScenario, Placement, enumerate_failure_scen
 from retroflow.experiment import make_world
 from retroflow.flows import compute_beta, generate_flows
 from retroflow.oscm import OscmInstance, Solution, build_instance, validate
-from retroflow.solvers import (BudgetExhausted, GapInstance, GapSizeError,
-                               SolverBudget, gap_bruteforce, reduce_to_gap,
-                               solve_exact, solve_nearest, solve_retroflow)
+from retroflow.solvers import (GapInstance, GapSizeError, SolverBudget, gap_bruteforce,
+                               reduce_to_gap, solve_exact, solve_nearest, solve_retroflow)
 
 from _oracles import (enumerate_oscm, exact_undo, gap_optimum_recursive,
                       greedy_rescan, random_instance, random_gap_special_instance)
@@ -22,6 +21,21 @@ from test_geo import random_connected_links, synthetic
 # q 0.9 and 1.0 (124 instances, 5,158 lines), recorded with the rescanning
 # greedy of tests/_oracles.py
 ATT25_TRACE_SHA256 = "b80cf6da4bb51c62ac04236026858fad80cdf3bca955621ebb19cd43230cda04"
+
+
+def chain_instance(n):
+    """n switches of one flow each and one controller that fits them all:
+    the search is a chain one level per switch."""
+    switches = range(1, n + 1)
+    return OscmInstance(
+        offline_switches=switches,
+        active_controllers=[0],
+        delay={(i, 0): 1.0 for i in switches},
+        g={i: 1 for i in switches},
+        beta={i: {i} for i in switches},
+        a_rest={0: n},
+        q_required=n,
+    )
 
 
 def greedy_trap_instance():
@@ -106,8 +120,9 @@ class TestSolveExact:
             SolverBudget(**limits)
 
     def test_budget_exhaustion_without_incumbent(self):
-        with pytest.raises(BudgetExhausted, match="inconclusive"):
-            solve_exact(greedy_trap_instance(), SolverBudget(max_nodes_explored=1))
+        result = solve_exact(greedy_trap_instance(), SolverBudget(max_nodes_explored=1))
+        assert result.status == "budget_exhausted"
+        assert result.solution is None
 
     def test_no_surviving_controller(self):
         # a zero-load switch fits any capacity, but no controller is left
@@ -138,20 +153,18 @@ class TestSolveExact:
         # one search level per switch: 1,500 levels are past the default
         # recursion limit of 1,000 frames
         n = 1500
-        switches = range(1, n + 1)
-        inst = OscmInstance(
-            offline_switches=switches,
-            active_controllers=[0],
-            delay={(i, 0): 1.0 for i in switches},
-            g={i: 1 for i in switches},
-            beta={i: {i} for i in switches},
-            a_rest={0: n},
-            q_required=n,
-        )
-        result = solve_exact(inst)
+        result = solve_exact(chain_instance(n))
         assert result.status == "optimal"
         assert result.solution.objective == 1500.0
         assert result.nodes_explored == 2 * n + 1
+
+    def test_time_limit_is_read_at_every_node(self):
+        # the deadline has passed before the first node, so the search
+        # stops there with the greedy's solution
+        result = solve_exact(chain_instance(1500), SolverBudget(time_limit_ms=1e-6))
+        assert result.status == "not_proven"
+        assert result.nodes_explored == 1
+        assert result.solution.objective == 1500.0
 
     def test_oracle_equivalence_smoke(self):
         rng = random.Random(4242)
@@ -231,10 +244,7 @@ def att25_instances(world):
 
 
 def exact_outcome(solve, inst, budget=None):
-    try:
-        result = solve(inst, budget)
-    except BudgetExhausted:
-        return "exhausted", None, None
+    result = solve(inst, budget)
     solution = result.solution and result.solution.to_json()
     return result.status, result.nodes_explored, solution
 
@@ -251,7 +261,7 @@ class TestExactWithoutUndo:
             cut_outcome = exact_outcome(solve_exact, inst, cut)
             assert cut_outcome == exact_outcome(exact_undo, inst, cut)
             statuses.update((outcome[0], cut_outcome[0]))
-        assert statuses == {"optimal", "infeasible", "not_proven", "exhausted"}
+        assert statuses == {"optimal", "infeasible", "not_proven", "budget_exhausted"}
 
     def test_att25_matches_undo_search(self, att_world):
         for inst in att25_instances(att_world):

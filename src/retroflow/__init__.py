@@ -8,9 +8,8 @@ scenarios on programmability, load, and communication overhead.
 
 from .domains import (FailureScenario, Placement, enumerate_failure_scenarios,
                       load_placement, load_placement_file, residual_capacity)
-from .experiment import (QueueModel, ScenarioReport, World, emit_report,
-                         load_diagnostics, make_world, queueing_penalty_ms,
-                         run_scenario, sweep_summary)
+from .experiment import (ScenarioReport, World, emit_report, load_diagnostics,
+                         make_world, queueing_penalty_ms, run_scenario, sweep_summary)
 from .flows import BetaMatrix, Flow, compute_beta, generate_flows
 from .geo import (GeoCoordinate, Path, Topology, TopologyError, haversine_km,
                   has_alternative_path, load_topology, load_topology_file,

@@ -13,8 +13,8 @@ import sys
 from . import domains as dm
 from . import protocol
 from ._doc import record, whole
-from .experiment import (ALGORITHMS, FEASIBLE, QueueModel, emit_report,
-                         load_diagnostics, make_world, run_scenario, sweep_summary)
+from .experiment import (ALGORITHMS, FEASIBLE, emit_report, load_diagnostics, make_world,
+                         run_scenario, sweep_summary)
 from .geo import load_topology_file
 from .oscm import OscmInstance, Solution, validate
 from .solvers import SolverBudget
@@ -87,12 +87,12 @@ def _cmd_run(args) -> int:
     for a in algorithms:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
-    qm = QueueModel(penalty_ms_per_excess_flow=args.queue_penalty)
     budget = SolverBudget(time_limit_ms=args.time_limit * 1000.0)
 
     world = make_world(topo, placement)
     reports = [
-        run_scenario(world, s, args.q_fraction, algorithms=algorithms, qm=qm, budget=budget)
+        run_scenario(world, s, args.q_fraction, algorithms=algorithms,
+                     queue_penalty_ms=args.queue_penalty, budget=budget)
         for s in scenarios
     ]
     document = emit_report(reports, format=args.format)

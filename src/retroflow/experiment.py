@@ -32,23 +32,15 @@ class ReportError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QueueModel:
-    penalty_ms_per_excess_flow: float = 0.1
-
-    def __post_init__(self):
-        if not 0 <= self.penalty_ms_per_excess_flow < math.inf:
-            raise ValueError("queue penalty must be finite and nonnegative")
-
-
-def queueing_penalty_ms(load: int, ability: int, m: QueueModel) -> float:
+def queueing_penalty_ms(load: int, ability: int, penalty_ms: float) -> float:
     """Extra per-pull latency at a controller handling `load` flows with
-    processing ability `ability`; zero at or under ability."""
+    processing ability `ability`: penalty_ms per flow over ability, zero
+    at or under it."""
     if ability < 0:
         raise ValueError("ability must be nonnegative")
     if load <= ability:
         return 0.0
-    return m.penalty_ms_per_excess_flow * (load - ability)
+    return penalty_ms * (load - ability)
 
 
 @dataclass(frozen=True)
@@ -129,16 +121,19 @@ class ScenarioReport:
 
 
 def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
-                 algorithms=ALGORITHMS, qm: QueueModel | None = None,
+                 algorithms=ALGORITHMS, queue_penalty_ms: float = 0.1,
                  budget: SolverBudget | None = None) -> ScenarioReport:
-    """Build the instance once, run each requested solver, and score it.
+    """Build the instance once, run each requested solver, and score it;
+    queue_penalty_ms is the queueing penalty per excess flow of the
+    adjusted overhead (see queueing_penalty_ms).
 
     An exact row takes the search's status, with `optimal` written as
     `ok`; a budget_exhausted or infeasible search has no solution, so
     its row has null metrics."""
     if not algorithms:
         raise ReportError("at least one algorithm required")
-    qm = qm or QueueModel()
+    if not 0 <= queue_penalty_ms < math.inf:
+        raise ValueError("queue penalty must be finite and nonnegative")
     inst = build_instance(world.topology, world.beta, world.placement, s, q_fraction)
     ability = {j: world.placement.capacity[j] for j in inst.active_controllers}
 
@@ -155,7 +150,7 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
             status = "ok" if sol.quota_met else "quota_unmet"
         else:
             raise ReportError(f"unknown algorithm {name!r}")
-        outcomes.append(_score(inst, name, status, sol, ability, qm))
+        outcomes.append(_score(inst, name, status, sol, ability, queue_penalty_ms))
 
     return ScenarioReport(
         scenario=s,
@@ -167,7 +162,7 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
 
 
 def _score(inst: OscmInstance, name: str, status: str, sol: Solution | None,
-           ability: dict[int, int], qm: QueueModel) -> AlgorithmOutcome:
+           ability: dict[int, int], queue_penalty_ms: float) -> AlgorithmOutcome:
     """Score a solver's output. A controller starts from its own-domain
     load, which is its capacity minus its residual ability."""
     if sol is None:
@@ -179,7 +174,7 @@ def _score(inst: OscmInstance, name: str, status: str, sol: Solution | None,
 
     adjusted = 0.0
     for i, j in sol.assigned.items():
-        penalty = queueing_penalty_ms(load[j], ability[j], qm)
+        penalty = queueing_penalty_ms(load[j], ability[j], queue_penalty_ms)
         adjusted += inst.g[i] * (inst.delay[(i, j)] + penalty)
 
     fraction = sol.n_programmable / inst.n_flows if inst.n_flows else 1.0

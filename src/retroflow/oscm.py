@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path as FsPath
 
 from . import domains as dm
@@ -60,9 +59,10 @@ class OscmInstance:
         masks[i] holds beta[i] as an int bitmask over a flow index, union
         their OR, and flows_of decodes one. Sets go through
         flows.index_flows into a matrix of their own; a world's matrix
-        lends its index and masks. Either way `beta` is decoded on the
-        first read, through the matrix's rows, so every instance of a
-        world shares the rows it decodes."""
+        lends its index and masks. The instance stores no row of flow ids:
+        the exact search reads rows through the matrix (`_beta`), which
+        decodes a row on its first read, so every instance of a world
+        shares the rows it decodes, and each read of `flows` decodes."""
         self.label = label
         self.offline_switches: tuple[int, ...] = tuple(sorted(offline_switches))
         self.active_controllers: tuple[int, ...] = tuple(sorted(active_controllers))
@@ -70,7 +70,6 @@ class OscmInstance:
         self.g = g
         matrix = beta if isinstance(beta, BetaMatrix) else index_flows(beta)
         self._beta = matrix
-        self._rows = None  # beta, once read
         self.a_rest = a_rest
 
         for i in self.offline_switches:
@@ -131,21 +130,9 @@ class OscmInstance:
         return self.union.bit_count()
 
     @property
-    def beta(self) -> dict[int, frozenset[int]]:
-        """Each offline switch's flow ids, decoded on the first read, which
-        the greedy and the baseline never make.
-
-        A property, not a cached_property: one would reach for the
-        instance's __dict__, and an instance with a __dict__ loses the
-        interpreter's fast attribute reads in the solvers' loops."""
-        if self._rows is None:
-            self._rows = {i: self._beta.flows_at(i) for i in self.offline_switches}
-        return self._rows
-
-    @cached_property
     def flows(self) -> tuple[int, ...]:
         """Every flow some offline switch carries, ascending; decoded from
-        the union on the first read, which the solvers never make."""
+        the union on every read, which the solvers never make."""
         return self.flows_of(self.union)
 
     def flows_of(self, mask: int) -> tuple[int, ...]:
@@ -178,6 +165,9 @@ class OscmInstance:
         error = InstanceError
         record(doc, {*_INSTANCE_FIELDS, "label"}, "instance document", error,
                required=_INSTANCE_FIELDS)
+        label = doc.get("label", "")
+        if not isinstance(label, str):
+            raise InstanceError(f"label must be a string, got {label!r}")
         try:
             delay = {}
             for pair, val in doc["delay_ms"].items():
@@ -196,7 +186,7 @@ class OscmInstance:
                         whole(v, f"residual of controller {k}", error)
                         for k, v in doc["residual"].items()},
                 q_required=whole(doc["quota"], "quota", error),
-                label=doc.get("label", ""),
+                label=label,
             )
         except _MALFORMED as e:
             raise InstanceError(f"malformed instance document: {e}") from e

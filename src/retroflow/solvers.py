@@ -199,11 +199,17 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
     mapped child gets new ones. The stack holds a pending sibling per
     level of the current path, so it takes about path depth x covered
     flows of memory.
+
+    The search's flow sets are frozensets of flow ids. Each offline
+    switch's row, beta[i], is read from the instance's matrix, which
+    decodes it once for every instance of a world, and is handed to
+    _bound; no other solver reads rows.
     """
     budget = budget or SolverBudget()
     deadline = time.monotonic() + budget.time_limit_ms / 1000.0
-    beta, g, q = inst.beta, inst.g, inst.q_required
+    g, q = inst.g, inst.q_required
     order = sorted(inst.offline_switches, key=lambda i: (-g[i], i))
+    beta = {i: inst._beta.flows_at(i) for i in order}
     # options[i]: (overhead, controller) pairs, cheapest first
     options = {i: sorted((inst.w(i, j), j) for j in inst.active_controllers) for i in order}
     # dies[idx]: the flows whose last carrier in branching order is
@@ -245,7 +251,7 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
         if idx == len(order) or lost > slack:
             continue
 
-        bound = _bound(inst, order, options, idx, covered, rest, needed, slack - lost)
+        bound = _bound(inst, beta, order, options, idx, covered, rest, needed, slack - lost)
         if bound is None or cost + bound >= best_cost:
             continue
 
@@ -266,7 +272,7 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
     return ExactResult(best, "optimal", nodes)
 
 
-def _bound(inst, order, options, idx, covered, rest, needed, spare):
+def _bound(inst, beta, order, options, idx, covered, rest, needed, spare):
     """Cost lower bound of any completion that gains `needed` more
     flows, or None when no completion can gain them.
 
@@ -283,7 +289,6 @@ def _bound(inst, order, options, idx, covered, rest, needed, spare):
     floor: the needed flows bought fractionally at each switch's
     cheapest price per flow, ignoring capacity coupling.
     """
-    beta = inst.beta
     usable = []
     reach = []  # the usable switches' uncovered flows
     stranded = 0  # uncovered flows of the other switches, with repeats

@@ -460,14 +460,18 @@ class TestStrictReaders:
     @pytest.mark.parametrize("document, field, value, message", [
         ("instance", "quotaa", 5, "instance document has unknown fields: ['quotaa']"),
         ("instance", "quota", None, "instance document missing field 'quota'"),
+        ("instance", "label", [1, {"a": 2}], "label must be a string, got [1, {'a': 2}]"),
+        ("instance", "label", 7, "label must be a string, got 7"),
         ("solution", "quota_mett", False,
          "malformed solution document: solution has unknown fields: ['quota_mett']"),
         ("solution", "objective", None,
          "malformed solution document: solution missing field 'objective'"),
-    ], ids=["instance-unknown", "instance-missing", "solution-unknown", "solution-missing"])
+    ], ids=["instance-unknown", "instance-missing", "instance-label-list",
+            "instance-label-number", "solution-unknown", "solution-missing"])
     def test_fields(self, capsys, tmp_path, document, field, value, message):
         # value None deletes the field; a misspelled optional field is an
-        # unknown one, so "quota_mett": false cannot pass for quota_met
+        # unknown one, so "quota_mett": false cannot pass for quota_met,
+        # and the optional label is a string like the one to_json writes
         solution = tmp_path / "sol.json"
         solution.write_text(solve_retroflow(fixtures.toy_recovery_instance()).to_json())
         paths = {"instance": data_path("toy_recovery.json"), "solution": str(solution)}

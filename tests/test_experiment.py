@@ -4,37 +4,36 @@ import json
 
 import pytest
 
-from retroflow import experiment, fixtures, solvers
+from retroflow import experiment, fixtures, oscm, solvers
 from retroflow.domains import FailureScenario, enumerate_failure_scenarios
-from retroflow.experiment import (QueueModel, ReportError, emit_report,
-                                  queueing_penalty_ms, run_scenario,
-                                  sweep_summary)
+from retroflow.experiment import (ReportError, emit_report, queueing_penalty_ms,
+                                  run_scenario, sweep_summary)
 
 
 class TestQueueingPenalty:
     def test_under_capacity(self):
-        assert queueing_penalty_ms(400, 500, QueueModel()) == 0.0
+        assert queueing_penalty_ms(400, 500, 0.1) == 0.0
 
     def test_at_capacity_boundary(self):
-        assert queueing_penalty_ms(500, 500, QueueModel()) == 0.0
+        assert queueing_penalty_ms(500, 500, 0.1) == 0.0
 
     def test_linear_in_excess(self):
-        m = QueueModel(penalty_ms_per_excess_flow=0.1)
-        assert queueing_penalty_ms(511, 500, m) == pytest.approx(1.1)
+        assert queueing_penalty_ms(511, 500, 0.1) == pytest.approx(1.1)
 
     def test_disabled(self):
-        m = QueueModel(penalty_ms_per_excess_flow=0.0)
-        assert queueing_penalty_ms(9999, 1, m) == 0.0
+        assert queueing_penalty_ms(9999, 1, 0.0) == 0.0
 
-    def test_negative_penalty_rejected(self):
-        with pytest.raises(ValueError):
-            QueueModel(penalty_ms_per_excess_flow=-1.0)
+    def test_negative_penalty_rejected(self, att_world):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            run_scenario(att_world, FailureScenario(frozenset({20})), 1.0,
+                         algorithms=("nearest",), queue_penalty_ms=-1.0)
 
     @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
-    def test_non_finite_penalty_rejected(self, penalty):
+    def test_non_finite_penalty_rejected(self, att_world, penalty):
         # a nan penalty would bill nan overheads, an infinite one inf
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            QueueModel(penalty_ms_per_excess_flow=penalty)
+            run_scenario(att_world, FailureScenario(frozenset({20})), 1.0,
+                         algorithms=("nearest",), queue_penalty_ms=penalty)
 
 
 class TestRunScenario:
@@ -53,31 +52,41 @@ class TestRunScenario:
             assert nearest.controller_load[j] > nearest.controller_ability[j] == 500
 
     def test_flow_ids_never_decoded(self, att_world, monkeypatch):
-        """The solvers and the scoring count flows on masks: the instance's
-        flow ids are decoded only once someone reads them."""
+        """The greedy, the baseline, the scoring and the report count flows
+        on masks: the instance's flow ids are decoded only once someone
+        reads them."""
         built = []
         build = experiment.build_instance
         monkeypatch.setattr(experiment, "build_instance",
                             lambda *args: built.append(build(*args)) or built[-1])
+        decoded = []
+        decode = oscm.flows_of
+        monkeypatch.setattr(oscm, "flows_of", lambda *args: decoded.append(args) or decode(*args))
         scenarios = enumerate_failure_scenarios(att_world.placement, 2)[:3]
-        reports = [run_scenario(att_world, s, q) for s in scenarios for q in (0.9, 1.0)]
+        reports = [run_scenario(att_world, s, q, algorithms=("retroflow", "nearest"))
+                   for s in scenarios for q in (0.9, 1.0)]
+        emit_report(reports)
         assert len(built) == 6
+        assert decoded == []
         for inst, rep in zip(built, reports):
-            assert "flows" not in vars(inst)
             for o in rep.outcomes:
-                if o.solution is not None:
-                    assert o.programmable_flow_fraction == len(o.solution.y) / len(inst.flows)
-            assert "flows" in vars(inst)
+                assert o.programmable_flow_fraction == len(o.solution.y) / len(inst.flows)
+        assert decoded
 
-    def test_greedy_and_baseline_decode_no_beta_row(self):
+    def test_greedy_and_baseline_decode_no_beta_row(self, monkeypatch):
         """The greedy, the baseline, the scoring and the report count flows
-        on the world's masks: a whole att25 sweep decodes no row of it."""
+        on the world's masks: a whole att25 sweep decodes no flow id and
+        no row of the world's matrix."""
         t = fixtures.att25_topology()
         world = experiment.make_world(t, fixtures.att_table2_placement(t))
+        decoded = []
+        decode = oscm.flows_of
+        monkeypatch.setattr(oscm, "flows_of", lambda *args: decoded.append(args) or decode(*args))
         for k in range(1, 6):
             for q in (0.9, 1.0):
                 emit_report([run_scenario(world, s, q, algorithms=("retroflow", "nearest"))
                              for s in enumerate_failure_scenarios(world.placement, k)])
+        assert decoded == []
         assert world.beta._rows == {}
 
     def test_one_greedy_run_per_scenario(self, att_world, monkeypatch):
@@ -162,7 +171,7 @@ class TestRunScenario:
 
     def test_adjusted_equals_raw_when_model_disabled(self, att_world):
         rep = run_scenario(att_world, FailureScenario(frozenset({20})), 1.0,
-                           qm=QueueModel(penalty_ms_per_excess_flow=0.0))
+                           queue_penalty_ms=0.0)
         o = rep.outcome("nearest")
         assert o.overloaded  # still overloaded, just not billed
         assert o.adjusted_overhead == pytest.approx(o.raw_overhead)

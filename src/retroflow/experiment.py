@@ -35,9 +35,12 @@ class ReportError(ValueError):
 def queueing_penalty_ms(load: int, ability: int, penalty_ms: float) -> float:
     """Extra per-pull latency at a controller handling `load` flows with
     processing ability `ability`: penalty_ms per flow over ability, zero
-    at or under it."""
+    at or under it. A penalty that is negative, nan or infinite would
+    bill such overheads, and is rejected."""
     if ability < 0:
         raise ValueError("ability must be nonnegative")
+    if not 0 <= penalty_ms < math.inf:
+        raise ValueError("queue penalty must be finite and nonnegative")
     if load <= ability:
         return 0.0
     return penalty_ms * (load - ability)
@@ -132,6 +135,8 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
     its row has null metrics."""
     if not algorithms:
         raise ReportError("at least one algorithm required")
+    # also checked here: a scenario whose solutions map no switch never
+    # calls queueing_penalty_ms
     if not 0 <= queue_penalty_ms < math.inf:
         raise ValueError("queue penalty must be finite and nonnegative")
     inst = build_instance(world.topology, world.beta, world.placement, s, q_fraction)

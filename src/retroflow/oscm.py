@@ -60,9 +60,9 @@ class OscmInstance:
         their OR, and flows_of decodes one. Sets go through
         flows.index_flows into a matrix of their own; a world's matrix
         lends its index and masks. The instance stores no row of flow ids:
-        the exact search reads rows through the matrix (`_beta`), which
-        decodes a row on its first read, so every instance of a world
-        shares the rows it decodes, and each read of `flows` decodes."""
+        `beta` reads them from the matrix, which decodes a row on its
+        first read, so every instance of a world shares the rows it
+        decodes, and each read of `flows` decodes."""
         self.label = label
         self.offline_switches: tuple[int, ...] = tuple(sorted(offline_switches))
         self.active_controllers: tuple[int, ...] = tuple(sorted(active_controllers))
@@ -128,6 +128,12 @@ class OscmInstance:
     @property
     def n_flows(self) -> int:
         return self.union.bit_count()
+
+    @property
+    def beta(self) -> dict[int, frozenset[int]]:
+        """Each offline switch's flow ids, read from the matrix on every
+        read, which the greedy and the baseline never make."""
+        return {i: self._beta.flows_at(i) for i in self.offline_switches}
 
     @property
     def flows(self) -> tuple[int, ...]:

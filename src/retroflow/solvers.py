@@ -200,16 +200,14 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
     level of the current path, so it takes about path depth x covered
     flows of memory.
 
-    The search's flow sets are frozensets of flow ids. Each offline
-    switch's row, beta[i], is read from the instance's matrix, which
-    decodes it once for every instance of a world, and is handed to
-    _bound; no other solver reads rows.
+    The search's flow sets are frozensets of flow ids: the instance's
+    rows, read once per call and handed to _bound. No other solver reads
+    rows.
     """
     budget = budget or SolverBudget()
     deadline = time.monotonic() + budget.time_limit_ms / 1000.0
-    g, q = inst.g, inst.q_required
+    beta, g, q = inst.beta, inst.g, inst.q_required
     order = sorted(inst.offline_switches, key=lambda i: (-g[i], i))
-    beta = {i: inst._beta.flows_at(i) for i in order}
     # options[i]: (overhead, controller) pairs, cheapest first
     options = {i: sorted((inst.w(i, j), j) for j in inst.active_controllers) for i in order}
     # dies[idx]: the flows whose last carrier in branching order is

@@ -5,24 +5,12 @@ from the package internals: full enumerations, a second distance formula,
 bridge-based connectivity reasoning. The exceptions are earlier versions
 of two solvers, of the world build and of the component labelling, kept
 verbatim, against which a rewrite must give the same results step for step.
-Instances hold flow sets as masks only; `rows` decodes them for the
-oracles and the tests.
 """
 
 import heapq
 import itertools
 import math
 import time
-
-from retroflow.flows import BetaMatrix, flows_of
-
-
-def rows(of):
-    """{switch: frozenset of flow ids} decoded from the masks of every
-    switch of a BetaMatrix, or of every offline switch of an OscmInstance."""
-    if isinstance(of, BetaMatrix):
-        return {i: frozenset(flows_of(m, of.ids)) for i, m in of.masks.items()}
-    return {i: frozenset(of.flows_of(of.masks[i])) for i in of.offline_switches}
 
 
 def law_of_cosines_km(lat1, lon1, lat2, lon2, radius=6371.0):
@@ -99,7 +87,6 @@ def enumerate_oscm(inst):
     Returns (best_cost, best_choice) or (None, None) when infeasible.
     choice[i] is None for legacy or a controller id.
     """
-    beta = rows(inst)
     switches = list(inst.offline_switches)
     controllers = list(inst.active_controllers)
     best_cost, best_choice = None, None
@@ -111,7 +98,7 @@ def enumerate_oscm(inst):
             if j is None:
                 continue
             load[j] += inst.g[i]
-            covered |= beta[i]
+            covered |= inst.beta[i]
             cost += inst.g[i] * inst.delay[(i, j)]
         if any(load[j] > inst.a_rest[j] for j in controllers):
             continue
@@ -125,7 +112,6 @@ def enumerate_oscm(inst):
 def check_solution(inst, x, assigned, y, q_required):
     """Constraint checker written directly from the problem statement.
     Returns the set of violated family names."""
-    beta = rows(inst)
     bad = set()
     for i in inst.offline_switches:
         count = 1 if i in assigned else 0
@@ -136,7 +122,7 @@ def check_solution(inst, x, assigned, y, q_required):
         if used > inst.a_rest[j]:
             bad.add("capacity")
     for l in y:
-        if not any(x[i] and l in beta[i] for i in inst.offline_switches):
+        if not any(x[i] and l in inst.beta[i] for i in inst.offline_switches):
             bad.add("programmability")
     if len(set(y)) < q_required:
         bad.add("quota")
@@ -189,7 +175,6 @@ def greedy_rescan(inst, trace=None):
     verbatim, so the lazy solver can be checked pick for pick and trace
     line for trace line."""
     log = trace.append if trace is not None else lambda line: None
-    beta = rows(inst)
     remaining = list(inst.offline_switches)
     rest = dict(inst.a_rest)
     covered: set[int] = set()
@@ -198,7 +183,7 @@ def greedy_rescan(inst, trace=None):
     while remaining and len(covered) < inst.q_required:
         delta, pick = 0, None
         for i in remaining:
-            uncovered = len(beta[i] - covered)
+            uncovered = len(inst.beta[i] - covered)
             if uncovered > delta:
                 delta, pick = uncovered, i
         if pick is None:
@@ -214,8 +199,8 @@ def greedy_rescan(inst, trace=None):
             if fit:
                 assigned[pick] = j
                 rest[j] -= inst.g[pick]
-                gained = sorted(beta[pick] - covered)
-                covered |= beta[pick]
+                gained = sorted(inst.beta[pick] - covered)
+                covered |= inst.beta[pick]
                 log(f"assign switch={pick} controller={j} rest={rest[j]} "
                     f"gained={gained} covered={len(covered)}")
                 break
@@ -238,7 +223,7 @@ def exact_undo(inst, budget=None):
 
     budget = budget or SolverBudget()
     deadline = time.monotonic() + budget.time_limit_ms / 1000.0
-    beta, g, w, q = rows(inst), inst.g, inst.w, inst.q_required
+    beta, g, w, q = inst.beta, inst.g, inst.w, inst.q_required
     order = sorted(inst.offline_switches, key=lambda i: (-g[i], i))
     options = {i: sorted(inst.active_controllers, key=lambda j: (w(i, j), j)) for i in order}
     # dies[idx]: the flows whose last carrier in branching order is
@@ -293,8 +278,7 @@ def exact_undo(inst, budget=None):
         if idx == len(order) or lost > slack:
             continue
 
-        bound = _bound_undo(inst, beta, order, options, idx, covered, rest, needed,
-                            slack - lost)
+        bound = _bound_undo(inst, order, options, idx, covered, rest, needed, slack - lost)
         if bound is None or cost + bound >= best_cost:
             continue
 
@@ -314,7 +298,7 @@ def exact_undo(inst, budget=None):
     return ExactResult(best, "optimal", nodes)
 
 
-def _bound_undo(inst, beta, order, options, idx, covered, rest, needed, spare):
+def _bound_undo(inst, order, options, idx, covered, rest, needed, spare):
     """Cost lower bound of any completion that gains `needed` more
     flows, or None when no completion can gain them.
 
@@ -335,7 +319,7 @@ def _bound_undo(inst, beta, order, options, idx, covered, rest, needed, spare):
     reach = []  # the usable switches' uncovered flows
     stranded = 0  # uncovered flows of the other switches, with repeats
     for i in order[idx:]:
-        gain = beta[i] - covered
+        gain = inst.beta[i] - covered
         if not gain:
             continue
         g_i = inst.g[i]

@@ -13,7 +13,7 @@ from retroflow.geo import GeoCoordinate, Path, Topology
 from retroflow.experiment import emit_report, load_diagnostics, make_world, run_scenario
 from retroflow.oscm import build_instance
 
-from _oracles import compute_beta_per_flow, index_flows_by_digits, paths_from_checked, rows
+from _oracles import compute_beta_per_flow, index_flows_by_digits, paths_from_checked
 from test_geo import random_connected_links, synthetic
 
 
@@ -60,25 +60,25 @@ class TestComputeBeta:
     def test_destination_always_excluded(self):
         t = ring5_named()
         fs = generate_flows(t)
-        beta = rows(compute_beta(fs, t))
+        b = compute_beta(fs, t)
         for f in fs:
-            assert f.flow_id not in beta[f.dst]
+            assert f.flow_id not in b.flows_at(f.dst)
 
     def test_one_hop_flow_source_with_alternative(self):
         t = ring5_named()
         fs = (Flow(0, 20, 21, Path((20, 21), 0.5)),)
-        beta = rows(compute_beta(fs, t))
-        assert 0 in beta[20]  # the cycle offers a second route
-        assert 0 not in beta[21]
+        b = compute_beta(fs, t)
+        assert 0 in b.flows_at(20)  # the cycle offers a second route
+        assert 0 not in b.flows_at(21)
 
     def test_degree_one_switch_never_programs(self):
         t = line3()
         fs = generate_flows(t)
-        beta = rows(compute_beta(fs, t))
+        b = compute_beta(fs, t)
         # no cycle anywhere: nothing is reroutable at all
         for f in fs:
             for i in t.node_ids():
-                assert f.flow_id not in beta[i]
+                assert f.flow_id not in b.flows_at(i)
 
     def test_hand_enumeration_on_five_switch_ring(self):
         t = ring5_named()
@@ -87,7 +87,12 @@ class TestComputeBeta:
             Flow(2, 22, 24, Path((22, 23, 24), 2.25)),
             Flow(3, 24, 20, Path((24, 20), 1.5)),
         )
-        assert rows(compute_beta(fs, t)) == {20: {1}, 21: {1}, 22: {2}, 23: {2}, 24: {3}}
+        b = compute_beta(fs, t)
+        assert b.flows_at(20) == {1}
+        assert b.flows_at(21) == {1}
+        assert b.flows_at(22) == {2}
+        assert b.flows_at(23) == {2}
+        assert b.flows_at(24) == {3}
 
 
 class TestLoads:
@@ -118,51 +123,51 @@ class TestLoads:
 
 class TestFlowIndex:
     def test_bits_are_ranks_not_ids(self):
-        given = {0: {10**300, -7}, 1: {3, -7}, 2: set()}
-        b = index_flows(given)
+        rows = {0: {10**300, -7}, 1: {3, -7}, 2: set()}
+        b = index_flows(rows)
         assert isinstance(b, BetaMatrix)
         assert b.ids == (-7, 3, 10**300)
         assert b.masks == {0: 0b101, 1: 0b011, 2: 0}
         assert b.loads() == {0: 2, 1: 2, 2: 0}
-        for key, row in given.items():
+        for key, row in rows.items():
             assert flows_of(b.masks[key], b.ids) == tuple(sorted(row))
-        assert rows(b) == given
+            assert b.flows_at(key) == row
 
     def test_no_flows(self):
         b = index_flows({})
         assert (b.ids, b.masks, b.loads()) == ((), {}, {})
         b = index_flows({4: frozenset()})
-        assert (b.ids, b.masks, rows(b)) == ((), {4: 0}, {4: frozenset()})
+        assert (b.ids, b.masks, b.flows_at(4)) == ((), {4: 0}, frozenset())
         assert flows_of(0, ()) == ()
 
     def test_random_rows_round_trip(self):
         rng = random.Random(14)
         for _ in range(200):
             pool = rng.sample(range(-50, 10**6), rng.randint(1, 300))
-            given = {k: set(rng.sample(pool, rng.randint(0, len(pool)))) for k in range(4)}
-            b = index_flows(given)
+            rows = {k: set(rng.sample(pool, rng.randint(0, len(pool)))) for k in range(4)}
+            b = index_flows(rows)
             ids, masks = b.ids, b.masks
-            assert (ids, masks) == index_flows_by_digits(given)
-            assert ids == tuple(sorted(set().union(*given.values())))
-            for key, row in given.items():
+            assert (ids, masks) == index_flows_by_digits(rows)
+            assert ids == tuple(sorted(set().union(*rows.values())))
+            for key, row in rows.items():
                 assert masks[key].bit_count() == len(row) == b.loads()[key]
                 assert flows_of(masks[key], ids) == tuple(sorted(row))
             union = masks[0] | masks[1]
-            assert flows_of(union, ids) == tuple(sorted(given[0] | given[1]))
+            assert flows_of(union, ids) == tuple(sorted(rows[0] | rows[1]))
 
     def test_same_index_as_digit_strings_on_att25(self, att_world):
         t = att_world.topology
         ranked = compute_beta(generate_flows(t), t)
-        assert (ranked.ids, ranked.masks) == index_flows_by_digits(rows(ranked))
+        rows = {i: ranked.flows_at(i) for i in t.node_ids()}
+        assert (ranked.ids, ranked.masks) == index_flows_by_digits(rows)
 
     def test_world_index_matches_rows(self, att_world):
         # a world's bit k stands for flow id k
         b = att_world.beta
         fs = generate_flows(att_world.topology)
         assert b.ids == tuple(f.flow_id for f in fs) == tuple(range(25 * 24))
-        beta = rows(b)
         for i, load in b.loads().items():
-            assert flows_of(b.masks[i], b.ids) == tuple(sorted(beta[i]))
+            assert flows_of(b.masks[i], b.ids) == tuple(sorted(b.flows_at(i)))
             assert b.masks[i].bit_count() == load
 
     def test_rows_decoded_on_first_use(self):
@@ -191,17 +196,16 @@ class TestFlowIndex:
 
 class TestInvariants:
     def test_per_flow_beta_bounded_by_path_length(self, att_world):
-        beta = rows(att_world.beta)
+        b = att_world.beta
         for f in generate_flows(att_world.topology):
-            count = sum(f.flow_id in beta[i] for i in f.path.node_ids)
+            count = sum(f.flow_id in b.flows_at(i) for i in f.path.node_ids)
             assert count <= len(f.path.node_ids) - 1
 
     def test_load_totals_agree_both_ways(self, att_world):
         b = att_world.beta
-        beta = rows(b)
         by_switch = sum(b.loads().values())
         by_flow = sum(
-            sum(f.flow_id in beta[i] for i in f.path.node_ids)
+            sum(f.flow_id in b.flows_at(i) for i in f.path.node_ids)
             for f in generate_flows(att_world.topology)
         )
         assert by_switch == by_flow
@@ -209,17 +213,17 @@ class TestInvariants:
     def test_removing_a_flow_drops_loads_by_its_beta(self):
         t = ring5_named()
         fs = generate_flows(t)
-        beta = rows(compute_beta(fs, t))
+        b = compute_beta(fs, t)
         victim = fs[7]
         reduced = tuple(f for f in fs if f.flow_id != victim.flow_id)
-        beta2 = rows(compute_beta(reduced, t))
+        b2 = compute_beta(reduced, t)
         for i in t.node_ids():
-            assert len(beta[i]) - len(beta2[i]) == (victim.flow_id in beta[i])
+            assert len(b.flows_at(i)) - len(b2.flows_at(i)) == (victim.flow_id in b.flows_at(i))
 
 
 def id_masks(b) -> dict[int, int]:
     """Each switch's flows as a mask whose bit k is flow id k."""
-    return {i: sum(1 << l for l in row) for i, row in rows(b).items()}
+    return {i: sum(1 << l for l in b.flows_at(i)) for i in b.masks}
 
 
 def checked_tree(t, src):

@@ -11,7 +11,7 @@ from retroflow.oscm import (InstanceError, OscmInstance, Solution,
                             validate)
 from retroflow.solvers import solve_retroflow
 
-from _oracles import check_solution, random_instance, rows
+from _oracles import check_solution, random_instance
 
 
 def all_legacy(inst):
@@ -216,7 +216,7 @@ class TestSerialization:
         assert clone.active_controllers == toy.active_controllers
         assert clone.delay == toy.delay
         assert clone.g == toy.g
-        assert rows(clone) == rows(toy)
+        assert clone.beta == toy.beta
         assert clone.a_rest == toy.a_rest
         assert clone.q_required == toy.q_required
 
@@ -305,7 +305,7 @@ class TestSerialization:
                    f"['{pair[0]},{pair[1]}']")
         with pytest.raises(InstanceError, match=re.escape(message)):
             OscmInstance(toy.offline_switches, toy.active_controllers, delay, toy.g,
-                         rows(toy), toy.a_rest, toy.q_required)
+                         toy.beta, toy.a_rest, toy.q_required)
 
     def test_malformed_instance_document(self, toy):
         doc = json.loads(toy.to_json())

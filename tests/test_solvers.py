@@ -14,7 +14,7 @@ from retroflow.solvers import (GapInstance, GapSizeError, SolverBudget, gap_brut
                                reduce_to_gap, solve_exact, solve_nearest, solve_retroflow)
 
 from _oracles import (enumerate_oscm, exact_undo, gap_optimum_recursive,
-                      greedy_rescan, random_instance, random_gap_special_instance, rows)
+                      greedy_rescan, random_instance, random_gap_special_instance)
 from test_geo import random_connected_links, synthetic
 
 # sha256 of the greedy's trace lines over every att25 scenario, k=1..5 at
@@ -57,7 +57,7 @@ class TestSolveExact:
         inst = OscmInstance(
             offline_switches=toy.offline_switches,
             active_controllers=toy.active_controllers,
-            delay=toy.delay, g=toy.g, beta=rows(toy), a_rest=toy.a_rest,
+            delay=toy.delay, g=toy.g, beta=toy.beta, a_rest=toy.a_rest,
             q_required=0,
         )
         result = solve_exact(inst)
@@ -333,7 +333,7 @@ class TestSolveRetroflow:
         inst = OscmInstance(
             offline_switches=toy.offline_switches,
             active_controllers=toy.active_controllers,
-            delay=toy.delay, g=toy.g, beta=rows(toy),
+            delay=toy.delay, g=toy.g, beta=toy.beta,
             a_rest={1: 1, 3: 1}, q_required=3,
         )
         sol = solve_retroflow(inst)
@@ -384,7 +384,7 @@ class TestLazyGreedy:
             assert sol.to_json() == expected.to_json()
             assert solve_retroflow(inst).to_json() == expected.to_json()
 
-            counts = sorted((len(b) for b in rows(inst).values()), reverse=True)
+            counts = sorted((len(b) for b in inst.beta.values()), reverse=True)
             if inst.q_required and counts[1:] and counts[0] == counts[1] > 0:
                 seen.add("tie")
             if want[-1].startswith("stop reason=stalled"):
@@ -419,7 +419,7 @@ def assert_same_greedy(inst):
     """The greedy on an instance holding its world's flow index and on
     its document, which indexes its own flows, agree line for line."""
     clone = OscmInstance.from_json(inst.to_json())
-    assert inst.flows == clone.flows == tuple(sorted(set().union(*rows(inst).values())))
+    assert inst.flows == clone.flows == tuple(sorted(set().union(*inst.beta.values())))
     got, want = [], []
     sol = solve_retroflow(inst, got)
     assert sol.to_json() == solve_retroflow(clone, want).to_json()
@@ -477,7 +477,7 @@ class TestFlowMasks:
         world = make_world(t, placement)
         fs = generate_flows(t)
         ranked = compute_beta(fs, t)
-        carried = set().union(*rows(ranked).values())
+        carried = set().union(*(ranked.flows_at(i) for i in t.node_ids()))
         assert len(carried) < len(fs) == 12
         assert world.beta.ids == tuple(range(12)) != ranked.ids == tuple(sorted(carried))
         for s in enumerate_failure_scenarios(placement, 1):
@@ -566,7 +566,7 @@ class TestSolveNearest:
         inst = OscmInstance(
             offline_switches=toy.offline_switches, active_controllers=[3],
             delay={(i, 3): toy.delay[(i, 3)] for i in toy.offline_switches},
-            g=toy.g, beta=rows(toy), a_rest={3: 5}, q_required=3,
+            g=toy.g, beta=toy.beta, a_rest={3: 5}, q_required=3,
         )
         sol = solve_nearest(inst)
         assert set(sol.assigned.values()) == {3}
@@ -589,7 +589,7 @@ class TestSolveNearest:
         rng = random.Random(32)
         for _ in range(50):
             inst = random_instance(rng)
-            union = set().union(*rows(inst).values())
+            union = set().union(*(inst.beta[i] for i in inst.offline_switches))
             assert solve_nearest(inst).y == tuple(sorted(union))
 
     def test_argmin_invariance(self):
@@ -630,7 +630,7 @@ class TestGapReduction:
         relaxed = OscmInstance(
             offline_switches=inst.offline_switches,
             active_controllers=inst.active_controllers,
-            delay=inst.delay, g=inst.g, beta=rows(inst), a_rest=inst.a_rest,
+            delay=inst.delay, g=inst.g, beta=inst.beta, a_rest=inst.a_rest,
             q_required=max(0, inst.q_required - 1),
         )
         if relaxed.q_required != relaxed.n_flows:

@@ -118,28 +118,35 @@ def programmability(t: Topology) -> BetaMatrix:
     between two nodes of one component never leaves it, so the flows i
     can reprogram from src are its descendants in src's tree that it
     reaches through nodes of its own component. One walk of the tree's
-    parent map in reverse settle order, children before parents, collects
-    them: the destinations below u through a child v of u's component are
-    v and those below v. No Path is built.
+    settle order in reverse, children before parents, collects them over
+    node positions: the destinations below u through a child v of u's
+    component are v and those below v. No Path is built.
     """
     ids = t.node_ids()
     n = len(ids)
-    component = t._component
-    masks = dict.fromkeys(ids, 0)
+    component = [t._component[i] for i in ids]
+    masks = [0] * n
     for s, src in enumerate(ids):
-        # flow ids run in (src, dst) order, so dst's bit among src's n - 1
-        # flows is its position with src left out
-        bit = {dst: 1 << (k - (k > s)) for k, dst in enumerate(ids)}
-        below: dict[int, int] = {}
-        for v, u in reversed(shortest_path_tree(t, src).parent.items()):
+        order, parent, _ = shortest_path_tree(t, src)
+        # bit v of below[u] stands for destination position v
+        below = [0] * n
+        # order[0] is the source, which has no parent
+        for v in order[:0:-1]:
+            u = parent[v]
             if component[u] == component[v]:
-                below[u] = below.get(u, 0) | bit[v] | below.get(v, 0)
+                below[u] |= 1 << v | below[v]
+        # flow ids run in (src, dst) order, so dst's bit among src's n - 1
+        # flows is its position with src left out: the bits above s move
+        # down one, over bit s, which is never set because the source is
+        # nobody's descendant
+        low = (1 << s) - 1
         shift = s * (n - 1)
-        for u, m in below.items():
-            masks[u] |= m << shift
+        for u, m in enumerate(below):
+            if m:
+                masks[u] |= (m & low | m >> 1 & ~low) << shift
     # a tuple, not a range: every decoded row then shares one int object
     # per flow id, and set operations across rows match ids by identity
-    return BetaMatrix(masks, tuple(range(n * (n - 1))))
+    return BetaMatrix(dict(zip(ids, masks)), tuple(range(n * (n - 1))))
 
 
 def generate_flows(t: Topology) -> tuple[Flow, ...]:

@@ -3,11 +3,13 @@
 Link delay is propagation only: distance_km / 200 gives milliseconds at
 2x10^5 km/s signal speed.
 
-Construction makes one depth-first pass that proves the graph connected
-and labels its 2-edge-connected components, which answer every
-alternative-path query. Shortest paths are filled on first use: one
-single-source search per source keeps its tree, each node's parent and
-delay, and a Path is built only when one is asked for.
+Construction maps the sorted node ids to dense positions 0..n-1 and
+makes one depth-first pass that proves the graph connected and labels its
+2-edge-connected components, which answer every alternative-path query.
+Shortest paths are filled on first use: one single-source search per
+source runs over positions and keeps its tree as lists indexed by
+position (settle order, parents and delays), and a Path is built only
+when one is asked for.
 """
 
 from __future__ import annotations
@@ -63,12 +65,14 @@ class Path:
 
 
 class SearchTree(NamedTuple):
-    """One single-source search: parent[v] for every node but the source
-    and delay[v] for every node, the source's 0.0 included, both keyed in
-    the order the search settled them, so a parent comes before its
-    children."""
-    parent: dict[int, int]
-    delay: dict[int, float]
+    """One single-source search over node positions (see Topology):
+    order lists every position in the order the search settled it, the
+    source first and a parent before its children; parent[v] is the
+    position of v's parent, None at the source; delay[v] is v's delay,
+    the source's 0.0 included."""
+    order: list[int]
+    parent: list[int | None]
+    delay: list[float]
 
 
 def haversine_km(a: GeoCoordinate, b: GeoCoordinate) -> float:
@@ -85,7 +89,12 @@ class Topology:
     """Immutable geographic graph. Node ids are unique ints; links are
     unordered pairs carrying distance_km and the derived delay_ms. The
     graph is connected, and its 2-edge-connected components are labelled
-    when it is built."""
+    when it is built.
+
+    The searches run over positions: the k-th smallest id has position k
+    (`_index` maps ids to positions, node_ids() maps back), and `_near`
+    lists each position's (neighbour position, delay_ms) pairs. The map
+    preserves order, so position sequences compare as id sequences do."""
 
     def __init__(self, nodes, links, name: str = ""):
         """nodes: iterable of (node_id, GeoCoordinate); links: iterable of
@@ -101,9 +110,11 @@ class Topology:
         if dup is not None:
             raise TopologyError(f"duplicate node id {dup}")
         self.nodes: tuple[tuple[int, GeoCoordinate], ...] = tuple(node_list)
-        self._coord = dict(node_list)
+        self._ids = tuple(ids)
+        index = self._index = {nid: k for k, nid in enumerate(ids)}
 
         self._adj: dict[int, dict[int, Link]] = {nid: {} for nid in ids}
+        self._near: list[list[tuple[int, float]]] = [[] for _ in ids]
         link_list = []
         for entry in links:
             if len(entry) == 2:
@@ -112,20 +123,22 @@ class Topology:
                 a, b, dist = entry
             if a == b:
                 raise TopologyError(f"self-loop link at node {a}")
-            if a not in self._coord or b not in self._coord:
-                missing = a if a not in self._coord else b
+            if a not in index or b not in index:
+                missing = a if a not in index else b
                 raise TopologyError(f"link references unknown node {missing}")
             key = (min(a, b), max(a, b))
             if b in self._adj[a]:
                 raise TopologyError(f"duplicate link {key}")
             if dist is None:
-                dist = haversine_km(self._coord[a], self._coord[b])
+                dist = haversine_km(self.nodes[index[a]][1], self.nodes[index[b]][1])
             if not (math.isfinite(dist) and dist >= 0):
                 raise TopologyError(f"distance on link {key} must be finite and nonnegative, got {dist}")
             link = Link(key[0], key[1], dist, dist / PROPAGATION_KM_PER_MS)
             link_list.append(link)
             self._adj[a][b] = link
             self._adj[b][a] = link
+            self._near[index[a]].append((index[b], link.delay_ms))
+            self._near[index[b]].append((index[a], link.delay_ms))
         self.links: tuple[Link, ...] = tuple(sorted(link_list, key=lambda l: (l.a, l.b)))
 
         # The graph never changes, so the labels and every tree stored
@@ -137,7 +150,7 @@ class Topology:
         self._trees: dict[int, SearchTree] = {}
 
     def node_ids(self) -> tuple[int, ...]:
-        return tuple(nid for nid, _ in self.nodes)
+        return self._ids
 
     def summary(self) -> dict:
         """Load diagnostics; published link counts sometimes tally directed
@@ -162,7 +175,7 @@ class Topology:
             raise TopologyError(f"no link between {a} and {b}") from None
 
     def _check_node(self, node_id: int):
-        if node_id not in self._coord:
+        if node_id not in self._index:
             raise TopologyError(f"unknown node id {node_id}")
 
 
@@ -211,19 +224,23 @@ def shortest_path(t: Topology, src: int, dst: int) -> Path:
     runs one search to every node and stores its tree on t; each query
     builds its Path by following dst's parents back to src.
     """
-    parent, delay = shortest_path_tree(t, src)
+    tree = shortest_path_tree(t, src)
     t._check_node(dst)
     if src == dst:
         raise TopologyError("src and dst must differ")
+    parent, ids = tree.parent, t._ids
+    v = end = t._index[dst]
     nodes = [dst]
-    while nodes[-1] != src:
-        nodes.append(parent[nodes[-1]])
-    return Path(tuple(reversed(nodes)), delay[dst])
+    while parent[v] is not None:
+        v = parent[v]
+        nodes.append(ids[v])
+    return Path(tuple(reversed(nodes)), tree.delay[end])
 
 
 def shortest_path_tree(t: Topology, src: int) -> SearchTree:
-    """The shortest-path tree from src: every node's parent and delay. The
-    first call from src runs the search and stores the tree on t."""
+    """The shortest-path tree from src, over node positions: settle
+    order, parents and delays. The first call from src runs the search
+    and stores the tree on t."""
     t._check_node(src)
     tree = t._trees.get(src)
     if tree is None:
@@ -233,38 +250,48 @@ def shortest_path_tree(t: Topology, src: int) -> SearchTree:
 
 def _paths_from(t: Topology, src: int) -> SearchTree:
     """One single-source search from src: the tree of shortest paths to
-    every node, as parents and delays; no Path is built.
+    every node, as settle order, parents and delays; no Path is built.
 
-    Entries are (delay, hops, node sequence); priorities grow strictly
-    along edges, so the first pop per node is final under the full
-    (delay, hops, node-sequence) order. A search that stopped at the pop
-    of one destination would pop the same nodes in the same order, so
-    every stored delay is the same float sum it would have returned.
-    Keys are distinct, so the order neighbours are pushed in cannot change
-    a pop. No entry is pushed for a settled node, nor for one that already
+    Priorities are (delay, hops, node sequence) over positions, which
+    order as the ids do; they grow strictly along edges, so the first pop
+    per node is final under that full order. A search that stopped at the
+    pop of one destination would pop the same nodes in the same order, so
+    every stored delay is the same float sum it would have returned. An
+    entry is (delay, hops, parent's sequence, node), so a sequence is
+    built once per settled node, not once per push: entries of equal
+    delay and hops hold sequences of equal length, so comparing
+    (sequence, node) orders them as the extended sequences would. Keys
+    are distinct, so the order neighbours are pushed in cannot change a
+    pop. No entry is pushed for a settled node, nor for one that already
     holds a strictly smaller tentative delay: such an entry would only be
-    thrown away when it popped. An equal delay is pushed, because its
-    hops or node sequence may still win.
+    thrown away when it popped. An equal delay is pushed, because its hops
+    or node sequence may still win.
     """
-    heap = [(0.0, 0, (src,))]
-    parent: dict[int, int] = {}
-    delay: dict[int, float] = {}
-    tentative = {src: 0.0}
+    near = t._near
+    n = len(near)
+    order: list[int] = []
+    parent: list[int | None] = [None] * n
+    # None until settled
+    delay: list[float | None] = [None] * n
+    tentative = [math.inf] * n
+    heap = [(0.0, 0, (), t._index[src])]
     while heap:
-        d, hops, nodes = heapq.heappop(heap)
-        u = nodes[-1]
-        if u in delay:
+        d, hops, seq, u = heapq.heappop(heap)
+        if delay[u] is not None:
             continue
         delay[u] = d
-        if hops:
-            parent[u] = nodes[-2]
-        for v, link in t._adj[u].items():
-            if v not in delay:
-                dv = d + link.delay_ms
-                if dv <= tentative.get(v, math.inf):
+        order.append(u)
+        if seq:
+            parent[u] = seq[-1]
+        seq += (u,)
+        hops += 1
+        for v, link_ms in near[u]:
+            if delay[v] is None:
+                dv = d + link_ms
+                if dv <= tentative[v]:
                     tentative[v] = dv
-                    heapq.heappush(heap, (dv, hops + 1, nodes + (v,)))
-    return SearchTree(parent, delay)
+                    heapq.heappush(heap, (dv, hops, seq, v))
+    return SearchTree(order, parent, delay)
 
 
 def has_alternative_path(t: Topology, frm: int, dst: int) -> bool:

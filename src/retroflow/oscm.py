@@ -340,13 +340,21 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     loads defaults to switch_loads(p, b). Switch-to-controller delay is
     that of the shortest path through the topology, read from the offline
     switch's search tree, where a switch's delay to itself is 0.0; no Path
-    is built.
+    is built. A placement that names a controller or switch outside t
+    raises PlacementError.
     """
     if not 0.0 <= q_fraction <= 1.0:
         raise InstanceError(f"q_fraction {q_fraction} outside [0, 1]")
 
     if loads is None:
         loads = switch_loads(p, b)
+
+    index = t._index
+    # load_placement checks a document's ids against the topology; a
+    # Placement built in code is checked here
+    for what, ids in (("controller node", p.capacity), ("switch", p.domain_of)):
+        if not index.keys() >= ids.keys():
+            raise dm.PlacementError(f"{what} {min(ids.keys() - index.keys())} not in topology")
 
     offline = dm.offline_switches(p, s)
     active = dm.active_controllers(p, s)
@@ -356,7 +364,7 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     for i in offline:
         from_i = shortest_path_tree(t, i).delay
         for j in active:
-            delay[(i, j)] = from_i[j]
+            delay[(i, j)] = from_i[index[j]]
 
     inst = OscmInstance(
         offline_switches=offline,

@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import math
 import random
 import sys
 from pathlib import Path as FsPath
@@ -11,7 +13,8 @@ from retroflow.flows import (BetaMatrix, Flow, compute_beta, flows_of, generate_
                              index_flows, programmability)
 from retroflow.geo import GeoCoordinate, Path, Topology
 from retroflow.experiment import emit_report, load_diagnostics, make_world, run_scenario
-from retroflow.oscm import build_instance
+from retroflow.oscm import build_instance, validate
+from retroflow.solvers import solve_nearest, solve_retroflow
 
 from _oracles import compute_beta_per_flow, index_flows_by_digits, paths_from_checked
 from test_geo import random_connected_links, synthetic
@@ -226,12 +229,24 @@ def id_masks(b) -> dict[int, int]:
     return {i: sum(1 << l for l in b.flows_at(i)) for i in b.masks}
 
 
+def positions(t) -> dict[int, int]:
+    """Node id -> position in the search trees: the k-th smallest id has
+    position k."""
+    return {v: k for k, v in enumerate(sorted(t.node_ids()))}
+
+
 def checked_tree(t, src):
-    """paths_from_checked's paths as the tree _paths_from returns: each
-    path's second-to-last node is the parent, its total the delay."""
+    """paths_from_checked's paths as the tree _paths_from returns, over
+    positions: the order the paths were found in, each path's
+    second-to-last node as the parent, its total as the delay."""
     paths = paths_from_checked(t, src)
-    return geo.SearchTree({v: p.node_ids[-2] for v, p in paths.items() if v != src},
-                          {v: p.total_delay_ms for v, p in paths.items()})
+    at = positions(t)
+    parent, delay = [None] * len(at), [None] * len(at)
+    for v, p in paths.items():
+        delay[at[v]] = p.total_delay_ms
+        if v != src:
+            parent[at[v]] = at[p.node_ids[-2]]
+    return geo.SearchTree([at[v] for v in paths], parent, delay)
 
 
 def load_perfbench_workloads():
@@ -314,6 +329,42 @@ class TestWorldBuildAgainstOracle:
             got = programmability(load())
             self.assert_same_masks(got, *self.per_flow(load(), monkeypatch))
 
+    @staticmethod
+    def relabellings(rng, n):
+        """Two maps from positions to node ids that are not positions: an
+        order-preserving sparse one, with negative ids, gaps and ids beyond
+        2**64, and an order-reversing one."""
+        sparse = sorted(rng.sample(range(-10**6, 10**6), n // 2)
+                        + rng.sample(range(2**64, 2**64 + 10**6), n - n // 2))
+        return sparse, sparse[::-1]
+
+    def test_node_ids_that_are_not_positions(self, monkeypatch):
+        """The random topologies relabelled: trees, masks and instance
+        delays against the oracles."""
+        rng, label_rng = random.Random(11), random.Random(21)
+        for _ in range(60):
+            n, links = self.random_links(rng)
+            for label in self.relabellings(label_rng, n):
+                def load(label=label):
+                    return Topology([(label[k], GeoCoordinate(10.0 + k * 0.1, 20.0))
+                                     for k in range(n)],
+                                    [(label[a], label[b], d) for a, b, d in links])
+
+                t = load()
+                TestSearchTrees.assert_same_trees(t)
+                b = programmability(t)
+                self.assert_same_masks(b, *self.per_flow(load(), monkeypatch))
+                # three controllers, each owning every third switch
+                controllers = [label[0], label[n // 2], label[-1]]
+                p = domains.Placement([(c, 10**9) for c in controllers],
+                                      {label[k]: controllers[k % 3] for k in range(n)})
+                for k in (1, 2):
+                    for s in enumerate_failure_scenarios(p, k):
+                        inst = build_instance(t, b, p, s, 1.0)
+                        for (i, j), d in inst.delay.items():
+                            want = 0.0 if i == j else paths_from_checked(t, i)[j].total_delay_ms
+                            assert d.hex() == want.hex()
+
     def test_one_search_per_source_and_no_pair_query_on_att25(self, monkeypatch):
         calls = {(geo, "_paths_from"): 0}
         for module in (flows, geo):
@@ -359,17 +410,20 @@ class TestSearchTrees:
 
     @staticmethod
     def assert_same_trees(t):
-        for src in t.node_ids():
+        ids = sorted(t.node_ids())
+        at = positions(t)
+        for src in ids:
             tree = geo.shortest_path_tree(t, src)
             want = paths_from_checked(t, src)
             # settle order: the source first, a parent before its children
-            assert list(tree.delay) == list(want)
-            assert list(tree.parent) == list(want)[1:]
+            assert [ids[v] for v in tree.order] == list(want)
+            assert len(tree.parent) == len(tree.delay) == len(ids)
             for v, path in want.items():
-                assert tree.delay[v].hex() == path.total_delay_ms.hex()
+                assert tree.delay[at[v]].hex() == path.total_delay_ms.hex()
                 if v == src:
+                    assert tree.parent[at[v]] is None
                     continue
-                assert tree.parent[v] == path.node_ids[-2]
+                assert ids[tree.parent[at[v]]] == path.node_ids[-2]
                 got = geo.shortest_path(t, src, v)
                 assert got.node_ids == path.node_ids
                 assert got.total_delay_ms.hex() == path.total_delay_ms.hex()
@@ -435,6 +489,43 @@ class TestSearchTrees:
         assert (len(searches), len(paths)) == (25, 0)
         geo.shortest_path(t, 0, 20)
         assert (len(searches), len(paths)) == (25, 1)
+
+
+# sha256 of the 20x20 grid world's masks (generator seed 1) as "id:hex"
+# pairs joined by ";" in id order, recorded from the dict-keyed build
+# that preceded the search over node positions
+GRID400_MASKS_SHA256 = "205ad75668970f403b60b0e7e3add4a27c73c77641972f38ea23bdefe6a35799"
+
+
+class TestWorldAtScale:
+    def test_grid400_masks_and_single_failures(self):
+        side = 20
+        workloads = load_perfbench_workloads()
+        t = geo.load_topology(workloads.grid_topology(side, random.Random(1)))
+        b = programmability(t)
+        digest = hashlib.sha256(";".join(f"{i}:{m:x}" for i, m in sorted(b.masks.items()))
+                                .encode()).hexdigest()
+        assert digest == GRID400_MASKS_SHA256
+        # six controllers; each switch joins the one fewest grid steps away,
+        # ties to the smaller id, and capacities are sized as the
+        # benchmark's grids are
+        centers = [r * side + c for r in (4, 15) for c in (3, 10, 16)]
+        owner = {v: min(centers, key=lambda c: (abs(v // side - c // side)
+                                                + abs(v % side - c % side), c))
+                 for v in t.node_ids()}
+        loads = b.loads()
+        p = domains.Placement(
+            [(c, math.ceil(workloads.SLACK * sum(loads[v] for v in owner if owner[v] == c)))
+             for c in centers], owner)
+        for s in enumerate_failure_scenarios(p, 1):
+            inst = build_instance(t, b, p, s, 0.9)
+            greedy = solve_retroflow(inst)
+            assert greedy.quota_met and validate(inst, greedy).feasible
+            # the baseline ignores capacity; it maps every switch and
+            # recovers every flow
+            nearest = validate(inst, solve_nearest(inst))
+            for family in ("mapping", "programmability", "quota"):
+                assert nearest.check(family).passed
 
 
 class TestSparseDecoding:

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from retroflow.domains import FailureScenario
+from retroflow.domains import FailureScenario, Placement, PlacementError
+from retroflow.flows import programmability
 from retroflow.oscm import (InstanceError, OscmInstance, Solution,
                             build_instance, objective, programmable_flows,
                             validate)
@@ -64,6 +65,23 @@ class TestBuildInstance:
         with pytest.raises(InstanceError, match="q_fraction"):
             build_instance(att_world.topology, att_world.beta,
                            att_world.placement, FailureScenario(frozenset({20})), 1.5)
+
+    @staticmethod
+    def assert_rejected_on_ring5(ring5, p, message):
+        """Every single failure of p, a placement built in code, names the
+        id that ring5 lacks."""
+        b = programmability(ring5)
+        for c in p.controller_ids:
+            with pytest.raises(PlacementError, match=message):
+                build_instance(ring5, b, p, FailureScenario(frozenset({c})), 1.0)
+
+    def test_controller_outside_topology(self, ring5):
+        p = Placement([(0, 100), (9, 100)], {0: 0, 1: 0, 2: 9, 3: 9, 4: 9})
+        self.assert_rejected_on_ring5(ring5, p, "^controller node 9 not in topology$")
+
+    def test_switch_outside_topology(self, ring5):
+        p = Placement([(0, 100), (2, 100)], {0: 0, 1: 0, 2: 2, 3: 2, 4: 2, 7: 2})
+        self.assert_rejected_on_ring5(ring5, p, "^switch 7 not in topology$")
 
     def test_w_is_load_times_delay(self, toy):
         for i in toy.offline_switches:

@@ -125,27 +125,29 @@ def validate_scenario(p: Placement, s: FailureScenario):
 
 
 def offline_switches(p: Placement, s: FailureScenario) -> tuple[int, ...]:
-    validate_scenario(p, s)
+    """The switches of the failed controllers' domains, ascending. s is
+    not checked here: build_instance checks it once, in
+    residual_capacity."""
     return tuple(sorted(sw for sw, cid in p.domain_of.items() if cid in s.failed))
-
-
-def active_controllers(p: Placement, s: FailureScenario) -> tuple[int, ...]:
-    validate_scenario(p, s)
-    return tuple(c for c in p.controller_ids if c not in s.failed)
 
 
 def residual_capacity(p: Placement, loads: dict[int, int], s: FailureScenario) -> dict[int, int]:
     """Remaining ability per active controller after serving its own
-    surviving domain. Raises if a domain already exceeds its capacity."""
+    surviving domain, keyed in ascending controller id. One pass over the
+    domain map sums every surviving domain's load. Raises if a domain
+    already exceeds its capacity, naming the smallest such controller id."""
     validate_scenario(p, s)
+    own = {cid: 0 for cid in p.controller_ids if cid not in s.failed}
+    for sw, cid in p.domain_of.items():
+        if cid in own:
+            own[cid] += loads[sw]
     rest = {}
-    for cid in active_controllers(p, s):
-        own = sum(loads[sw] for sw in p.domain(cid))
-        if own > p.capacity[cid]:
+    for cid, load in own.items():
+        if load > p.capacity[cid]:
             raise PlacementError(
-                f"controller {cid}: own-domain load {own} exceeds capacity {p.capacity[cid]}"
+                f"controller {cid}: own-domain load {load} exceeds capacity {p.capacity[cid]}"
             )
-        rest[cid] = p.capacity[cid] - own
+        rest[cid] = p.capacity[cid] - load
     return rest
 
 

@@ -169,18 +169,23 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
 def _score(inst: OscmInstance, name: str, status: str, sol: Solution | None,
            ability: dict[int, int], queue_penalty_ms: float) -> AlgorithmOutcome:
     """Score a solver's output. A controller starts from its own-domain
-    load, which is its capacity minus its residual ability."""
+    load, which is its capacity minus its residual ability. Its queueing
+    penalty depends on its final load alone, so it is computed once per
+    controller that carries a switch; the adjusted overhead then sums
+    each assigned switch's term in `assigned` order."""
     if sol is None:
         return AlgorithmOutcome(name, status)
+    g = inst.g
     load = {j: ability[j] - inst.a_rest[j] for j in inst.active_controllers}
     for i, j in sol.assigned.items():
-        load[j] += inst.g[i]
+        load[j] += g[i]
     overloaded = tuple(j for j in inst.active_controllers if load[j] > ability[j])
 
+    penalty = {j: queueing_penalty_ms(load[j], ability[j], queue_penalty_ms)
+               for j in set(sol.assigned.values())}
     adjusted = 0.0
     for i, j in sol.assigned.items():
-        penalty = queueing_penalty_ms(load[j], ability[j], queue_penalty_ms)
-        adjusted += inst.g[i] * (inst.delay[(i, j)] + penalty)
+        adjusted += g[i] * (inst.delay[(i, j)] + penalty[j])
 
     fraction = sol.n_programmable / inst.n_flows if inst.n_flows else 1.0
     return AlgorithmOutcome(

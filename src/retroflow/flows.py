@@ -84,14 +84,15 @@ class BetaMatrix:
 
     masks[i] has bit k set when switch i can reprogram flow ids[k]; rows
     of flow ids become a matrix through index_flows. A switch's flow ids
-    are decoded on its first flows_at and kept for the matrix's life; the
-    loads are counted once.
+    are decoded on its first flows_at and kept for the matrix's life;
+    counts[i], its mask's bit count, is counted once, and the instances
+    of a world read it from here.
     """
 
     def __init__(self, masks: dict[int, int], ids: tuple[int, ...]):
         self.masks, self.ids = masks, ids
         self._rows: dict[int, frozenset[int]] = {}
-        self._loads = {i: m.bit_count() for i, m in masks.items()}
+        self.counts = {i: m.bit_count() for i, m in masks.items()}
 
     def flows_at(self, switch_id: int) -> frozenset[int]:
         row = self._rows.get(switch_id)
@@ -105,7 +106,7 @@ class BetaMatrix:
         return row
 
     def loads(self) -> dict[int, int]:
-        return dict(self._loads)
+        return dict(self.counts)
 
 
 def programmability(t: Topology) -> BetaMatrix:

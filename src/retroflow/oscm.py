@@ -56,8 +56,9 @@ class OscmInstance:
         The mappings are stored as given, so ids, counts and the quota must
         already be ints; from_json converts and checks outside documents.
 
-        masks[i] holds beta[i] as an int bitmask over a flow index, union
-        their OR, and flows_of decodes one. Sets go through
+        masks[i] holds beta[i] as an int bitmask over a flow index,
+        counts[i] its bit count, as the matrix counted it, union their OR,
+        and flows_of decodes one. Sets go through
         flows.index_flows into a matrix of their own; a world's matrix
         lends its index and masks. The instance stores no row of flow ids:
         `beta` reads them from the matrix, which decodes a row on its
@@ -106,7 +107,9 @@ class OscmInstance:
                                 f"(offline switch, active controller): {unknown}")
 
         self._ids = matrix.ids
-        self.masks: dict[int, int] = {i: matrix.masks[i] for i in self.offline_switches}
+        masks, counts = matrix.masks, matrix.counts
+        self.masks: dict[int, int] = {i: masks[i] for i in self.offline_switches}
+        self.counts: dict[int, int] = {i: counts[i] for i in self.offline_switches}
         union = 0
         for m in self.masks.values():
             union |= m
@@ -340,8 +343,10 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     loads defaults to switch_loads(p, b). Switch-to-controller delay is
     that of the shortest path through the topology, read from the offline
     switch's search tree, where a switch's delay to itself is 0.0; no Path
-    is built. A placement that names a controller or switch outside t
-    raises PlacementError.
+    is built. A placement that names a controller or switch outside t,
+    or leaves a node of t in no domain, raises PlacementError, as
+    load_placement does for a document; the scenario is checked once,
+    by residual_capacity.
     """
     if not 0.0 <= q_fraction <= 1.0:
         raise InstanceError(f"q_fraction {q_fraction} outside [0, 1]")
@@ -355,10 +360,13 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     for what, ids in (("controller node", p.capacity), ("switch", p.domain_of)):
         if not index.keys() >= ids.keys():
             raise dm.PlacementError(f"{what} {min(ids.keys() - index.keys())} not in topology")
+    if len(p.domain_of) < len(index):
+        raise dm.PlacementError(f"switch {min(index.keys() - p.domain_of.keys())} unassigned")
 
-    offline = dm.offline_switches(p, s)
-    active = dm.active_controllers(p, s)
     rest = dm.residual_capacity(p, loads, s)
+    # residual_capacity has checked s; its keys are the active controllers
+    active = tuple(rest)
+    offline = dm.offline_switches(p, s)
 
     delay = {}
     for i in offline:

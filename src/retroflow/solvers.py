@@ -105,18 +105,22 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
     it is the switch a full rescan would pick, and a current top of 0
     means no switch adds a flow.
 
-    Flow sets are the instance's int bitmasks (OscmInstance.masks). The
-    flows not yet covered are held as one mask, `uncovered` (all bits
-    set at the start: ~0), so a count is `(mask & uncovered).bit_count()`,
-    and the covered count `n_covered` grows by the current count of each
-    assigned switch. Flow ids are decoded only for the trace.
+    Flow sets are the instance's int bitmasks (OscmInstance.masks), and
+    the heap starts from their bit counts, which the instance reads from
+    its matrix (OscmInstance.counts). The flows not yet covered are held
+    as one nonnegative mask, `uncovered`, which starts at the instance's
+    flow union: a count is `(mask & uncovered).bit_count()`, an
+    assignment clears the pick's bits, and the covered count `n_covered`
+    grows by the current count of each assigned switch. The flows covered
+    at the end are the union's bits no longer in `uncovered`. Flow ids
+    are decoded only for the trace.
     """
-    masks = inst.masks
-    heap = [(-masks[i].bit_count(), i, 0) for i in inst.offline_switches]
+    masks, g, delay = inst.masks, inst.g, inst.delay
+    heap = [(-n, i, 0) for i, n in inst.counts.items()]
     heapq.heapify(heap)
     version = 0  # bumped each time `uncovered` shrinks
     rest = dict(inst.a_rest)
-    uncovered, n_covered = ~0, 0
+    uncovered, n_covered = inst.union, 0
     assigned: dict[int, int] = {}
 
     while heap and n_covered < inst.q_required:
@@ -134,20 +138,22 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
         if trace is not None:
             trace.append(f"pick switch={pick} delta={-neg_delta}")
 
-        for j in sorted(inst.active_controllers, key=lambda c: (inst.w(pick, c), c)):
-            fit = rest[j] >= inst.g[pick]
+        g_pick = g[pick]
+        for w, j in sorted([(g_pick * delay[(pick, j)], j) for j in inst.active_controllers]):
+            fit = rest[j] >= g_pick
             if trace is not None:
-                trace.append(f"test switch={pick} controller={j} w={inst.w(pick, j)} "
+                trace.append(f"test switch={pick} controller={j} w={w} "
                              f"rest={rest[j]} fit={'yes' if fit else 'no'}")
             if fit:
                 assigned[pick] = j
-                rest[j] -= inst.g[pick]
+                rest[j] -= g_pick
+                gained = masks[pick] & uncovered
                 if trace is not None:
-                    gained = list(inst.flows_of(masks[pick] & uncovered))
                     trace.append(f"assign switch={pick} controller={j} rest={rest[j]} "
-                                 f"gained={gained} covered={n_covered - neg_delta}")
+                                 f"gained={list(inst.flows_of(gained))} "
+                                 f"covered={n_covered - neg_delta}")
                 # the pick's count is current: it adds -neg_delta flows
-                uncovered &= ~masks[pick]
+                uncovered ^= gained
                 n_covered -= neg_delta
                 version += 1
                 break
@@ -157,16 +163,26 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
             trace.append(f"stop reason={reason} covered={n_covered} "
                          f"required={inst.q_required}")
 
-    return _solution(inst, assigned, ~uncovered)
+    return _solution(inst, assigned, inst.union ^ uncovered)
 
 
 def solve_nearest(inst: OscmInstance) -> Solution:
     """Map every offline switch to its nearest active controller, ignoring
-    capacity. Smallest controller id wins delay ties."""
-    assigned = {
-        i: min(inst.active_controllers, key=lambda j: (inst.delay[(i, j)], j))
-        for i in inst.offline_switches
-    }
+    capacity. Smallest controller id wins delay ties: controllers are
+    tried in ascending id order and only a strictly smaller delay
+    replaces the first one tried."""
+    delay, controllers = inst.delay, inst.active_controllers
+    assigned = {}
+    for i in inst.offline_switches:
+        # an instance with no active controller has nowhere to map i, and
+        # raises here
+        near = controllers[0]
+        best = delay[(i, near)]
+        for j in controllers:
+            d = delay[(i, j)]
+            if d < best:
+                near, best = j, d
+        assigned[i] = near
     # every offline switch is mapped, so every flow is recovered
     return _solution(inst, assigned, inst.union)
 

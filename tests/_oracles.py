@@ -3,8 +3,9 @@
 Everything here is deliberately written from the problem statement, not
 from the package internals: full enumerations, a second distance formula,
 bridge-based connectivity reasoning. The exceptions are earlier versions
-of two solvers, of the world build and of the component labelling, kept
-verbatim, against which a rewrite must give the same results step for step.
+of the three solvers, of the scoring, of the world build and of the
+component labelling, kept verbatim, against which a rewrite must give the
+same results step for step.
 """
 
 import heapq
@@ -210,6 +211,53 @@ def greedy_rescan(inst, trace=None):
         log(f"stop reason={reason} covered={len(covered)} required={inst.q_required}")
 
     return solution_of(inst, assigned, covered)
+
+
+def nearest_by_min(inst):
+    """The baseline as it was written before its one comparison loop:
+    `min` over the active controllers keyed (delay, id). Kept verbatim,
+    so the loop can be checked assignment for assignment."""
+    from retroflow.solvers import _solution
+
+    assigned = {
+        i: min(inst.active_controllers, key=lambda j: (inst.delay[(i, j)], j))
+        for i in inst.offline_switches
+    }
+    # every offline switch is mapped, so every flow is recovered
+    return _solution(inst, assigned, inst.union)
+
+
+def score_per_switch(inst, name, status, sol, ability, queue_penalty_ms):
+    """The scoring as it was written before it priced each controller's
+    queueing penalty once: one queueing_penalty_ms call per assigned
+    switch. Kept verbatim, so the scoring can be checked float for float."""
+    from retroflow.experiment import AlgorithmOutcome, queueing_penalty_ms
+
+    if sol is None:
+        return AlgorithmOutcome(name, status)
+    load = {j: ability[j] - inst.a_rest[j] for j in inst.active_controllers}
+    for i, j in sol.assigned.items():
+        load[j] += inst.g[i]
+    overloaded = tuple(j for j in inst.active_controllers if load[j] > ability[j])
+
+    adjusted = 0.0
+    for i, j in sol.assigned.items():
+        penalty = queueing_penalty_ms(load[j], ability[j], queue_penalty_ms)
+        adjusted += inst.g[i] * (inst.delay[(i, j)] + penalty)
+
+    fraction = sol.n_programmable / inst.n_flows if inst.n_flows else 1.0
+    return AlgorithmOutcome(
+        algorithm=name,
+        status=status,
+        solution=sol,
+        programmable_flow_fraction=fraction,
+        recovered_switch_count=sol.recovered_switches(),
+        raw_overhead=sol.objective,
+        adjusted_overhead=adjusted,
+        controller_load=load,
+        controller_ability=dict(ability),
+        overloaded=overloaded,
+    )
 
 
 def exact_undo(inst, budget=None):

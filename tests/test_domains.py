@@ -116,6 +116,25 @@ class TestResidualCapacity:
                 assert consumed == surviving
 
 
+    def test_one_pass_equals_per_domain_sums(self, att_placement):
+        p, loads = att_placement, att_placement.flow_counts
+        for k in range(1, 6):
+            for s in enumerate_failure_scenarios(p, k):
+                rest = residual_capacity(p, loads, s)
+                assert list(rest) == [c for c in p.controller_ids if c not in s.failed]
+                assert rest == {c: p.capacity[c] - sum(loads[sw] for sw in p.domain(c))
+                                for c in rest}
+
+    def test_smallest_overflowing_controller_named(self):
+        # controllers 1 and 2 both overflow once 0 fails; 2's switches come
+        # first in the domain map, and 1 is named, as in id order
+        p = Placement([(0, 50), (1, 5), (2, 5)], {4: 2, 2: 2, 3: 1, 1: 1, 0: 0},
+                      {0: 1, 1: 3, 2: 4, 3: 3, 4: 4})
+        with pytest.raises(PlacementError,
+                           match="^controller 1: own-domain load 6 exceeds capacity 5$"):
+            residual_capacity(p, p.flow_counts, FailureScenario(frozenset({0})))
+
+
 class TestEnumerateScenarios:
     def test_single_failures(self, att_placement):
         scenarios = enumerate_failure_scenarios(att_placement, 1)

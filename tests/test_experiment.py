@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,9 @@ from retroflow import experiment, fixtures, oscm, solvers
 from retroflow.domains import FailureScenario, enumerate_failure_scenarios
 from retroflow.experiment import (ReportError, emit_report, queueing_penalty_ms,
                                   run_scenario, sweep_summary)
+
+from _oracles import random_instance, score_per_switch
+from test_solvers import greedy_case
 
 
 class TestQueueingPenalty:
@@ -231,6 +235,43 @@ class TestRunScenario:
         with pytest.raises(ReportError):
             run_scenario(att_world, FailureScenario(frozenset({20})), 1.0,
                          algorithms=())
+
+
+class TestScore:
+    def test_matches_per_switch_penalty(self):
+        """The scoring prices each controller's queueing penalty once; it
+        must bill the floats one penalty per assigned switch billed, summed
+        in the same order. Integer delays and loads, zero loads, shared
+        and overloaded controllers, penalties 0 and 0.1."""
+        rng = random.Random(5150)
+        seen = set()
+        for k in range(400):
+            inst = greedy_case(rng) if k % 2 else random_instance(rng, n_max=10, m_max=4)
+            # the own-domain load is the ability above the residual
+            ability = {j: inst.a_rest[j] + rng.choice([0, rng.randint(0, 12)])
+                       for j in inst.active_controllers}
+            solutions = (("retroflow", "ok", solvers.solve_retroflow(inst)),
+                         ("nearest", "ok", solvers.solve_nearest(inst)),
+                         ("exact", "infeasible", None))
+            for name, status, sol in solutions:
+                for penalty in (0.0, 0.1):
+                    got = experiment._score(inst, name, status, sol, ability, penalty)
+                    want = score_per_switch(inst, name, status, sol, ability, penalty)
+                    assert got == want
+                    assert (got.raw_overhead, got.adjusted_overhead, got.controller_load) \
+                        == (want.raw_overhead, want.adjusted_overhead, want.controller_load)
+                    if sol is None:
+                        continue
+                    assert got.solution.assigned == want.solution.assigned
+                    if got.adjusted_overhead != got.raw_overhead:
+                        seen.add("billed")
+                    if got.overloaded and not penalty:
+                        seen.add("overloaded, not billed")
+                    if any(inst.g[i] == 0 for i in sol.assigned):
+                        seen.add("zero load")
+                    if len(set(sol.assigned.values())) < len(sol.assigned):
+                        seen.add("shared controller")
+        assert seen == {"billed", "overloaded, not billed", "zero load", "shared controller"}
 
 
 class TestEmitReport:

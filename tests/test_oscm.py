@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from retroflow import domains as dm
 from retroflow.domains import FailureScenario, Placement, PlacementError
 from retroflow.flows import programmability
 from retroflow.oscm import (InstanceError, OscmInstance, Solution,
@@ -82,6 +83,25 @@ class TestBuildInstance:
     def test_switch_outside_topology(self, ring5):
         p = Placement([(0, 100), (2, 100)], {0: 0, 1: 0, 2: 2, 3: 2, 4: 2, 7: 2})
         self.assert_rejected_on_ring5(ring5, p, "^switch 7 not in topology$")
+
+    def test_node_in_no_domain(self, ring5):
+        p = Placement([(0, 100), (2, 100)], {0: 0, 1: 0, 2: 2, 3: 2})
+        self.assert_rejected_on_ring5(ring5, p, "^switch 4 unassigned$")
+
+    def test_scenario_checked_once(self, att_world, monkeypatch):
+        calls = []
+        check = dm.validate_scenario
+        monkeypatch.setattr(dm, "validate_scenario", lambda p, s: calls.append(s) or check(p, s))
+        w = att_world
+        s = FailureScenario(frozenset({2, 5}))
+        inst = build_instance(w.topology, w.beta, w.placement, s, 1.0)
+        assert calls == [s]
+        assert inst.active_controllers == (6, 13, 20, 22)
+        for failed, message in (({99}, r"not in placement: \[99\]"),
+                                (set(w.placement.controller_ids), "must survive")):
+            with pytest.raises(PlacementError, match=message):
+                build_instance(w.topology, w.beta, w.placement,
+                               FailureScenario(frozenset(failed)), 1.0)
 
     def test_w_is_load_times_delay(self, toy):
         for i in toy.offline_switches:

@@ -13,8 +13,8 @@ from retroflow.oscm import OscmInstance, Solution, build_instance, validate
 from retroflow.solvers import (GapInstance, GapSizeError, SolverBudget, gap_bruteforce,
                                reduce_to_gap, solve_exact, solve_nearest, solve_retroflow)
 
-from _oracles import (enumerate_oscm, exact_undo, gap_optimum_recursive,
-                      greedy_rescan, random_instance, random_gap_special_instance)
+from _oracles import (enumerate_oscm, exact_undo, gap_optimum_recursive, greedy_rescan,
+                      nearest_by_min, random_instance, random_gap_special_instance)
 from test_geo import random_connected_links, synthetic
 
 # sha256 of the greedy's trace lines over every att25 scenario, k=1..5 at
@@ -600,6 +600,24 @@ class TestSolveNearest:
             for i, j in sol.assigned.items():
                 best = min(inst.delay[(i, c)] for c in inst.active_controllers)
                 assert inst.delay[(i, j)] == best
+
+    def test_matches_min_reference(self):
+        """The comparison loop maps every switch as `min` keyed (delay, id)
+        did. Integer delays make ties common: a tie to a later controller
+        must keep the smaller id."""
+        rng = random.Random(4242)
+        ties = 0
+        for k in range(600):
+            inst = greedy_case(rng) if k % 2 else random_instance(rng, n_max=10, m_max=5)
+            got, want = solve_nearest(inst), nearest_by_min(inst)
+            assert got == want
+            assert list(got.assigned.items()) == list(want.assigned.items())
+            assert got.to_json() == want.to_json()
+            for i, j in got.assigned.items():
+                near = [c for c in inst.active_controllers
+                        if inst.delay[(i, c)] == inst.delay[(i, j)]]
+                ties += len(near) > 1
+        assert ties > 100
 
 
 class TestGapReduction:

@@ -122,32 +122,50 @@ def programmability(t: Topology) -> BetaMatrix:
     settle order in reverse, children before parents, collects them over
     node positions: the destinations below u through a child v of u's
     component are v and those below v. No Path is built.
+
+    The walk writes each destination straight at its bit among the
+    source's n - 1 flows, so source s gives every switch an (n - 1)-bit
+    segment. Switch i's mask is its n segments in source order: lists of
+    segments are joined pairwise, level by level, the higher list shifted
+    over the lower one's width, which doubles each level; an odd last
+    list is carried up. Each of the log n levels copies each mask's bits
+    once, so the join costs O(n³ log n) bit copies, where ORing each
+    segment into a growing mask would cost O(n⁴). The last level holds
+    two halves and the whole, about twice the masks' size at its peak.
     """
     ids = t.node_ids()
     n = len(ids)
     component = [t._component[i] for i in ids]
-    masks = [0] * n
+    # flow ids run in (src, dst) order, so dst's bit among src's n - 1
+    # flows is its position with src left out: the source's own table
+    # skips it, and its 0 is never read because the source is nobody's
+    # descendant
+    up = [1 << k for k in range(n - 1)]
+    segments = []
     for s, src in enumerate(ids):
         order, parent, _ = shortest_path_tree(t, src)
-        # bit v of below[u] stands for destination position v
+        bit = up[:s] + [0] + up[s:]
+        # bit k of below[u] stands for src's k-th destination
         below = [0] * n
         # order[0] is the source, which has no parent
         for v in order[:0:-1]:
             u = parent[v]
             if component[u] == component[v]:
-                below[u] |= 1 << v | below[v]
-        # flow ids run in (src, dst) order, so dst's bit among src's n - 1
-        # flows is its position with src left out: the bits above s move
-        # down one, over bit s, which is never set because the source is
-        # nobody's descendant
-        low = (1 << s) - 1
-        shift = s * (n - 1)
-        for u, m in enumerate(below):
-            if m:
-                masks[u] |= (m & low | m >> 1 & ~low) << shift
+                below[u] |= bit[v] | below[v]
+        segments.append(below)
+    # every list but an odd last one spans width bits per switch, so
+    # joining neighbours keeps the sources in order
+    width = n - 1
+    while len(segments) > 1:
+        joined = [[lo | hi << width for lo, hi in zip(segments[k], segments[k + 1])]
+                  for k in range(0, len(segments) - 1, 2)]
+        if len(segments) % 2:
+            joined.append(segments[-1])
+        segments = joined
+        width *= 2
     # a tuple, not a range: every decoded row then shares one int object
     # per flow id, and set operations across rows match ids by identity
-    return BetaMatrix(dict(zip(ids, masks)), tuple(range(n * (n - 1))))
+    return BetaMatrix(dict(zip(ids, segments[0])), tuple(range(n * (n - 1))))
 
 
 def generate_flows(t: Topology) -> tuple[Flow, ...]:

@@ -170,12 +170,13 @@ def solve_nearest(inst: OscmInstance) -> Solution:
     """Map every offline switch to its nearest active controller, ignoring
     capacity. Smallest controller id wins delay ties: controllers are
     tried in ascending id order and only a strictly smaller delay
-    replaces the first one tried."""
+    replaces the first one tried. With no active controller no switch is
+    mapped, and the quota is met only when it is 0, as in solve_retroflow."""
     delay, controllers = inst.delay, inst.active_controllers
+    if not controllers:
+        return _solution(inst, {}, 0)
     assigned = {}
     for i in inst.offline_switches:
-        # an instance with no active controller has nowhere to map i, and
-        # raises here
         near = controllers[0]
         best = delay[(i, near)]
         for j in controllers:

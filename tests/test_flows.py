@@ -365,6 +365,39 @@ class TestWorldBuildAgainstOracle:
                             want = 0.0 if i == j else paths_from_checked(t, i)[j].total_delay_ms
                             assert d.hex() == want.hex()
 
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_paths_stars_rings_and_wheels(self, n, monkeypatch):
+        """Every n from 2 to 17: the masks join n segments per switch over
+        up to five levels, through every pattern of odd lists carried up.
+        Paths and stars are all bridges, so no switch reprograms a flow;
+        rings and wheels (a star whose leaves form a ring) are one
+        2-edge-connected component."""
+        path = [(k, k + 1) for k in range(n - 1)]
+        star = [(0, k) for k in range(1, n)]
+        shapes = {"path": path, "star": star}
+        if n >= 3:
+            shapes["ring"] = path + [(0, n - 1)]
+        if n >= 4:
+            shapes["wheel"] = star + [(k, k + 1) for k in range(1, n - 1)] + [(1, n - 1)]
+        for name, links in shapes.items():
+            weighted = [(a, b, 100.0 + 7 * k) for k, (a, b) in enumerate(links)]
+            got = programmability(synthetic(n, weighted))
+            self.assert_same_masks(got, *self.per_flow(synthetic(n, weighted), monkeypatch))
+            assert any(got.masks.values()) == (name in ("ring", "wheel"))
+
+    def test_rings_joined_by_bridges(self, monkeypatch):
+        """Two rings, one with a chord, joined through a bridge node, and
+        a pendant node: a switch reprograms only flows to its own ring."""
+        ring_a = [(k, (k + 1) % 5) for k in range(5)]
+        ring_b = [(6 + k, 6 + (k + 1) % 6) for k in range(6)] + [(7, 10)]
+        links = ring_a + ring_b + [(4, 5), (5, 6), (0, 12)]
+        weighted = [(a, b, 100.0 + 7 * k) for k, (a, b) in enumerate(links)]
+        got = programmability(synthetic(13, weighted))
+        self.assert_same_masks(got, *self.per_flow(synthetic(13, weighted), monkeypatch))
+        # the bridge node and the pendant reprogram nothing; every ring
+        # switch reprograms at least the flow to its ring neighbour
+        assert [i for i, m in got.masks.items() if not m] == [5, 12]
+
     def test_one_search_per_source_and_no_pair_query_on_att25(self, monkeypatch):
         calls = {(geo, "_paths_from"): 0}
         for module in (flows, geo):
@@ -491,21 +524,36 @@ class TestSearchTrees:
         assert (len(searches), len(paths)) == (25, 1)
 
 
-# sha256 of the 20x20 grid world's masks (generator seed 1) as "id:hex"
-# pairs joined by ";" in id order, recorded from the dict-keyed build
-# that preceded the search over node positions
+# sha256 of the 20x20 and 25x25 grid worlds' masks (generator seed 1) as
+# "id:hex" pairs joined by ";" in id order; the 20x20 one recorded from
+# the dict-keyed build that preceded the search over node positions, the
+# 25x25 one from the build that ORed each source into a growing mask
 GRID400_MASKS_SHA256 = "205ad75668970f403b60b0e7e3add4a27c73c77641972f38ea23bdefe6a35799"
+GRID625_MASKS_SHA256 = "3e2002bfc80078210b32ca9933f86082dab270315ae570a61a2c8a3d67652252"
+
+
+def masks_sha256(b):
+    """The sha256 of b's masks as "id:hex" pairs joined by ";" in id
+    order, hashed one mask at a time."""
+    h = hashlib.sha256()
+    for k, (i, m) in enumerate(sorted(b.masks.items())):
+        h.update(f"{';' if k else ''}{i}:{m:x}".encode())
+    return h.hexdigest()
 
 
 class TestWorldAtScale:
+    def test_grid625_masks(self):
+        """625 nodes, an odd count: the join runs ten levels."""
+        workloads = load_perfbench_workloads()
+        t = geo.load_topology(workloads.grid_topology(25, random.Random(1)))
+        assert masks_sha256(programmability(t)) == GRID625_MASKS_SHA256
+
     def test_grid400_masks_and_single_failures(self):
         side = 20
         workloads = load_perfbench_workloads()
         t = geo.load_topology(workloads.grid_topology(side, random.Random(1)))
         b = programmability(t)
-        digest = hashlib.sha256(";".join(f"{i}:{m:x}" for i, m in sorted(b.masks.items()))
-                                .encode()).hexdigest()
-        assert digest == GRID400_MASKS_SHA256
+        assert masks_sha256(b) == GRID400_MASKS_SHA256
         # six controllers; each switch joins the one fewest grid steps away,
         # ties to the smaller id, and capacities are sized as the
         # benchmark's grids are

@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from retroflow.domains import FailureScenario, Placement, enumerate_failure_scenarios
-from retroflow.experiment import make_world
+from retroflow.experiment import AlgorithmOutcome, _score, make_world
 from retroflow.flows import compute_beta, generate_flows
 from retroflow.oscm import OscmInstance, Solution, build_instance, validate
 from retroflow.solvers import (GapInstance, GapSizeError, SolverBudget, gap_bruteforce,
@@ -135,6 +135,31 @@ class TestSolveExact:
         assert result.status == "infeasible"
         assert result.solution is None
         assert result.nodes_explored == 1
+
+    @pytest.mark.parametrize("quota", [0, 1])
+    def test_no_surviving_controller_every_solver(self, quota):
+        """Every solver, and the scoring, on the instance above: no switch
+        is mapped and no flow recovered, and only a zero quota is met."""
+        inst = OscmInstance(
+            offline_switches=[1], active_controllers=[], delay={},
+            g={1: 0}, beta={1: {5}}, a_rest={}, q_required=quota,
+        )
+        none = Solution(x={1: 0}, assigned={}, y=(), objective=0, quota_met=quota == 0)
+        exact = solve_exact(inst)
+        assert (exact.status, exact.solution) == (("optimal", none) if quota == 0
+                                                  else ("infeasible", None))
+        greedy, nearest = solve_retroflow(inst), solve_nearest(inst)
+        assert greedy == nearest == none
+        met = "ok" if quota == 0 else "quota_unmet"
+        for name, status, sol in (("exact", exact.status, exact.solution),
+                                  ("retroflow", met, greedy), ("nearest", met, nearest)):
+            outcome = _score(inst, name, status, sol, {}, 0.1)
+            if sol is None:
+                assert outcome == AlgorithmOutcome(name, status)
+                continue
+            assert (outcome.programmable_flow_fraction, outcome.recovered_switch_count,
+                    outcome.raw_overhead, outcome.adjusted_overhead,
+                    outcome.controller_load, outcome.overloaded) == (0, 0, 0, 0, {}, ())
 
     def test_att_search_size(self, att_world):
         """Summed B&B node counts over every att25 single and double

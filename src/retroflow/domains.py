@@ -26,13 +26,14 @@ class Placement:
     def __init__(self, controllers, domain_of: dict[int, int], flow_counts=None, name: str = ""):
         """controllers: iterable of (controller_id, capacity)."""
         self.name = name
-        self.capacity = dict(controllers)
-        self.controller_ids: tuple[int, ...] = tuple(sorted(self.capacity))
-        if len(self.capacity) != len(self.controller_ids):
-            raise PlacementError("duplicate controller id")
-        for cid, cap in self.capacity.items():
+        self.capacity = {}
+        for cid, cap in controllers:
+            if cid in self.capacity:
+                raise PlacementError(f"duplicate controller id {cid}")
             if cap < 0:
                 raise PlacementError(f"controller {cid} capacity must be nonnegative, got {cap}")
+            self.capacity[cid] = cap
+        self.controller_ids: tuple[int, ...] = tuple(sorted(self.capacity))
         self.domain_of = dict(domain_of)
         for sw, cid in self.domain_of.items():
             if cid not in self.capacity:
@@ -63,23 +64,32 @@ class FailureScenario:
         return "+".join(f"C{c}" for c in sorted(self.failed))
 
 
+def check_coverage(t: Topology, capacity: dict[int, int], domain_of: dict[int, int]):
+    """Raise PlacementError unless every controller of capacity sits on a
+    node of t, every switch of domain_of is a node of t, and every node of
+    t is in a domain; the message names the smallest offending id."""
+    nodes = t._index.keys()
+    for what, ids in (("controller node", capacity), ("switch", domain_of)):
+        if not nodes >= ids.keys():
+            raise PlacementError(f"{what} {min(ids.keys() - nodes)} not in topology")
+    if len(domain_of) < len(nodes):
+        raise PlacementError(f"switch {min(nodes - domain_of.keys())} unassigned")
+
+
 def load_placement(doc: dict, t: Topology) -> Placement:
-    """Build a Placement from a parsed placement document; every topology
-    node must be covered exactly once and controllers must sit on nodes."""
+    """Build a Placement from a parsed placement document; each switch is
+    listed once, and check_coverage checks the parsed maps against t."""
     record(doc, _DOC_FIELDS, "placement document", PlacementError)
     default_cap = doc.get("capacity")
     recs = doc.get("controllers")
     if not isinstance(recs, list) or not recs:
         raise PlacementError("placement document needs a 'controllers' list")
 
-    node_ids = set(t.node_ids())
     controllers = []
     domain_of: dict[int, int] = {}
     for rec in recs:
         record(rec, _CONTROLLER_FIELDS, "controller record", PlacementError, required=("node",))
         cid = whole(rec["node"], "controller node", PlacementError)
-        if cid not in node_ids:
-            raise PlacementError(f"controller node {cid} not in topology")
         cap = rec.get("capacity", default_cap)
         if cap is None:
             raise PlacementError(f"controller {cid} has no capacity (none given, no default)")
@@ -89,15 +99,11 @@ def load_placement(doc: dict, t: Topology) -> Placement:
             raise PlacementError(f"controller {cid} switches must be a list, got {switches!r}")
         for sw in switches:
             sw = whole(sw, f"switch of controller {cid}", PlacementError)
-            if sw not in node_ids:
-                raise PlacementError(f"switch {sw} not in topology")
             if sw in domain_of:
                 raise PlacementError(f"switch {sw} assigned twice")
             domain_of[sw] = cid
 
-    unassigned = sorted(node_ids - set(domain_of))
-    if unassigned:
-        raise PlacementError(f"switch {unassigned[0]} unassigned")
+    check_coverage(t, dict(controllers), domain_of)
 
     flow_counts = doc.get("flow_counts")
     if flow_counts is not None:

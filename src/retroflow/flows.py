@@ -135,7 +135,7 @@ def programmability(t: Topology) -> BetaMatrix:
     """
     ids = t.node_ids()
     n = len(ids)
-    component = [t._component[i] for i in ids]
+    component = t._component
     # flow ids run in (src, dst) order, so dst's bit among src's n - 1
     # flows is its position with src left out: the source's own table
     # skips it, and its 0 is never read because the source is nobody's

@@ -3,8 +3,8 @@
 Link delay is propagation only: distance_km / 200 gives milliseconds at
 2x10^5 km/s signal speed.
 
-Construction maps the sorted node ids to dense positions 0..n-1 and
-makes one depth-first pass that proves the graph connected and labels its
+Construction keeps the graph over dense positions 0..n-1 of the sorted
+ids and makes one depth-first pass that proves it connected and labels its
 2-edge-connected components, which answer every alternative-path query.
 Shortest paths are filled on first use: one single-source search per
 source runs over positions and keeps its tree as lists indexed by
@@ -91,10 +91,11 @@ class Topology:
     graph is connected, and its 2-edge-connected components are labelled
     when it is built.
 
-    The searches run over positions: the k-th smallest id has position k
-    (`_index` maps ids to positions, node_ids() maps back), and `_near`
-    lists each position's (neighbour position, delay_ms) pairs. The map
-    preserves order, so position sequences compare as id sequences do."""
+    The graph is kept over positions: the k-th smallest id has position k
+    (`_index` maps ids to positions, node_ids() maps back), `_near` lists
+    each position's (neighbour position, delay_ms) pairs and `_component`
+    each position's label. The map preserves order, so position sequences
+    compare as id sequences do. `_links` maps sorted id pairs to Links."""
 
     def __init__(self, nodes, links, name: str = ""):
         """nodes: iterable of (node_id, GeoCoordinate); links: iterable of
@@ -113,9 +114,8 @@ class Topology:
         self._ids = tuple(ids)
         index = self._index = {nid: k for k, nid in enumerate(ids)}
 
-        self._adj: dict[int, dict[int, Link]] = {nid: {} for nid in ids}
         self._near: list[list[tuple[int, float]]] = [[] for _ in ids]
-        link_list = []
+        self._links: dict[tuple[int, int], Link] = {}
         for entry in links:
             if len(entry) == 2:
                 a, b, dist = entry[0], entry[1], None
@@ -127,24 +127,21 @@ class Topology:
                 missing = a if a not in index else b
                 raise TopologyError(f"link references unknown node {missing}")
             key = (min(a, b), max(a, b))
-            if b in self._adj[a]:
+            if key in self._links:
                 raise TopologyError(f"duplicate link {key}")
             if dist is None:
                 dist = haversine_km(self.nodes[index[a]][1], self.nodes[index[b]][1])
             if not (math.isfinite(dist) and dist >= 0):
                 raise TopologyError(f"distance on link {key} must be finite and nonnegative, got {dist}")
-            link = Link(key[0], key[1], dist, dist / PROPAGATION_KM_PER_MS)
-            link_list.append(link)
-            self._adj[a][b] = link
-            self._adj[b][a] = link
+            link = self._links[key] = Link(key[0], key[1], dist, dist / PROPAGATION_KM_PER_MS)
             self._near[index[a]].append((index[b], link.delay_ms))
             self._near[index[b]].append((index[a], link.delay_ms))
-        self.links: tuple[Link, ...] = tuple(sorted(link_list, key=lambda l: (l.a, l.b)))
+        self.links: tuple[Link, ...] = tuple(self._links[key] for key in sorted(self._links))
 
         # The graph never changes, so the labels and every tree stored
         # below stay valid for the topology's life.
-        self._component = _two_edge_components(self._adj, ids[0])
-        if len(self._component) < len(ids):
+        self._component = _two_edge_components(self._near)
+        if None in self._component:
             raise TopologyError("topology is disconnected")
         # Filled lazily by shortest_path_tree.
         self._trees: dict[int, SearchTree] = {}
@@ -164,13 +161,13 @@ class Topology:
 
     def neighbors(self, node_id: int) -> tuple[int, ...]:
         self._check_node(node_id)
-        return tuple(sorted(self._adj[node_id]))
+        return tuple(self._ids[v] for v, _ in sorted(self._near[self._index[node_id]]))
 
     def link(self, a: int, b: int) -> Link:
         self._check_node(a)
         self._check_node(b)
         try:
-            return self._adj[a][b]
+            return self._links[min(a, b), max(a, b)]
         except KeyError:
             raise TopologyError(f"no link between {a} and {b}") from None
 
@@ -303,11 +300,12 @@ def has_alternative_path(t: Topology, frm: int, dst: int) -> bool:
     t._check_node(dst)
     if frm == dst:
         raise TopologyError("frm and dst must differ")
-    return t._component[frm] == t._component[dst]
+    return t._component[t._index[frm]] == t._component[t._index[dst]]
 
 
-def _two_edge_components(adj: dict[int, dict[int, Link]], root: int) -> dict[int, int]:
-    """Component label per node reachable from root, after Tarjan (1974).
+def _two_edge_components(near: list[list[tuple[int, float]]]) -> list[int | None]:
+    """Component label per position, after Tarjan (1974); a position the
+    search from position 0 does not reach keeps None.
 
     One depth-first search: low[u] is the smallest order reached by a back
     edge from u's subtree. When the search leaves u with low[u] == order[u],
@@ -316,14 +314,14 @@ def _two_edge_components(adj: dict[int, dict[int, Link]], root: int) -> dict[int
     are never duplicated, so skipping the parent skips only the tree edge.
     The stacks are explicit, so deep graphs do not hit the recursion limit.
     """
-    order = {root: 0}
-    low = {root: 0}
-    component: dict[int, int] = {}
-    unlabelled = [root]
-    stack = [(root, None, iter(adj[root]))]
+    order = {0: 0}
+    low = {0: 0}
+    component: list[int | None] = [None] * len(near)
+    unlabelled = [0]
+    stack = [(0, None, iter(near[0]))]
     while stack:
         u, parent, todo = stack[-1]
-        for v in todo:
+        for v, _ in todo:
             if v == parent:
                 continue
             if v in order:
@@ -331,7 +329,7 @@ def _two_edge_components(adj: dict[int, dict[int, Link]], root: int) -> dict[int
             else:
                 order[v] = low[v] = len(order)
                 unlabelled.append(v)
-                stack.append((v, u, iter(adj[v])))
+                stack.append((v, u, iter(near[v])))
                 break
         else:
             stack.pop()

@@ -343,10 +343,9 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     loads defaults to switch_loads(p, b). Switch-to-controller delay is
     that of the shortest path through the topology, read from the offline
     switch's search tree, where a switch's delay to itself is 0.0; no Path
-    is built. A placement that names a controller or switch outside t,
-    or leaves a node of t in no domain, raises PlacementError, as
-    load_placement does for a document; the scenario is checked once,
-    by residual_capacity.
+    is built. p is checked against t by check_coverage, as
+    load_placement checks a document; the scenario is checked once, by
+    residual_capacity.
     """
     if not 0.0 <= q_fraction <= 1.0:
         raise InstanceError(f"q_fraction {q_fraction} outside [0, 1]")
@@ -354,20 +353,13 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     if loads is None:
         loads = switch_loads(p, b)
 
-    index = t._index
-    # load_placement checks a document's ids against the topology; a
-    # Placement built in code is checked here
-    for what, ids in (("controller node", p.capacity), ("switch", p.domain_of)):
-        if not index.keys() >= ids.keys():
-            raise dm.PlacementError(f"{what} {min(ids.keys() - index.keys())} not in topology")
-    if len(p.domain_of) < len(index):
-        raise dm.PlacementError(f"switch {min(index.keys() - p.domain_of.keys())} unassigned")
-
+    dm.check_coverage(t, p.capacity, p.domain_of)
     rest = dm.residual_capacity(p, loads, s)
     # residual_capacity has checked s; its keys are the active controllers
     active = tuple(rest)
     offline = dm.offline_switches(p, s)
 
+    index = t._index
     delay = {}
     for i in offline:
         from_i = shortest_path_tree(t, i).delay

@@ -10,6 +10,8 @@ from retroflow import fixtures
 from retroflow.fixtures import data_path
 from retroflow.solvers import solve_retroflow
 
+from test_domains import TWICE_LISTED
+
 TOPO = data_path("att25.json")
 PLACEMENT = data_path("att_table2.json")
 
@@ -277,6 +279,14 @@ class TestBadNumbers:
         assert {"record": "must be a mapping",
                 "switch_list": "must be a list"}.get(field, "must be a whole number") in err
         assert "Traceback" not in err
+
+    def test_controller_listed_twice(self, capsys, tmp_path):
+        placement = tmp_path / "placement.json"
+        placement.write_text(json.dumps(TWICE_LISTED))
+        assert self._run(TOPO, placement) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: duplicate controller id 2\n"
 
     @pytest.mark.parametrize("count", [-5, 2.7])
     def test_bad_flow_count(self, capsys, tmp_path, count):

@@ -1,10 +1,28 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from retroflow.domains import (FailureScenario, Placement, PlacementError,
                                enumerate_failure_scenarios, load_placement,
                                residual_capacity)
+from retroflow.fixtures import data_path
+
+
+# node 2 listed twice, with disjoint switches and different capacities
+TWICE_LISTED = {
+    "controllers": [
+        {"node": 2, "capacity": 10, "switches": list(range(12))},
+        {"node": 2, "capacity": 900, "switches": list(range(12, 25))},
+    ],
+}
+
+
+class TestPlacement:
+    def test_controller_listed_twice(self):
+        with pytest.raises(PlacementError, match="^duplicate controller id 1$"):
+            Placement([(1, 5), (1, 7)], {0: 1})
 
 
 class TestLoadPlacement:
@@ -43,6 +61,20 @@ class TestLoadPlacement:
         }
         with pytest.raises(PlacementError, match="assigned twice"):
             load_placement(doc, att_topology)
+
+    def test_unassigned_switch_left_in_flow_counts(self, att_topology):
+        # the coverage check runs before the Placement, whose flow_counts
+        # check would otherwise name 7 as a switch outside the topology
+        doc = json.loads(Path(data_path("att_table2.json")).read_text())
+        doc["controllers"][2]["switches"].remove(7)
+        assert "7" in doc["flow_counts"]
+        with pytest.raises(PlacementError, match="^switch 7 unassigned$"):
+            load_placement(doc, att_topology)
+
+    def test_controller_listed_twice(self, att_topology):
+        # the second record's capacity used to replace the first's
+        with pytest.raises(PlacementError, match="^duplicate controller id 2$"):
+            load_placement(TWICE_LISTED, att_topology)
 
     def test_unknown_node(self, att_topology):
         doc = {"capacity": 10, "controllers": [{"node": 99, "switches": [0]}]}

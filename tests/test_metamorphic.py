@@ -1,0 +1,104 @@
+"""Metamorphic relations over the att25 instances, k=1..3 (41 scenarios).
+
+Beyond a few switches no oracle says what the exact optimum is, but a
+change to an instance whose effect on the answer is known needs none
+(Chen, Cheung & Yiu 1998, "Metamorphic testing"). Each relation rebuilds
+a scenario's instance with one change and compares every solver's answer
+on the two:
+
+- quota: a larger quota never turns an infeasible scenario feasible and
+  never lowers the exact optimum; the greedy's pick sequence never reads
+  the quota, so at a smaller quota it is a prefix of the one at a larger;
+- delays x 2: doubling is exact in binary floating point, so every
+  status, assignment and exact node count stays and every objective
+  doubles to the last bit;
+- more capacity: 50 more flows of residual at every controller never
+  raise the exact optimum and never turn a feasible scenario infeasible.
+"""
+
+import math
+
+import pytest
+
+from retroflow.domains import enumerate_failure_scenarios
+from retroflow.oscm import OscmInstance, build_instance
+from retroflow.solvers import solve_exact, solve_nearest, solve_retroflow
+
+QUOTA_FRACTIONS = (0.8, 0.85, 0.9, 0.95, 1.0)
+
+
+@pytest.fixture(scope="module")
+def att_instances(att_world):
+    """Every att25 scenario of k=1..3 at q=0.9 and 1.0."""
+    w = att_world
+    return [build_instance(w.topology, w.beta, w.placement, s, q)
+            for k in (1, 2, 3) for s in enumerate_failure_scenarios(w.placement, k)
+            for q in (0.9, 1.0)]
+
+
+def rebuilt(inst, **changes):
+    """inst with some of its inputs replaced, over the same world matrix."""
+    fields = dict(offline_switches=inst.offline_switches,
+                  active_controllers=inst.active_controllers, delay=inst.delay,
+                  g=inst.g, beta=inst._beta, a_rest=inst.a_rest,
+                  q_required=inst.q_required, label=inst.label)
+    return OscmInstance(**{**fields, **changes})
+
+
+def picks(inst):
+    """The greedy's pick sequence, read from its trace."""
+    trace = []
+    solve_retroflow(inst, trace=trace)
+    return [line.split()[1] for line in trace if line.startswith("pick ")]
+
+
+def test_quota(att_instances):
+    checked = {"optimal": 0, "infeasible": 0}
+    # each scenario appears at q 0.9 and 1.0; its quota ladder is the same
+    for inst in att_instances[::2]:
+        ladder = [rebuilt(inst, q_required=math.ceil(f * inst.n_flows))
+                  for f in QUOTA_FRACTIONS]
+        results = [solve_exact(x) for x in ladder]
+        sequences = [picks(x) for x in ladder]
+        for lo in range(len(ladder) - 1):
+            small, large = results[lo], results[lo + 1]
+            checked[small.status] += 1
+            if small.status == "infeasible":
+                assert large.status == "infeasible", inst.label
+            elif large.status == "optimal":
+                assert large.solution.objective >= small.solution.objective, inst.label
+            short, long = sequences[lo], sequences[lo + 1]
+            assert long[:len(short)] == short, inst.label
+    # the ladder crosses from feasible to infeasible, so both halves are checked
+    assert checked["optimal"] > 0 and checked["infeasible"] > 0
+
+
+def answers(inst):
+    exact = solve_exact(inst)
+    greedy, nearest = solve_retroflow(inst), solve_nearest(inst)
+    return exact, greedy, nearest
+
+
+def test_delays_doubled(att_instances):
+    for inst in att_instances:
+        doubled = rebuilt(inst, delay={pair: 2 * d for pair, d in inst.delay.items()})
+        exact, greedy, nearest = answers(inst)
+        exact2, greedy2, nearest2 = answers(doubled)
+        assert exact2.status == exact.status, inst.label
+        assert exact2.nodes_explored == exact.nodes_explored, inst.label
+        if exact.solution is not None:
+            assert exact2.solution.assigned == exact.solution.assigned, inst.label
+            assert exact2.solution.objective == 2 * exact.solution.objective, inst.label
+        for sol, sol2 in ((greedy, greedy2), (nearest, nearest2)):
+            assert sol2.quota_met == sol.quota_met, inst.label
+            assert sol2.assigned == sol.assigned, inst.label
+            assert sol2.objective == 2 * sol.objective, inst.label
+
+
+def test_more_capacity(att_instances):
+    for inst in att_instances:
+        roomier = rebuilt(inst, a_rest={j: r + 50 for j, r in inst.a_rest.items()})
+        before, after = solve_exact(inst), solve_exact(roomier)
+        if before.status == "optimal":
+            assert after.status == "optimal", inst.label
+            assert after.solution.objective <= before.solution.objective, inst.label

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -162,17 +163,26 @@ class TestSolveExact:
                     outcome.controller_load, outcome.overloaded) == (0, 0, 0, 0, {}, ())
 
     def test_att_search_size(self, att_world):
-        """Summed B&B node counts over every att25 single and double
-        failure. Pruning may only change when a bound changes: a change
+        """Summed B&B node counts and the statuses over every att25
+        scenario, k=1..5 at q 0.9 and 1.0: the sweep of the att25-sweep
+        benchmark workload, whose traced CI pass pins the same 22,252
+        nodes. Pruning may only change when a bound changes: a change
         that tightens the bounds (ROADMAP item 1) updates these numbers
         and records why in CHANGES.md."""
         t, b, p = att_world.topology, att_world.beta, att_world.placement
-        nodes = {
-            (k, q): sum(solve_exact(build_instance(t, b, p, s, q)).nodes_explored
-                        for s in enumerate_failure_scenarios(p, k))
-            for k in (1, 2) for q in (0.9, 1.0)
+        nodes, statuses = {}, Counter()
+        for k in range(1, 6):
+            for q in (0.9, 1.0):
+                results = [solve_exact(build_instance(t, b, p, s, q))
+                           for s in enumerate_failure_scenarios(p, k)]
+                nodes[k, q] = sum(r.nodes_explored for r in results)
+                statuses.update(r.status for r in results)
+        assert nodes == {
+            (1, 0.9): 173, (2, 0.9): 2339, (3, 0.9): 12854, (4, 0.9): 4750, (5, 0.9): 34,
+            (1, 1.0): 199, (2, 1.0): 1751, (3, 1.0): 116, (4, 1.0): 28, (5, 1.0): 8,
         }
-        assert nodes == {(1, 0.9): 173, (2, 0.9): 2339, (1, 1.0): 199, (2, 1.0): 1751}
+        assert sum(nodes.values()) == 22252
+        assert statuses == {"optimal": 28, "infeasible": 96}
 
     def test_depth_is_not_bounded_by_recursion(self):
         # one search level per switch: 1,500 levels are past the default

@@ -10,10 +10,9 @@ from .domains import (FailureScenario, Placement, enumerate_failure_scenarios,
                       load_placement, load_placement_file, residual_capacity)
 from .experiment import (ScenarioReport, World, emit_report, load_diagnostics,
                          make_world, queueing_penalty_ms, run_scenario, sweep_summary)
-from .flows import BetaMatrix, Flow, compute_beta, generate_flows
-from .geo import (GeoCoordinate, Path, Topology, TopologyError, haversine_km,
-                  has_alternative_path, load_topology, load_topology_file,
-                  shortest_path)
+from .flows import BetaMatrix
+from .geo import (GeoCoordinate, Topology, TopologyError, haversine_km, load_topology,
+                  load_topology_file)
 from .oscm import (OscmInstance, Solution, ValidationReport, build_instance,
                    objective, programmable_flows, validate)
 from .protocol import Event, ProtocolError, SwitchSession, run_script, step

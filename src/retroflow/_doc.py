@@ -1,5 +1,7 @@
 """Readers for values in parsed JSON documents: each checks the type that
-int() and float() would coerce ("7", " 7 ", True) and raises `error`."""
+int() and float() would coerce ("7", " 7 ", True) and raises `error`.
+distinct holds the one rule for ids that must not repeat, in documents
+and in code-built values alike."""
 
 import sys
 
@@ -44,3 +46,14 @@ def record(value, fields: set[str], what: str, error: type[ValueError], required
     for name in required:
         if name not in value:
             raise error(f"{what} missing field {name!r}")
+
+
+def distinct(items, what: str, error: type[ValueError]) -> list:
+    """items as a list, in order, or error naming the first item that
+    comes twice: "duplicate {what} {item!r}"."""
+    seen = {}
+    for item in items:
+        if item in seen:
+            raise error(f"duplicate {what} {item!r}")
+        seen[item] = None
+    return list(seen)

@@ -12,7 +12,7 @@ import sys
 
 from . import domains as dm
 from . import protocol
-from ._doc import record, whole
+from ._doc import distinct, record, whole
 from .experiment import (ALGORITHMS, FEASIBLE, emit_report, load_diagnostics, make_world,
                          run_scenario, sweep_summary)
 from .geo import load_topology_file
@@ -58,20 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _distinct(items: list, what: str) -> list:
-    """items, or a ValueError naming the first item that comes twice."""
-    seen = set()
-    for item in items:
-        if item in seen:
-            raise ValueError(f"duplicate {what} {item!r}")
-        seen.add(item)
-    return items
-
-
 def _parse_scenarios(spec: str, placement: dm.Placement) -> list[dm.FailureScenario]:
     if "," in spec:
-        ids = _distinct([int(tok) for tok in spec.split(",") if tok.strip()],
-                        "failed controller")
+        ids = distinct([int(tok) for tok in spec.split(",") if tok.strip()],
+                       "failed controller", ValueError)
         scenario = dm.FailureScenario(frozenset(ids))
         dm.validate_scenario(placement, scenario)
         return [scenario]
@@ -82,8 +72,8 @@ def _cmd_run(args) -> int:
     topo = load_topology_file(args.topology)
     placement = dm.load_placement_file(args.placement, topo)
     scenarios = _parse_scenarios(args.failures, placement)
-    algorithms = tuple(_distinct([a.strip() for a in args.algorithms.split(",") if a.strip()],
-                                 "algorithm"))
+    algorithms = tuple(distinct([a.strip() for a in args.algorithms.split(",") if a.strip()],
+                                "algorithm", ValueError))
     for a in algorithms:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")

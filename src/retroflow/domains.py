@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
-from ._doc import key, record, whole
+from ._doc import distinct, key, record, whole
 from .geo import Topology
 
 _DOC_FIELDS = {"name", "capacity", "controllers", "flow_counts"}
@@ -23,16 +23,14 @@ class Placement:
     switches. May carry fixture-supplied per-switch flow counts that
     override computed loads in the evaluation harness."""
 
-    def __init__(self, controllers, domain_of: dict[int, int], flow_counts=None, name: str = ""):
+    def __init__(self, controllers, domain_of: dict[int, int], flow_counts=None):
         """controllers: iterable of (controller_id, capacity)."""
-        self.name = name
-        self.capacity = {}
-        for cid, cap in controllers:
-            if cid in self.capacity:
-                raise PlacementError(f"duplicate controller id {cid}")
+        controllers = list(controllers)
+        distinct((cid for cid, _ in controllers), "controller id", PlacementError)
+        self.capacity = dict(controllers)
+        for cid, cap in self.capacity.items():
             if cap < 0:
                 raise PlacementError(f"controller {cid} capacity must be nonnegative, got {cap}")
-            self.capacity[cid] = cap
         self.controller_ids: tuple[int, ...] = tuple(sorted(self.capacity))
         self.domain_of = dict(domain_of)
         for sw, cid in self.domain_of.items():
@@ -49,11 +47,6 @@ class Placement:
             for sw, n in self.flow_counts.items():
                 if n < 0:
                     raise PlacementError(f"flow count of switch {sw} must be nonnegative, got {n}")
-
-    def domain(self, controller_id: int) -> tuple[int, ...]:
-        if controller_id not in self.capacity:
-            raise PlacementError(f"unknown controller {controller_id}")
-        return tuple(sorted(sw for sw, c in self.domain_of.items() if c == controller_id))
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,7 @@ def load_placement(doc: dict, t: Topology) -> Placement:
         flow_counts = {key(k, "flow_counts key", PlacementError):
                        whole(v, f"flow count of switch {k}", PlacementError)
                        for k, v in flow_counts.items()}
-    return Placement(controllers, domain_of, flow_counts, name=str(doc.get("name", "")))
+    return Placement(controllers, domain_of, flow_counts)
 
 
 def load_placement_file(path, t: Topology) -> Placement:

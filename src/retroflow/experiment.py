@@ -172,7 +172,8 @@ def _score(inst: OscmInstance, name: str, status: str, sol: Solution | None,
     load, which is its capacity minus its residual ability. Its queueing
     penalty depends on its final load alone, so it is computed once per
     controller that carries a switch; the adjusted overhead then sums
-    each assigned switch's term in `assigned` order."""
+    each assigned switch's term in `assigned` order. A penalty large
+    enough to overflow that sum raises ReportError."""
     if sol is None:
         return AlgorithmOutcome(name, status)
     g = inst.g
@@ -186,6 +187,9 @@ def _score(inst: OscmInstance, name: str, status: str, sol: Solution | None,
     adjusted = 0.0
     for i, j in sol.assigned.items():
         adjusted += g[i] * (inst.delay[(i, j)] + penalty[j])
+    if not math.isfinite(adjusted):
+        raise ReportError(f"scenario {inst.label}: {name}'s adjusted overhead is {adjusted} "
+                          f"at queue penalty {queue_penalty_ms} ms per excess flow")
 
     fraction = sol.n_programmable / inst.n_flows if inst.n_flows else 1.0
     return AlgorithmOutcome(
@@ -253,28 +257,26 @@ def emit_report(reports, format: str = "csv") -> str:
         return buf.getvalue()
     if format == "json":
         doc = {"records": rows, "summary": sweep_summary(reports)}
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     raise ReportError(f"unknown report format {format!r}")
 
 
 def sweep_summary(reports) -> dict:
-    """Aggregates read against the baseline across a sweep, including the
-    best overhead reduction each algorithm achieved versus Nearest."""
+    """Aggregates across a sweep: per algorithm, the scenarios it solved
+    within the quota, and the best overhead reduction it achieved versus
+    Nearest, read from ScenarioReport.normalized (None without Nearest)."""
     summary: dict = {"scenarios": len(reports)}
     for name in ("exact", "retroflow"):
         reductions = []
         feasible = 0
         for rep in reports:
             try:
-                o = rep.outcome(name)
-                base = rep.outcome("nearest")
+                feasible += rep.outcome(name).status in FEASIBLE
             except KeyError:
                 continue
-            if o.status in FEASIBLE:
-                feasible += 1
-            if (o.adjusted_overhead is not None and base.adjusted_overhead
-                    and base.adjusted_overhead > 0):
-                reductions.append(1.0 - o.adjusted_overhead / base.adjusted_overhead)
+            ratio = rep.normalized(name, "adjusted_overhead")
+            if ratio is not None:
+                reductions.append(1.0 - ratio)
         summary[f"{name}_feasible_scenarios"] = feasible
         summary[f"{name}_max_overhead_reduction_vs_nearest"] = (
             max(reductions) if reductions else None

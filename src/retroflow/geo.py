@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import NamedTuple
 
-from ._doc import number, record, whole
+from ._doc import distinct, number, record, whole
 
 EARTH_RADIUS_KM = 6371.0
 PROPAGATION_KM_PER_MS = 200.0
@@ -103,13 +103,10 @@ class Topology:
         'compute via haversine'."""
         self.name = name
         node_list = sorted(nodes, key=lambda nc: nc[0])
-        ids = [nid for nid, _ in node_list]
+        # sorted, so the first repeat is the smallest duplicate
+        ids = distinct([nid for nid, _ in node_list], "node id", TopologyError)
         if not ids:
             raise TopologyError("topology has no nodes")
-        # sorted, so a duplicate sits next to its twin
-        dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
-        if dup is not None:
-            raise TopologyError(f"duplicate node id {dup}")
         self.nodes: tuple[tuple[int, GeoCoordinate], ...] = tuple(node_list)
         self._ids = tuple(ids)
         index = self._index = {nid: k for k, nid in enumerate(ids)}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 from . import domains as dm
-from ._doc import key, number, record, whole
+from ._doc import distinct, key, number, record, whole
 from .flows import BetaMatrix, flows_of, index_flows
 # build_instance reads its delays from shortest_path_tree; shortest_path
 # stays importable here because perfbench/tracing.py wraps it by name and
@@ -35,15 +35,9 @@ _INSTANCE_FIELDS = ("offline_switches", "active_controllers", "delay_ms", "loads
 _SOLUTION_FIELDS = ("x", "assigned", "y", "objective")
 
 
-def _ids(values, what: str) -> set[int]:
+def _ids(values, what: str) -> list[int]:
     """Whole-number ids, each listed once."""
-    ids = set()
-    for v in values:
-        i = whole(v, what, InstanceError)
-        if i in ids:
-            raise InstanceError(f"duplicate {what} {i}")
-        ids.add(i)
-    return ids
+    return distinct((whole(v, what, InstanceError) for v in values), what, InstanceError)
 
 
 class OscmInstance:
@@ -73,11 +67,16 @@ class OscmInstance:
         self._beta = matrix
         self.a_rest = a_rest
 
+        # no assignment costs more than the sum of each switch's dearest
+        # g_i * D_ij, which must stay finite: the exact search starts its
+        # incumbent at infinity, and an infinite overhead never beats it
+        dearest = 0.0
         for i in self.offline_switches:
             if i not in self.g or i not in matrix.masks:
                 raise InstanceError(f"switch {i} missing load or flow data")
             if self.g[i] < 0:
                 raise InstanceError(f"switch {i} has negative load")
+            worst = 0.0
             for j in self.active_controllers:
                 d = self.delay.get((i, j))
                 if d is None:
@@ -85,6 +84,12 @@ class OscmInstance:
                 if not (math.isfinite(d) and d >= 0):
                     raise InstanceError(f"delay {d} for switch {i}, controller {j} "
                                         "must be finite and nonnegative")
+                if d > worst:
+                    worst = d
+            dearest += self.g[i] * worst
+            if not math.isfinite(dearest):
+                raise InstanceError(f"switch {i}: the dearest overheads up to this switch "
+                                    f"sum to {dearest}; overheads must stay finite")
         for j in self.active_controllers:
             if j not in self.a_rest:
                 raise InstanceError(f"controller {j} missing residual ability")

@@ -76,26 +76,21 @@ def step(s: SwitchSession, e: Event) -> tuple[SwitchSession, tuple[str, ...]]:
                       rejections=frozenset())
         return nxt, (f"broadcast_role_request to={list(s.backups)}",)
 
-    if e.kind == REPLY_REJECT_LEGACY:
+    if e.kind in (REPLY_REJECT_LEGACY, REPLY_ACCEPT):
         if s.phase != AWAITING:
             raise ProtocolError(f"{e.describe()}: not awaiting role replies")
         if e.controller not in s.backups:
             raise ProtocolError(f"{e.describe()}: not a backup of switch {s.switch_id}")
+        if e.kind == REPLY_ACCEPT:
+            nxt = replace(s, mode=SDN, master=e.controller, phase=STABLE,
+                          rejections=frozenset())
+            return nxt, (f"set_master controller={e.controller}",)
         rejections = s.rejections | {e.controller}
         if set(rejections) == set(s.backups):
             nxt = replace(s, mode=LEGACY, master=None, phase=STABLE,
                           rejections=frozenset())
             return nxt, ("activate_legacy_routing",)
         return replace(s, rejections=rejections), ()
-
-    if e.kind == REPLY_ACCEPT:
-        if s.phase != AWAITING:
-            raise ProtocolError(f"{e.describe()}: not awaiting role replies")
-        if e.controller not in s.backups:
-            raise ProtocolError(f"{e.describe()}: not a backup of switch {s.switch_id}")
-        nxt = replace(s, mode=SDN, master=e.controller, phase=STABLE,
-                      rejections=frozenset())
-        return nxt, (f"set_master controller={e.controller}",)
 
     if e.kind == ADOPT:
         if not (s.phase == STABLE and s.mode == LEGACY):

@@ -272,12 +272,12 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
 
         # pushed so they pop in visit order: each fitting controller,
         # cheapest first, then legacy. A mapped switch covers every flow
-        # that dies with it; the legacy branch loses those it would have
-        # added. `rest` is never written: a mapped child gets a copy
+        # that dies with it; the legacy branch loses those not yet
+        # covered (dies[idx] is a subset of beta[i]). `rest` is never
+        # written: a mapped child gets a copy
         i = order[idx]
-        added = beta[i] - covered
-        stack.append((idx + 1, cost, lost + len(dies[idx] & added), covered, rest, moves))
-        mapped = covered | added
+        stack.append((idx + 1, cost, lost + len(dies[idx] - covered), covered, rest, moves))
+        mapped = covered | beta[i]
         for w_ij, j in reversed([(w_ij, j) for w_ij, j in options[i] if rest[j] >= g[i]]):
             stack.append((idx + 1, cost + w_ij, lost, mapped,
                           {**rest, j: rest[j] - g[i]}, moves + ((i, j),)))

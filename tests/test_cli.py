@@ -95,6 +95,18 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == message + "\n"
 
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    def test_overflowing_penalty_is_input_error(self, capsys, form):
+        # the adjusted overheads were written as inf and their ratios as
+        # nan (Infinity and NaN in JSON, which is then not JSON), exit 0
+        assert main(["run", "--topology", TOPO, "--placement", PLACEMENT, "--failures", "1",
+                     "--queue-penalty", "1e308", "--algorithms", "retroflow,nearest",
+                     "--format", form]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: scenario C2: nearest's adjusted overhead is inf at "
+                                "queue penalty 1e+308 ms per excess flow\n")
+
     def test_missing_file_is_input_error(self, capsys):
         code = main(["run", "--topology", "/nonexistent.json",
                      "--placement", PLACEMENT, "--failures", "1"])
@@ -187,6 +199,19 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert "feasible" not in captured.out
         assert "must be finite" in captured.err
+
+    def test_overflowing_overhead_instance(self, capsys, tmp_path):
+        # switch 20's load is 3, so its overhead at controller 1 is inf
+        ipath, spath = self._write_pair(tmp_path)
+        doc = json.loads(Path(ipath).read_text())
+        doc["delay_ms"]["20,1"] = 1e308
+        with open(ipath, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["validate", "--instance", ipath, "--solution", spath]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: switch 20: the dearest overheads up to this switch "
+                                "sum to inf; overheads must stay finite\n")
 
 
     def test_fractional_load_instance(self, capsys, tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retroflow._doc import key, number, record, whole
+from retroflow._doc import distinct, key, number, record, whole
 from retroflow.cli import main
 from retroflow.domains import PlacementError, load_placement
 from retroflow.fixtures import master_loss_script, toy_recovery_instance
@@ -69,6 +69,17 @@ class TestReaders:
             record({"c": 1}, {"a"}, "r", ValueError)
         with pytest.raises(ValueError, match="r missing field 'a'"):
             record({}, {"a"}, "r", ValueError, required=("a",))
+
+    def test_distinct(self):
+        assert distinct(iter([3, 1, 2]), "id", ValueError) == [3, 1, 2]
+
+        class Malformed(ValueError):
+            pass
+        # the first repeat is named, an int as str() writes it
+        with pytest.raises(Malformed, match=r"^duplicate id 1$"):
+            distinct([2, 1, 3, 1, 2], "id", Malformed)
+        with pytest.raises(Malformed, match=r"^duplicate name 'a'$"):
+            distinct(["a", "b", "a"], "name", Malformed)
 
 
 TOPOLOGY = {

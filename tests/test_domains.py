@@ -49,7 +49,7 @@ class TestLoadPlacement:
         }
         p = load_placement(doc, att_topology)
         assert p.controller_ids == (0,)
-        assert p.domain(0) == tuple(range(25))
+        assert p.domain_of == dict.fromkeys(range(25), 0)
 
     def test_duplicate_assignment(self, att_topology):
         doc = {
@@ -154,7 +154,8 @@ class TestResidualCapacity:
             for s in enumerate_failure_scenarios(p, k):
                 rest = residual_capacity(p, loads, s)
                 assert list(rest) == [c for c in p.controller_ids if c not in s.failed]
-                assert rest == {c: p.capacity[c] - sum(loads[sw] for sw in p.domain(c))
+                assert rest == {c: p.capacity[c] - sum(loads[sw] for sw, d in p.domain_of.items()
+                                                       if d == c)
                                 for c in rest}
 
     def test_smallest_overflowing_controller_named(self):

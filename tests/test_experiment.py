@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -295,6 +296,12 @@ class TestEmitReport:
         assert len(doc["records"]) == 15 * 3
         assert doc["summary"]["scenarios"] == 15
 
+    def test_json_is_strict(self, att_world):
+        # NaN and Infinity are not JSON: a non-finite value raises
+        rep = run_scenario(att_world, FailureScenario(frozenset({20})), 1.0)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_report([dataclasses.replace(rep, q_fraction=float("nan"))], format="json")
+
     def test_unknown_format(self, att_world):
         rep = run_scenario(att_world, FailureScenario(frozenset({20})), 1.0)
         with pytest.raises(ReportError, match="unknown report format"):
@@ -309,11 +316,14 @@ class TestEmitReport:
         assert exact_row["raw_overhead"] == ""
 
     def test_summary_contains_max_reduction(self, att_world):
-        reports = [
-            run_scenario(att_world, s, 1.0)
-            for s in enumerate_failure_scenarios(att_world.placement, 1)
-        ]
-        summary = sweep_summary(reports)
+        scenarios = enumerate_failure_scenarios(att_world.placement, 1)
+        summary = sweep_summary([run_scenario(att_world, s, 1.0) for s in scenarios])
         assert summary["exact_feasible_scenarios"] == 6
         assert 0.0 < summary["exact_max_overhead_reduction_vs_nearest"] < 1.0
         assert 0.0 < summary["retroflow_max_overhead_reduction_vs_nearest"] < 1.0
+        # without Nearest there is no reduction, but the feasible counts
+        # read each algorithm's own rows
+        alone = sweep_summary([run_scenario(att_world, s, 1.0, algorithms=("exact", "retroflow"))
+                               for s in scenarios])
+        assert alone == {**summary, "exact_max_overhead_reduction_vs_nearest": None,
+                         "retroflow_max_overhead_reduction_vs_nearest": None}

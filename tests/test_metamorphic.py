@@ -13,7 +13,16 @@ on the two:
   status, assignment and exact node count stays and every objective
   doubles to the last bit;
 - more capacity: 50 more flows of residual at every controller never
-  raise the exact optimum and never turn a feasible scenario infeasible.
+  raise the exact optimum and never turn a feasible scenario infeasible;
+- padding: one more offline switch with no flows and load 0 changes no
+  solver's status, objective or assignment (Nearest maps every switch,
+  the pad too, and keeps the others where they were);
+- order-reversing relabel of the switch and controller ids: the exact
+  status stays, and the optimum agrees to a relative 1e-9, because ties
+  break the other way and the overheads sum in another order.
+
+The padding and relabel relations rebuild each instance from its rows,
+which the world matrix cannot hold under new switch ids.
 """
 
 import math
@@ -102,3 +111,38 @@ def test_more_capacity(att_instances):
         if before.status == "optimal":
             assert after.status == "optimal", inst.label
             assert after.solution.objective <= before.solution.objective, inst.label
+
+
+def test_padding(att_instances):
+    for inst in att_instances:
+        pad = 1 + max(inst.offline_switches + inst.active_controllers)
+        padded = rebuilt(inst, offline_switches=inst.offline_switches + (pad,),
+                         delay={**inst.delay, **{(pad, j): 1.0 for j in inst.active_controllers}},
+                         g={**inst.g, pad: 0}, beta={**inst.beta, pad: ()})
+        exact, greedy, nearest = answers(inst)
+        exact2, greedy2, nearest2 = answers(padded)
+        assert exact2.status == exact.status, inst.label
+        if exact.solution is not None:
+            assert exact2.solution.assigned == exact.solution.assigned, inst.label
+            assert exact2.solution.objective == exact.solution.objective, inst.label
+        nearest2.assigned.pop(pad)
+        for sol, sol2 in ((greedy, greedy2), (nearest, nearest2)):
+            assert sol2.quota_met == sol.quota_met, inst.label
+            assert sol2.assigned == sol.assigned, inst.label
+            assert sol2.objective == sol.objective, inst.label
+
+
+def test_relabel_reversed(att_instances):
+    for inst in att_instances:
+        top = max(inst.offline_switches + inst.active_controllers)
+        relabelled = rebuilt(inst, offline_switches=[top - i for i in inst.offline_switches],
+                             active_controllers=[top - j for j in inst.active_controllers],
+                             delay={(top - i, top - j): d for (i, j), d in inst.delay.items()},
+                             g={top - i: n for i, n in inst.g.items()},
+                             beta={top - i: row for i, row in inst.beta.items()},
+                             a_rest={top - j: r for j, r in inst.a_rest.items()})
+        exact, exact2 = solve_exact(inst), solve_exact(relabelled)
+        assert exact2.status == exact.status, inst.label
+        if exact.solution is not None:
+            assert math.isclose(exact2.solution.objective, exact.solution.objective,
+                                rel_tol=1e-9), inst.label

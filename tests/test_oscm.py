@@ -304,6 +304,28 @@ class TestSerialization:
         with pytest.raises(InstanceError, match="finite and nonnegative"):
             OscmInstance.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("far, switch", [((1e308, 1.0), 1), ((6e307, 3e307), 2)])
+    def test_overflowing_overheads_rejected(self, far, switch):
+        # switch 1 carries flows 1-3 at load 2, switch 2 flow 4 at load 3.
+        # With switch 1 at 1e308 from controller 20, the one assignment
+        # that fits, {1: 20, 2: 10}, has overhead inf; the exact search,
+        # whose incumbent starts at inf, called the instance infeasible.
+        # In the second case each switch's dearest overhead is finite and
+        # only their sum overflows
+        delay = {(1, 10): 1.0, (1, 20): far[0], (2, 10): 1.0, (2, 20): far[1]}
+        fields = dict(offline_switches=[1, 2], active_controllers=[10, 20], delay=delay,
+                      g={1: 2, 2: 3}, beta={1: {1, 2, 3}, 2: {4}}, a_rest={10: 3, 20: 2},
+                      q_required=4)
+        message = f"switch {switch}: the dearest overheads up to this switch sum to inf"
+        with pytest.raises(InstanceError, match=message):
+            OscmInstance(**fields)
+        doc = {"offline_switches": [1, 2], "active_controllers": [10, 20],
+               "delay_ms": {f"{i},{j}": d for (i, j), d in delay.items()},
+               "loads": {"1": 2, "2": 3}, "flows": {"1": [1, 2, 3], "2": [4]},
+               "residual": {"10": 3, "20": 2}, "quota": 4}
+        with pytest.raises(InstanceError, match=message):
+            OscmInstance.from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("text", [
         "[]",
         '{"x": 5, "assigned": {}, "y": [], "objective": 0.0}',

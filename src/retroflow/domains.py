@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -21,7 +22,16 @@ class PlacementError(ValueError):
 class Placement:
     """Controllers co-located with topology nodes, each owning a domain of
     switches. May carry fixture-supplied per-switch flow counts that
-    override computed loads in the evaluation harness."""
+    override computed loads in the evaluation harness.
+
+    The constructor checks the placement on its own: controller ids
+    listed once, capacities and flow counts nonnegative, every switch in
+    a known controller's domain, flow counts for exactly the domains'
+    switches. Whether it covers a topology is check_coverage's rule,
+    which load_placement and build_instance apply. domain_of maps each
+    switch to its controller; domains maps each controller, in ascending
+    id, to its switches, ascending, built once here, so a scenario reads
+    the failed and surviving domains instead of scanning domain_of."""
 
     def __init__(self, controllers, domain_of: dict[int, int], flow_counts=None):
         """controllers: iterable of (controller_id, capacity)."""
@@ -33,9 +43,13 @@ class Placement:
                 raise PlacementError(f"controller {cid} capacity must be nonnegative, got {cap}")
         self.controller_ids: tuple[int, ...] = tuple(sorted(self.capacity))
         self.domain_of = dict(domain_of)
+        members: dict[int, list[int]] = {cid: [] for cid in self.controller_ids}
         for sw, cid in self.domain_of.items():
-            if cid not in self.capacity:
+            if cid not in members:
                 raise PlacementError(f"switch {sw} assigned to unknown controller {cid}")
+            members[cid].append(sw)
+        self.domains: dict[int, tuple[int, ...]] = {
+            cid: tuple(sorted(sws)) for cid, sws in members.items()}
         self.flow_counts = None if flow_counts is None else dict(flow_counts)
         if self.flow_counts is not None:
             missing = set(self.domain_of) - set(self.flow_counts)
@@ -127,19 +141,18 @@ def offline_switches(p: Placement, s: FailureScenario) -> tuple[int, ...]:
     """The switches of the failed controllers' domains, ascending. s is
     not checked here: build_instance checks it once, in
     residual_capacity."""
-    return tuple(sorted(sw for sw, cid in p.domain_of.items() if cid in s.failed))
+    return tuple(sorted(sw for cid, sws in p.domains.items() if cid in s.failed for sw in sws))
 
 
 def residual_capacity(p: Placement, loads: dict[int, int], s: FailureScenario) -> dict[int, int]:
     """Remaining ability per active controller after serving its own
-    surviving domain, keyed in ascending controller id. One pass over the
-    domain map sums every surviving domain's load. Raises if a domain
-    already exceeds its capacity, naming the smallest such controller id."""
+    surviving domain, keyed in ascending controller id. Each surviving
+    domain's load is summed over its switches (Placement.domains). Raises
+    if a domain already exceeds its capacity, naming the smallest such
+    controller id."""
     validate_scenario(p, s)
-    own = {cid: 0 for cid in p.controller_ids if cid not in s.failed}
-    for sw, cid in p.domain_of.items():
-        if cid in own:
-            own[cid] += loads[sw]
+    own = {cid: sum(map(loads.__getitem__, sws))
+           for cid, sws in p.domains.items() if cid not in s.failed}
     rest = {}
     for cid, load in own.items():
         if load > p.capacity[cid]:
@@ -150,9 +163,27 @@ def residual_capacity(p: Placement, loads: dict[int, int], s: FailureScenario) -
     return rest
 
 
-def enumerate_failure_scenarios(p: Placement, k: int) -> list[FailureScenario]:
-    """All C(m, k) failure combinations in lexicographic order."""
+# the most failure scenarios one enumeration may build, far above any
+# bundled or benchmark placement (att25's largest count is C(6, 3) = 20)
+MAX_SCENARIOS = 10**6
+
+
+def scenario_count(p: Placement, k: int) -> int:
+    """C(m, k) for the m controllers of p, counted before any scenario is
+    built. Raises unless 1 <= k < m and the count is at most
+    MAX_SCENARIOS."""
     m = len(p.controller_ids)
     if not 1 <= k < m:
         raise PlacementError(f"failure cardinality {k} out of range [1, {m - 1}]")
+    n = math.comb(m, k)
+    if n > MAX_SCENARIOS:
+        raise PlacementError(f"failure cardinality {k} of {m} controllers gives {n} scenarios, "
+                             f"above the ceiling of {MAX_SCENARIOS}")
+    return n
+
+
+def enumerate_failure_scenarios(p: Placement, k: int) -> list[FailureScenario]:
+    """All C(m, k) failure combinations in lexicographic order, once
+    scenario_count has checked k and the count."""
+    scenario_count(p, k)
     return [FailureScenario(frozenset(c)) for c in itertools.combinations(p.controller_ids, k)]

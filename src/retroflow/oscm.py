@@ -41,6 +41,22 @@ def _ids(values, what: str) -> list[int]:
 
 
 class OscmInstance:
+    """One scenario's problem. It is built by one of two routes, which
+    share _read_matrix for the masks, counts and union:
+
+    - the constructor, for documents (from_json) and direct construction,
+      checks every field: each offline switch's load (present,
+      nonnegative) and flow row, each (offline switch, active controller)
+      delay (present, finite, nonnegative), each active controller's
+      residual (present, nonnegative), no key outside those ids, no delay
+      pair beyond them, the quota within [0, n_flows], and that the
+      dearest overheads sum to a finite value;
+    - build_instance, for a world, reads each delay once from the switch's
+      search tree and checks only what the world does not guarantee (see
+      there): it builds every key and pair from the scenario itself, and
+      its delays are sums of link delays the topology loader checked.
+    """
+
     def __init__(self, offline_switches, active_controllers, delay, g, beta, a_rest,
                  q_required, label: str = ""):
         """delay: {(switch, controller): ms}; g: {switch: flow count};
@@ -49,22 +65,14 @@ class OscmInstance:
 
         The mappings are stored as given, so ids, counts and the quota must
         already be ints; from_json converts and checks outside documents.
-
-        masks[i] holds beta[i] as an int bitmask over a flow index,
-        counts[i] its bit count, as the matrix counted it, union their OR,
-        and flows_of decodes one. Sets go through
-        flows.index_flows into a matrix of their own; a world's matrix
-        lends its index and masks. The instance stores no row of flow ids:
-        `beta` reads them from the matrix, which decodes a row on its
-        first read, so every instance of a world shares the rows it
-        decodes, and each read of `flows` decodes."""
+        Sets go through flows.index_flows into a matrix of their own; a
+        world's matrix lends its index and masks (see _read_matrix)."""
         self.label = label
         self.offline_switches: tuple[int, ...] = tuple(sorted(offline_switches))
         self.active_controllers: tuple[int, ...] = tuple(sorted(active_controllers))
         self.delay = delay
         self.g = g
         matrix = beta if isinstance(beta, BetaMatrix) else index_flows(beta)
-        self._beta = matrix
         self.a_rest = a_rest
 
         # no assignment costs more than the sum of each switch's dearest
@@ -111,6 +119,25 @@ class OscmInstance:
             raise InstanceError("delay_ms names pairs that are not "
                                 f"(offline switch, active controller): {unknown}")
 
+        self._read_matrix(matrix)
+        self.q_required = q_required
+        if not 0 <= self.q_required <= self.n_flows:
+            raise InstanceError(
+                f"quota {self.q_required} outside [0, {self.n_flows}]"
+            )
+
+    def _read_matrix(self, matrix: BetaMatrix):
+        """The last step of both routes: the offline switches' rows of
+        matrix, whose every offline switch has one.
+
+        masks[i] holds switch i's flows as an int bitmask over the
+        matrix's flow index, counts[i] its bit count, as the matrix
+        counted it, union their OR, and flows_of decodes one. The instance
+        stores no row of flow ids: `beta` reads them from the matrix,
+        which decodes a row on its first read, so every instance of a
+        world shares the rows it decodes, and each read of `flows`
+        decodes."""
+        self._beta = matrix
         self._ids = matrix.ids
         masks, counts = matrix.masks, matrix.counts
         self.masks: dict[int, int] = {i: masks[i] for i in self.offline_switches}
@@ -119,11 +146,6 @@ class OscmInstance:
         for m in self.masks.values():
             union |= m
         self.union = union
-        self.q_required = q_required
-        if not 0 <= self.q_required <= self.n_flows:
-            raise InstanceError(
-                f"quota {self.q_required} outside [0, {self.n_flows}]"
-            )
 
     @property
     def n_switches(self) -> int:
@@ -343,14 +365,25 @@ def switch_loads(p: dm.Placement, b: BetaMatrix) -> dict[int, int]:
 
 def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureScenario,
                    q_fraction: float, loads: dict[int, int] | None = None) -> OscmInstance:
-    """Assemble the problem for one failure scenario.
+    """Assemble the problem for one failure scenario, in one pass over
+    its (offline switch, active controller) pairs.
 
     loads defaults to switch_loads(p, b). Switch-to-controller delay is
-    that of the shortest path through the topology, read from the offline
-    switch's search tree, where a switch's delay to itself is 0.0; no Path
-    is built. p is checked against t by check_coverage, as
+    that of the shortest path through the topology, read once from the
+    offline switch's search tree, where a switch's delay to itself is
+    0.0; no Path is built. p is checked against t by check_coverage, as
     load_placement checks a document; the scenario is checked once, by
-    residual_capacity.
+    residual_capacity, whose residuals are nonnegative and keyed by the
+    active controllers.
+
+    The constructor's per-pair and per-key checks are not run: every key
+    and pair is built here from the scenario, and a tree delay is a sum
+    of link delays the topology loader checked, finite and nonnegative,
+    so it can only overflow to inf. Per offline switch this checks what
+    the world does not guarantee, in the constructor's order and with
+    its messages: a flow row in b, a nonnegative load (loads may come
+    from the caller), a finite largest delay, and a finite running sum
+    of the dearest overheads.
     """
     if not 0.0 <= q_fraction <= 1.0:
         raise InstanceError(f"q_fraction {q_fraction} outside [0, 1]")
@@ -360,28 +393,39 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
 
     dm.check_coverage(t, p.capacity, p.domain_of)
     rest = dm.residual_capacity(p, loads, s)
-    # residual_capacity has checked s; its keys are the active controllers
     active = tuple(rest)
     offline = dm.offline_switches(p, s)
 
-    index = t._index
-    delay = {}
+    at = [(j, t._index[j]) for j in active]
+    rows = b.masks
+    delay, g = {}, {}
+    dearest = 0.0
     for i in offline:
+        if i not in rows:
+            raise InstanceError(f"switch {i} missing load or flow data")
+        g_i = g[i] = loads[i]
+        if g_i < 0:
+            raise InstanceError(f"switch {i} has negative load")
         from_i = shortest_path_tree(t, i).delay
-        for j in active:
-            delay[(i, j)] = from_i[index[j]]
+        worst = 0.0
+        for j, k in at:
+            d = delay[i, j] = from_i[k]
+            if d > worst:
+                worst = d
+        if worst == math.inf:
+            j = next(j for j, k in at if from_i[k] == worst)
+            raise InstanceError(f"delay {worst} for switch {i}, controller {j} "
+                                "must be finite and nonnegative")
+        dearest += g_i * worst
+        if not math.isfinite(dearest):
+            raise InstanceError(f"switch {i}: the dearest overheads up to this switch "
+                                f"sum to {dearest}; overheads must stay finite")
 
-    inst = OscmInstance(
-        offline_switches=offline,
-        active_controllers=active,
-        delay=delay,
-        g={i: loads[i] for i in offline},
-        beta=b,
-        a_rest=rest,
-        q_required=0,
-        label=s.label(),
-    )
-    # the quota reads the flow union the instance built; q_fraction is in [0, 1]
+    inst = OscmInstance.__new__(OscmInstance)
+    inst.label, inst.offline_switches, inst.active_controllers = s.label(), offline, active
+    inst.delay, inst.g, inst.a_rest = delay, g, rest
+    inst._read_matrix(b)
+    # the quota reads the flow union; q_fraction is in [0, 1], so it is too
     inst.q_required = math.ceil(q_fraction * inst.n_flows)
     return inst
 

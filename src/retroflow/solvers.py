@@ -74,8 +74,10 @@ def _solution(inst: OscmInstance, assigned: dict[int, int], mask: int) -> Soluti
     The objective is summed over `assigned` in the order the solver
     inserted it, and only then are the dicts sorted: summing the same
     overheads in another order can change the last digits of the float.
+    Each term is g_i * D_ij, the float inst.w(i, j) returns.
     """
-    cost = sum(inst.w(i, j) for i, j in assigned.items())
+    g, delay = inst.g, inst.delay
+    cost = sum(g[i] * delay[i, j] for i, j in assigned.items())
     return Solution._of_mask(
         x={i: (1 if i in assigned else 0) for i in inst.offline_switches},
         assigned=dict(sorted(assigned.items())),

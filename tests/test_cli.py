@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -334,6 +337,39 @@ class TestEnumerateCommand:
     def test_out_of_range(self, capsys):
         assert main(["enumerate", "--topology", TOPO, "--placement", PLACEMENT,
                      "--failures", "6"]) == 2
+
+
+class TestScenarioCeiling:
+    """A placement of 60 controllers asks for C(60, 30) scenarios at
+    --failures 30. The CLI runs in a child process under a 1 GiB
+    address-space limit and a timeout, so a missing count check fails
+    fast instead of exhausting the machine."""
+
+    CHILD = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from retroflow.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    @pytest.mark.parametrize("command", ["run", "enumerate"])
+    def test_too_many_scenarios(self, tmp_path, command):
+        n = 60
+        topo = {"nodes": [{"id": v, "lat": 0.0, "lon": v * 0.1} for v in range(n)],
+                "links": [{"a": v, "b": (v + 1) % n} for v in range(n)]}
+        place = {"capacity": 10**6,
+                 "controllers": [{"node": v, "switches": [v]} for v in range(n)]}
+        paths = []
+        for name, doc in (("topology", topo), ("placement", place)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", self.CHILD, command, "--topology", str(paths[0]),
+             "--placement", str(paths[1]), "--failures", "30"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == ("error: failure cardinality 30 of 60 controllers gives "
+                               "118264581564861424 scenarios, above the ceiling of 1000000\n")
 
 
 class TestProtocolTraceCommand:

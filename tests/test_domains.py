@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from retroflow import domains as dm
 from retroflow.domains import (FailureScenario, Placement, PlacementError,
                                enumerate_failure_scenarios, load_placement,
-                               residual_capacity)
+                               offline_switches, residual_capacity, scenario_count)
 from retroflow.fixtures import data_path
 
 
@@ -168,6 +169,25 @@ class TestResidualCapacity:
             residual_capacity(p, p.flow_counts, FailureScenario(frozenset({0})))
 
 
+class TestDomains:
+    def test_sorted_domain_per_controller(self, att_placement):
+        p = att_placement
+        assert list(p.domains) == list(p.controller_ids)
+        for cid, switches in p.domains.items():
+            assert switches == tuple(sorted(sw for sw, c in p.domain_of.items() if c == cid))
+
+    def test_empty_domain_kept(self):
+        p = Placement([(3, 5), (1, 5)], {7: 3, 2: 3})
+        assert p.domains == {1: (), 3: (2, 7)}
+
+    def test_offline_switches_equal_a_scan(self, att_placement):
+        p = att_placement
+        for k in range(1, 6):
+            for s in enumerate_failure_scenarios(p, k):
+                assert offline_switches(p, s) == tuple(
+                    sorted(sw for sw, c in p.domain_of.items() if c in s.failed))
+
+
 class TestEnumerateScenarios:
     def test_single_failures(self, att_placement):
         scenarios = enumerate_failure_scenarios(att_placement, 1)
@@ -188,6 +208,25 @@ class TestEnumerateScenarios:
                 got = enumerate_failure_scenarios(p, k)
                 assert len(got) == math.comb(m, k)
                 assert len(set(s.failed for s in got)) == len(got)
+
+    def test_scenario_count_ceiling(self):
+        # C(60, 30) scenarios are counted, never built
+        p = Placement([(c, 0) for c in range(60)], {c: c for c in range(60)})
+        assert scenario_count(p, 1) == scenario_count(p, 59) == 60
+        message = ("failure cardinality 30 of 60 controllers gives 118264581564861424 "
+                   "scenarios, above the ceiling of 1000000")
+        with pytest.raises(PlacementError, match=f"^{message}$"):
+            scenario_count(p, 30)
+        with pytest.raises(PlacementError, match="out of range"):
+            scenario_count(p, 60)
+
+    def test_enumeration_checks_the_count_first(self, att_placement, monkeypatch):
+        # att25's largest count is C(6, 3) = 20
+        assert max(scenario_count(att_placement, k) for k in range(1, 6)) == 20
+        monkeypatch.setattr(dm, "MAX_SCENARIOS", 19)
+        assert len(enumerate_failure_scenarios(att_placement, 2)) == 15
+        with pytest.raises(PlacementError, match="gives 20 scenarios, above the ceiling of 19$"):
+            enumerate_failure_scenarios(att_placement, 3)
 
     def test_lexicographic_order(self, att_placement):
         labels = [s.label() for s in enumerate_failure_scenarios(att_placement, 2)]

@@ -7,13 +7,16 @@ import pytest
 
 from retroflow import domains as dm
 from retroflow.domains import FailureScenario, Placement, PlacementError
-from retroflow.flows import programmability
+from retroflow.cli import main
+from retroflow.flows import BetaMatrix, programmability
+from retroflow.geo import GeoCoordinate, Topology, load_topology, shortest_path_tree
 from retroflow.oscm import (InstanceError, OscmInstance, Solution,
                             build_instance, objective, programmable_flows,
                             validate)
 from retroflow.solvers import solve_retroflow
 
 from _oracles import check_solution, random_instance
+from test_flows import benchmark_worlds
 
 
 def all_legacy(inst):
@@ -107,6 +110,138 @@ class TestBuildInstance:
         for i in toy.offline_switches:
             for j in toy.active_controllers:
                 assert toy.w(i, j) == toy.g[i] * toy.delay[(i, j)]
+
+
+def decoded_rows(inst):
+    return {i: inst.flows_of(inst.masks[i]) for i in inst.offline_switches}
+
+
+class TestWorldRoute:
+    """build_instance skips the constructor's per-pair and per-key checks:
+    it must build the instance the checked constructor builds from the
+    same document, and keep every exit the world does not rule out, with
+    the constructor's message."""
+
+    @staticmethod
+    def assert_same_as_document(inst):
+        doc = OscmInstance.from_json(inst.to_json())
+        assert doc.offline_switches == inst.offline_switches
+        assert doc.active_controllers == inst.active_controllers
+        # floats bit for bit; the document lists its keys as sorted strings
+        assert ({ij: d.hex() for ij, d in doc.delay.items()}
+                == {ij: d.hex() for ij, d in inst.delay.items()})
+        assert doc.g == inst.g
+        assert doc.a_rest == inst.a_rest
+        assert decoded_rows(doc) == decoded_rows(inst)
+        assert doc.counts == inst.counts
+        assert (doc.q_required, doc.label) == (inst.q_required, inst.label)
+
+    def test_same_as_checked_constructor_on_att25(self, att_world):
+        w = att_world
+        built = 0
+        for k in range(1, 6):
+            for q in (0.9, 1.0):
+                for s in dm.enumerate_failure_scenarios(w.placement, k):
+                    self.assert_same_as_document(
+                        build_instance(w.topology, w.beta, w.placement, s, q))
+                    built += 1
+        assert built == 124
+
+    def test_same_as_checked_constructor_on_grid49(self):
+        # grid49-exact's world: generator seed 1, k=1..2 at q=0.8
+        t, p = benchmark_worlds()[1]
+        b = programmability(t)
+        built = 0
+        for k in (1, 2):
+            for s in dm.enumerate_failure_scenarios(p, k):
+                self.assert_same_as_document(build_instance(t, b, p, s, 0.8))
+                built += 1
+        assert built == 21
+
+    @staticmethod
+    def constructor_error(t, b, loads, offline, active, rest):
+        """What the checked constructor raises on the fields build_instance
+        would assemble."""
+        delay = {(i, j): shortest_path_tree(t, i).delay[t._index[j]]
+                 for i in offline for j in active}
+        with pytest.raises(InstanceError) as err:
+            OscmInstance(offline, active, delay, {i: loads[i] for i in offline}, b, rest, 0)
+        return str(err.value)
+
+    @staticmethod
+    def far_ring():
+        """Four nodes in a ring of 1e308 km links, each 5e305 ms, and two
+        controllers whose 1,000-flow switches overflow g * D."""
+        nodes = [{"id": v, "lat": 0.0, "lon": float(v)} for v in range(4)]
+        links = [{"a": v, "b": (v + 1) % 4, "distance_km": 1e308} for v in range(4)]
+        place = {"capacity": 10**6, "flow_counts": {str(v): 1000 for v in range(4)},
+                 "controllers": [{"node": 0, "switches": [0, 1]},
+                                 {"node": 2, "switches": [2, 3]}]}
+        return {"nodes": nodes, "links": links}, place
+
+    def test_overflowing_overheads(self):
+        topo, place = self.far_ring()
+        t = load_topology(topo)
+        p = dm.load_placement(place, t)
+        b = programmability(t)
+        message = ("switch 0: the dearest overheads up to this switch sum to inf; "
+                   "overheads must stay finite")
+        s = FailureScenario(frozenset({0}))
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            build_instance(t, b, p, s, 1.0)
+        rest = dm.residual_capacity(p, p.flow_counts, s)
+        assert self.constructor_error(t, b, p.flow_counts, (0, 1), (2,), rest) == message
+
+    def test_overflowing_overheads_exit_the_cli(self, capsys, tmp_path):
+        topo, place = self.far_ring()
+        paths = []
+        for name, doc in (("topology", topo), ("placement", place)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        code = main(["run", "--topology", str(paths[0]), "--placement", str(paths[1]),
+                     "--failures", "0,"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: switch 0: the dearest overheads up to this switch "
+                                "sum to inf; overheads must stay finite\n")
+
+    def test_infinite_delay(self):
+        # a path of 220 nodes whose links of 1.7e308 km (8.5e305 ms) sum
+        # to inf past 211 hops: the first offline switch that far from
+        # controller 0 is named, as the constructor names it
+        n = 220
+        t = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(n)],
+                     [(v, v + 1, 1.7e308) for v in range(n - 1)])
+        p = Placement([(0, 0), (n - 1, 0)], {v: 0 if v < n // 2 else n - 1 for v in range(n)})
+        b = programmability(t)
+        far = [v for v in range(n) if shortest_path_tree(t, v).delay[0] == math.inf]
+        assert far and far[0] > n // 2
+        offline = tuple(range(n // 2, n))
+        message = self.constructor_error(t, b, b.loads(), offline, (0,), {0: 0})
+        assert message == (f"delay inf for switch {far[0]}, controller 0 "
+                           "must be finite and nonnegative")
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            build_instance(t, b, p, FailureScenario(frozenset({n - 1})), 1.0)
+
+    def test_negative_caller_load(self, att_world):
+        w = att_world
+        s = FailureScenario(frozenset({20}))
+        loads = dict(w.loads())
+        loads[19] = -1
+        with pytest.raises(InstanceError, match="^switch 19 has negative load$"):
+            build_instance(w.topology, w.beta, w.placement, s, 1.0, loads=loads)
+
+    def test_missing_flow_row(self, att_world):
+        w = att_world
+        s = FailureScenario(frozenset({20}))
+        inst = build_instance(w.topology, w.beta, w.placement, s, 1.0)
+        first = inst.offline_switches[0]
+        masks = dict(w.beta.masks)
+        del masks[first]
+        b = BetaMatrix(masks, w.beta.ids)
+        with pytest.raises(InstanceError, match=f"^switch {first} missing load or flow data$"):
+            build_instance(w.topology, b, w.placement, s, 1.0, loads=w.loads())
 
 
 class TestObjective:

@@ -28,10 +28,10 @@ class Placement:
     listed once, capacities and flow counts nonnegative, every switch in
     a known controller's domain, flow counts for exactly the domains'
     switches. Whether it covers a topology is check_coverage's rule,
-    which load_placement and build_instance apply. domain_of maps each
-    switch to its controller; domains maps each controller, in ascending
-    id, to its switches, ascending, built once here, so a scenario reads
-    the failed and surviving domains instead of scanning domain_of."""
+    which load_placement and each oscm.SwitchTable apply. domain_of maps
+    each switch to its controller; domains maps each controller, in
+    ascending id, to its switches, ascending, built once here, so a
+    scenario reads the failed domains instead of scanning domain_of."""
 
     def __init__(self, controllers, domain_of: dict[int, int], flow_counts=None):
         """controllers: iterable of (controller_id, capacity)."""
@@ -140,21 +140,34 @@ def validate_scenario(p: Placement, s: FailureScenario):
 def offline_switches(p: Placement, s: FailureScenario) -> tuple[int, ...]:
     """The switches of the failed controllers' domains, ascending. s is
     not checked here: build_instance checks it once, in
-    residual_capacity."""
-    return tuple(sorted(sw for cid, sws in p.domains.items() if cid in s.failed for sw in sws))
+    surviving_residuals."""
+    return tuple(sorted(itertools.chain.from_iterable(map(p.domains.__getitem__, s.failed))))
+
+
+def domain_loads(p: Placement, loads: dict[int, int]) -> dict[int, int]:
+    """Each controller's own-domain load, summed over its switches
+    (Placement.domains), in ascending controller id."""
+    return {cid: sum(map(loads.__getitem__, sws)) for cid, sws in p.domains.items()}
 
 
 def residual_capacity(p: Placement, loads: dict[int, int], s: FailureScenario) -> dict[int, int]:
     """Remaining ability per active controller after serving its own
-    surviving domain, keyed in ascending controller id. Each surviving
-    domain's load is summed over its switches (Placement.domains). Raises
-    if a domain already exceeds its capacity, naming the smallest such
-    controller id."""
+    surviving domain, from per-switch loads: surviving_residuals over
+    their domain_loads."""
+    return surviving_residuals(p, domain_loads(p, loads), s)
+
+
+def surviving_residuals(p: Placement, own: dict[int, int], s: FailureScenario) -> dict[int, int]:
+    """Capacity minus own-domain load (own, as domain_loads gives it) per
+    active controller, keyed in ascending controller id, once s is
+    checked. Raises if a surviving domain already exceeds its capacity,
+    naming the smallest such controller id."""
     validate_scenario(p, s)
-    own = {cid: sum(map(loads.__getitem__, sws))
-           for cid, sws in p.domains.items() if cid not in s.failed}
     rest = {}
-    for cid, load in own.items():
+    for cid in p.controller_ids:
+        if cid in s.failed:
+            continue
+        load = own[cid]
         if load > p.capacity[cid]:
             raise PlacementError(
                 f"controller {cid}: own-domain load {load} exceeds capacity {p.capacity[cid]}"

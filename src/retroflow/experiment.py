@@ -4,6 +4,11 @@ Overhead is scored twice per algorithm: raw (propagation only) and
 adjusted, where every pull served by an overloaded controller pays a
 linear queueing penalty per excess flow. Metrics are also normalized to
 the Nearest baseline, matching how the evaluation plots are read.
+
+A World keeps one oscm.SwitchTable, built on its first scenario, and
+every scenario's instance is assembled from it: the per-switch delays,
+controller orders and domain facts are read once per world, not once
+per scenario.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import domains as dm
 # generate_flows and compute_beta are the per-flow reference for
@@ -20,7 +26,7 @@ from . import domains as dm
 # all three here by name
 from .flows import BetaMatrix, compute_beta, generate_flows, programmability
 from .geo import Topology
-from .oscm import OscmInstance, Solution, build_instance, switch_loads
+from .oscm import OscmInstance, Solution, SwitchTable, build_instance, switch_loads
 from .solvers import SolverBudget, solve_exact, solve_nearest, solve_retroflow
 
 ALGORITHMS = ("exact", "retroflow", "nearest")
@@ -55,6 +61,12 @@ class World:
 
     def loads(self) -> dict[int, int]:
         return switch_loads(self.placement, self.beta)
+
+    @cached_property
+    def table(self) -> SwitchTable:
+        """The world's switch table, built on first use, so make_world
+        stays the programmability build."""
+        return SwitchTable(self.topology, self.beta, self.placement, self.loads())
 
 
 def make_world(topology: Topology, placement: dm.Placement) -> World:
@@ -126,7 +138,8 @@ class ScenarioReport:
 def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
                  algorithms=ALGORITHMS, queue_penalty_ms: float = 0.1,
                  budget: SolverBudget | None = None) -> ScenarioReport:
-    """Build the instance once, run each requested solver, and score it;
+    """Build the instance once, from the world's switch table, run each
+    requested solver, and score it;
     queue_penalty_ms is the queueing penalty per excess flow of the
     adjusted overhead (see queueing_penalty_ms).
 
@@ -139,7 +152,11 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
     # calls queueing_penalty_ms
     if not 0 <= queue_penalty_ms < math.inf:
         raise ValueError("queue penalty must be finite and nonnegative")
-    inst = build_instance(world.topology, world.beta, world.placement, s, q_fraction)
+    # the table goes in positionally, with no loads beside it (it holds
+    # the world's): a wrapper of build_instance may forward only
+    # positional arguments
+    inst = build_instance(world.topology, world.beta, world.placement, s, q_fraction, None,
+                          world.table)
     ability = {j: world.placement.capacity[j] for j in inst.active_controllers}
 
     # one greedy run serves its own row and the exact search's incumbent

@@ -11,7 +11,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import compress
 
-from .geo import Path, Topology, has_alternative_path, shortest_path, shortest_path_tree
+from .geo import (Path, Topology, TopologyError, has_alternative_path, shortest_path,
+                  shortest_path_tree)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +110,23 @@ class BetaMatrix:
         return dict(self.counts)
 
 
+# the most bytes of masks one world build may hold: n switches of
+# n(n - 1) bits each, so 1 GiB admits up to 2,048 nodes. Far above every
+# bundled fixture and benchmark world; CI's 400-node grid holds 8 MB
+MAX_MASK_BYTES = 1 << 30
+
+
+def mask_bytes(n: int) -> int:
+    """The bytes of masks programmability builds for n nodes,
+    n²(n - 1)/8, counted before any search. Raises TopologyError above
+    MAX_MASK_BYTES."""
+    size = n * n * (n - 1) // 8
+    if size > MAX_MASK_BYTES:
+        raise TopologyError(f"a world of {n} nodes needs {size} bytes of masks, "
+                            f"above the ceiling of {MAX_MASK_BYTES}")
+    return size
+
+
 def programmability(t: Topology) -> BetaMatrix:
     """The matrix compute_beta(generate_flows(t), t) builds, with bit k
     standing for flow id k itself, from one shortest-path tree per source
@@ -132,9 +150,11 @@ def programmability(t: Topology) -> BetaMatrix:
     once, so the join costs O(n³ log n) bit copies, where ORing each
     segment into a growing mask would cost O(n⁴). The last level holds
     two halves and the whole, about twice the masks' size at its peak.
+    mask_bytes refuses a world above MAX_MASK_BYTES before any search.
     """
     ids = t.node_ids()
     n = len(ids)
+    mask_bytes(n)
     component = t._component
     # flow ids run in (src, dst) order, so dst's bit among src's n - 1
     # flows is its position with src left out: the source's own table

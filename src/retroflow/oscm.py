@@ -2,7 +2,12 @@
 
 An instance fixes, for one failure scenario: the offline switches, the
 surviving controllers, per-switch loads g, the overhead matrix w = g * D,
-the programmability sets, residual abilities, and the flow quota.
+each switch's controllers nearest first and cheapest first, the
+programmability sets, residual abilities, and the flow quota.
+
+A world's instances are assembled from its SwitchTable: the controller
+facts no failure scenario changes (each switch's delays and controller
+orders, each domain's load and flows), read once per world.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from pathlib import Path as FsPath
 from . import domains as dm
 from ._doc import distinct, key, number, record, whole
 from .flows import BetaMatrix, flows_of, index_flows
-# build_instance reads its delays from shortest_path_tree; shortest_path
+# SwitchTable reads its delays from shortest_path_tree; shortest_path
 # stays importable here because perfbench/tracing.py wraps it by name and
 # counts the per-pair path queries of the instance builds (none)
 from .geo import Topology, shortest_path, shortest_path_tree
@@ -40,9 +45,21 @@ def _ids(values, what: str) -> list[int]:
     return distinct((whole(v, what, InstanceError) for v in values), what, InstanceError)
 
 
+def _orders(ids: tuple[int, ...], row: dict[int, float], g: int):
+    """(nearest, cheapest): the ascending controller ids in (row[j], j)
+    order and in (g * row[j], j) order. A stable sort of ascending ids by
+    one key gives the (key, id) order. The cheapest order sorts the
+    products themselves: two delays may round to one product, and the
+    smaller id then comes first whatever their delay order. A zero-load
+    switch costs 0.0 at every controller, so a delay of inf (to a failed
+    controller of a world) makes no nan of 0 * inf, which no sort orders."""
+    w = {j: g * d for j, d in row.items()} if g else dict.fromkeys(row, 0.0)
+    return tuple(sorted(ids, key=row.__getitem__)), tuple(sorted(ids, key=w.__getitem__))
+
+
 class OscmInstance:
     """One scenario's problem. It is built by one of two routes, which
-    share _read_matrix for the masks, counts and union:
+    share _read_matrix for the masks and counts:
 
     - the constructor, for documents (from_json) and direct construction,
       checks every field: each offline switch's load (present,
@@ -50,11 +67,18 @@ class OscmInstance:
       delay (present, finite, nonnegative), each active controller's
       residual (present, nonnegative), no key outside those ids, no delay
       pair beyond them, the quota within [0, n_flows], and that the
-      dearest overheads sum to a finite value;
-    - build_instance, for a world, reads each delay once from the switch's
-      search tree and checks only what the world does not guarantee (see
+      dearest overheads sum to a finite value; it then sorts each offline
+      switch's active controllers into its two orders;
+    - build_instance, for a world, reads each delay from the world's
+      SwitchTable and checks only what the world does not guarantee (see
       there): it builds every key and pair from the scenario itself, and
       its delays are sums of link delays the topology loader checked.
+
+    nearest[i] and cheapest[i] list controllers in (delay, id) and in
+    (g_i * delay, id) order (see _orders). A world's instance shares its
+    table's orders, which list every controller of the world, so a reader
+    skips those not in a_rest, the failed ones; a constructed instance's
+    list only its active controllers.
     """
 
     def __init__(self, offline_switches, active_controllers, delay, g, beta, a_rest,
@@ -120,6 +144,14 @@ class OscmInstance:
                                 f"(offline switch, active controller): {unknown}")
 
         self._read_matrix(matrix)
+        union = 0
+        for m in self.masks.values():
+            union |= m
+        self.union = union
+        self.nearest, self.cheapest = {}, {}
+        for i in self.offline_switches:
+            row = {j: self.delay[i, j] for j in self.active_controllers}
+            self.nearest[i], self.cheapest[i] = _orders(self.active_controllers, row, self.g[i])
         self.q_required = q_required
         if not 0 <= self.q_required <= self.n_flows:
             raise InstanceError(
@@ -127,13 +159,14 @@ class OscmInstance:
             )
 
     def _read_matrix(self, matrix: BetaMatrix):
-        """The last step of both routes: the offline switches' rows of
-        matrix, whose every offline switch has one.
+        """A step of both routes: the offline switches' rows of matrix,
+        whose every offline switch has one. Each route then sets the
+        union, the OR of the masks.
 
         masks[i] holds switch i's flows as an int bitmask over the
         matrix's flow index, counts[i] its bit count, as the matrix
-        counted it, union their OR, and flows_of decodes one. The instance
-        stores no row of flow ids: `beta` reads them from the matrix,
+        counted it, and flows_of decodes one. The instance stores no
+        row of flow ids: `beta` reads them from the matrix,
         which decodes a row on its first read, so every instance of a
         world shares the rows it decodes, and each read of `flows`
         decodes."""
@@ -142,10 +175,6 @@ class OscmInstance:
         masks, counts = matrix.masks, matrix.counts
         self.masks: dict[int, int] = {i: masks[i] for i in self.offline_switches}
         self.counts: dict[int, int] = {i: counts[i] for i in self.offline_switches}
-        union = 0
-        for m in self.masks.values():
-            union |= m
-        self.union = union
 
     @property
     def n_switches(self) -> int:
@@ -363,18 +392,62 @@ def switch_loads(p: dm.Placement, b: BetaMatrix) -> dict[int, int]:
     return b.loads()
 
 
-def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureScenario,
-                   q_fraction: float, loads: dict[int, int] | None = None) -> OscmInstance:
-    """Assemble the problem for one failure scenario, in one pass over
-    its (offline switch, active controller) pairs.
+class SwitchTable:
+    """The controller facts of one world (topology t, matrix b, placement
+    p, per-switch loads) that no failure scenario changes, read once.
 
-    loads defaults to switch_loads(p, b). Switch-to-controller delay is
-    that of the shortest path through the topology, read once from the
-    offline switch's search tree, where a switch's delay to itself is
-    0.0; no Path is built. p is checked against t by check_coverage, as
-    load_placement checks a document; the scenario is checked once, by
-    residual_capacity, whose residuals are nonnegative and keyed by the
-    active controllers.
+    Building it checks p against t by check_coverage, as load_placement
+    checks a document. Then, for every switch i of t:
+    - delay[i][j] is i's delay to controller j, read once from i's search
+      tree, where a switch's delay to itself is 0.0. It is the
+      switch-side sum: the controller-side sum over the same path may
+      differ in the last bit;
+    - nearest[i] and cheapest[i] list every controller in (delay, id) and
+      in (loads[i] * delay, id) order (see _orders).
+    For every controller j, own[j] is its own-domain load and union[j]
+    the OR of its domain's masks (a switch without a row adds none; an
+    instance with such a switch offline is refused).
+
+    A delay may be inf where link delays overflow, and a load negative
+    where the caller gave one; the table keeps them, and build_instance
+    refuses an instance that would read them.
+    """
+
+    def __init__(self, t: Topology, b: BetaMatrix, p: dm.Placement, loads: dict[int, int]):
+        dm.check_coverage(t, p.capacity, p.domain_of)
+        self.topology, self.matrix, self.placement, self.loads = t, b, p, loads
+        ids = p.controller_ids
+        at = [(j, t._index[j]) for j in ids]
+        self.delay: dict[int, dict[int, float]] = {}
+        self.nearest: dict[int, tuple[int, ...]] = {}
+        self.cheapest: dict[int, tuple[int, ...]] = {}
+        for i in t.node_ids():
+            from_i = shortest_path_tree(t, i).delay
+            row = self.delay[i] = {j: from_i[k] for j, k in at}
+            self.nearest[i], self.cheapest[i] = _orders(ids, row, loads[i])
+        self.own = dm.domain_loads(p, loads)
+        masks = b.masks
+        self.union: dict[int, int] = {}
+        for j, sws in p.domains.items():
+            union = 0
+            for i in sws:
+                union |= masks.get(i, 0)
+            self.union[j] = union
+
+
+def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureScenario,
+                   q_fraction: float, loads: dict[int, int] | None = None,
+                   table: SwitchTable | None = None) -> OscmInstance:
+    """Assemble the problem for one failure scenario from the world's
+    switch table, in one pass over its (offline switch, active
+    controller) pairs.
+
+    table is the SwitchTable of (t, b, p) and its loads, which a World
+    keeps; without one, the call builds one from loads, which defaults to
+    switch_loads(p, b). The scenario is checked once, by
+    surviving_residuals, whose residuals are nonnegative and keyed by the
+    active controllers. The instance shares the table's controller
+    orders, and its flow union ORs the failed domains' unions.
 
     The constructor's per-pair and per-key checks are not run: every key
     and pair is built here from the scenario, and a tree delay is a sum
@@ -388,16 +461,17 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     if not 0.0 <= q_fraction <= 1.0:
         raise InstanceError(f"q_fraction {q_fraction} outside [0, 1]")
 
-    if loads is None:
-        loads = switch_loads(p, b)
+    if table is None:
+        table = SwitchTable(t, b, p, switch_loads(p, b) if loads is None else loads)
+    elif loads is not None or not (table.topology is t and table.matrix is b
+                                   and table.placement is p):
+        raise InstanceError("a switch table serves only the world and loads it was built from")
 
-    dm.check_coverage(t, p.capacity, p.domain_of)
-    rest = dm.residual_capacity(p, loads, s)
-    active = tuple(rest)
+    rest = dm.surviving_residuals(p, table.own, s)
     offline = dm.offline_switches(p, s)
 
-    at = [(j, t._index[j]) for j in active]
-    rows = b.masks
+    active = tuple(rest)
+    loads, rows, delays = table.loads, b.masks, table.delay
     delay, g = {}, {}
     dearest = 0.0
     for i in offline:
@@ -406,14 +480,14 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
         g_i = g[i] = loads[i]
         if g_i < 0:
             raise InstanceError(f"switch {i} has negative load")
-        from_i = shortest_path_tree(t, i).delay
+        row = delays[i]
         worst = 0.0
-        for j, k in at:
-            d = delay[i, j] = from_i[k]
+        for j in active:
+            d = delay[i, j] = row[j]
             if d > worst:
                 worst = d
         if worst == math.inf:
-            j = next(j for j, k in at if from_i[k] == worst)
+            j = next(j for j in active if row[j] == worst)
             raise InstanceError(f"delay {worst} for switch {i}, controller {j} "
                                 "must be finite and nonnegative")
         dearest += g_i * worst
@@ -424,7 +498,12 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     inst = OscmInstance.__new__(OscmInstance)
     inst.label, inst.offline_switches, inst.active_controllers = s.label(), offline, active
     inst.delay, inst.g, inst.a_rest = delay, g, rest
+    inst.nearest, inst.cheapest = table.nearest, table.cheapest
     inst._read_matrix(b)
+    union = 0
+    for c in s.failed:
+        union |= table.union[c]
+    inst.union = union
     # the quota reads the flow union; q_fraction is in [0, 1], so it is too
     inst.q_required = math.ceil(q_fraction * inst.n_flows)
     return inst

@@ -4,6 +4,11 @@ solve_exact proves optimality by branch and bound, solve_retroflow is the
 importance-ordered greedy, solve_nearest is the capacity-blind baseline.
 reduce_to_gap/gap_bruteforce turn the one-flow-per-switch special case into
 a generalized assignment problem, used as an independent test oracle.
+
+No solver sorts controllers: each reads the instance's per-switch orders,
+nearest first (OscmInstance.nearest) or cheapest first
+(OscmInstance.cheapest), and skips the controllers without a residual,
+which a world's shared orders still list.
 """
 
 from __future__ import annotations
@@ -94,7 +99,9 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
     has room, and stop once the quota is met or no switch is left.
 
     Ties break to the smallest switch id and, on equal overhead, the
-    smallest controller id. Always returns a solution; quota_met records
+    smallest controller id: the pick's controllers are tested in its
+    cheapest-first order (OscmInstance.cheapest), skipping failed ones,
+    with no per-pick sort. Always returns a solution; quota_met records
     whether the flow quota was actually reached. trace, when given,
     collects one line per decision for replay against hand executions.
 
@@ -117,7 +124,7 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
     at the end are the union's bits no longer in `uncovered`. Flow ids
     are decoded only for the trace.
     """
-    masks, g, delay = inst.masks, inst.g, inst.delay
+    masks, g, delay, cheapest = inst.masks, inst.g, inst.delay, inst.cheapest
     heap = [(-n, i, 0) for i, n in inst.counts.items()]
     heapq.heapify(heap)
     version = 0  # bumped each time `uncovered` shrinks
@@ -141,7 +148,10 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
             trace.append(f"pick switch={pick} delta={-neg_delta}")
 
         g_pick = g[pick]
-        for w, j in sorted([(g_pick * delay[(pick, j)], j) for j in inst.active_controllers]):
+        for j in cheapest[pick]:
+            if j not in rest:
+                continue  # failed: a world's orders list every controller
+            w = g_pick * delay[pick, j]
             fit = rest[j] >= g_pick
             if trace is not None:
                 trace.append(f"test switch={pick} controller={j} w={w} "
@@ -170,22 +180,19 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
 
 def solve_nearest(inst: OscmInstance) -> Solution:
     """Map every offline switch to its nearest active controller, ignoring
-    capacity. Smallest controller id wins delay ties: controllers are
-    tried in ascending id order and only a strictly smaller delay
-    replaces the first one tried. With no active controller no switch is
-    mapped, and the quota is met only when it is 0, as in solve_retroflow."""
-    delay, controllers = inst.delay, inst.active_controllers
-    if not controllers:
+    capacity: the first controller of its (delay, id) order
+    (OscmInstance.nearest) that survives, so the smallest controller id
+    wins a delay tie. With no active controller no switch is mapped, and
+    the quota is met only when it is 0, as in solve_retroflow."""
+    if not inst.active_controllers:
         return _solution(inst, {}, 0)
+    nearest, active = inst.nearest, inst.a_rest
     assigned = {}
     for i in inst.offline_switches:
-        near = controllers[0]
-        best = delay[(i, near)]
-        for j in controllers:
-            d = delay[(i, j)]
-            if d < best:
-                near, best = j, d
-        assigned[i] = near
+        for j in nearest[i]:
+            if j in active:
+                assigned[i] = j
+                break
     # every offline switch is mapped, so every flow is recovered
     return _solution(inst, assigned, inst.union)
 
@@ -227,8 +234,10 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
     deadline = time.monotonic() + budget.time_limit_ms / 1000.0
     beta, g, q = inst.beta, inst.g, inst.q_required
     order = sorted(inst.offline_switches, key=lambda i: (-g[i], i))
-    # options[i]: (overhead, controller) pairs, cheapest first
-    options = {i: sorted((inst.w(i, j), j) for j in inst.active_controllers) for i in order}
+    # options[i]: (overhead, controller) pairs of the active controllers,
+    # in the switch's cheapest-first order
+    options = {i: [(inst.w(i, j), j) for j in inst.cheapest[i] if j in inst.a_rest]
+               for i in order}
     # dies[idx]: the flows whose last carrier in branching order is
     # order[idx]; a node may lose at most `slack` flows
     dies, later = [], set()

@@ -372,6 +372,35 @@ class TestScenarioCeiling:
                                "118264581564861424 scenarios, above the ceiling of 1000000\n")
 
 
+class TestMaskCeiling:
+    """A 2,100-node ring needs 1.16 GB of masks, above
+    flows.MAX_MASK_BYTES. The CLI runs in a child process under a 1 GiB
+    address-space limit, so a missing check fails fast (at about 9 s, of
+    MemoryError) instead of exhausting the machine."""
+
+    def test_too_many_mask_bytes(self, tmp_path):
+        n = 2100
+        topo = {"nodes": [{"id": v, "lat": 0.0, "lon": 0.0} for v in range(n)],
+                "links": [{"a": v, "b": (v + 1) % n, "distance_km": 100.0} for v in range(n)]}
+        place = {"capacity": 10**9,
+                 "controllers": [{"node": 0, "switches": list(range(n // 2))},
+                                 {"node": n // 2, "switches": list(range(n // 2, n))}]}
+        paths = []
+        for name, doc in (("topology", topo), ("placement", place)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", TestScenarioCeiling.CHILD, "run", "--topology", str(paths[0]),
+             "--placement", str(paths[1]), "--failures", "1"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == ("error: a world of 2100 nodes needs 1157073750 bytes of masks, "
+                               "above the ceiling of 1073741824\n")
+
+
 class TestProtocolTraceCommand:
     def test_bundled_script_ends_legacy(self, capsys):
         script = data_path("master_loss_events.json")

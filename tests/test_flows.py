@@ -576,6 +576,34 @@ class TestWorldAtScale:
                 assert nearest.check(family).passed
 
 
+class TestMaskCeiling:
+    """programmability refuses a world whose masks would pass
+    flows.MAX_MASK_BYTES before it runs any search. The CLI's exit is
+    tested in a child process (tests/test_cli.py::TestMaskCeiling)."""
+
+    def test_mask_bytes(self):
+        assert flows.mask_bytes(25) == 25 * 25 * 24 // 8
+        assert flows.mask_bytes(400) == 7_980_000
+        # the ceiling admits 2,048 nodes, and no more
+        assert flows.mask_bytes(2048) == 1_073_217_536
+        with pytest.raises(geo.TopologyError,
+                           match="^a world of 2049 nodes needs 1074790656 bytes of masks, "
+                                 "above the ceiling of 1073741824$"):
+            flows.mask_bytes(2049)
+
+    def test_refused_before_any_search(self, monkeypatch):
+        # ring5's masks take 5 * 5 * 4 / 8 = 12 bytes
+        monkeypatch.setattr(flows, "MAX_MASK_BYTES", 11)
+        t = fixtures.ring5_topology()
+        with pytest.raises(geo.TopologyError,
+                           match="^a world of 5 nodes needs 12 bytes of masks, "
+                                 "above the ceiling of 11$"):
+            programmability(t)
+        assert t._trees == {}
+        monkeypatch.setattr(flows, "MAX_MASK_BYTES", 12)
+        assert programmability(t).counts == programmability(fixtures.ring5_topology()).counts
+
+
 class TestSparseDecoding:
     def test_walked_bits_match_the_index_scan(self, monkeypatch):
         """flows_of walks the set bits of a sparse mask and scans the

@@ -38,15 +38,19 @@ class ReportError(ValueError):
     pass
 
 
+def _check_penalty(penalty_ms: float):
+    """Reject a negative, nan or infinite penalty, which would bill such overheads."""
+    if not 0 <= penalty_ms < math.inf:
+        raise ValueError("queue penalty must be finite and nonnegative")
+
+
 def queueing_penalty_ms(load: int, ability: int, penalty_ms: float) -> float:
     """Extra per-pull latency at a controller handling `load` flows with
     processing ability `ability`: penalty_ms per flow over ability, zero
-    at or under it. A penalty that is negative, nan or infinite would
-    bill such overheads, and is rejected."""
+    at or under it; penalty_ms is checked by _check_penalty."""
     if ability < 0:
         raise ValueError("ability must be nonnegative")
-    if not 0 <= penalty_ms < math.inf:
-        raise ValueError("queue penalty must be finite and nonnegative")
+    _check_penalty(penalty_ms)
     if load <= ability:
         return 0.0
     return penalty_ms * (load - ability)
@@ -150,13 +154,9 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
         raise ReportError("at least one algorithm required")
     # also checked here: a scenario whose solutions map no switch never
     # calls queueing_penalty_ms
-    if not 0 <= queue_penalty_ms < math.inf:
-        raise ValueError("queue penalty must be finite and nonnegative")
-    # the table goes in positionally, with no loads beside it (it holds
-    # the world's): a wrapper of build_instance may forward only
-    # positional arguments
-    inst = build_instance(world.topology, world.beta, world.placement, s, q_fraction, None,
-                          world.table)
+    _check_penalty(queue_penalty_ms)
+    inst = build_instance(world.topology, world.beta, world.placement, s, q_fraction,
+                          table=world.table)
     ability = {j: world.placement.capacity[j] for j in inst.active_controllers}
 
     # one greedy run serves its own row and the exact search's incumbent

@@ -57,17 +57,37 @@ def _orders(ids: tuple[int, ...], row: dict[int, float], g: int):
     return tuple(sorted(ids, key=row.__getitem__)), tuple(sorted(ids, key=w.__getitem__))
 
 
+def _check_switches(offline, g, rows, worst_delay):
+    """The rules both routes apply to each offline switch i, in this
+    order: i has a load in g and a row in rows, its load is nonnegative,
+    worst_delay(i), which checks i's delays on the caller's route, gives
+    its largest delay, and the dearest overheads summed up to i stay
+    finite. No assignment costs more than that sum: the exact search
+    starts its incumbent at infinity, and an infinite overhead never
+    beats it."""
+    dearest = 0.0
+    for i in offline:
+        if i not in g or i not in rows:
+            raise InstanceError(f"switch {i} missing load or flow data")
+        if g[i] < 0:
+            raise InstanceError(f"switch {i} has negative load")
+        dearest += g[i] * worst_delay(i)
+        if not math.isfinite(dearest):
+            raise InstanceError(f"switch {i}: the dearest overheads up to this switch "
+                                f"sum to {dearest}; overheads must stay finite")
+
+
 class OscmInstance:
-    """One scenario's problem. It is built by one of two routes, which
-    share _read_matrix for the masks and counts:
+    """One scenario's problem. Its attributes are set in one place, _fill,
+    from the pieces one of two routes has checked; both routes apply the
+    per-switch rules of _check_switches:
 
     - the constructor, for documents (from_json) and direct construction,
-      checks every field: each offline switch's load (present,
-      nonnegative) and flow row, each (offline switch, active controller)
-      delay (present, finite, nonnegative), each active controller's
-      residual (present, nonnegative), no key outside those ids, no delay
-      pair beyond them, the quota within [0, n_flows], and that the
-      dearest overheads sum to a finite value; it then sorts each offline
+      checks every field: each (offline switch, active controller) delay
+      (present, finite, nonnegative), each active controller's residual
+      (present, nonnegative), no key outside those ids, no delay pair
+      beyond them, and the quota within [0, n_flows]; it indexes the
+      rows of flow ids with flows.index_flows and sorts each offline
       switch's active controllers into its two orders;
     - build_instance, for a world, reads each delay from the world's
       SwitchTable and checks only what the world does not guarantee (see
@@ -84,33 +104,19 @@ class OscmInstance:
     def __init__(self, offline_switches, active_controllers, delay, g, beta, a_rest,
                  q_required, label: str = ""):
         """delay: {(switch, controller): ms}; g: {switch: flow count};
-        beta: {switch: set of flow ids}, or a world's BetaMatrix, whose
-        offline switches' rows are read; a_rest: {controller: flow count}.
+        beta: {switch: flow ids}, rows that flows.index_flows indexes into
+        a matrix of their own; a_rest: {controller: flow count}.
 
         The mappings are stored as given, so ids, counts and the quota must
-        already be ints; from_json converts and checks outside documents.
-        Sets go through flows.index_flows into a matrix of their own; a
-        world's matrix lends its index and masks (see _read_matrix)."""
-        self.label = label
-        self.offline_switches: tuple[int, ...] = tuple(sorted(offline_switches))
-        self.active_controllers: tuple[int, ...] = tuple(sorted(active_controllers))
-        self.delay = delay
-        self.g = g
-        matrix = beta if isinstance(beta, BetaMatrix) else index_flows(beta)
-        self.a_rest = a_rest
+        already be ints; from_json converts and checks outside documents."""
+        offline = tuple(sorted(offline_switches))
+        active = tuple(sorted(active_controllers))
+        matrix = index_flows(beta)
 
-        # no assignment costs more than the sum of each switch's dearest
-        # g_i * D_ij, which must stay finite: the exact search starts its
-        # incumbent at infinity, and an infinite overhead never beats it
-        dearest = 0.0
-        for i in self.offline_switches:
-            if i not in self.g or i not in matrix.masks:
-                raise InstanceError(f"switch {i} missing load or flow data")
-            if self.g[i] < 0:
-                raise InstanceError(f"switch {i} has negative load")
+        def worst_delay(i):
             worst = 0.0
-            for j in self.active_controllers:
-                d = self.delay.get((i, j))
+            for j in active:
+                d = delay.get((i, j))
                 if d is None:
                     raise InstanceError(f"missing delay for switch {i}, controller {j}")
                 if not (math.isfinite(d) and d >= 0):
@@ -118,50 +124,45 @@ class OscmInstance:
                                         "must be finite and nonnegative")
                 if d > worst:
                     worst = d
-            dearest += self.g[i] * worst
-            if not math.isfinite(dearest):
-                raise InstanceError(f"switch {i}: the dearest overheads up to this switch "
-                                    f"sum to {dearest}; overheads must stay finite")
-        for j in self.active_controllers:
-            if j not in self.a_rest:
+            return worst
+
+        _check_switches(offline, g, matrix.masks, worst_delay)
+        for j in active:
+            if j not in a_rest:
                 raise InstanceError(f"controller {j} missing residual ability")
-            if self.a_rest[j] < 0:
+            if a_rest[j] < 0:
                 raise InstanceError(f"controller {j} has negative residual ability")
-        offline, active = set(self.offline_switches), set(self.active_controllers)
-        # a world's matrix has a row for every switch, not only the offline ones
-        for what, ids, known, kind in (("loads", self.g, offline, "offline switches"),
-                                       ("flows", () if beta is matrix else beta, offline,
-                                        "offline switches"),
-                                       ("residual", self.a_rest, active, "active controllers")):
-            unknown = sorted(set(ids) - known)
+        for what, ids, known, kind in (("loads", g, offline, "offline switches"),
+                                       ("flows", beta, offline, "offline switches"),
+                                       ("residual", a_rest, active, "active controllers")):
+            unknown = sorted(set(ids) - set(known))
             if unknown:
                 raise InstanceError(f"{what} names ids that are not {kind}: {unknown}")
         # every required pair is present, so only extra pairs change the count
-        if len(self.delay) != self.n_switches * self.n_controllers:
-            pairs = {(i, j) for i in self.offline_switches for j in self.active_controllers}
-            unknown = [f"{i},{j}" for i, j in sorted(set(self.delay) - pairs)]
+        if len(delay) != len(offline) * len(active):
+            pairs = {(i, j) for i in offline for j in active}
+            unknown = [f"{i},{j}" for i, j in sorted(set(delay) - pairs)]
             raise InstanceError("delay_ms names pairs that are not "
                                 f"(offline switch, active controller): {unknown}")
 
-        self._read_matrix(matrix)
+        # every row is an offline switch's, so the union ORs them all
         union = 0
-        for m in self.masks.values():
+        for m in matrix.masks.values():
             union |= m
-        self.union = union
-        self.nearest, self.cheapest = {}, {}
-        for i in self.offline_switches:
-            row = {j: self.delay[i, j] for j in self.active_controllers}
-            self.nearest[i], self.cheapest[i] = _orders(self.active_controllers, row, self.g[i])
-        self.q_required = q_required
-        if not 0 <= self.q_required <= self.n_flows:
-            raise InstanceError(
-                f"quota {self.q_required} outside [0, {self.n_flows}]"
-            )
+        if not 0 <= q_required <= union.bit_count():
+            raise InstanceError(f"quota {q_required} outside [0, {union.bit_count()}]")
+        nearest, cheapest = {}, {}
+        for i in offline:
+            row = {j: delay[i, j] for j in active}
+            nearest[i], cheapest[i] = _orders(active, row, g[i])
+        self._fill(label, offline, active, delay, g, a_rest, matrix, union, nearest,
+                   cheapest, q_required)
 
-    def _read_matrix(self, matrix: BetaMatrix):
-        """A step of both routes: the offline switches' rows of matrix,
-        whose every offline switch has one. Each route then sets the
-        union, the OR of the masks.
+    def _fill(self, label, offline, active, delay, g, a_rest, matrix: BetaMatrix, union,
+              nearest, cheapest, q_required) -> "OscmInstance":
+        """Set every attribute from the checked pieces of a route, and
+        return self. matrix has a row for every offline switch, union is
+        the OR of those rows.
 
         masks[i] holds switch i's flows as an int bitmask over the
         matrix's flow index, counts[i] its bit count, as the matrix
@@ -170,11 +171,18 @@ class OscmInstance:
         which decodes a row on its first read, so every instance of a
         world shares the rows it decodes, and each read of `flows`
         decodes."""
-        self._beta = matrix
-        self._ids = matrix.ids
+        self.label = label
+        self.offline_switches: tuple[int, ...] = offline
+        self.active_controllers: tuple[int, ...] = active
+        self.delay, self.g, self.a_rest = delay, g, a_rest
+        self._beta, self._ids = matrix, matrix.ids
         masks, counts = matrix.masks, matrix.counts
-        self.masks: dict[int, int] = {i: masks[i] for i in self.offline_switches}
-        self.counts: dict[int, int] = {i: counts[i] for i in self.offline_switches}
+        self.masks: dict[int, int] = {i: masks[i] for i in offline}
+        self.counts: dict[int, int] = {i: counts[i] for i in offline}
+        self.union = union
+        self.nearest, self.cheapest = nearest, cheapest
+        self.q_required = q_required
+        return self
 
     @property
     def n_switches(self) -> int:
@@ -410,7 +418,8 @@ class SwitchTable:
 
     A delay may be inf where link delays overflow, and a load negative
     where the caller gave one; the table keeps them, and build_instance
-    refuses an instance that would read them.
+    refuses an instance that would read them, by the per-switch rules
+    it shares with the constructor (_check_switches).
     """
 
     def __init__(self, t: Topology, b: BetaMatrix, p: dm.Placement, loads: dict[int, int]):
@@ -440,7 +449,8 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
                    table: SwitchTable | None = None) -> OscmInstance:
     """Assemble the problem for one failure scenario from the world's
     switch table, in one pass over its (offline switch, active
-    controller) pairs.
+    controller) pairs, and hand b and the checked pieces to the
+    instance's one fill step (OscmInstance._fill).
 
     table is the SwitchTable of (t, b, p) and its loads, which a World
     keeps; without one, the call builds one from loads, which defaults to
@@ -453,10 +463,10 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     and pair is built here from the scenario, and a tree delay is a sum
     of link delays the topology loader checked, finite and nonnegative,
     so it can only overflow to inf. Per offline switch this checks what
-    the world does not guarantee, in the constructor's order and with
-    its messages: a flow row in b, a nonnegative load (loads may come
-    from the caller), a finite largest delay, and a finite running sum
-    of the dearest overheads.
+    the world does not guarantee, by the constructor's rules
+    (_check_switches) and with its messages: a flow row in b, a
+    nonnegative load (loads may come from the caller), a finite largest
+    delay, and a finite running sum of the dearest overheads.
     """
     if not 0.0 <= q_fraction <= 1.0:
         raise InstanceError(f"q_fraction {q_fraction} outside [0, 1]")
@@ -471,15 +481,9 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     offline = dm.offline_switches(p, s)
 
     active = tuple(rest)
-    loads, rows, delays = table.loads, b.masks, table.delay
-    delay, g = {}, {}
-    dearest = 0.0
-    for i in offline:
-        if i not in rows:
-            raise InstanceError(f"switch {i} missing load or flow data")
-        g_i = g[i] = loads[i]
-        if g_i < 0:
-            raise InstanceError(f"switch {i} has negative load")
+    loads, delays, delay = table.loads, table.delay, {}
+
+    def worst_delay(i):
         row = delays[i]
         worst = 0.0
         for j in active:
@@ -490,23 +494,16 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
             j = next(j for j in active if row[j] == worst)
             raise InstanceError(f"delay {worst} for switch {i}, controller {j} "
                                 "must be finite and nonnegative")
-        dearest += g_i * worst
-        if not math.isfinite(dearest):
-            raise InstanceError(f"switch {i}: the dearest overheads up to this switch "
-                                f"sum to {dearest}; overheads must stay finite")
+        return worst
 
-    inst = OscmInstance.__new__(OscmInstance)
-    inst.label, inst.offline_switches, inst.active_controllers = s.label(), offline, active
-    inst.delay, inst.g, inst.a_rest = delay, g, rest
-    inst.nearest, inst.cheapest = table.nearest, table.cheapest
-    inst._read_matrix(b)
+    _check_switches(offline, loads, b.masks, worst_delay)
     union = 0
     for c in s.failed:
         union |= table.union[c]
-    inst.union = union
     # the quota reads the flow union; q_fraction is in [0, 1], so it is too
-    inst.q_required = math.ceil(q_fraction * inst.n_flows)
-    return inst
+    return OscmInstance.__new__(OscmInstance)._fill(
+        s.label(), offline, active, delay, {i: loads[i] for i in offline}, rest, b, union,
+        table.nearest, table.cheapest, math.ceil(q_fraction * union.bit_count()))
 
 
 def _check_dimensions(inst: OscmInstance, sol: Solution, y: tuple[int, ...]):

@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -69,7 +71,8 @@ class TestRunScenario:
         built = []
         build = experiment.build_instance
         monkeypatch.setattr(experiment, "build_instance",
-                            lambda *args: built.append(build(*args)) or built[-1])
+                            lambda *args, **kwargs: built.append(build(*args, **kwargs))
+                            or built[-1])
         decoded = []
         decode = oscm.flows_of
         monkeypatch.setattr(oscm, "flows_of", lambda *args: decoded.append(args) or decode(*args))
@@ -276,6 +279,19 @@ class TestScore:
 
 
 class TestEmitReport:
+    def test_readme_library_sketch(self, att_world, monkeypatch, capsys):
+        """README's "Library sketch" runs from the repo root and prints the
+        report run_scenario gives on the bundled world."""
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text()
+        sketch = re.search(r"^## Library sketch\n\n```python\n(.*?)^```$", readme,
+                           re.M | re.S).group(1)
+        monkeypatch.chdir(root)
+        exec(compile(sketch, "README.md", "exec"), {})
+        want = emit_report([run_scenario(att_world, FailureScenario(frozenset({13, 22})), 0.9)],
+                           format="csv")
+        assert capsys.readouterr().out == want + "\n"
+
     def test_csv_rows(self, att_world):
         rep = run_scenario(att_world, FailureScenario(frozenset({20})), 1.0)
         text = emit_report([rep], format="csv")

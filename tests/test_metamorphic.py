@@ -21,8 +21,8 @@ on the two:
   status stays, and the optimum agrees to a relative 1e-9, because ties
   break the other way and the overheads sum in another order.
 
-The padding and relabel relations rebuild each instance from its rows,
-which the world matrix cannot hold under new switch ids.
+Every relation rebuilds the instance through the checked constructor,
+from its rows of flow ids.
 """
 
 import math
@@ -46,10 +46,10 @@ def att_instances(att_world):
 
 
 def rebuilt(inst, **changes):
-    """inst with some of its inputs replaced, over the same world matrix."""
+    """inst with some of its inputs replaced, from its rows of flow ids."""
     fields = dict(offline_switches=inst.offline_switches,
                   active_controllers=inst.active_controllers, delay=inst.delay,
-                  g=inst.g, beta=inst._beta, a_rest=inst.a_rest,
+                  g=inst.g, beta=inst.beta, a_rest=inst.a_rest,
                   q_required=inst.q_required, label=inst.label)
     return OscmInstance(**{**fields, **changes})
 

@@ -158,14 +158,21 @@ class TestWorldRoute:
                 built += 1
         assert built == 21
 
+    def test_same_attributes_as_its_document(self, att_world):
+        w = att_world
+        inst = build_instance(w.topology, w.beta, w.placement,
+                              FailureScenario(frozenset({13, 22})), 0.9, table=w.table)
+        assert sorted(vars(OscmInstance.from_json(inst.to_json()))) == sorted(vars(inst))
+
     @staticmethod
     def constructor_error(t, b, loads, offline, active, rest):
         """What the checked constructor raises on the fields build_instance
-        would assemble."""
+        would assemble, with b's rows of flow ids."""
         delay = {(i, j): shortest_path_tree(t, i).delay[t._index[j]]
                  for i in offline for j in active}
+        rows = {i: b.flows_at(i) for i in offline if i in b.masks}
         with pytest.raises(InstanceError) as err:
-            OscmInstance(offline, active, delay, {i: loads[i] for i in offline}, b, rest, 0)
+            OscmInstance(offline, active, delay, {i: loads[i] for i in offline}, rows, rest, 0)
         return str(err.value)
 
     @staticmethod
@@ -507,3 +514,63 @@ class TestSerialization:
         doc["loads"] = [1, 2]
         with pytest.raises(InstanceError, match="malformed instance document"):
             OscmInstance.from_json(json.dumps(doc))
+
+
+def _drop(section, key):
+    return lambda doc: doc[section].pop(key)
+
+
+def _put(section, key, value):
+    """Set doc[section][key], or doc[key] when section is None."""
+    return lambda doc: (doc if section is None else doc[section]).__setitem__(key, value)
+
+
+class TestFaultOrder:
+    """The first fault the checked constructor names in a document with
+    several. Per offline switch, ascending: its flow row and load, its
+    load's sign, then its delays by controller, then the running sum of
+    the dearest overheads; then each active controller's residual; then
+    keys outside the ids, in loads, flows, residual order; then delay
+    pairs outside them; then the quota. The toy's switch 20 has load 3,
+    the others load 2."""
+
+    @pytest.mark.parametrize("faults, message", [
+        ([_put("loads", "21", -1), _put("delay_ms", "21,1", math.nan)],
+         "switch 21 has negative load"),
+        ([_drop("flows", "22"), _put("loads", "22", -1)],
+         "switch 22 missing load or flow data"),
+        ([_put("loads", "20", -1), _drop("flows", "21")],
+         "switch 20 has negative load"),
+        ([_drop("delay_ms", "20,1"), _put("delay_ms", "20,3", -1.0)],
+         "missing delay for switch 20, controller 1"),
+        ([_put("delay_ms", "21,3", -1.0), _put("delay_ms", "23,1", 1e308)],
+         "delay -1.0 for switch 21, controller 3 must be finite and nonnegative"),
+        ([_put("delay_ms", "20,1", 1e308), _put("delay_ms", "22,3", math.nan)],
+         "switch 20: the dearest overheads up to this switch sum to inf; "
+         "overheads must stay finite"),
+        ([_drop("residual", "1"), _put("loads", "24", -1)],
+         "switch 24 has negative load"),
+        ([_drop("residual", "3"), _put("loads", "99", 1)],
+         "controller 3 missing residual ability"),
+        ([_put("residual", "1", -1), _put("flows", "99", [1])],
+         "controller 1 has negative residual ability"),
+        ([_put("residual", "7", 1), _put("flows", "99", [5]), _put("loads", "98", 1)],
+         "loads names ids that are not offline switches: [98]"),
+        ([_put("residual", "7", 1), _put("flows", "99", [5])],
+         "flows names ids that are not offline switches: [99]"),
+        ([_put("delay_ms", "77,8", 1.0), _put("residual", "7", 1)],
+         "residual names ids that are not active controllers: [7]"),
+        ([_put(None, "quota", 99), _put("delay_ms", "77,8", 1.0)],
+         "delay_ms names pairs that are not (offline switch, active controller): ['77,8']"),
+    ], ids=["load-before-delay", "row-before-load", "earlier-switch-first",
+            "missing-before-bad-delay", "delay-before-later-sum", "sum-before-later-delay",
+            "switches-before-residuals", "residual-before-unknown-key",
+            "residual-sign-before-unknown-key", "loads-key-first", "flows-key-before-residual-key",
+            "unknown-key-before-stray-pair", "stray-pair-before-quota"])
+    def test_first_fault_named(self, toy, faults, message):
+        doc = json.loads(toy.to_json())
+        for fault in faults:
+            fault(doc)
+        with pytest.raises(InstanceError) as err:
+            OscmInstance.from_json(json.dumps(doc))
+        assert str(err.value) == message

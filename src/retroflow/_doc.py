@@ -1,9 +1,23 @@
-"""Readers for values in parsed JSON documents: each checks the type that
-int() and float() would coerce ("7", " 7 ", True) and raises `error`.
-distinct holds the one rule for ids that must not repeat, in documents
-and in code-built values alike."""
+"""Readers for JSON documents and the values in them: parse reads a
+document, and each value reader checks the type that int() and float()
+would coerce ("7", " 7 ", True) and raises `error`. distinct holds the
+one rule for ids that must not repeat, in documents and in code-built
+values alike."""
 
+import json
 import sys
+
+
+def parse(text: str, error: type[ValueError]):
+    """The JSON document in text. An object that repeats a key raises
+    error as distinct words it ("duplicate key 'a'"), where json alone
+    would keep the last value without a word."""
+    def unique(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            distinct((k for k, _ in pairs), "key", error)
+        return doc
+    return json.loads(text, object_pairs_hook=unique)
 
 
 def _int(value) -> bool:

@@ -7,12 +7,12 @@ Exit codes: 0 success, 1 no requested solver produced a feasible result
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from pathlib import Path as FsPath
 
 from . import domains as dm
 from . import protocol
-from ._doc import distinct, record, whole
+from ._doc import distinct, parse, record, whole
 from .experiment import (ALGORITHMS, FEASIBLE, emit_report, load_diagnostics, make_world,
                          run_scenario, sweep_summary)
 from .geo import load_topology_file
@@ -124,9 +124,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_protocol_trace(args) -> int:
-    with open(args.script) as fh:
-        doc = json.load(fh)
     error = protocol.ProtocolError
+    doc = parse(FsPath(args.script).read_text(), error)
     fields = ("switch", "master", "backups", "events")
     try:
         record(doc, set(fields), "script", error, required=fields)
@@ -176,7 +175,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     # json raises RecursionError on a document nested past the interpreter's limit
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, RecursionError) as err:
+    except (OSError, ValueError, KeyError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
-from ._doc import distinct, key, record, whole
+from ._doc import distinct, key, parse, record, whole
 from .geo import Topology
 
 _DOC_FIELDS = {"name", "capacity", "controllers", "flow_counts"}
@@ -123,8 +122,7 @@ def load_placement(doc: dict, t: Topology) -> Placement:
 
 
 def load_placement_file(path, t: Topology) -> Placement:
-    with open(FsPath(path)) as fh:
-        return load_placement(json.load(fh), t)
+    return load_placement(parse(FsPath(path).read_text(), PlacementError), t)
 
 
 def validate_scenario(p: Placement, s: FailureScenario):

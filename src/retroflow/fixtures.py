@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+from ._doc import parse
 from .domains import Placement, load_placement
 from .geo import Topology, load_topology
 from .oscm import OscmInstance
 
 
 def _read(name: str) -> dict:
-    with resources.files("retroflow").joinpath("data", name).open() as fh:
-        return json.load(fh)
+    return parse(resources.files("retroflow").joinpath("data", name).read_text(), ValueError)
 
 
 def data_path(name: str) -> str:

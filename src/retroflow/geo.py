@@ -15,13 +15,12 @@ when one is asked for.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import NamedTuple
 
-from ._doc import distinct, number, record, whole
+from ._doc import distinct, number, parse, record, whole
 
 EARTH_RADIUS_KM = 6371.0
 PROPAGATION_KM_PER_MS = 200.0
@@ -206,8 +205,7 @@ def load_topology(doc: dict) -> Topology:
 
 
 def load_topology_file(path) -> Topology:
-    with open(FsPath(path)) as fh:
-        return load_topology(json.load(fh))
+    return load_topology(parse(FsPath(path).read_text(), TopologyError))
 
 
 def shortest_path(t: Topology, src: int, dst: int) -> Path:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 from . import domains as dm
-from ._doc import distinct, key, number, record, whole
+from ._doc import distinct, key, number, parse, record, whole
 from .flows import BetaMatrix, flows_of, index_flows
 # SwitchTable reads its delays from shortest_path_tree; shortest_path
 # stays importable here because perfbench/tracing.py wraps it by name and
@@ -57,42 +57,56 @@ def _orders(ids: tuple[int, ...], row: dict[int, float], g: int):
     return tuple(sorted(ids, key=row.__getitem__)), tuple(sorted(ids, key=w.__getitem__))
 
 
-def _check_switches(offline, g, rows, worst_delay):
-    """The rules both routes apply to each offline switch i, in this
-    order: i has a load in g and a row in rows, its load is nonnegative,
-    worst_delay(i), which checks i's delays on the caller's route, gives
-    its largest delay, and the dearest overheads summed up to i stay
-    finite. No assignment costs more than that sum: the exact search
-    starts its incumbent at infinity, and an infinite overhead never
-    beats it."""
-    dearest = 0.0
+def _check_switches(offline, active, g, rows, delays) -> dict[tuple[int, int], float]:
+    """The one loop over the offline switches, on both routes. rows holds
+    each switch's flow row, delays its delay row {controller: ms}: the
+    world table's as they are, or the constructor's pairs grouped by
+    switch. Per offline switch i, in this order: a load in g and a flow
+    row, the load nonnegative, each active controller's delay, in active
+    order, present, finite and nonnegative, and the dearest overheads
+    summed up to i finite. No assignment costs more than that sum: the
+    exact search starts its incumbent at infinity, and an infinite
+    overhead never beats it. Returns the checked delay pairs {(i, j): ms}
+    over offline x active."""
+    pairs, dearest, inf = {}, 0.0, math.inf
     for i in offline:
         if i not in g or i not in rows:
             raise InstanceError(f"switch {i} missing load or flow data")
         if g[i] < 0:
             raise InstanceError(f"switch {i} has negative load")
-        dearest += g[i] * worst_delay(i)
+        row, worst = delays[i], 0.0
+        for j in active:
+            d = pairs[i, j] = row.get(j)
+            if d is None:
+                raise InstanceError(f"missing delay for switch {i}, controller {j}")
+            if not 0.0 <= d < inf:
+                raise InstanceError(f"delay {d} for switch {i}, controller {j} "
+                                    "must be finite and nonnegative")
+            if d > worst:
+                worst = d
+        dearest += g[i] * worst
         if not math.isfinite(dearest):
             raise InstanceError(f"switch {i}: the dearest overheads up to this switch "
                                 f"sum to {dearest}; overheads must stay finite")
+    return pairs
 
 
 class OscmInstance:
     """One scenario's problem. Its attributes are set in one place, _fill,
-    from the pieces one of two routes has checked; both routes apply the
-    per-switch rules of _check_switches:
+    from the pieces one of two routes has checked. Both routes check each
+    offline switch's load, flow row and delays in one loop,
+    _check_switches, which returns the delay pairs it checked:
 
     - the constructor, for documents (from_json) and direct construction,
-      checks every field: each (offline switch, active controller) delay
-      (present, finite, nonnegative), each active controller's residual
-      (present, nonnegative), no key outside those ids, no delay pair
-      beyond them, and the quota within [0, n_flows]; it indexes the
-      rows of flow ids with flows.index_flows and sorts each offline
-      switch's active controllers into its two orders;
-    - build_instance, for a world, reads each delay from the world's
-      SwitchTable and checks only what the world does not guarantee (see
-      there): it builds every key and pair from the scenario itself, and
-      its delays are sums of link delays the topology loader checked.
+      hands the loop its delay pairs grouped by switch, then checks each
+      active controller's residual (present, nonnegative), no key outside
+      those ids, no delay pair beyond them, and the quota within
+      [0, n_flows]; it indexes the rows of flow ids with
+      flows.index_flows and sorts each switch's delay row into its two
+      orders;
+    - build_instance, for a world, hands the loop its SwitchTable's delay
+      rows and keeps the pairs as the instance's delay; it builds every
+      key from the scenario itself, so it checks nothing else (see there).
 
     nearest[i] and cheapest[i] list controllers in (delay, id) and in
     (g_i * delay, id) order (see _orders). A world's instance shares its
@@ -112,21 +126,10 @@ class OscmInstance:
         offline = tuple(sorted(offline_switches))
         active = tuple(sorted(active_controllers))
         matrix = index_flows(beta)
-
-        def worst_delay(i):
-            worst = 0.0
-            for j in active:
-                d = delay.get((i, j))
-                if d is None:
-                    raise InstanceError(f"missing delay for switch {i}, controller {j}")
-                if not (math.isfinite(d) and d >= 0):
-                    raise InstanceError(f"delay {d} for switch {i}, controller {j} "
-                                        "must be finite and nonnegative")
-                if d > worst:
-                    worst = d
-            return worst
-
-        _check_switches(offline, g, matrix.masks, worst_delay)
+        rows = {i: {} for i in offline}
+        for (i, j), d in delay.items():
+            rows.setdefault(i, {})[j] = d
+        pairs = _check_switches(offline, active, g, matrix.masks, rows)
         for j in active:
             if j not in a_rest:
                 raise InstanceError(f"controller {j} missing residual ability")
@@ -139,22 +142,19 @@ class OscmInstance:
             if unknown:
                 raise InstanceError(f"{what} names ids that are not {kind}: {unknown}")
         # every required pair is present, so only extra pairs change the count
-        if len(delay) != len(offline) * len(active):
-            pairs = {(i, j) for i in offline for j in active}
-            unknown = [f"{i},{j}" for i, j in sorted(set(delay) - pairs)]
+        if len(delay) != len(pairs):
+            unknown = [f"{i},{j}" for i, j in sorted(delay.keys() - pairs.keys())]
             raise InstanceError("delay_ms names pairs that are not "
                                 f"(offline switch, active controller): {unknown}")
 
-        # every row is an offline switch's, so the union ORs them all
-        union = 0
-        for m in matrix.masks.values():
-            union |= m
+        # the rows are the offline switches' rows, and the index ranks only
+        # their flow ids, so the union sets every bit of the index
+        union = (1 << len(matrix.ids)) - 1
         if not 0 <= q_required <= union.bit_count():
             raise InstanceError(f"quota {q_required} outside [0, {union.bit_count()}]")
         nearest, cheapest = {}, {}
         for i in offline:
-            row = {j: delay[i, j] for j in active}
-            nearest[i], cheapest[i] = _orders(active, row, g[i])
+            nearest[i], cheapest[i] = _orders(active, rows[i], g[i])
         self._fill(label, offline, active, delay, g, a_rest, matrix, union, nearest,
                    cheapest, q_required)
 
@@ -234,8 +234,8 @@ class OscmInstance:
     def from_json(cls, text: str) -> "OscmInstance":
         """Parse an instance document. Ids, loads, flow ids and the quota
         must be whole numbers and keys canonical decimal; nothing truncates."""
-        doc = json.loads(text)
         error = InstanceError
+        doc = parse(text, error)
         record(doc, {*_INSTANCE_FIELDS, "label"}, "instance document", error,
                required=_INSTANCE_FIELDS)
         label = doc.get("label", "")
@@ -340,8 +340,8 @@ class Solution:
 
     @classmethod
     def from_json(cls, text: str) -> "Solution":
-        doc = json.loads(text)
         error = InstanceError
+        doc = parse(text, error)
         try:
             record(doc, {*_SOLUTION_FIELDS, "quota_met"}, "solution", error,
                    required=_SOLUTION_FIELDS)
@@ -418,8 +418,8 @@ class SwitchTable:
 
     A delay may be inf where link delays overflow, and a load negative
     where the caller gave one; the table keeps them, and build_instance
-    refuses an instance that would read them, by the per-switch rules
-    it shares with the constructor (_check_switches).
+    refuses an instance that would read them, in the loop over offline
+    switches it shares with the constructor (_check_switches).
     """
 
     def __init__(self, t: Topology, b: BetaMatrix, p: dm.Placement, loads: dict[int, int]):
@@ -459,14 +459,14 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     active controllers. The instance shares the table's controller
     orders, and its flow union ORs the failed domains' unions.
 
-    The constructor's per-pair and per-key checks are not run: every key
-    and pair is built here from the scenario, and a tree delay is a sum
-    of link delays the topology loader checked, finite and nonnegative,
-    so it can only overflow to inf. Per offline switch this checks what
-    the world does not guarantee, by the constructor's rules
-    (_check_switches) and with its messages: a flow row in b, a
-    nonnegative load (loads may come from the caller), a finite largest
-    delay, and a finite running sum of the dearest overheads.
+    The constructor's per-key checks are not run: every key and pair is
+    built here from the scenario. Its loop over the offline switches
+    (_check_switches) reads the table's delay rows, with its messages,
+    and returns the instance's delay. It checks what the world does not
+    guarantee: a flow row in b, a nonnegative load (loads may come from
+    the caller), finite delays (a tree delay sums link delays the
+    topology loader checked, so it can only overflow to inf), and a
+    finite running sum of the dearest overheads.
     """
     if not 0.0 <= q_fraction <= 1.0:
         raise InstanceError(f"q_fraction {q_fraction} outside [0, 1]")
@@ -481,28 +481,13 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     offline = dm.offline_switches(p, s)
 
     active = tuple(rest)
-    loads, delays, delay = table.loads, table.delay, {}
-
-    def worst_delay(i):
-        row = delays[i]
-        worst = 0.0
-        for j in active:
-            d = delay[i, j] = row[j]
-            if d > worst:
-                worst = d
-        if worst == math.inf:
-            j = next(j for j in active if row[j] == worst)
-            raise InstanceError(f"delay {worst} for switch {i}, controller {j} "
-                                "must be finite and nonnegative")
-        return worst
-
-    _check_switches(offline, loads, b.masks, worst_delay)
+    delay = _check_switches(offline, active, table.loads, b.masks, table.delay)
     union = 0
     for c in s.failed:
         union |= table.union[c]
     # the quota reads the flow union; q_fraction is in [0, 1], so it is too
     return OscmInstance.__new__(OscmInstance)._fill(
-        s.label(), offline, active, delay, {i: loads[i] for i in offline}, rest, b, union,
+        s.label(), offline, active, delay, {i: table.loads[i] for i in offline}, rest, b, union,
         table.nearest, table.cheapest, math.ceil(q_fraction * union.bit_count()))
 
 

@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retroflow._doc import distinct, key, number, record, whole
+from retroflow import fixtures
+from retroflow._doc import distinct, key, number, parse, record, whole
 from retroflow.cli import main
-from retroflow.domains import PlacementError, load_placement
+from retroflow.domains import PlacementError, load_placement, load_placement_file
 from retroflow.fixtures import master_loss_script, toy_recovery_instance
-from retroflow.geo import TopologyError, load_topology
+from retroflow.geo import TopologyError, load_topology, load_topology_file
 from retroflow.oscm import InstanceError, OscmInstance, Solution
 from retroflow.solvers import solve_retroflow
 
@@ -81,6 +82,17 @@ class TestReaders:
         with pytest.raises(Malformed, match=r"^duplicate name 'a'$"):
             distinct(["a", "b", "a"], "name", Malformed)
 
+    def test_parse(self):
+        assert parse('{"a": [1, {"b": 2.5}], "c": {}}', ValueError) == {"a": [1, {"b": 2.5}],
+                                                                        "c": {}}
+
+        class Malformed(ValueError):
+            pass
+        # json alone keeps the last value; the same value twice is a repeat too
+        for text in ('{"a": {"b": 1, "c": 2, "b": 3}}', '[{"b": 1, "b": 1}]'):
+            with pytest.raises(Malformed, match=r"^duplicate key 'b'$"):
+                parse(text, Malformed)
+
 
 TOPOLOGY = {
     "name": "square",
@@ -99,6 +111,58 @@ PLACEMENT = {
 INSTANCE = json.loads(toy_recovery_instance().to_json())
 SOLUTION = json.loads(solve_retroflow(toy_recovery_instance()).to_json())
 SCRIPT = master_loss_script()
+
+def _first_key_twice(doc: dict) -> str:
+    """doc as JSON text, its first top-level key written twice with the
+    same value."""
+    k = next(iter(doc))
+    return "{" + f"{json.dumps(k)}: {json.dumps(doc[k])}, " + json.dumps(doc)[1:]
+
+
+class TestRepeatedKeys:
+    """Every document reader refuses an object that repeats a key, and the
+    CLI exits 2 with one error line."""
+
+    READERS = {
+        "topology": (TOPOLOGY, load_topology_file, TopologyError),
+        "placement": (PLACEMENT, lambda path: load_placement_file(path, load_topology(TOPOLOGY)),
+                      PlacementError),
+        "instance": (INSTANCE, OscmInstance.from_file, InstanceError),
+        "solution": (SOLUTION, Solution.from_file, InstanceError),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_each_document_kind(self, tmp_path, kind):
+        doc, read, error = self.READERS[kind]
+        path = tmp_path / f"{kind}.json"
+        path.write_text(_first_key_twice(doc))
+        with pytest.raises(error, match=f"^duplicate key '{next(iter(doc))}'$"):
+            read(path)
+
+    def test_script(self, tmp_path, capsys):
+        path = tmp_path / "script.json"
+        path.write_text(_first_key_twice(SCRIPT))
+        assert main(["protocol-trace", "--script", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: duplicate key '{next(iter(SCRIPT))}'\n"
+
+    def test_bundled_fixture(self, tmp_path, monkeypatch):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "att25.json").write_text(_first_key_twice(TOPOLOGY))
+        monkeypatch.setattr(fixtures.resources, "files", lambda package: tmp_path)
+        with pytest.raises(ValueError, match="^duplicate key 'name'$"):
+            fixtures.att25_topology()
+
+    def test_repeated_delay_exits_the_cli(self, tmp_path, capsys):
+        # json alone would keep 4.0, the toy's own delay, and validate would pass
+        text = json.dumps(INSTANCE)
+        assert '"20,1": 4.0' in text
+        instance, solution = tmp_path / "instance.json", tmp_path / "solution.json"
+        instance.write_text(text.replace('"20,1": 4.0', '"20,1": 999.0, "20,1": 4.0'))
+        solution.write_text(json.dumps(SOLUTION))
+        assert main(["validate", "--instance", str(instance), "--solution", str(solution)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: duplicate key '20,1'\n")
+
 
 _KEYS = st.sampled_from(["0", "1", "3", "20", "020", " 1", "-0", "+1", "1.0", "x", "id", "lat",
                          "capacity", "switch"])

@@ -1,4 +1,5 @@
-"""Metamorphic relations over the att25 instances, k=1..3 (41 scenarios).
+"""Metamorphic relations over the att25 instances, k=1..3 (41 scenarios),
+and over the grid49-exact world's, k=1..2 at q=0.8 (test_grid49).
 
 Beyond a few switches no oracle says what the exact optimum is, but a
 change to an instance whose effect on the answer is known needs none
@@ -22,7 +23,8 @@ on the two:
   break the other way and the overheads sum in another order.
 
 Every relation rebuilds the instance through the checked constructor,
-from its rows of flow ids.
+from its rows of flow ids. Most att25 scenarios are infeasible; most of
+grid49's are optimal, so there the relations compare exact optima.
 """
 
 import math
@@ -30,8 +32,11 @@ import math
 import pytest
 
 from retroflow.domains import enumerate_failure_scenarios
+from retroflow.flows import programmability
 from retroflow.oscm import OscmInstance, build_instance
 from retroflow.solvers import solve_exact, solve_nearest, solve_retroflow
+
+from test_flows import benchmark_worlds
 
 QUOTA_FRACTIONS = (0.8, 0.85, 0.9, 0.95, 1.0)
 
@@ -146,3 +151,31 @@ def test_relabel_reversed(att_instances):
         if exact.solution is not None:
             assert math.isclose(exact2.solution.objective, exact.solution.objective,
                                 rel_tol=1e-9), inst.label
+
+
+# the four grid49 scenarios whose exact search explores the most nodes
+# (1,388 to 3,974 each) took about 5 of the relations' 6.7 s on one Intel
+# Xeon core
+_SLOW_GRID49 = {"C24", "C0+C24", "C6+C24", "C24+C48"}
+
+
+@pytest.fixture(scope="module")
+def grid49_instances():
+    """grid49-exact's scenarios at q=0.8 but _SLOW_GRID49: 15 optimal and
+    2 infeasible."""
+    t, p = benchmark_worlds()[1]
+    b = programmability(t)
+    return [build_instance(t, b, p, s, 0.8)
+            for k in (1, 2) for s in enumerate_failure_scenarios(p, k)
+            if s.label() not in _SLOW_GRID49]
+
+
+@pytest.mark.parametrize("relation", [test_quota, test_delays_doubled, test_more_capacity,
+                                      test_padding, test_relabel_reversed],
+                         ids=lambda relation: relation.__name__[len("test_"):])
+def test_grid49(relation, grid49_instances):
+    # test_quota reads every second instance (att25's come in q 0.9, 1.0
+    # pairs), so it gets each scenario twice
+    if relation is test_quota:
+        grid49_instances = [inst for inst in grid49_instances for _ in range(2)]
+    relation(grid49_instances)

@@ -231,6 +231,38 @@ class TestWorldRoute:
         with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
             build_instance(t, b, p, FailureScenario(frozenset({n - 1})), 1.0)
 
+    @pytest.mark.parametrize("failed, negative, message", [
+        # switch 1 is 1 hop from controller 0 and 218 from controller 219
+        (10, None, "delay inf for switch 1, controller 219 must be finite and nonnegative"),
+        # switches 212..218 are more than 211 hops from controller 0
+        (219, 21, "switch 21 has negative load"),
+    ], ids=["inf-to-second-controller", "negative-load-before-later-inf"])
+    def test_first_fault_on_a_far_path(self, failed, negative, message):
+        # the path of test_infinite_delay with controllers at both ends and
+        # at node 10, whose domain is nodes 1..20
+        n = 220
+        t = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(n)],
+                     [(v, v + 1, 1.7e308) for v in range(n - 1)])
+        p = Placement([(0, 0), (10, 0), (n - 1, 0)],
+                      {v: 0 if v == 0 else 10 if v <= 20 else n - 1 for v in range(n)})
+        b = programmability(t)
+        loads = b.loads()
+        s = FailureScenario(frozenset({failed}))
+        offline = dm.offline_switches(p, s)
+        rest = dm.surviving_residuals(p, dm.domain_loads(p, loads), s)
+        active = tuple(rest)
+        delays = {i: [shortest_path_tree(t, i).delay[t._index[j]] for j in active]
+                  for i in offline}
+        if negative is None:
+            first = delays[offline[0]]
+            assert math.isfinite(first[0]) and first[1] == math.inf
+        else:
+            assert any(math.inf in delays[i] for i in offline if i > negative)
+            loads[negative] = -1
+        assert self.constructor_error(t, b, loads, offline, active, rest) == message
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            build_instance(t, b, p, s, 1.0, loads=loads)
+
     def test_negative_caller_load(self, att_world):
         w = att_world
         s = FailureScenario(frozenset({20}))

@@ -123,17 +123,28 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
     grows by the current count of each assigned switch. The flows covered
     at the end are the union's bits no longer in `uncovered`. Flow ids
     are decoded only for the trace.
+
+    Residuals only shrink, so a switch heavier than every residual
+    (`max_rest`, -1 with no active controller) can never be assigned.
+    When no trace is asked, such a switch leaves the heap as soon as it
+    reaches the top, unpriced and untested; `assigned` and `uncovered`
+    are the same as if it had been picked. A traced run still logs its
+    pick and its tests, the decision log the trace is checked against.
     """
     masks, g, delay, cheapest = inst.masks, inst.g, inst.delay, inst.cheapest
     heap = [(-n, i, 0) for i, n in inst.counts.items()]
     heapq.heapify(heap)
     version = 0  # bumped each time `uncovered` shrinks
     rest = dict(inst.a_rest)
+    max_rest = max(rest.values(), default=-1)
     uncovered, n_covered = inst.union, 0
     assigned: dict[int, int] = {}
 
     while heap and n_covered < inst.q_required:
         neg_delta, pick, priced = heap[0]
+        if trace is None and g[pick] > max_rest:
+            heapq.heappop(heap)  # fits no controller, now or later
+            continue
         if priced != version:
             heapq.heapreplace(heap, (-(masks[pick] & uncovered).bit_count(), pick, version))
             continue
@@ -151,14 +162,14 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
         for j in cheapest[pick]:
             if j not in rest:
                 continue  # failed: a world's orders list every controller
-            w = g_pick * delay[pick, j]
             fit = rest[j] >= g_pick
             if trace is not None:
-                trace.append(f"test switch={pick} controller={j} w={w} "
+                trace.append(f"test switch={pick} controller={j} w={g_pick * delay[pick, j]} "
                              f"rest={rest[j]} fit={'yes' if fit else 'no'}")
             if fit:
                 assigned[pick] = j
                 rest[j] -= g_pick
+                max_rest = max(rest.values())
                 gained = masks[pick] & uncovered
                 if trace is not None:
                     trace.append(f"assign switch={pick} controller={j} rest={rest[j]} "

@@ -1,5 +1,6 @@
 """Metamorphic relations over the att25 instances, k=1..3 (41 scenarios),
-and over the grid49-exact world's, k=1..2 at q=0.8 (test_grid49).
+over the grid49-exact world's, k=1..2 at q=0.8 (test_grid49), and over
+hypothesis-drawn instances of up to 20 switches (test_random_instances).
 
 Beyond a few switches no oracle says what the exact optimum is, but a
 change to an instance whose effect on the answer is known needs none
@@ -28,14 +29,18 @@ grid49's are optimal, so there the relations compare exact optima.
 """
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from retroflow.domains import enumerate_failure_scenarios
 from retroflow.flows import programmability
 from retroflow.oscm import OscmInstance, build_instance
 from retroflow.solvers import solve_exact, solve_nearest, solve_retroflow
 
+from _oracles import greedy_rescan, random_instance
+from test_documents import _FUZZ
 from test_flows import benchmark_worlds
 
 QUOTA_FRACTIONS = (0.8, 0.85, 0.9, 0.95, 1.0)
@@ -66,23 +71,29 @@ def picks(inst):
     return [line.split()[1] for line in trace if line.startswith("pick ")]
 
 
+def quota_ladder(inst):
+    """The quota relation on inst's ladder; returns the exact status at the
+    smaller quota of each step."""
+    ladder = [rebuilt(inst, q_required=math.ceil(f * inst.n_flows))
+              for f in QUOTA_FRACTIONS]
+    results = [solve_exact(x) for x in ladder]
+    sequences = [picks(x) for x in ladder]
+    for lo in range(len(ladder) - 1):
+        small, large = results[lo], results[lo + 1]
+        if small.status == "infeasible":
+            assert large.status == "infeasible", inst.label
+        elif large.status == "optimal":
+            assert large.solution.objective >= small.solution.objective, inst.label
+        short, long = sequences[lo], sequences[lo + 1]
+        assert long[:len(short)] == short, inst.label
+    return [r.status for r in results[:-1]]
+
+
 def test_quota(att_instances):
-    checked = {"optimal": 0, "infeasible": 0}
-    # each scenario appears at q 0.9 and 1.0; its quota ladder is the same
-    for inst in att_instances[::2]:
-        ladder = [rebuilt(inst, q_required=math.ceil(f * inst.n_flows))
-                  for f in QUOTA_FRACTIONS]
-        results = [solve_exact(x) for x in ladder]
-        sequences = [picks(x) for x in ladder]
-        for lo in range(len(ladder) - 1):
-            small, large = results[lo], results[lo + 1]
-            checked[small.status] += 1
-            if small.status == "infeasible":
-                assert large.status == "infeasible", inst.label
-            elif large.status == "optimal":
-                assert large.solution.objective >= small.solution.objective, inst.label
-            short, long = sequences[lo], sequences[lo + 1]
-            assert long[:len(short)] == short, inst.label
+    checked = Counter()
+    # a scenario listed at several quotas has one ladder
+    for inst in {inst.label: inst for inst in att_instances}.values():
+        checked.update(quota_ladder(inst))
     # the ladder crosses from feasible to infeasible, so both halves are checked
     assert checked["optimal"] > 0 and checked["infeasible"] > 0
 
@@ -174,8 +185,23 @@ def grid49_instances():
                                       test_padding, test_relabel_reversed],
                          ids=lambda relation: relation.__name__[len("test_"):])
 def test_grid49(relation, grid49_instances):
-    # test_quota reads every second instance (att25's come in q 0.9, 1.0
-    # pairs), so it gets each scenario twice
-    if relation is test_quota:
-        grid49_instances = [inst for inst in grid49_instances for _ in range(2)]
     relation(grid49_instances)
+
+
+@_FUZZ
+@given(rng=st.randoms(use_true_random=False))
+def test_random_instances(rng):
+    """Up to 20 switches of at most three flows each and up to three
+    controllers, with integer delays and loads: every relation, and the
+    greedy untraced, traced and rescanning agree on the solution and the
+    two traces line for line."""
+    inst = random_instance(rng, n_max=20)
+    quota_ladder(inst)
+    for relation in (test_delays_doubled, test_more_capacity, test_padding,
+                     test_relabel_reversed):
+        relation([inst])
+    traced, rescanned = [], []
+    want = greedy_rescan(inst, rescanned).to_json()
+    assert solve_retroflow(inst, traced).to_json() == want
+    assert solve_retroflow(inst).to_json() == want
+    assert traced == rescanned

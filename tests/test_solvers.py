@@ -16,6 +16,7 @@ from retroflow.solvers import (GapInstance, GapSizeError, SolverBudget, gap_brut
 
 from _oracles import (enumerate_oscm, exact_undo, gap_optimum_recursive, greedy_rescan,
                       nearest_by_min, random_instance, random_gap_special_instance)
+from test_flows import benchmark_worlds, load_perfbench_workloads
 from test_geo import random_connected_links, synthetic
 
 # sha256 of the greedy's trace lines over every att25 scenario, k=1..5 at
@@ -448,6 +449,111 @@ class TestLazyGreedy:
                     lines += len(trace)
         assert lines == 5158
         assert digest.hexdigest() == ATT25_TRACE_SHA256
+
+
+class CountingMasks(dict):
+    """An instance's masks that count the reads of each switch's mask."""
+
+    def __init__(self, masks):
+        super().__init__(masks)
+        self.reads = Counter()
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
+def stranding_instance():
+    """Controllers 101 and 102 with residuals 10 and 3, equidistant from
+    every switch. Switch 1 (load 6, five flows) goes to 101 and leaves 4.
+    Switch 2 (load 11, four flows) is heavier than every residual from the
+    start, switch 3 (load 5, three flows) after that assignment. Switch 4
+    (load 4, one flow) then fits 101 exactly."""
+    switches = (1, 2, 3, 4)
+    return OscmInstance(
+        offline_switches=switches,
+        active_controllers=[101, 102],
+        delay={(i, j): 1.0 for i in switches for j in (101, 102)},
+        g={1: 6, 2: 11, 3: 5, 4: 4},
+        beta={1: {0, 1, 2, 3, 4}, 2: {5, 6, 7, 8}, 3: {9, 10, 11}, 4: {12}},
+        a_rest={101: 10, 102: 3},
+        q_required=13,
+    )
+
+
+def workload_instances():
+    """Every scenario's instance of the three benchmark workloads, with
+    the world's switch table: att25-sweep (124), grid49-exact (21) and
+    grid100-greedy at seed 1 (41)."""
+    groups = load_perfbench_workloads().WORKLOADS
+    instances = {}
+    for name, (t, p) in zip(("att25-sweep", "grid49-exact", "grid100-greedy"),
+                            benchmark_worlds()):
+        w = make_world(t, p)
+        instances[name] = [build_instance(t, w.beta, p, s, q, table=w.table)
+                           for k, q in groups[name].groups
+                           for s in enumerate_failure_scenarios(p, k)]
+    return instances
+
+
+class TestUnfitSwitches:
+    """A switch heavier than every residual leaves the untraced greedy's
+    heap unpriced; a traced run still picks and tests it."""
+
+    def test_workloads(self):
+        # the untraced greedy reads no mask of a switch heavier than every
+        # residual at the start (148 over the three workloads), a traced
+        # run picks each of them, and both match the rescanning greedy
+        instances = workload_instances()
+        assert {name: len(x) for name, x in instances.items()} == {
+            "att25-sweep": 124, "grid49-exact": 21, "grid100-greedy": 41}
+        heavy_picks = 0
+        for inst in (inst for x in instances.values() for inst in x):
+            heavy = [i for i in inst.offline_switches
+                     if inst.g[i] > max(inst.a_rest.values(), default=-1)]
+            inst.masks = masks = CountingMasks(inst.masks)
+            sol = solve_retroflow(inst)
+            assert not any(masks.reads[i] for i in heavy), inst.label
+            traced, rescanned = [], []
+            want = greedy_rescan(inst, rescanned).to_json()
+            assert sol.to_json() == want, inst.label
+            assert solve_retroflow(inst, traced).to_json() == want, inst.label
+            assert traced == rescanned, inst.label
+            picked = {line.split()[1] for line in traced if line.startswith("pick ")}
+            assert {f"switch={i}" for i in heavy} <= picked, inst.label
+            heavy_picks += len(heavy)
+        assert heavy_picks == 148
+
+    def test_unfit_masks_are_not_read(self):
+        inst = stranding_instance()
+        inst.masks = masks = CountingMasks(inst.masks)
+        sol = solve_retroflow(inst)
+        assert sol.assigned == {1: 101, 4: 101}
+        assert masks.reads[2] == masks.reads[3] == 0
+        assert masks.reads[4] > 0
+
+        traced, rescanned = [], []
+        assert solve_retroflow(inst, traced).to_json() == sol.to_json()
+        assert masks.reads[2] > 0 and masks.reads[3] > 0
+        greedy_rescan(inst, rescanned)
+        assert traced == rescanned
+        for i, delta in ((2, 4), (3, 3)):
+            assert f"pick switch={i} delta={delta}" in traced
+            assert [line for line in traced if line.startswith(f"test switch={i} ")] == [
+                f"test switch={i} controller={j} w={inst.g[i] * 1.0} rest={r} fit=no"
+                for j, r in ((101, 4), (102, 3))]
+
+    @pytest.mark.parametrize("case", ["at-start", "after-assignment"])
+    def test_load_equal_to_largest_residual_is_assigned(self, case):
+        if case == "at-start":
+            inst = OscmInstance(offline_switches=[1], active_controllers=[101, 102],
+                                delay={(1, 101): 1.0, (1, 102): 2.0}, g={1: 7},
+                                beta={1: {0}}, a_rest={101: 3, 102: 7}, q_required=1)
+            want = {1: 102}
+        else:
+            inst, want = stranding_instance(), {1: 101, 4: 101}
+        assert solve_retroflow(inst).assigned == want
+        assert solve_retroflow(inst, []).assigned == want
 
 
 def assert_same_greedy(inst):

@@ -187,8 +187,10 @@ def _score(inst: OscmInstance, name: str, status: str, sol: Solution | None,
            ability: dict[int, int], queue_penalty_ms: float) -> AlgorithmOutcome:
     """Score a solver's output. A controller starts from its own-domain
     load, which is its capacity minus its residual ability. Its queueing
-    penalty depends on its final load alone, so it is computed once per
-    controller that carries a switch; the adjusted overhead then sums
+    penalty depends on its final load alone, so it is priced once per
+    overloaded controller, by queueing_penalty_ms; every other
+    controller that carries a switch is billed 0.0, as that function
+    bills a load within the ability. The adjusted overhead then sums
     each assigned switch's term in `assigned` order. A penalty large
     enough to overflow that sum raises ReportError."""
     if sol is None:
@@ -199,8 +201,9 @@ def _score(inst: OscmInstance, name: str, status: str, sol: Solution | None,
         load[j] += g[i]
     overloaded = tuple(j for j in inst.active_controllers if load[j] > ability[j])
 
-    penalty = {j: queueing_penalty_ms(load[j], ability[j], queue_penalty_ms)
-               for j in set(sol.assigned.values())}
+    penalty = dict.fromkeys(sol.assigned.values(), 0.0)
+    for j in overloaded:
+        penalty[j] = queueing_penalty_ms(load[j], ability[j], queue_penalty_ms)
     adjusted = 0.0
     for i, j in sol.assigned.items():
         adjusted += g[i] * (inst.delay[(i, j)] + penalty[j])

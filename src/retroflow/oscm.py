@@ -67,7 +67,11 @@ def _check_switches(offline, active, g, rows, delays) -> dict[tuple[int, int], f
     summed up to i finite. No assignment costs more than that sum: the
     exact search starts its incumbent at infinity, and an infinite
     overhead never beats it. Returns the checked delay pairs {(i, j): ms}
-    over offline x active."""
+    over offline x active.
+
+    The loop runs for every document and directly built instance, and
+    for a world's instance only when its SwitchTable could not clear
+    every instance of the world at once (SwitchTable.cleared)."""
     pairs, dearest, inf = {}, 0.0, math.inf
     for i in offline:
         if i not in g or i not in rows:
@@ -93,8 +97,8 @@ def _check_switches(offline, active, g, rows, delays) -> dict[tuple[int, int], f
 
 class OscmInstance:
     """One scenario's problem. Its attributes are set in one place, _fill,
-    from the pieces one of two routes has checked. Both routes check each
-    offline switch's load, flow row and delays in one loop,
+    from the pieces one of two routes has checked. Both routes hold each
+    offline switch's load, flow row and delays to one loop,
     _check_switches, which returns the delay pairs it checked:
 
     - the constructor, for documents (from_json) and direct construction,
@@ -105,8 +109,11 @@ class OscmInstance:
       flows.index_flows and sorts each switch's delay row into its two
       orders;
     - build_instance, for a world, hands the loop its SwitchTable's delay
-      rows and keeps the pairs as the instance's delay; it builds every
-      key from the scenario itself, so it checks nothing else (see there).
+      rows and keeps the pairs as the instance's delay, unless the table
+      has shown once that no instance of its world can fail the loop
+      (SwitchTable.cleared); then it reads the pairs from the rows
+      unchecked. It builds every key from the scenario itself, so it
+      checks nothing else (see there).
 
     nearest[i] and cheapest[i] list controllers in (delay, id) and in
     (g_i * delay, id) order (see _orders). A world's instance shares its
@@ -416,26 +423,49 @@ class SwitchTable:
     the OR of its domain's masks (a switch without a row adds none; an
     instance with such a switch offline is refused).
 
-    A delay may be inf where link delays overflow, and a load negative
-    where the caller gave one; the table keeps them, and build_instance
-    refuses an instance that would read them, in the loop over offline
-    switches it shares with the constructor (_check_switches).
+    loads must name every switch of t: a table refuses loads that miss
+    one, naming the smallest, before it reads any order. A delay may be
+    inf where link delays overflow, and a load negative where the caller
+    gave one; the table keeps them.
+
+    cleared says, decided once here, whether every instance of the world
+    passes the loop over offline switches (_check_switches): every
+    switch has a flow row in b and a nonnegative load, and the sum over
+    all switches, in ascending id, of load * largest delay to any
+    controller is finite. That sum bounds every instance's running sum
+    of the dearest overheads: tree delays are nonnegative, so each term
+    is nonnegative and no smaller than the instance's term for the same
+    switch, whose largest delay is over the active controllers alone; an
+    instance's offline switches are an ascending subsequence of all
+    switches; and float rounding is monotone. A finite sum also leaves
+    every delay finite: an inf delay makes its term inf, or nan at a
+    zero load, and neither is finite. build_instance builds a cleared
+    table's delays without the loop, and sends every instance of a
+    table not cleared through it, which names the first fault.
     """
 
     def __init__(self, t: Topology, b: BetaMatrix, p: dm.Placement, loads: dict[int, int]):
         dm.check_coverage(t, p.capacity, p.domain_of)
+        missing = t._index.keys() - loads.keys()
+        if missing:
+            raise InstanceError(f"switch {min(missing)} missing load or flow data")
         self.topology, self.matrix, self.placement, self.loads = t, b, p, loads
         ids = p.controller_ids
         at = [(j, t._index[j]) for j in ids]
+        masks = b.masks
         self.delay: dict[int, dict[int, float]] = {}
         self.nearest: dict[int, tuple[int, ...]] = {}
         self.cheapest: dict[int, tuple[int, ...]] = {}
+        cleared, dearest = True, 0.0
         for i in t.node_ids():
             from_i = shortest_path_tree(t, i).delay
             row = self.delay[i] = {j: from_i[k] for j, k in at}
-            self.nearest[i], self.cheapest[i] = _orders(ids, row, loads[i])
+            g = loads[i]
+            self.nearest[i], self.cheapest[i] = _orders(ids, row, g)
+            cleared = cleared and g >= 0 and i in masks
+            dearest += g * max(row.values())
+        self.cleared: bool = cleared and math.isfinite(dearest)
         self.own = dm.domain_loads(p, loads)
-        masks = b.masks
         self.union: dict[int, int] = {}
         for j, sws in p.domains.items():
             union = 0
@@ -460,9 +490,12 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     orders, and its flow union ORs the failed domains' unions.
 
     The constructor's per-key checks are not run: every key and pair is
-    built here from the scenario. Its loop over the offline switches
-    (_check_switches) reads the table's delay rows, with its messages,
-    and returns the instance's delay. It checks what the world does not
+    built here from the scenario. On a cleared table (see SwitchTable)
+    no instance can fail the constructor's loop over the offline
+    switches, so the delay is read from the table's rows in offline x
+    active order, unchecked. On any other table the loop
+    (_check_switches) reads those rows, with its messages, and returns
+    the instance's delay. It checks what such a world does not
     guarantee: a flow row in b, a nonnegative load (loads may come from
     the caller), finite delays (a tree delay sums link delays the
     topology loader checked, so it can only overflow to inf), and a
@@ -481,7 +514,11 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     offline = dm.offline_switches(p, s)
 
     active = tuple(rest)
-    delay = _check_switches(offline, active, table.loads, b.masks, table.delay)
+    if table.cleared:
+        rows = table.delay
+        delay = {(i, j): row[j] for i in offline for row in (rows[i],) for j in active}
+    else:
+        delay = _check_switches(offline, active, table.loads, b.masks, table.delay)
     union = 0
     for c in s.failed:
         union |= table.union[c]

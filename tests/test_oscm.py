@@ -271,6 +271,20 @@ class TestWorldRoute:
         with pytest.raises(InstanceError, match="^switch 19 has negative load$"):
             build_instance(w.topology, w.beta, w.placement, s, 1.0, loads=loads)
 
+    @pytest.mark.parametrize("dropped, named", [((20,), 20), ((21,), 21), ((21, 3), 3)],
+                             ids=["offline", "not-offline", "smallest-named"])
+    def test_missing_caller_load(self, att_world, dropped, named):
+        # C20's domain is switches 19 and 20; the table needs a load for
+        # every switch, offline or not, so it refuses either
+        w = att_world
+        s = FailureScenario(frozenset({20}))
+        assert w.placement.domains[20] == (19, 20)
+        loads = dict(w.loads())
+        for i in dropped:
+            del loads[i]
+        with pytest.raises(InstanceError, match=f"^switch {named} missing load or flow data$"):
+            build_instance(w.topology, w.beta, w.placement, s, 1.0, loads=loads)
+
     def test_missing_flow_row(self, att_world):
         w = att_world
         s = FailureScenario(frozenset({20}))

@@ -194,6 +194,24 @@ class TestSolveExact:
         assert result.solution.objective == 1500.0
         assert result.nodes_explored == 2 * n + 1
 
+    def test_zero_load_switch_counts_once_in_the_root_ceiling(self):
+        # the controller has room for one loaded switch: the zero-load
+        # switch's 3 flows and one loaded switch's 4 give a ceiling of
+        # 7 < 8, which proves infeasibility at the root. A ceiling that
+        # counts the zero-load switch twice reads 10 and branches
+        inst = OscmInstance(
+            offline_switches=[1, 2, 3],
+            active_controllers=[0],
+            delay={(i, 0): 1.0 for i in (1, 2, 3)},
+            g={1: 0, 2: 2, 3: 2},
+            beta={1: {1, 2, 3}, 2: {4, 5, 6, 7}, 3: {8, 9, 10, 11}},
+            a_rest={0: 2},
+            q_required=8,
+        )
+        result = solve_exact(inst)
+        assert result.status == "infeasible"
+        assert result.nodes_explored == 1
+
     def test_time_limit_is_read_at_every_node(self):
         # the deadline has passed before the first node, so the search
         # stops there with the greedy's solution

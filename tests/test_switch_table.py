@@ -14,13 +14,15 @@ import random
 import pytest
 
 from retroflow import domains as dm
+from retroflow import oscm
 from retroflow.cli import main
 from retroflow.domains import FailureScenario, Placement
 from retroflow.experiment import make_world
 from retroflow.fixtures import data_path
 from retroflow.flows import programmability
 from retroflow.geo import GeoCoordinate, Topology
-from retroflow.oscm import InstanceError, OscmInstance, SwitchTable, build_instance
+from retroflow.oscm import (InstanceError, OscmInstance, SwitchTable, _check_switches,
+                            build_instance)
 from retroflow.solvers import solve_exact, solve_nearest, solve_retroflow
 
 from test_bridged import integer_grid, with_chain
@@ -232,3 +234,87 @@ class TestOneTablePerWorld:
         other = make_world(w.topology, w.placement)
         with pytest.raises(InstanceError, match=message):
             build_instance(w.topology, other.beta, w.placement, s, 1.0, None, w.table)
+
+
+def count_loop(monkeypatch):
+    """Record each call of the loop over offline switches, by its
+    offline switches, and pass it on."""
+    calls = []
+    loop = oscm._check_switches
+    monkeypatch.setattr(oscm, "_check_switches",
+                        lambda *args: calls.append(args[0]) or loop(*args))
+    return calls
+
+
+def path_world(n, km, controllers, domain_of):
+    """A path of n nodes and links of km each, controllers of capacity 10**9."""
+    t = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(n)],
+                 [(v, v + 1, km) for v in range(n - 1)])
+    return t, Placement([(c, 10**9) for c in controllers], domain_of)
+
+
+class TestClearedTable:
+    """A table that clears its world once (SwitchTable.cleared) builds
+    every instance's delays without the loop over offline switches; any
+    other table runs the loop on every build."""
+
+    @pytest.mark.parametrize("name", ["att25-sweep", "grid49-exact", "grid100-greedy",
+                                      "bridged7x7"])
+    def test_delays_as_the_loop_returns_them(self, worlds, name):
+        world = worlds[name]
+        table = world.table
+        assert table.cleared
+        ks = sorted({k for k, _ in WORLD_GROUPS[name]})
+        for inst in world_instances(world, [(k, 1.0) for k in ks]):
+            checked = _check_switches(inst.offline_switches, inst.active_controllers,
+                                      table.loads, world.beta.masks, table.delay)
+            # same keys in the same order, floats bit for bit
+            assert ([(ij, d.hex()) for ij, d in inst.delay.items()]
+                    == [(ij, d.hex()) for ij, d in checked.items()])
+
+    def test_no_loop_on_a_cleared_world(self, worlds, monkeypatch):
+        world = worlds["att25-sweep"]
+        calls = count_loop(monkeypatch)
+        assert sum(1 for _ in world_instances(world, WORLD_GROUPS["att25-sweep"])) == 124
+        assert calls == []
+
+    @pytest.mark.parametrize("failed, negative, message", [
+        (10, None, "delay inf for switch 1, controller 219 must be finite and nonnegative"),
+        (219, 21, "switch 21 has negative load"),
+    ], ids=["inf-to-second-controller", "negative-load-before-later-inf"])
+    def test_one_loop_per_build_on_a_far_path(self, monkeypatch, failed, negative, message):
+        # test_oscm's far path: links of 1.7e308 km, whose delays sum to
+        # inf past 211 hops, controllers at 0, 10 and 219
+        n = 220
+        t, p = path_world(n, 1.7e308, (0, 10, n - 1),
+                          {v: 0 if v == 0 else 10 if v <= 20 else n - 1 for v in range(n)})
+        b = programmability(t)
+        loads = b.loads()
+        if negative is not None:
+            loads[negative] = -1
+        table = SwitchTable(t, b, p, loads)
+        assert not table.cleared
+        calls = count_loop(monkeypatch)
+        s = FailureScenario(frozenset({failed}))
+        for _ in range(2):
+            with pytest.raises(InstanceError) as err:
+                build_instance(t, b, p, s, 1.0, None, table)
+            assert str(err.value) == message
+        assert calls == [dm.offline_switches(p, s)] * 2
+
+    def test_world_sum_overflows_where_no_instance_does(self, monkeypatch):
+        # links of 5e303 ms; each loaded switch's dearest overhead is
+        # 10**4 * 1e304 = 1e308, finite alone, inf when the world sums both
+        t, p = path_world(4, 1e306, (0, 3), {0: 0, 1: 0, 2: 3, 3: 3})
+        b = programmability(t)
+        loads = {0: 0, 1: 10**4, 2: 10**4, 3: 0}
+        table = SwitchTable(t, b, p, loads)
+        assert not table.cleared
+        assert sum(g * max(table.delay[i].values()) for i, g in loads.items()) == math.inf
+        calls = count_loop(monkeypatch)
+        for s in dm.enumerate_failure_scenarios(p, 1):
+            inst = build_instance(t, b, p, s, 1.0, None, table)
+            assert inst.delay == {(i, j): table.delay[i][j]
+                                  for i in inst.offline_switches for j in inst.active_controllers}
+            assert math.isfinite(sum(inst.w(i, j) for i, j in inst.delay))
+        assert calls == [(0, 1), (2, 3)]

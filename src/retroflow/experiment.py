@@ -5,10 +5,10 @@ adjusted, where every pull served by an overloaded controller pays a
 linear queueing penalty per excess flow. Metrics are also normalized to
 the Nearest baseline, matching how the evaluation plots are read.
 
-A World keeps one oscm.SwitchTable, built on its first scenario, and
-every scenario's instance is assembled from it: the per-switch delays,
-controller orders and domain facts are read once per world, not once
-per scenario.
+A World keeps one oscm.SwitchTable, built by make_world with the world,
+and every scenario's instance is assembled from it: the per-switch
+delays, controller orders and domain facts are read once per world, not
+once per scenario.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import domains as dm
 # generate_flows and compute_beta are the per-flow reference for
@@ -58,23 +57,23 @@ def queueing_penalty_ms(load: int, ability: int, penalty_ms: float) -> float:
 
 @dataclass(frozen=True)
 class World:
-    """Everything a scenario run needs besides the failure itself."""
+    """Everything a scenario run needs besides the failure itself, its
+    switch table (oscm.SwitchTable) included, as make_world builds it."""
     topology: Topology
     beta: BetaMatrix
     placement: dm.Placement
+    table: SwitchTable
 
     def loads(self) -> dict[int, int]:
         return switch_loads(self.placement, self.beta)
 
-    @cached_property
-    def table(self) -> SwitchTable:
-        """The world's switch table, built on first use, so make_world
-        stays the programmability build."""
-        return SwitchTable(self.topology, self.beta, self.placement, self.loads())
-
 
 def make_world(topology: Topology, placement: dm.Placement) -> World:
-    return World(topology, programmability(topology), placement)
+    """The programmability matrix, then the switch table over it, which
+    checks that placement covers topology."""
+    beta = programmability(topology)
+    return World(topology, beta, placement,
+                 SwitchTable(topology, beta, placement, switch_loads(placement, beta)))
 
 
 def load_diagnostics(world: World) -> dict:

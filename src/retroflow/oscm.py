@@ -57,7 +57,7 @@ def _orders(ids: tuple[int, ...], row: dict[int, float], g: int):
     return tuple(sorted(ids, key=row.__getitem__)), tuple(sorted(ids, key=w.__getitem__))
 
 
-def _check_switches(offline, active, g, rows, delays) -> dict[tuple[int, int], float]:
+def _check_switches(offline, active, g, rows, delays):
     """The one loop over the offline switches, on both routes. rows holds
     each switch's flow row, delays its delay row {controller: ms}: the
     world table's as they are, or the constructor's pairs grouped by
@@ -66,13 +66,12 @@ def _check_switches(offline, active, g, rows, delays) -> dict[tuple[int, int], f
     order, present, finite and nonnegative, and the dearest overheads
     summed up to i finite. No assignment costs more than that sum: the
     exact search starts its incumbent at infinity, and an infinite
-    overhead never beats it. Returns the checked delay pairs {(i, j): ms}
-    over offline x active.
+    overhead never beats it. It returns nothing; _fill builds the pairs.
 
     The loop runs for every document and directly built instance, and
     for a world's instance only when its SwitchTable could not clear
     every instance of the world at once (SwitchTable.cleared)."""
-    pairs, dearest, inf = {}, 0.0, math.inf
+    dearest, inf = 0.0, math.inf
     for i in offline:
         if i not in g or i not in rows:
             raise InstanceError(f"switch {i} missing load or flow data")
@@ -80,7 +79,7 @@ def _check_switches(offline, active, g, rows, delays) -> dict[tuple[int, int], f
             raise InstanceError(f"switch {i} has negative load")
         row, worst = delays[i], 0.0
         for j in active:
-            d = pairs[i, j] = row.get(j)
+            d = row.get(j)
             if d is None:
                 raise InstanceError(f"missing delay for switch {i}, controller {j}")
             if not 0.0 <= d < inf:
@@ -92,28 +91,26 @@ def _check_switches(offline, active, g, rows, delays) -> dict[tuple[int, int], f
         if not math.isfinite(dearest):
             raise InstanceError(f"switch {i}: the dearest overheads up to this switch "
                                 f"sum to {dearest}; overheads must stay finite")
-    return pairs
 
 
 class OscmInstance:
     """One scenario's problem. Its attributes are set in one place, _fill,
-    from the pieces one of two routes has checked. Both routes hold each
-    offline switch's load, flow row and delays to one loop,
-    _check_switches, which returns the delay pairs it checked:
+    from the pieces one of two routes has checked, the delays as one row
+    per offline switch. Both routes hold each offline switch's load, flow
+    row and delays to one loop, _check_switches:
 
     - the constructor, for documents (from_json) and direct construction,
-      hands the loop its delay pairs grouped by switch, then checks each
-      active controller's residual (present, nonnegative), no key outside
-      those ids, no delay pair beyond them, and the quota within
-      [0, n_flows]; it indexes the rows of flow ids with
-      flows.index_flows and sorts each switch's delay row into its two
-      orders;
-    - build_instance, for a world, hands the loop its SwitchTable's delay
-      rows and keeps the pairs as the instance's delay, unless the table
-      has shown once that no instance of its world can fail the loop
-      (SwitchTable.cleared); then it reads the pairs from the rows
-      unchecked. It builds every key from the scenario itself, so it
-      checks nothing else (see there).
+      groups its delay pairs by switch into those rows and hands them to
+      the loop, then checks each active controller's residual (present,
+      nonnegative), no key outside those ids, no delay pair beyond them,
+      and the quota within [0, n_flows]; it indexes the rows of flow ids
+      with flows.index_flows and sorts each switch's delay row into its
+      two orders;
+    - build_instance, for a world, hands _fill its SwitchTable's delay
+      rows, and the loop too unless the table has shown once that no
+      instance of its world can fail it (SwitchTable.cleared). It builds
+      every key from the scenario itself, so it checks nothing else (see
+      there).
 
     nearest[i] and cheapest[i] list controllers in (delay, id) and in
     (g_i * delay, id) order (see _orders). A world's instance shares its
@@ -128,15 +125,16 @@ class OscmInstance:
         beta: {switch: flow ids}, rows that flows.index_flows indexes into
         a matrix of their own; a_rest: {controller: flow count}.
 
-        The mappings are stored as given, so ids, counts and the quota must
-        already be ints; from_json converts and checks outside documents."""
+        g and a_rest are stored as given, and delay is copied, so ids,
+        counts and the quota must already be ints; from_json converts and
+        checks outside documents."""
         offline = tuple(sorted(offline_switches))
         active = tuple(sorted(active_controllers))
         matrix = index_flows(beta)
         rows = {i: {} for i in offline}
         for (i, j), d in delay.items():
             rows.setdefault(i, {})[j] = d
-        pairs = _check_switches(offline, active, g, matrix.masks, rows)
+        _check_switches(offline, active, g, matrix.masks, rows)
         for j in active:
             if j not in a_rest:
                 raise InstanceError(f"controller {j} missing residual ability")
@@ -149,8 +147,10 @@ class OscmInstance:
             if unknown:
                 raise InstanceError(f"{what} names ids that are not {kind}: {unknown}")
         # every required pair is present, so only extra pairs change the count
-        if len(delay) != len(pairs):
-            unknown = [f"{i},{j}" for i, j in sorted(delay.keys() - pairs.keys())]
+        if len(delay) != len(offline) * len(active):
+            switches, controllers = set(offline), set(active)
+            unknown = [f"{i},{j}" for i, j in sorted(delay)
+                       if i not in switches or j not in controllers]
             raise InstanceError("delay_ms names pairs that are not "
                                 f"(offline switch, active controller): {unknown}")
 
@@ -162,14 +162,15 @@ class OscmInstance:
         nearest, cheapest = {}, {}
         for i in offline:
             nearest[i], cheapest[i] = _orders(active, rows[i], g[i])
-        self._fill(label, offline, active, delay, g, a_rest, matrix, union, nearest,
+        self._fill(label, offline, active, rows, g, a_rest, matrix, union, nearest,
                    cheapest, q_required)
 
-    def _fill(self, label, offline, active, delay, g, a_rest, matrix: BetaMatrix, union,
+    def _fill(self, label, offline, active, rows, g, a_rest, matrix: BetaMatrix, union,
               nearest, cheapest, q_required) -> "OscmInstance":
         """Set every attribute from the checked pieces of a route, and
-        return self. matrix has a row for every offline switch, union is
-        the OR of those rows.
+        return self. delay is built in offline x active order from rows,
+        each offline switch's delay row {controller: ms}. matrix has a
+        row for every offline switch, union is the OR of those rows.
 
         masks[i] holds switch i's flows as an int bitmask over the
         matrix's flow index, counts[i] its bit count, as the matrix
@@ -181,7 +182,9 @@ class OscmInstance:
         self.label = label
         self.offline_switches: tuple[int, ...] = offline
         self.active_controllers: tuple[int, ...] = active
-        self.delay, self.g, self.a_rest = delay, g, a_rest
+        self.delay: dict[tuple[int, int], float] = {
+            (i, j): row[j] for i in offline for row in (rows[i],) for j in active}
+        self.g, self.a_rest = g, a_rest
         self._beta, self._ids = matrix, matrix.ids
         masks, counts = matrix.masks, matrix.counts
         self.masks: dict[int, int] = {i: masks[i] for i in offline}
@@ -409,7 +412,8 @@ def switch_loads(p: dm.Placement, b: BetaMatrix) -> dict[int, int]:
 
 class SwitchTable:
     """The controller facts of one world (topology t, matrix b, placement
-    p, per-switch loads) that no failure scenario changes, read once.
+    p, per-switch loads) that no failure scenario changes, read once,
+    when experiment.make_world builds the world.
 
     Building it checks p against t by check_coverage, as load_placement
     checks a document. Then, for every switch i of t:
@@ -439,9 +443,8 @@ class SwitchTable:
     instance's offline switches are an ascending subsequence of all
     switches; and float rounding is monotone. A finite sum also leaves
     every delay finite: an inf delay makes its term inf, or nan at a
-    zero load, and neither is finite. build_instance builds a cleared
-    table's delays without the loop, and sends every instance of a
-    table not cleared through it, which names the first fault.
+    zero load, and neither is finite. build_instance runs the loop only
+    on a table not cleared, where it names the first fault.
     """
 
     def __init__(self, t: Topology, b: BetaMatrix, p: dm.Placement, loads: dict[int, int]):
@@ -478,9 +481,9 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
                    q_fraction: float, loads: dict[int, int] | None = None,
                    table: SwitchTable | None = None) -> OscmInstance:
     """Assemble the problem for one failure scenario from the world's
-    switch table, in one pass over its (offline switch, active
-    controller) pairs, and hand b and the checked pieces to the
-    instance's one fill step (OscmInstance._fill).
+    switch table, and hand b, the table's delay rows and the checked
+    pieces to the instance's one fill step (OscmInstance._fill), which
+    builds the delay pairs in offline x active order.
 
     table is the SwitchTable of (t, b, p) and its loads, which a World
     keeps; without one, the call builds one from loads, which defaults to
@@ -492,14 +495,13 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     The constructor's per-key checks are not run: every key and pair is
     built here from the scenario. On a cleared table (see SwitchTable)
     no instance can fail the constructor's loop over the offline
-    switches, so the delay is read from the table's rows in offline x
-    active order, unchecked. On any other table the loop
-    (_check_switches) reads those rows, with its messages, and returns
-    the instance's delay. It checks what such a world does not
-    guarantee: a flow row in b, a nonnegative load (loads may come from
-    the caller), finite delays (a tree delay sums link delays the
-    topology loader checked, so it can only overflow to inf), and a
-    finite running sum of the dearest overheads.
+    switches, so the loop is skipped. On any other table the loop
+    (_check_switches) reads the table's rows first, with its messages.
+    It checks what such a world does not guarantee: a flow row in b, a
+    nonnegative load (loads may come from the caller), finite delays (a
+    tree delay sums link delays the topology loader checked, so it can
+    only overflow to inf), and a finite running sum of the dearest
+    overheads.
     """
     if not 0.0 <= q_fraction <= 1.0:
         raise InstanceError(f"q_fraction {q_fraction} outside [0, 1]")
@@ -514,18 +516,15 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     offline = dm.offline_switches(p, s)
 
     active = tuple(rest)
-    if table.cleared:
-        rows = table.delay
-        delay = {(i, j): row[j] for i in offline for row in (rows[i],) for j in active}
-    else:
-        delay = _check_switches(offline, active, table.loads, b.masks, table.delay)
+    if not table.cleared:
+        _check_switches(offline, active, table.loads, b.masks, table.delay)
     union = 0
     for c in s.failed:
         union |= table.union[c]
     # the quota reads the flow union; q_fraction is in [0, 1], so it is too
     return OscmInstance.__new__(OscmInstance)._fill(
-        s.label(), offline, active, delay, {i: table.loads[i] for i in offline}, rest, b, union,
-        table.nearest, table.cheapest, math.ceil(q_fraction * union.bit_count()))
+        s.label(), offline, active, table.delay, {i: table.loads[i] for i in offline}, rest, b,
+        union, table.nearest, table.cheapest, math.ceil(q_fraction * union.bit_count()))
 
 
 def _check_dimensions(inst: OscmInstance, sol: Solution, y: tuple[int, ...]):

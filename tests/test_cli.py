@@ -587,6 +587,47 @@ class TestStrictReaders:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class TestOneLineExits:
+    """Input errors of the run and validate commands, each exit 2 with
+    exactly one line on stderr and nothing on stdout."""
+
+    def _exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_negative_capacity(self, capsys, tmp_path):
+        placement = _edited(tmp_path, PLACEMENT, ["controllers", 0, "capacity"], -1)
+        self._exit_2(capsys, ["run", "--topology", TOPO, "--placement", placement,
+                              "--failures", "1"],
+                     "controller 2 capacity must be nonnegative, got -1")
+
+    def test_failure_list_without_a_controller(self, capsys):
+        self._exit_2(capsys, ["run", "--topology", TOPO, "--placement", PLACEMENT,
+                              "--failures", ","],
+                     "failure scenario must name at least one controller")
+
+    def test_quota_above_the_flows(self, capsys, tmp_path):
+        solution = tmp_path / "sol.json"
+        solution.write_text(solve_retroflow(fixtures.toy_recovery_instance()).to_json())
+        instance = _edited(tmp_path, data_path("toy_recovery.json"), ["quota"], 99)
+        self._exit_2(capsys, ["validate", "--instance", instance, "--solution", str(solution)],
+                     "quota 99 outside [0, 3]")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["assigned"].update({"77": 1}), "solution assigns unknown switches"),
+        (lambda doc: doc["assigned"].update(dict.fromkeys(doc["assigned"], 99)),
+         "solution assigns to unknown controllers"),
+        (lambda doc: doc["y"].append(12345), "solution marks unknown flows programmable"),
+    ], ids=["unknown-switch", "unknown-controller", "unknown-flow"])
+    def test_solution_outside_the_instance(self, capsys, tmp_path, edit, message):
+        doc = json.loads(solve_retroflow(fixtures.toy_recovery_instance()).to_json())
+        edit(doc)
+        solution = tmp_path / "sol.json"
+        solution.write_text(json.dumps(doc))
+        self._exit_2(capsys, ["validate", "--instance", data_path("toy_recovery.json"),
+                              "--solution", str(solution)], message)
+
+
 @pytest.mark.parametrize("reader", ["run-topology", "run-placement", "validate-instance",
                                     "validate-solution", "enumerate", "protocol-trace"])
 def test_deeply_nested_document(capsys, tmp_path, reader):

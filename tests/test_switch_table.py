@@ -17,12 +17,11 @@ from retroflow import domains as dm
 from retroflow import oscm
 from retroflow.cli import main
 from retroflow.domains import FailureScenario, Placement
-from retroflow.experiment import make_world
-from retroflow.fixtures import data_path
+from retroflow.experiment import make_world, run_scenario
+from retroflow.fixtures import att25_topology, att_table2_placement, data_path
 from retroflow.flows import programmability
 from retroflow.geo import GeoCoordinate, Topology
-from retroflow.oscm import (InstanceError, OscmInstance, SwitchTable, _check_switches,
-                            build_instance)
+from retroflow.oscm import InstanceError, OscmInstance, SwitchTable, build_instance
 from retroflow.solvers import solve_exact, solve_nearest, solve_retroflow
 
 from test_bridged import integer_grid, with_chain
@@ -201,13 +200,31 @@ FIELDS = ("offline_switches", "active_controllers", "delay", "g", "a_rest", "mas
           "union", "q_required", "label")
 
 
+def count_tables(monkeypatch):
+    """Record the arguments of each SwitchTable build, and pass it on."""
+    built = []
+    init = SwitchTable.__init__
+    monkeypatch.setattr(SwitchTable, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    return built
+
+
 class TestOneTablePerWorld:
+    def test_built_with_the_world(self, monkeypatch):
+        built = count_tables(monkeypatch)
+        t = att25_topology()
+        p = att_table2_placement(t)
+        world = make_world(t, p)
+        assert len(built) == 1
+        assert world.table.topology is t and world.table.matrix is world.beta
+        for k in (1, 2, 3):
+            for s in dm.enumerate_failure_scenarios(p, k):
+                run_scenario(world, s, 0.9, algorithms=("retroflow", "nearest"))
+        assert len(built) == 1
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_one_build_per_run(self, monkeypatch, capsys, k):
-        built = []
-        init = SwitchTable.__init__
-        monkeypatch.setattr(SwitchTable, "__init__",
-                            lambda self, *args: built.append(args) or init(self, *args))
+        built = count_tables(monkeypatch)
         code = main(["run", "--topology", data_path("att25.json"),
                      "--placement", data_path("att_table2.json"), "--failures", str(k)])
         capsys.readouterr()
@@ -260,17 +277,17 @@ class TestClearedTable:
 
     @pytest.mark.parametrize("name", ["att25-sweep", "grid49-exact", "grid100-greedy",
                                       "bridged7x7"])
-    def test_delays_as_the_loop_returns_them(self, worlds, name):
+    def test_delays_as_the_checked_constructor_builds_them(self, worlds, name):
+        # the unchecked delays of a cleared world against those the
+        # constructor checks, read back from the instance's document
         world = worlds[name]
-        table = world.table
-        assert table.cleared
+        assert world.table.cleared
         ks = sorted({k for k, _ in WORLD_GROUPS[name]})
         for inst in world_instances(world, [(k, 1.0) for k in ks]):
-            checked = _check_switches(inst.offline_switches, inst.active_controllers,
-                                      table.loads, world.beta.masks, table.delay)
+            copy = OscmInstance.from_json(inst.to_json())
             # same keys in the same order, floats bit for bit
             assert ([(ij, d.hex()) for ij, d in inst.delay.items()]
-                    == [(ij, d.hex()) for ij, d in checked.items()])
+                    == [(ij, d.hex()) for ij, d in copy.delay.items()])
 
     def test_no_loop_on_a_cleared_world(self, worlds, monkeypatch):
         world = worlds["att25-sweep"]

@@ -20,14 +20,14 @@ class PlacementError(ValueError):
 
 class Placement:
     """Controllers co-located with topology nodes, each owning a domain of
-    switches. May carry fixture-supplied per-switch flow counts that
-    override computed loads in the evaluation harness.
+    switches. May carry fixture-supplied per-switch flow counts, which
+    an oscm.World takes as its loads in place of the computed ones.
 
     The constructor checks the placement on its own: controller ids
     listed once, capacities and flow counts nonnegative, every switch in
     a known controller's domain, flow counts for exactly the domains'
     switches. Whether it covers a topology is check_coverage's rule,
-    which load_placement and each oscm.SwitchTable apply. domain_of maps
+    which load_placement and each oscm.World apply. domain_of maps
     each switch to its controller; domains maps each controller, in
     ascending id, to its switches, ascending, built once here, so a
     scenario reads the failed domains instead of scanning domain_of."""

@@ -5,10 +5,9 @@ adjusted, where every pull served by an overloaded controller pays a
 linear queueing penalty per excess flow. Metrics are also normalized to
 the Nearest baseline, matching how the evaluation plots are read.
 
-A World keeps one oscm.SwitchTable, built by make_world with the world,
-and every scenario's instance is assembled from it: the per-switch
-delays, controller orders and domain facts are read once per world, not
-once per scenario.
+make_world builds one oscm.World per run, and every scenario's instance
+is assembled from it: the per-switch delays, controller orders and
+domain facts are read once per world, not once per scenario.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from . import domains as dm
 # generate_flows and compute_beta are the per-flow reference for
 # programmability, the build make_world uses; perfbench/tracing.py wraps
 # all three here by name
-from .flows import BetaMatrix, compute_beta, generate_flows, programmability
+from .flows import compute_beta, generate_flows, programmability
 from .geo import Topology
-from .oscm import OscmInstance, Solution, SwitchTable, build_instance, switch_loads
+from .oscm import OscmInstance, Solution, World, build_instance
 from .solvers import SolverBudget, solve_exact, solve_nearest, solve_retroflow
 
 ALGORITHMS = ("exact", "retroflow", "nearest")
@@ -55,25 +54,10 @@ def queueing_penalty_ms(load: int, ability: int, penalty_ms: float) -> float:
     return penalty_ms * (load - ability)
 
 
-@dataclass(frozen=True)
-class World:
-    """Everything a scenario run needs besides the failure itself, its
-    switch table (oscm.SwitchTable) included, as make_world builds it."""
-    topology: Topology
-    beta: BetaMatrix
-    placement: dm.Placement
-    table: SwitchTable
-
-    def loads(self) -> dict[int, int]:
-        return switch_loads(self.placement, self.beta)
-
-
 def make_world(topology: Topology, placement: dm.Placement) -> World:
-    """The programmability matrix, then the switch table over it, which
-    checks that placement covers topology."""
-    beta = programmability(topology)
-    return World(topology, beta, placement,
-                 SwitchTable(topology, beta, placement, switch_loads(placement, beta)))
+    """The programmability matrix, then the World over it, which checks
+    that placement covers topology."""
+    return World(topology, programmability(topology), placement)
 
 
 def load_diagnostics(world: World) -> dict:
@@ -141,10 +125,9 @@ class ScenarioReport:
 def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
                  algorithms=ALGORITHMS, queue_penalty_ms: float = 0.1,
                  budget: SolverBudget | None = None) -> ScenarioReport:
-    """Build the instance once, from the world's switch table, run each
-    requested solver, and score it;
-    queue_penalty_ms is the queueing penalty per excess flow of the
-    adjusted overhead (see queueing_penalty_ms).
+    """Build the instance once, from the world, run each requested
+    solver, and score it; queue_penalty_ms is the queueing penalty per
+    excess flow of the adjusted overhead (see queueing_penalty_ms).
 
     An exact row takes the search's status, with `optimal` written as
     `ok`; a budget_exhausted or infeasible search has no solution, so
@@ -155,7 +138,7 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
     # calls queueing_penalty_ms
     _check_penalty(queue_penalty_ms)
     inst = build_instance(world.topology, world.beta, world.placement, s, q_fraction,
-                          table=world.table)
+                          world=world)
     ability = {j: world.placement.capacity[j] for j in inst.active_controllers}
 
     # one greedy run serves its own row and the exact search's incumbent
@@ -271,8 +254,7 @@ def emit_report(reports, format: str = "csv") -> str:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+        writer.writerows(rows)
         return buf.getvalue()
     if format == "json":
         doc = {"records": rows, "summary": sweep_summary(reports)}

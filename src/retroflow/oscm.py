@@ -5,9 +5,10 @@ surviving controllers, per-switch loads g, the overhead matrix w = g * D,
 each switch's controllers nearest first and cheapest first, the
 programmability sets, residual abilities, and the flow quota.
 
-A world's instances are assembled from its SwitchTable: the controller
-facts no failure scenario changes (each switch's delays and controller
-orders, each domain's load and flows), read once per world.
+A World holds the topology, programmability matrix, placement and
+per-switch loads, and the controller facts no failure scenario changes
+(each switch's delays and controller orders, each domain's load and
+flows), read once per world; its instances are assembled from it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path as FsPath
 from . import domains as dm
 from ._doc import distinct, key, number, parse, record, whole
 from .flows import BetaMatrix, flows_of, index_flows
-# SwitchTable reads its delays from shortest_path_tree; shortest_path
+# World reads its delays from shortest_path_tree; shortest_path
 # stays importable here because perfbench/tracing.py wraps it by name and
 # counts the per-pair path queries of the instance builds (none)
 from .geo import Topology, shortest_path, shortest_path_tree
@@ -60,8 +61,8 @@ def _orders(ids: tuple[int, ...], row: dict[int, float], g: int):
 def _check_switches(offline, active, g, rows, delays):
     """The one loop over the offline switches, on both routes. rows holds
     each switch's flow row, delays its delay row {controller: ms}: the
-    world table's as they are, or the constructor's pairs grouped by
-    switch. Per offline switch i, in this order: a load in g and a flow
+    World's as they are, or the constructor's pairs grouped by switch.
+    Per offline switch i, in this order: a load in g and a flow
     row, the load nonnegative, each active controller's delay, in active
     order, present, finite and nonnegative, and the dearest overheads
     summed up to i finite. No assignment costs more than that sum: the
@@ -69,8 +70,8 @@ def _check_switches(offline, active, g, rows, delays):
     overhead never beats it. It returns nothing; _fill builds the pairs.
 
     The loop runs for every document and directly built instance, and
-    for a world's instance only when its SwitchTable could not clear
-    every instance of the world at once (SwitchTable.cleared)."""
+    for a world's instance only when its World could not clear every
+    instance at once (World.cleared)."""
     dearest, inf = 0.0, math.inf
     for i in offline:
         if i not in g or i not in rows:
@@ -106,15 +107,14 @@ class OscmInstance:
       and the quota within [0, n_flows]; it indexes the rows of flow ids
       with flows.index_flows and sorts each switch's delay row into its
       two orders;
-    - build_instance, for a world, hands _fill its SwitchTable's delay
-      rows, and the loop too unless the table has shown once that no
-      instance of its world can fail it (SwitchTable.cleared). It builds
-      every key from the scenario itself, so it checks nothing else (see
-      there).
+    - build_instance, for a world, hands _fill its World's delay rows,
+      and the loop too unless the World has shown once that none of its
+      instances can fail it (World.cleared). It builds every key from
+      the scenario itself, so it checks nothing else (see there).
 
     nearest[i] and cheapest[i] list controllers in (delay, id) and in
     (g_i * delay, id) order (see _orders). A world's instance shares its
-    table's orders, which list every controller of the world, so a reader
+    World's orders, which list every controller of the world, so a reader
     skips those not in a_rest, the failed ones; a constructed instance's
     list only its active controllers.
     """
@@ -127,9 +127,10 @@ class OscmInstance:
 
         g and a_rest are stored as given, and delay is copied, so ids,
         counts and the quota must already be ints; from_json converts and
-        checks outside documents."""
-        offline = tuple(sorted(offline_switches))
-        active = tuple(sorted(active_controllers))
+        checks outside documents. An offline switch or active controller
+        listed twice is refused, in from_json's words."""
+        offline = tuple(sorted(distinct(offline_switches, "offline switch", InstanceError)))
+        active = tuple(sorted(distinct(active_controllers, "active controller", InstanceError)))
         matrix = index_flows(beta)
         rows = {i: {} for i in offline}
         for (i, j), d in delay.items():
@@ -402,40 +403,37 @@ class ValidationReport:
             yield f"{c.family}: {status}"
 
 
-def switch_loads(p: dm.Placement, b: BetaMatrix) -> dict[int, int]:
-    """Per-switch flow counts: the placement's fixture counts when it
-    carries them, otherwise the loads computed from b."""
-    if p.flow_counts is not None:
-        return dict(p.flow_counts)
-    return b.loads()
+class World:
+    """Everything a scenario run needs besides the failure itself: the
+    topology, the programmability matrix `beta`, the placement, the
+    per-switch loads `g`, and the controller facts no failure scenario
+    changes, read once, when the world is built (experiment.make_world
+    builds one per run).
 
-
-class SwitchTable:
-    """The controller facts of one world (topology t, matrix b, placement
-    p, per-switch loads) that no failure scenario changes, read once,
-    when experiment.make_world builds the world.
-
-    Building it checks p against t by check_coverage, as load_placement
-    checks a document. Then, for every switch i of t:
+    loads defaults to the placement's fixture counts (copied) when it
+    carries them, otherwise to the loads computed from beta; given loads
+    are kept as they are. Building checks the placement against the
+    topology by check_coverage, as load_placement checks a document.
+    Then, for every switch i of the topology:
     - delay[i][j] is i's delay to controller j, read once from i's search
       tree, where a switch's delay to itself is 0.0. It is the
       switch-side sum: the controller-side sum over the same path may
       differ in the last bit;
     - nearest[i] and cheapest[i] list every controller in (delay, id) and
-      in (loads[i] * delay, id) order (see _orders).
+      in (g[i] * delay, id) order (see _orders).
     For every controller j, own[j] is its own-domain load and union[j]
     the OR of its domain's masks (a switch without a row adds none; an
     instance with such a switch offline is refused).
 
-    loads must name every switch of t: a table refuses loads that miss
+    The loads must name every switch: a world refuses loads that miss
     one, naming the smallest, before it reads any order. A delay may be
     inf where link delays overflow, and a load negative where the caller
-    gave one; the table keeps them.
+    gave one; the world keeps them.
 
     cleared says, decided once here, whether every instance of the world
     passes the loop over offline switches (_check_switches): every
-    switch has a flow row in b and a nonnegative load, and the sum over
-    all switches, in ascending id, of load * largest delay to any
+    switch has a flow row in beta and a nonnegative load, and the sum
+    over all switches, in ascending id, of load * largest delay to any
     controller is finite. That sum bounds every instance's running sum
     of the dearest overheads: tree delays are nonnegative, so each term
     is nonnegative and no smaller than the instance's term for the same
@@ -444,59 +442,67 @@ class SwitchTable:
     switches; and float rounding is monotone. A finite sum also leaves
     every delay finite: an inf delay makes its term inf, or nan at a
     zero load, and neither is finite. build_instance runs the loop only
-    on a table not cleared, where it names the first fault.
+    on a world not cleared, where it names the first fault.
     """
 
-    def __init__(self, t: Topology, b: BetaMatrix, p: dm.Placement, loads: dict[int, int]):
-        dm.check_coverage(t, p.capacity, p.domain_of)
-        missing = t._index.keys() - loads.keys()
+    def __init__(self, topology: Topology, beta: BetaMatrix, placement: dm.Placement,
+                 loads: dict[int, int] | None = None):
+        dm.check_coverage(topology, placement.capacity, placement.domain_of)
+        if loads is None:
+            loads = (beta.loads() if placement.flow_counts is None
+                     else dict(placement.flow_counts))
+        missing = topology._index.keys() - loads.keys()
         if missing:
             raise InstanceError(f"switch {min(missing)} missing load or flow data")
-        self.topology, self.matrix, self.placement, self.loads = t, b, p, loads
-        ids = p.controller_ids
-        at = [(j, t._index[j]) for j in ids]
-        masks = b.masks
+        self.topology, self.beta, self.placement, self.g = topology, beta, placement, loads
+        ids = placement.controller_ids
+        at = [(j, topology._index[j]) for j in ids]
+        masks = beta.masks
         self.delay: dict[int, dict[int, float]] = {}
         self.nearest: dict[int, tuple[int, ...]] = {}
         self.cheapest: dict[int, tuple[int, ...]] = {}
         cleared, dearest = True, 0.0
-        for i in t.node_ids():
-            from_i = shortest_path_tree(t, i).delay
+        for i in topology.node_ids():
+            from_i = shortest_path_tree(topology, i).delay
             row = self.delay[i] = {j: from_i[k] for j, k in at}
             g = loads[i]
             self.nearest[i], self.cheapest[i] = _orders(ids, row, g)
             cleared = cleared and g >= 0 and i in masks
             dearest += g * max(row.values())
         self.cleared: bool = cleared and math.isfinite(dearest)
-        self.own = dm.domain_loads(p, loads)
+        self.own = dm.domain_loads(placement, loads)
         self.union: dict[int, int] = {}
-        for j, sws in p.domains.items():
+        for j, sws in placement.domains.items():
             union = 0
             for i in sws:
                 union |= masks.get(i, 0)
             self.union[j] = union
 
+    def loads(self) -> dict[int, int]:
+        """A copy of the per-switch loads g."""
+        return dict(self.g)
+
 
 def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureScenario,
                    q_fraction: float, loads: dict[int, int] | None = None,
-                   table: SwitchTable | None = None) -> OscmInstance:
+                   world: World | None = None) -> OscmInstance:
     """Assemble the problem for one failure scenario from the world's
-    switch table, and hand b, the table's delay rows and the checked
+    controller facts, and hand b, the world's delay rows and the checked
     pieces to the instance's one fill step (OscmInstance._fill), which
     builds the delay pairs in offline x active order.
 
-    table is the SwitchTable of (t, b, p) and its loads, which a World
-    keeps; without one, the call builds one from loads, which defaults to
-    switch_loads(p, b). The scenario is checked once, by
-    surviving_residuals, whose residuals are nonnegative and keyed by the
-    active controllers. The instance shares the table's controller
-    orders, and its flow union ORs the failed domains' unions.
+    world is the World of (t, b, p) and its loads, as make_world builds
+    it; without one, the call builds one from loads, which defaults as a
+    World's do. The scenario is checked once, by surviving_residuals,
+    whose residuals are nonnegative and keyed by the active controllers.
+    The instance shares the world's controller orders, and its flow
+    union ORs the failed domains' unions.
 
     The constructor's per-key checks are not run: every key and pair is
-    built here from the scenario. On a cleared table (see SwitchTable)
-    no instance can fail the constructor's loop over the offline
-    switches, so the loop is skipped. On any other table the loop
-    (_check_switches) reads the table's rows first, with its messages.
+    built here from the scenario. On a cleared world (see World) no
+    instance can fail the constructor's loop over the offline switches,
+    so the loop is skipped. On any other world the loop
+    (_check_switches) reads the world's rows first, with its messages.
     It checks what such a world does not guarantee: a flow row in b, a
     nonnegative load (loads may come from the caller), finite delays (a
     tree delay sums link delays the topology loader checked, so it can
@@ -506,25 +512,25 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     if not 0.0 <= q_fraction <= 1.0:
         raise InstanceError(f"q_fraction {q_fraction} outside [0, 1]")
 
-    if table is None:
-        table = SwitchTable(t, b, p, switch_loads(p, b) if loads is None else loads)
-    elif loads is not None or not (table.topology is t and table.matrix is b
-                                   and table.placement is p):
+    if world is None:
+        world = World(t, b, p, loads)
+    elif loads is not None or not (world.topology is t and world.beta is b
+                                   and world.placement is p):
         raise InstanceError("a switch table serves only the world and loads it was built from")
 
-    rest = dm.surviving_residuals(p, table.own, s)
+    rest = dm.surviving_residuals(p, world.own, s)
     offline = dm.offline_switches(p, s)
 
     active = tuple(rest)
-    if not table.cleared:
-        _check_switches(offline, active, table.loads, b.masks, table.delay)
+    if not world.cleared:
+        _check_switches(offline, active, world.g, b.masks, world.delay)
     union = 0
     for c in s.failed:
-        union |= table.union[c]
+        union |= world.union[c]
     # the quota reads the flow union; q_fraction is in [0, 1], so it is too
     return OscmInstance.__new__(OscmInstance)._fill(
-        s.label(), offline, active, table.delay, {i: table.loads[i] for i in offline}, rest, b,
-        union, table.nearest, table.cheapest, math.ceil(q_fraction * union.bit_count()))
+        s.label(), offline, active, world.delay, {i: world.g[i] for i in offline}, rest, b,
+        union, world.nearest, world.cheapest, math.ceil(q_fraction * union.bit_count()))
 
 
 def _check_dimensions(inst: OscmInstance, sol: Solution, y: tuple[int, ...]):

@@ -86,8 +86,10 @@ def enumerate_oscm(inst):
     """Exhaustive optimum over all (M+1)^N per-switch decisions.
 
     Returns (best_cost, best_choice) or (None, None) when infeasible.
-    choice[i] is None for legacy or a controller id.
+    choice[i] is None for legacy or a controller id. inst.beta, which
+    decodes every row on each read, is read once per call.
     """
+    beta = inst.beta
     switches = list(inst.offline_switches)
     controllers = list(inst.active_controllers)
     best_cost, best_choice = None, None
@@ -99,7 +101,7 @@ def enumerate_oscm(inst):
             if j is None:
                 continue
             load[j] += inst.g[i]
-            covered |= inst.beta[i]
+            covered |= beta[i]
             cost += inst.g[i] * inst.delay[(i, j)]
         if any(load[j] > inst.a_rest[j] for j in controllers):
             continue
@@ -112,7 +114,9 @@ def enumerate_oscm(inst):
 
 def check_solution(inst, x, assigned, y, q_required):
     """Constraint checker written directly from the problem statement.
-    Returns the set of violated family names."""
+    Returns the set of violated family names. inst.beta is read once per
+    call, as in enumerate_oscm."""
+    beta = inst.beta
     bad = set()
     for i in inst.offline_switches:
         count = 1 if i in assigned else 0
@@ -123,7 +127,7 @@ def check_solution(inst, x, assigned, y, q_required):
         if used > inst.a_rest[j]:
             bad.add("capacity")
     for l in y:
-        if not any(x[i] and l in inst.beta[i] for i in inst.offline_switches):
+        if not any(x[i] and l in beta[i] for i in inst.offline_switches):
             bad.add("programmability")
     if len(set(y)) < q_required:
         bad.add("quota")

@@ -25,6 +25,10 @@ class TestPlacement:
         with pytest.raises(PlacementError, match="^duplicate controller id 1$"):
             Placement([(1, 5), (1, 7)], {0: 1})
 
+    def test_switch_of_unknown_controller(self):
+        with pytest.raises(PlacementError, match="^switch 0 assigned to unknown controller 2$"):
+            Placement([(1, 5)], {0: 2, 1: 1})
+
 
 class TestLoadPlacement:
     def test_table_fixture(self, att_placement):

@@ -30,6 +30,10 @@ class TestQueueingPenalty:
     def test_disabled(self):
         assert queueing_penalty_ms(9999, 1, 0.0) == 0.0
 
+    def test_negative_ability_rejected(self):
+        with pytest.raises(ValueError, match="^ability must be nonnegative$"):
+            queueing_penalty_ms(0, -1, 0.1)
+
     @pytest.mark.parametrize("penalty", [-1.0, float("nan"), float("inf")])
     def test_penalty_checked_by_its_function(self, penalty):
         # checked before the load is compared, so no input bills it
@@ -239,6 +243,9 @@ class TestRunScenario:
         with pytest.raises(ReportError):
             run_scenario(att_world, FailureScenario(frozenset({20})), 1.0,
                          algorithms=())
+        with pytest.raises(ReportError, match="^unknown algorithm 'greedy'$"):
+            run_scenario(att_world, FailureScenario(frozenset({20})), 1.0,
+                         algorithms=("nearest", "greedy"))
 
 
 class TestScore:

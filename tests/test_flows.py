@@ -58,6 +58,15 @@ class TestGenerateFlows:
     def test_ids_lexicographic(self, att_world):
         assert_ordered_pair_ids(generate_flows(att_world.topology), att_world.topology)
 
+    @pytest.mark.parametrize("src, dst, nodes, message", [
+        (20, 20, (20, 21, 20), "flow 4: src equals dst"),
+        (20, 22, (20, 21), "flow 4: path does not join src to dst"),
+        (20, 22, (21, 22), "flow 4: path does not join src to dst"),
+    ], ids=["src-is-dst", "ends-short", "starts-late"])
+    def test_flow_checks_its_path(self, src, dst, nodes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Flow(4, src, dst, Path(nodes, 1.0))
+
 
 class TestComputeBeta:
     def test_destination_always_excluded(self):

@@ -261,6 +261,10 @@ class TestShortestPath:
         for _ in range(5):
             assert shortest_path(att_topology, 0, 20).node_ids == first.node_ids
 
+    def test_same_node_rejected(self, ring5):
+        with pytest.raises(TopologyError, match="^src and dst must differ$"):
+            shortest_path(ring5, 2, 2)
+
     def test_hop_metric(self):
         # 0-3 direct is long; 0-1-2-3 is shorter by distance but more hops,
         # and delay is the metric: hop count only breaks delay ties
@@ -316,6 +320,10 @@ class TestShortestPath:
 
 
 class TestAlternativePaths:
+    def test_same_node_rejected(self, ring5):
+        with pytest.raises(TopologyError, match="^frm and dst must differ$"):
+            has_alternative_path(ring5, 2, 2)
+
     def test_degree_one_node(self):
         t = synthetic(3, [(0, 1, 100.0), (1, 2, 100.0)])
         assert not has_alternative_path(t, 0, 2)

@@ -161,7 +161,7 @@ class TestWorldRoute:
     def test_same_attributes_as_its_document(self, att_world):
         w = att_world
         inst = build_instance(w.topology, w.beta, w.placement,
-                              FailureScenario(frozenset({13, 22})), 0.9, table=w.table)
+                              FailureScenario(frozenset({13, 22})), 0.9, world=w)
         assert sorted(vars(OscmInstance.from_json(inst.to_json()))) == sorted(vars(inst))
 
     @staticmethod
@@ -376,6 +376,11 @@ class TestValidate:
         report = validate(inst, sol)
         assert not report.check("programmability").passed
 
+    def test_unknown_family_raises(self):
+        inst = tiny_instance(q=0)
+        with pytest.raises(KeyError, match="^'domain'$"):
+            validate(inst, all_legacy(inst)).check("domain")
+
     def test_agrees_with_independent_checker(self):
         rng = random.Random(77)
         for _ in range(100):
@@ -476,6 +481,9 @@ class TestSerialization:
                        objective=12.5, quota_met=False)
         clone = Solution.from_json(sol.to_json())
         assert clone == sol
+        # another type is not equal, not an error: Solution defers to it
+        assert sol.__eq__(sol.to_json()) is NotImplemented
+        assert sol != sol.to_json()
 
     @pytest.mark.parametrize("y", [(5, -7, 10**300, 0), [5, -7, 10**300, 0]],
                              ids=["tuple", "list"])
@@ -619,4 +627,16 @@ class TestFaultOrder:
             fault(doc)
         with pytest.raises(InstanceError) as err:
             OscmInstance.from_json(json.dumps(doc))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("offline, active, message", [
+        ([0, 0], [1], "duplicate offline switch 0"),
+        ([0], [1, 1], "duplicate active controller 1"),
+    ])
+    def test_constructor_refuses_repeated_ids(self, offline, active, message):
+        # with either id repeated, the stray pair (5, 1) brings the pair
+        # count to offline x active, so the count test alone passes
+        with pytest.raises(InstanceError) as err:
+            OscmInstance(offline, active, {(0, 1): 1.0, (5, 1): 9.0}, {0: 1}, {0: {7}},
+                         {1: 5}, 1)
         assert str(err.value) == message

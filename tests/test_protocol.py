@@ -69,6 +69,20 @@ class TestTransitions:
         with pytest.raises(ProtocolError, match="unknown event kind 'master_conection_lost'"):
             step(fresh(), Event("master_conection_lost"))
 
+    def test_adopt_without_controller_rejected(self):
+        s = SwitchSession(switch_id=1, mode=LEGACY, master=None, backups=(2, 3))
+        with pytest.raises(ProtocolError, match="^adopt needs a controller$"):
+            step(s, Event(ADOPT))
+
+    @pytest.mark.parametrize("mode, master, phase, message", [
+        (SDN, None, STABLE, "SDN mode requires a master"),
+        (LEGACY, 2, STABLE, "legacy mode cannot keep a master"),
+        (SDN, 2, AWAITING, "awaiting replies implies no master"),
+    ], ids=["sdn-without-master", "legacy-with-master", "awaiting-with-master"])
+    def test_inconsistent_session_rejected(self, mode, master, phase, message):
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            SwitchSession(switch_id=1, mode=mode, master=master, backups=(2, 3), phase=phase)
+
     @pytest.mark.parametrize("backups", [(1, 1), (2, 3, 2)])
     def test_repeated_backup_rejected(self, backups):
         with pytest.raises(ProtocolError, match="name a controller twice"):

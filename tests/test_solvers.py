@@ -508,7 +508,7 @@ def workload_instances():
     for name, (t, p) in zip(("att25-sweep", "grid49-exact", "grid100-greedy"),
                             benchmark_worlds()):
         w = make_world(t, p)
-        instances[name] = [build_instance(t, w.beta, p, s, q, table=w.table)
+        instances[name] = [build_instance(t, w.beta, p, s, q, world=w)
                            for k, q in groups[name].groups
                            for s in enumerate_failure_scenarios(p, k)]
     return instances
@@ -827,6 +827,20 @@ class TestGapBruteforce:
     def test_infeasible(self):
         gap = GapInstance(costs=((3.0,),), usage=((9.0,),), capacities=(2.0,))
         assert gap_bruteforce(gap) is None
+
+    def test_no_agents(self):
+        gap = GapInstance(costs=((),), usage=((),), capacities=())
+        assert gap_bruteforce(gap) is None
+
+    @pytest.mark.parametrize("costs, usage, capacities, message", [
+        (((1.0,),), (), (1.0,), "inconsistent dimensions"),
+        (((1.0, 2.0),), ((1.0, 2.0),), (1.0,), "inconsistent dimensions"),
+        (((1.0,),), ((-1.0,),), (1.0,), "negative entries"),
+        (((1.0,),), ((1.0,),), (-1.0,), "negative capacity"),
+    ], ids=["task-counts", "agent-counts", "negative-usage", "negative-capacity"])
+    def test_malformed_instance_rejected(self, costs, usage, capacities, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GapInstance(costs=costs, usage=usage, capacities=capacities)
 
     def test_against_second_implementation(self):
         rng = random.Random(97)

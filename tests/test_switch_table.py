@@ -1,8 +1,8 @@
-"""The world's switch table and the controller orders the solvers read.
+"""The world's controller facts and the controller orders the solvers read.
 
-A world keeps one oscm.SwitchTable: each switch's delays, its controllers
+A world (oscm.World) holds each switch's delays, its controllers
 nearest first and cheapest first, and each domain's load and flows. Its
-instances share the table's orders, which list every controller, failed
+instances share the world's orders, which list every controller, failed
 ones included; an instance read from a document sorts its own over its
 active controllers. Both must lead the greedy, the baseline and the
 exact search to the same decisions.
@@ -21,7 +21,7 @@ from retroflow.experiment import make_world, run_scenario
 from retroflow.fixtures import att25_topology, att_table2_placement, data_path
 from retroflow.flows import programmability
 from retroflow.geo import GeoCoordinate, Topology
-from retroflow.oscm import InstanceError, OscmInstance, SwitchTable, build_instance
+from retroflow.oscm import InstanceError, OscmInstance, World, build_instance
 from retroflow.solvers import solve_exact, solve_nearest, solve_retroflow
 
 from test_bridged import integer_grid, with_chain
@@ -64,7 +64,7 @@ def world_instances(world, groups):
     for k, q in groups:
         for s in dm.enumerate_failure_scenarios(world.placement, k):
             yield build_instance(world.topology, world.beta, world.placement, s, q, None,
-                                 world.table)
+                                 world)
 
 
 def assert_same_decisions(inst, other):
@@ -86,8 +86,8 @@ class TestOrdersAgainstCheckedConstructor:
         world = worlds[name]
         built = 0
         for inst in world_instances(world, WORLD_GROUPS[name]):
-            assert inst.nearest is world.table.nearest
-            assert inst.cheapest is world.table.cheapest
+            assert inst.nearest is world.nearest
+            assert inst.cheapest is world.cheapest
             copy = OscmInstance.from_json(inst.to_json())
             assert all(set(copy.nearest[i]) == set(copy.cheapest[i])
                        == set(inst.active_controllers) for i in inst.offline_switches)
@@ -133,7 +133,7 @@ class TestHandBuiltOrders:
     def test_rounding_tie_in_the_table(self):
         t, p = triangle({0: 3, 1: 0, 2: 0})
         b = programmability(t)
-        table = SwitchTable(t, b, p, p.flow_counts)
+        table = World(t, b, p, p.flow_counts)
         assert table.nearest[0] == (0, 2, 1)
         assert table.cheapest[0] == (0, 1, 2)
         inst = build_instance(t, b, p, FailureScenario(frozenset({0})), 1.0, None, table)
@@ -153,7 +153,7 @@ class TestHandBuiltOrders:
         assert solve_retroflow(inst, trace).assigned == {5: 1}
         assert trace[1] == "test switch=5 controller=1 w=0.0 rest=0 fit=yes"
         t, p = triangle({0: 0, 1: 0, 2: 0})
-        table = SwitchTable(t, programmability(t), p, p.flow_counts)
+        table = World(t, programmability(t), p, p.flow_counts)
         assert table.cheapest == {0: (0, 1, 2), 1: (0, 1, 2), 2: (0, 1, 2)}
         assert table.nearest[0] == (0, 2, 1)
 
@@ -168,7 +168,7 @@ class TestHandBuiltOrders:
         domain_of[0] = domain_of[n - 1] = 0
         p = Placement([(0, 10), (110, 10)], domain_of, {v: 0 for v in range(n)})
         b = programmability(t)
-        table = SwitchTable(t, b, p, p.flow_counts)
+        table = World(t, b, p, p.flow_counts)
         assert table.delay[n - 1][0] == math.inf
         assert table.nearest[n - 1] == (110, 0)
         assert table.cheapest[n - 1] == (0, 110)
@@ -189,7 +189,7 @@ class TestHandBuiltOrders:
                      [(v, (v + 1) % 4, 100.0) for v in range(4)])
         p = Placement([(1, 100), (2, 100), (3, 100)], {0: 2, 1: 1, 2: 2, 3: 3})
         b = programmability(t)
-        table = SwitchTable(t, b, p, b.loads())
+        table = World(t, b, p, b.loads())
         assert table.nearest[0] == (1, 3, 2)
         assert table.nearest[2] == (2, 1, 3)
         inst = build_instance(t, b, p, FailureScenario(frozenset({2})), 1.0, None, table)
@@ -201,10 +201,10 @@ FIELDS = ("offline_switches", "active_controllers", "delay", "g", "a_rest", "mas
 
 
 def count_tables(monkeypatch):
-    """Record the arguments of each SwitchTable build, and pass it on."""
+    """Record the arguments of each World build, and pass it on."""
     built = []
-    init = SwitchTable.__init__
-    monkeypatch.setattr(SwitchTable, "__init__",
+    init = World.__init__
+    monkeypatch.setattr(World, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
     return built
 
@@ -216,7 +216,7 @@ class TestOneTablePerWorld:
         p = att_table2_placement(t)
         world = make_world(t, p)
         assert len(built) == 1
-        assert world.table.topology is t and world.table.matrix is world.beta
+        assert world.topology is t and world.beta is world.beta
         for k in (1, 2, 3):
             for s in dm.enumerate_failure_scenarios(p, k):
                 run_scenario(world, s, 0.9, algorithms=("retroflow", "nearest"))
@@ -236,7 +236,7 @@ class TestOneTablePerWorld:
         for k in (1, 2, 3):
             for s in dm.enumerate_failure_scenarios(w.placement, k):
                 alone = build_instance(w.topology, w.beta, w.placement, s, 0.9)
-                shared = build_instance(w.topology, w.beta, w.placement, s, 0.9, None, w.table)
+                shared = build_instance(w.topology, w.beta, w.placement, s, 0.9, None, w)
                 for name in FIELDS:
                     assert getattr(alone, name) == getattr(shared, name), name
                 assert ([d.hex() for d in alone.delay.values()]
@@ -247,10 +247,10 @@ class TestOneTablePerWorld:
         s = FailureScenario(frozenset({20}))
         message = "^a switch table serves only the world and loads it was built from$"
         with pytest.raises(InstanceError, match=message):
-            build_instance(w.topology, w.beta, w.placement, s, 1.0, w.loads(), w.table)
+            build_instance(w.topology, w.beta, w.placement, s, 1.0, w.loads(), w)
         other = make_world(w.topology, w.placement)
         with pytest.raises(InstanceError, match=message):
-            build_instance(w.topology, other.beta, w.placement, s, 1.0, None, w.table)
+            build_instance(w.topology, other.beta, w.placement, s, 1.0, None, w)
 
 
 def count_loop(monkeypatch):
@@ -271,9 +271,9 @@ def path_world(n, km, controllers, domain_of):
 
 
 class TestClearedTable:
-    """A table that clears its world once (SwitchTable.cleared) builds
+    """A world that clears its instances once (World.cleared) builds
     every instance's delays without the loop over offline switches; any
-    other table runs the loop on every build."""
+    other world runs the loop on every build."""
 
     @pytest.mark.parametrize("name", ["att25-sweep", "grid49-exact", "grid100-greedy",
                                       "bridged7x7"])
@@ -281,7 +281,7 @@ class TestClearedTable:
         # the unchecked delays of a cleared world against those the
         # constructor checks, read back from the instance's document
         world = worlds[name]
-        assert world.table.cleared
+        assert world.cleared
         ks = sorted({k for k, _ in WORLD_GROUPS[name]})
         for inst in world_instances(world, [(k, 1.0) for k in ks]):
             copy = OscmInstance.from_json(inst.to_json())
@@ -309,7 +309,7 @@ class TestClearedTable:
         loads = b.loads()
         if negative is not None:
             loads[negative] = -1
-        table = SwitchTable(t, b, p, loads)
+        table = World(t, b, p, loads)
         assert not table.cleared
         calls = count_loop(monkeypatch)
         s = FailureScenario(frozenset({failed}))
@@ -325,7 +325,7 @@ class TestClearedTable:
         t, p = path_world(4, 1e306, (0, 3), {0: 0, 1: 0, 2: 3, 3: 3})
         b = programmability(t)
         loads = {0: 0, 1: 10**4, 2: 10**4, 3: 0}
-        table = SwitchTable(t, b, p, loads)
+        table = World(t, b, p, loads)
         assert not table.cleared
         assert sum(g * max(table.delay[i].values()) for i, g in loads.items()) == math.inf
         calls = count_loop(monkeypatch)

@@ -5,21 +5,21 @@ placement, capacity 500, and published per-switch flow counts. ring5: a
 five-node ring with distinct link lengths. toy_recovery: the serialized
 five-switch, two-controller recovery instance. master_loss_events: the
 protocol replay script for the master-loss walkthrough.
+
+Each is read through the library's file reader for its kind, so a fixture
+is parsed exactly as the CLI parses the same file.
 """
 
 from __future__ import annotations
 
-import json
 from importlib import resources
+from pathlib import Path as FsPath
 
 from ._doc import parse
-from .domains import Placement, load_placement
-from .geo import Topology, load_topology
+from .domains import Placement, load_placement_file
+from .geo import Topology, load_topology_file
 from .oscm import OscmInstance
-
-
-def _read(name: str) -> dict:
-    return parse(resources.files("retroflow").joinpath("data", name).read_text(), ValueError)
+from .protocol import ProtocolError
 
 
 def data_path(name: str) -> str:
@@ -28,20 +28,21 @@ def data_path(name: str) -> str:
 
 
 def att25_topology() -> Topology:
-    return load_topology(_read("att25.json"))
+    return load_topology_file(data_path("att25.json"))
 
 
 def att_table2_placement(t: Topology | None = None) -> Placement:
-    return load_placement(_read("att_table2.json"), t or att25_topology())
+    return load_placement_file(data_path("att_table2.json"), t or att25_topology())
 
 
 def ring5_topology() -> Topology:
-    return load_topology(_read("ring5.json"))
+    return load_topology_file(data_path("ring5.json"))
 
 
 def toy_recovery_instance() -> OscmInstance:
-    return OscmInstance.from_json(json.dumps(_read("toy_recovery.json")))
+    return OscmInstance.from_file(data_path("toy_recovery.json"))
 
 
 def master_loss_script() -> dict:
-    return _read("master_loss_events.json")
+    """The raw script document, as protocol-trace parses it."""
+    return parse(FsPath(data_path("master_loss_events.json")).read_text(), ProtocolError)

@@ -516,7 +516,8 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
         world = World(t, b, p, loads)
     elif loads is not None or not (world.topology is t and world.beta is b
                                    and world.placement is p):
-        raise InstanceError("a switch table serves only the world and loads it was built from")
+        raise InstanceError("a World serves only the topology, matrix and placement it was "
+                            "built from, with its own loads")
 
     rest = dm.surviving_residuals(p, world.own, s)
     offline = dm.offline_switches(p, s)

@@ -23,13 +23,24 @@ EVENT_KINDS = (MASTER_CONNECTION_LOST, REPLY_REJECT_LEGACY, REPLY_ACCEPT, ADOPT)
 
 
 class ProtocolError(ValueError):
-    """Event not valid for the session's current phase."""
+    """An event or session that breaks a protocol rule, or an event that
+    does not fit the session's current phase."""
 
 
 @dataclass(frozen=True)
 class Event:
+    """One input to step. The event rules live here, so a scripted event
+    and one built in code are checked alike: kind is one of EVENT_KINDS,
+    and every kind but master_connection_lost names a controller."""
     kind: str
     controller: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in EVENT_KINDS:
+            raise ProtocolError(f"unknown event kind {self.kind!r}; expected one of "
+                                f"{list(EVENT_KINDS)}")
+        if self.controller is None and self.kind != MASTER_CONNECTION_LOST:
+            raise ProtocolError(f"{self.kind} event needs a controller")
 
     def describe(self) -> str:
         if self.controller is None:
@@ -63,7 +74,9 @@ class SwitchSession:
 
 def step(s: SwitchSession, e: Event) -> tuple[SwitchSession, tuple[str, ...]]:
     """Apply one event; returns the next session and the actions taken.
-    Invalid (state, event) pairs raise ProtocolError and leave s unused."""
+    Event has checked the kind and the controller when it was built, so
+    step checks only that e fits s: invalid (state, event) pairs raise
+    ProtocolError and leave s unused."""
     if e.kind == MASTER_CONNECTION_LOST:
         if s.phase != STABLE or s.mode != SDN:
             raise ProtocolError(f"{e.describe()}: no active master to lose")
@@ -92,15 +105,11 @@ def step(s: SwitchSession, e: Event) -> tuple[SwitchSession, tuple[str, ...]]:
             return nxt, ("activate_legacy_routing",)
         return replace(s, rejections=rejections), ()
 
-    if e.kind == ADOPT:
-        if not (s.phase == STABLE and s.mode == LEGACY):
-            raise ProtocolError(f"{e.describe()}: only a stable legacy switch can be adopted")
-        if e.controller is None:
-            raise ProtocolError("adopt needs a controller")
-        nxt = replace(s, mode=SDN, master=e.controller, phase=STABLE)
-        return nxt, (f"set_master controller={e.controller}",)
-
-    raise ProtocolError(f"unknown event kind {e.kind!r}")
+    # ADOPT, the one kind left
+    if not (s.phase == STABLE and s.mode == LEGACY):
+        raise ProtocolError(f"{e.describe()}: only a stable legacy switch can be adopted")
+    nxt = replace(s, mode=SDN, master=e.controller, phase=STABLE)
+    return nxt, (f"set_master controller={e.controller}",)
 
 
 def run_script(session: SwitchSession, events) -> tuple[SwitchSession, list[str]]:

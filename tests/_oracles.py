@@ -271,9 +271,10 @@ def exact_undo(inst, budget=None):
     """The exact search as it was written before its stack entries
     carried their own state: one shared `covered`, `rest` and `assigned`,
     changed in place, and a second kind of entry that undoes each move.
-    Kept verbatim with its bound, so the per-entry search can be checked
-    status for status, node count for node count and solution for
-    solution."""
+    Kept as written with its bound, so the per-entry search can be
+    checked status for status, node count for node count and solution for
+    solution; only the bound's beta is now the search's own, where
+    inst.beta would build a dict over every offline switch on each read."""
     from retroflow.solvers import ExactResult, SolverBudget, solve_retroflow
 
     budget = budget or SolverBudget()
@@ -333,7 +334,8 @@ def exact_undo(inst, budget=None):
         if idx == len(order) or lost > slack:
             continue
 
-        bound = _bound_undo(inst, order, options, idx, covered, rest, needed, slack - lost)
+        bound = _bound_undo(inst, beta, order, options, idx, covered, rest, needed,
+                            slack - lost)
         if bound is None or cost + bound >= best_cost:
             continue
 
@@ -353,7 +355,7 @@ def exact_undo(inst, budget=None):
     return ExactResult(best, "optimal", nodes)
 
 
-def _bound_undo(inst, order, options, idx, covered, rest, needed, spare):
+def _bound_undo(inst, beta, order, options, idx, covered, rest, needed, spare):
     """Cost lower bound of any completion that gains `needed` more
     flows, or None when no completion can gain them.
 
@@ -374,7 +376,7 @@ def _bound_undo(inst, order, options, idx, covered, rest, needed, spare):
     reach = []  # the usable switches' uncovered flows
     stranded = 0  # uncovered flows of the other switches, with repeats
     for i in order[idx:]:
-        gain = inst.beta[i] - covered
+        gain = beta[i] - covered
         if not gain:
             continue
         g_i = inst.g[i]
@@ -532,7 +534,9 @@ def two_edge_components_two_pass(t):
 
 
 def random_instance(rng, n_max=6, m_max=3, g_max=9, q_mode="mixed"):
-    """Small random OSCM instance with integer delays and loads."""
+    """Small random OSCM instance with integer delays and loads. Of its L
+    flows, q_mode "mixed" requires 0, L // 2 or L, "upper" any count in
+    [L // 2, L], and an int q_mode that many."""
     from retroflow.oscm import OscmInstance
 
     n = rng.randint(1, n_max)
@@ -548,6 +552,8 @@ def random_instance(rng, n_max=6, m_max=3, g_max=9, q_mode="mixed"):
     L = len(flows)
     if q_mode == "mixed":
         q = rng.choice([0, L // 2, L])
+    elif q_mode == "upper":
+        q = rng.randint(L // 2, L)
     else:
         q = q_mode
     return OscmInstance(

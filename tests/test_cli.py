@@ -446,9 +446,12 @@ class TestProtocolTraceCommand:
         (["events", 2], {"kind": "role_reply_accept", "controller": None},
          "role_reply_accept event needs a controller"),
         (["events", 2], {"kind": "adopt"}, "adopt event needs a controller"),
+        # two faults in one record: the kind is named, not the fraction
+        (["events", 1], {"kind": "adoptt", "controller": 1.5},
+         "unknown event kind 'adoptt'; expected one of"),
     ], ids=["kind-typo", "kind-list", "backups-master-twice", "backups-twice",
             "backups-master", "reject-no-controller", "accept-null-controller",
-            "adopt-no-controller"])
+            "adopt-no-controller", "kind-typo-fractional-controller"])
     def test_bad_script_exits_before_replay(self, capsys, tmp_path, path, value, message):
         """A script that only says the replay is wrong never replays: one
         error line, nothing on stdout, exit 2."""

@@ -194,8 +194,9 @@ def test_random_instances(rng):
     """Up to 20 switches of at most three flows each and up to three
     controllers, with integer delays and loads: every relation, and the
     greedy untraced, traced and rescanning agree on the solution and the
-    two traces line for line."""
-    inst = random_instance(rng, n_max=20)
+    two traces line for line. The quota is at least half the flows: a
+    zero quota's optimum is all legacy, whatever the instance."""
+    inst = random_instance(rng, n_max=20, q_mode="upper")
     quota_ladder(inst)
     for relation in (test_delays_doubled, test_more_capacity, test_padding,
                      test_relabel_reversed):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -71,7 +73,7 @@ class TestTransitions:
 
     def test_adopt_without_controller_rejected(self):
         s = SwitchSession(switch_id=1, mode=LEGACY, master=None, backups=(2, 3))
-        with pytest.raises(ProtocolError, match="^adopt needs a controller$"):
+        with pytest.raises(ProtocolError, match="^adopt event needs a controller$"):
             step(s, Event(ADOPT))
 
     @pytest.mark.parametrize("mode, master, phase, message", [
@@ -93,6 +95,26 @@ class TestTransitions:
         s, actions = step(s, Event(MASTER_CONNECTION_LOST))
         assert s.mode == LEGACY and s.phase == STABLE
         assert actions == ("activate_legacy_routing",)
+
+
+class TestEventRules:
+    """An Event checks its own kind and controller when it is built, in the
+    words protocol-trace prints for a bad script."""
+
+    @pytest.mark.parametrize("args, message", [
+        (("adoptt",), "unknown event kind 'adoptt'; expected one of ['master_connection_lost', "
+                      "'role_reply_reject_legacy', 'role_reply_accept', 'adopt']"),
+        ((ADOPT,), "adopt event needs a controller"),
+        ((REPLY_ACCEPT,), "role_reply_accept event needs a controller"),
+        ((REPLY_REJECT_LEGACY, None), "role_reply_reject_legacy event needs a controller"),
+    ], ids=["kind-typo", "adopt", "accept", "reject-none"])
+    def test_bad_event_raises(self, args, message):
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            Event(*args)
+
+    @pytest.mark.parametrize("controller", [None, 3])
+    def test_master_loss_builds_with_or_without_controller(self, controller):
+        assert Event(MASTER_CONNECTION_LOST, controller).controller == controller
 
 
 class TestModelCheck:

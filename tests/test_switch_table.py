@@ -14,7 +14,7 @@ import random
 import pytest
 
 from retroflow import domains as dm
-from retroflow import oscm
+from retroflow import experiment, oscm
 from retroflow.cli import main
 from retroflow.domains import FailureScenario, Placement
 from retroflow.experiment import make_world, run_scenario
@@ -212,11 +212,15 @@ def count_tables(monkeypatch):
 class TestOneTablePerWorld:
     def test_built_with_the_world(self, monkeypatch):
         built = count_tables(monkeypatch)
+        matrices = []
+        compute = experiment.programmability
+        monkeypatch.setattr(experiment, "programmability",
+                            lambda t: matrices.append(compute(t)) or matrices[-1])
         t = att25_topology()
         p = att_table2_placement(t)
         world = make_world(t, p)
-        assert len(built) == 1
-        assert world.topology is t and world.beta is world.beta
+        assert len(built) == 1 and len(matrices) == 1
+        assert world.topology is t and world.beta is matrices[0] and world.placement is p
         for k in (1, 2, 3):
             for s in dm.enumerate_failure_scenarios(p, k):
                 run_scenario(world, s, 0.9, algorithms=("retroflow", "nearest"))
@@ -245,7 +249,8 @@ class TestOneTablePerWorld:
     def test_a_table_serves_its_own_world(self, att_world):
         w = att_world
         s = FailureScenario(frozenset({20}))
-        message = "^a switch table serves only the world and loads it was built from$"
+        message = ("^a World serves only the topology, matrix and placement it was built from, "
+                   "with its own loads$")
         with pytest.raises(InstanceError, match=message):
             build_instance(w.topology, w.beta, w.placement, s, 1.0, w.loads(), w)
         other = make_world(w.topology, w.placement)

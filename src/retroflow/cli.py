@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path as FsPath
 
 from . import domains as dm
@@ -145,13 +144,9 @@ def _cmd_protocol_trace(args) -> int:
         events = []
         for rec in doc["events"]:
             record(rec, {"kind", "controller"}, "event", error, required=("kind",))
-            # built before whole() reads the controller, so a bad kind is
-            # named before a fractional controller
-            event = protocol.Event(rec["kind"], rec.get("controller"))
-            if event.controller is not None:
-                event = replace(event,
-                                controller=whole(event.controller, "event controller", error))
-            events.append(event)
+            # Event checks the kind before the controller, so a bad kind
+            # is named before a fractional controller
+            events.append(protocol.Event(rec["kind"], rec.get("controller")))
     # record() has checked every mapping and required field; a list field
     # that is not iterable raises TypeError
     except (TypeError, protocol.ProtocolError) as err:

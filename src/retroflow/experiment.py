@@ -177,7 +177,7 @@ def _score(inst: OscmInstance, name: str, status: str, sol: Solution | None,
     enough to overflow that sum raises ReportError."""
     if sol is None:
         return AlgorithmOutcome(name, status)
-    g = inst.g
+    g, rows = inst.g, inst.delay_rows
     load = {j: ability[j] - inst.a_rest[j] for j in inst.active_controllers}
     for i, j in sol.assigned.items():
         load[j] += g[i]
@@ -188,7 +188,7 @@ def _score(inst: OscmInstance, name: str, status: str, sol: Solution | None,
         penalty[j] = queueing_penalty_ms(load[j], ability[j], queue_penalty_ms)
     adjusted = 0.0
     for i, j in sol.assigned.items():
-        adjusted += g[i] * (inst.delay[(i, j)] + penalty[j])
+        adjusted += g[i] * (rows[i][j] + penalty[j])
     if not math.isfinite(adjusted):
         raise ReportError(f"scenario {inst.label}: {name}'s adjusted overhead is {adjusted} "
                           f"at queue penalty {queue_penalty_ms} ms per excess flow")

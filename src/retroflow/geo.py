@@ -9,7 +9,9 @@ ids and makes one depth-first pass that proves it connected and labels its
 Shortest paths are filled on first use: one single-source search per
 source runs over positions and keeps its tree as lists indexed by
 position (settle order, parents and delays), and a Path is built only
-when one is asked for.
+when one is asked for. The search orders by delay alone and hands a
+source whose delays tie to the search under the full (delay, hops, node
+sequence) order, which defines the tie-break.
 """
 
 from __future__ import annotations
@@ -231,8 +233,9 @@ def shortest_path(t: Topology, src: int, dst: int) -> Path:
 
 def shortest_path_tree(t: Topology, src: int) -> SearchTree:
     """The shortest-path tree from src, over node positions: settle
-    order, parents and delays. The first call from src runs the search
-    and stores the tree on t."""
+    order, parents and delays. The first call from src runs the search,
+    _paths_from, which hands a source whose delays tie to
+    _paths_from_ordered, and stores the tree on t."""
     t._check_node(src)
     tree = t._trees.get(src)
     if tree is None:
@@ -241,8 +244,58 @@ def shortest_path_tree(t: Topology, src: int) -> SearchTree:
 
 
 def _paths_from(t: Topology, src: int) -> SearchTree:
-    """One single-source search from src: the tree of shortest paths to
-    every node, as settle order, parents and delays; no Path is built.
+    """One single-source search from src: the tree _paths_from_ordered
+    returns, found without hop counts or node sequences while no delay
+    ties.
+
+    Entries are (delay, position), and a node is pushed only when a
+    relaxation strictly lowers its tentative delay, so a popped entry
+    above its node's tentative delay is stale. The search hands src to
+    _paths_from_ordered at the first tie, which is either a settled
+    delay equal to the one settled before it, or a relaxation that
+    reaches an unsettled node's tentative delay exactly, inf included.
+    Without a tie, every node's delay is the one float sum along its
+    unique best parent, the nodes settle strictly by delay, and no
+    second entry of equal delay exists, so the full order's hops and node
+    sequences would never be compared: both searches return equal trees.
+    A settled node needs no mark: links are nonnegative, so a relaxation
+    from u exceeds a settled node's delay unless that node settled at
+    u's delay, a tie seen when u settled. When the search ends, every
+    node is settled, so the tentative delays are the delays.
+    """
+    near = t._near
+    n = len(near)
+    order: list[int] = []
+    parent: list[int | None] = [None] * n
+    delay = [math.inf] * n
+    s = t._index[src]
+    delay[s] = 0.0
+    heap = [(0.0, s)]
+    last = -1.0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > delay[u]:
+            continue
+        if d == last:
+            return _paths_from_ordered(t, src)
+        last = d
+        order.append(u)
+        for v, link_ms in near[u]:
+            dv = d + link_ms
+            if dv < delay[v]:
+                delay[v] = dv
+                parent[v] = u
+                heapq.heappush(heap, (dv, v))
+            elif dv == delay[v]:
+                return _paths_from_ordered(t, src)
+    return SearchTree(order, parent, delay)
+
+
+def _paths_from_ordered(t: Topology, src: int) -> SearchTree:
+    """One single-source search from src under the full (delay, hops,
+    node sequence) order: the tree of shortest paths to every node, as
+    settle order, parents and delays; no Path is built. It defines the
+    tie-break, and _paths_from hands a source to it at the first tie.
 
     Priorities are (delay, hops, node sequence) over positions, which
     order as the ids do; they grow strictly along edges, so the first pop

@@ -97,8 +97,10 @@ def _check_switches(offline, active, g, rows, delays):
 class OscmInstance:
     """One scenario's problem. Its attributes are set in one place, _fill,
     from the pieces one of two routes has checked, the delays as one row
-    per offline switch. Both routes hold each offline switch's load, flow
-    row and delays to one loop, _check_switches:
+    per offline switch, `delay_rows`, which the instance keeps as it is
+    given: it builds no (switch, controller) pairs. Both routes hold each
+    offline switch's load, flow row and delays to one loop,
+    _check_switches:
 
     - the constructor, for documents (from_json) and direct construction,
       groups its delay pairs by switch into those rows and hands them to
@@ -111,6 +113,13 @@ class OscmInstance:
       and the loop too unless the World has shown once that none of its
       instances can fail it (World.cleared). It builds every key from
       the scenario itself, so it checks nothing else (see there).
+
+    A constructed instance's rows hold exactly its offline switches'
+    delays to its active controllers. A world's instance shares
+    World.delay, which holds a row for every switch of the world, each
+    with every controller, failed ones included; so the readers of
+    delays, w and `delay`, answer only offline x active pairs, and the
+    solvers and the scoring read a row only at a pair they hold.
 
     nearest[i] and cheapest[i] list controllers in (delay, id) and in
     (g_i * delay, id) order (see _orders). A world's instance shares its
@@ -125,9 +134,9 @@ class OscmInstance:
         beta: {switch: flow ids}, rows that flows.index_flows indexes into
         a matrix of their own; a_rest: {controller: flow count}.
 
-        g and a_rest are stored as given, and delay is copied, so ids,
-        counts and the quota must already be ints; from_json converts and
-        checks outside documents. An offline switch or active controller
+        g and a_rest are stored as given, and delay is copied into one
+        row per switch, so ids, counts and the quota must already be
+        ints; from_json converts and checks outside documents. An offline switch or active controller
         listed twice is refused, in from_json's words."""
         offline = tuple(sorted(distinct(offline_switches, "offline switch", InstanceError)))
         active = tuple(sorted(distinct(active_controllers, "active controller", InstanceError)))
@@ -169,9 +178,10 @@ class OscmInstance:
     def _fill(self, label, offline, active, rows, g, a_rest, matrix: BetaMatrix, union,
               nearest, cheapest, q_required) -> "OscmInstance":
         """Set every attribute from the checked pieces of a route, and
-        return self. delay is built in offline x active order from rows,
-        each offline switch's delay row {controller: ms}. matrix has a
-        row for every offline switch, union is the OR of those rows.
+        return self. rows, each offline switch's delay row {controller:
+        ms}, is kept as delay_rows, not copied: a world's instance shares
+        its World's rows. matrix has a row for every offline switch,
+        union is the OR of those rows.
 
         masks[i] holds switch i's flows as an int bitmask over the
         matrix's flow index, counts[i] its bit count, as the matrix
@@ -183,8 +193,7 @@ class OscmInstance:
         self.label = label
         self.offline_switches: tuple[int, ...] = offline
         self.active_controllers: tuple[int, ...] = active
-        self.delay: dict[tuple[int, int], float] = {
-            (i, j): row[j] for i in offline for row in (rows[i],) for j in active}
+        self.delay_rows: dict[int, dict[int, float]] = rows
         self.g, self.a_rest = g, a_rest
         self._beta, self._ids = matrix, matrix.ids
         masks, counts = matrix.masks, matrix.counts
@@ -208,6 +217,15 @@ class OscmInstance:
         return self.union.bit_count()
 
     @property
+    def delay(self) -> dict[tuple[int, int], float]:
+        """{(switch, controller): ms} over offline x active pairs, in
+        that order, read from the rows on every read, which no solver
+        makes."""
+        rows = self.delay_rows
+        return {(i, j): row[j] for i in self.offline_switches for row in (rows[i],)
+                for j in self.active_controllers}
+
+    @property
     def beta(self) -> dict[int, frozenset[int]]:
         """Each offline switch's flow ids, read from the matrix on every
         read, which the greedy and the baseline never make."""
@@ -224,15 +242,20 @@ class OscmInstance:
         return flows_of(mask, self._ids)
 
     def w(self, i: int, j: int) -> float:
-        """Overhead of controller j pulling switch i's flows: g_i * D_ij."""
-        return self.g[i] * self.delay[(i, j)]
+        """Overhead of controller j pulling switch i's flows: g_i * D_ij.
+        KeyError((i, j)) unless i is offline and j active, as `delay`
+        raises: g holds the offline switches and a_rest the active
+        controllers, while a world's rows hold every pair."""
+        if i not in self.g or j not in self.a_rest:
+            raise KeyError((i, j))
+        return self.g[i] * self.delay_rows[i][j]
 
     def to_json(self) -> str:
         doc = {
             "label": self.label,
             "offline_switches": list(self.offline_switches),
             "active_controllers": list(self.active_controllers),
-            "delay_ms": {f"{i},{j}": self.delay[(i, j)]
+            "delay_ms": {f"{i},{j}": self.delay_rows[i][j]
                          for i in self.offline_switches for j in self.active_controllers},
             "loads": {str(i): self.g[i] for i in self.offline_switches},
             "flows": {str(i): self.flows_of(self.masks[i]) for i in self.offline_switches},
@@ -489,7 +512,8 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
     """Assemble the problem for one failure scenario from the world's
     controller facts, and hand b, the world's delay rows and the checked
     pieces to the instance's one fill step (OscmInstance._fill), which
-    builds the delay pairs in offline x active order.
+    keeps the rows as they are: the instance shares World.delay and
+    builds no delay pairs.
 
     world is the World of (t, b, p) and its loads, as make_world builds
     it; without one, the call builds one from loads, which defaults as a

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ._doc import whole
+
 SDN = "SDN"
 LEGACY = "LEGACY"
 STABLE = "STABLE"
@@ -30,8 +32,10 @@ class ProtocolError(ValueError):
 @dataclass(frozen=True)
 class Event:
     """One input to step. The event rules live here, so a scripted event
-    and one built in code are checked alike: kind is one of EVENT_KINDS,
-    and every kind but master_connection_lost names a controller."""
+    and one built in code are checked alike, in this order: kind is one
+    of EVENT_KINDS, every kind but master_connection_lost names a
+    controller, and a controller is a whole number, stored as an int
+    (2.0 gives 2; "2", True and 1.5 raise)."""
     kind: str
     controller: int | None = None
 
@@ -41,6 +45,9 @@ class Event:
                                 f"{list(EVENT_KINDS)}")
         if self.controller is None and self.kind != MASTER_CONNECTION_LOST:
             raise ProtocolError(f"{self.kind} event needs a controller")
+        if self.controller is not None:
+            object.__setattr__(self, "controller",
+                               whole(self.controller, "event controller", ProtocolError))
 
     def describe(self) -> str:
         if self.controller is None:

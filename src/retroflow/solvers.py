@@ -79,10 +79,11 @@ def _solution(inst: OscmInstance, assigned: dict[int, int], mask: int) -> Soluti
     The objective is summed over `assigned` in the order the solver
     inserted it, and only then are the dicts sorted: summing the same
     overheads in another order can change the last digits of the float.
-    Each term is g_i * D_ij, the float inst.w(i, j) returns.
+    Each term is g_i * D_ij, the float inst.w(i, j) returns, read from
+    the instance's delay rows.
     """
-    g, delay = inst.g, inst.delay
-    cost = sum(g[i] * delay[i, j] for i, j in assigned.items())
+    g, rows = inst.g, inst.delay_rows
+    cost = sum(g[i] * rows[i][j] for i, j in assigned.items())
     return Solution._of_mask(
         x={i: (1 if i in assigned else 0) for i in inst.offline_switches},
         assigned=dict(sorted(assigned.items())),
@@ -131,7 +132,7 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
     are the same as if it had been picked. A traced run still logs its
     pick and its tests, the decision log the trace is checked against.
     """
-    masks, g, delay, cheapest = inst.masks, inst.g, inst.delay, inst.cheapest
+    masks, g, rows, cheapest = inst.masks, inst.g, inst.delay_rows, inst.cheapest
     heap = [(-n, i, 0) for i, n in inst.counts.items()]
     heapq.heapify(heap)
     version = 0  # bumped each time `uncovered` shrinks
@@ -164,7 +165,7 @@ def solve_retroflow(inst: OscmInstance, trace: list[str] | None = None) -> Solut
                 continue  # failed: a world's orders list every controller
             fit = rest[j] >= g_pick
             if trace is not None:
-                trace.append(f"test switch={pick} controller={j} w={g_pick * delay[pick, j]} "
+                trace.append(f"test switch={pick} controller={j} w={g_pick * rows[pick][j]} "
                              f"rest={rest[j]} fit={'yes' if fit else 'no'}")
             if fit:
                 assigned[pick] = j

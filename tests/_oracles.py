@@ -11,6 +11,7 @@ same results step for step.
 import heapq
 import itertools
 import math
+import random
 import time
 
 
@@ -86,10 +87,10 @@ def enumerate_oscm(inst):
     """Exhaustive optimum over all (M+1)^N per-switch decisions.
 
     Returns (best_cost, best_choice) or (None, None) when infeasible.
-    choice[i] is None for legacy or a controller id. inst.beta, which
-    decodes every row on each read, is read once per call.
+    choice[i] is None for legacy or a controller id. inst.beta and
+    inst.delay, which build a dict on each read, are read once per call.
     """
-    beta = inst.beta
+    beta, delay = inst.beta, inst.delay
     switches = list(inst.offline_switches)
     controllers = list(inst.active_controllers)
     best_cost, best_choice = None, None
@@ -102,7 +103,7 @@ def enumerate_oscm(inst):
                 continue
             load[j] += inst.g[i]
             covered |= beta[i]
-            cost += inst.g[i] * inst.delay[(i, j)]
+            cost += inst.g[i] * delay[(i, j)]
         if any(load[j] > inst.a_rest[j] for j in controllers):
             continue
         if len(covered) < inst.q_required:
@@ -222,12 +223,15 @@ def greedy_rescan(inst, trace=None):
 
 def nearest_by_min(inst):
     """The baseline as it was written before its one comparison loop:
-    `min` over the active controllers keyed (delay, id). Kept verbatim,
-    so the loop can be checked assignment for assignment."""
+    `min` over the active controllers keyed (delay, id). Kept verbatim
+    but for one change: inst.delay, which builds a dict on each read, is
+    read once per call, not once per pair. So the loop can be checked
+    assignment for assignment."""
     from retroflow.solvers import _solution
 
+    delay = inst.delay
     assigned = {
-        i: min(inst.active_controllers, key=lambda j: (inst.delay[(i, j)], j))
+        i: min(inst.active_controllers, key=lambda j: (delay[(i, j)], j))
         for i in inst.offline_switches
     }
     # every offline switch is mapped, so every flow is recovered
@@ -237,11 +241,14 @@ def nearest_by_min(inst):
 def score_per_switch(inst, name, status, sol, ability, queue_penalty_ms):
     """The scoring as it was written before it priced each controller's
     queueing penalty once: one queueing_penalty_ms call per assigned
-    switch. Kept verbatim, so the scoring can be checked float for float."""
+    switch. Kept verbatim but for one change: inst.delay, which builds a
+    dict on each read, is read once per call, not once per pair. So the
+    scoring can be checked float for float."""
     from retroflow.experiment import AlgorithmOutcome, queueing_penalty_ms
 
     if sol is None:
         return AlgorithmOutcome(name, status)
+    delay = inst.delay
     load = {j: ability[j] - inst.a_rest[j] for j in inst.active_controllers}
     for i, j in sol.assigned.items():
         load[j] += inst.g[i]
@@ -250,7 +257,7 @@ def score_per_switch(inst, name, status, sol, ability, queue_penalty_ms):
     adjusted = 0.0
     for i, j in sol.assigned.items():
         penalty = queueing_penalty_ms(load[j], ability[j], queue_penalty_ms)
-        adjusted += inst.g[i] * (inst.delay[(i, j)] + penalty)
+        adjusted += inst.g[i] * (delay[(i, j)] + penalty)
 
     fraction = sol.n_programmable / inst.n_flows if inst.n_flows else 1.0
     return AlgorithmOutcome(
@@ -535,8 +542,15 @@ def two_edge_components_two_pass(t):
 
 def random_instance(rng, n_max=6, m_max=3, g_max=9, q_mode="mixed"):
     """Small random OSCM instance with integer delays and loads. Of its L
-    flows, q_mode "mixed" requires 0, L // 2 or L, "upper" any count in
-    [L // 2, L], and an int q_mode that many."""
+    flows, q_mode "mixed" requires 0, L // 2 or L, "upper" L // 2, L or
+    a count strictly between, each a third of the time (L // 2 or L, half
+    each, when no count lies between), and an int q_mode that many.
+
+    "upper" draws from a Random of its own, seeded from rng: a Hypothesis
+    rng draws the low end of a range far more often than the rest, and
+    rng.randint(L // 2, L) gave L // 2 in 56 and L in 3 of the 80
+    examples with at least two flows among
+    tests/test_metamorphic.py::test_random_instances' 100."""
     from retroflow.oscm import OscmInstance
 
     n = rng.randint(1, n_max)
@@ -553,7 +567,9 @@ def random_instance(rng, n_max=6, m_max=3, g_max=9, q_mode="mixed"):
     if q_mode == "mixed":
         q = rng.choice([0, L // 2, L])
     elif q_mode == "upper":
-        q = rng.randint(L // 2, L)
+        pick = random.Random(rng.getrandbits(64))
+        inner = range(L // 2 + 1, L)
+        q = pick.choice((L // 2, L, pick.choice(inner)) if inner else (L // 2, L))
     else:
         q = q_mode
     return OscmInstance(

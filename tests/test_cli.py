@@ -17,6 +17,8 @@ from test_domains import TWICE_LISTED
 
 TOPO = data_path("att25.json")
 PLACEMENT = data_path("att_table2.json")
+# the tests' own documents
+DATA = Path(__file__).parent / "data"
 
 # sha256 of the att25 CSV report per failure count and quota fraction
 REPORT_SHA256 = {
@@ -143,6 +145,18 @@ class TestRun:
         assert main(["run", "--topology", TOPO, "--placement", PLACEMENT,
                      "--failures", str(k), "--q-fraction", q, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[k, q]
+
+    def test_report_bytes_on_a_world_with_tied_delays(self, tmp_path):
+        # test_flows' random topology 16, nine nodes with zero-length links:
+        # most sources tie delays, so hops and node sequences decide its
+        # paths and masks. The report was recorded before the search
+        # handed tied sources to the full-order search; CI runs the
+        # installed script on the same world against the same file
+        out = tmp_path / "report.csv"
+        assert main(["run", "--topology", str(DATA / "tied9_topology.json"),
+                     "--placement", str(DATA / "tied9_placement.json"),
+                     "--failures", "1", "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "tied9_failures1.csv").read_bytes()
 
 
 class TestValidateCommand:

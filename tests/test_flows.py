@@ -482,6 +482,66 @@ class TestSearchTrees:
         for t, _ in benchmark_worlds():
             self.assert_same_trees(t)
 
+    @pytest.mark.parametrize("side", [7, 10, 20])
+    def test_same_trees_on_unjittered_grids(self, side):
+        # equal link lengths tie most delays, so most sources are searched
+        # under the full order
+        workloads = load_perfbench_workloads()
+        self.assert_same_trees(geo.load_topology(workloads.grid_topology(side)))
+
+    def test_tie_in_settle_order_alone(self, monkeypatch):
+        # from node 0, node 2 lies 5 ms away over one link and node 1 5 ms
+        # away over two (2 + 3 ms, exact floats): no relaxation meets a
+        # tentative delay, only the settled delays tie. By position node
+        # 1 would settle first; fewer hops settle node 2 first
+        t = synthetic(4, [(0, 2, 1000.0), (0, 3, 400.0), (3, 1, 600.0)])
+        calls = self.count_calls(monkeypatch, geo, "_paths_from_ordered")
+        assert geo.shortest_path_tree(t, 0).order == [0, 3, 2, 1]
+        assert len(calls) == 1
+        self.assert_same_trees(t)
+
+    @staticmethod
+    def full_order_searches(t, calls):
+        """How many of t's sources, each searched once, the fast search
+        hands to the full-order search, whose calls count_calls records
+        in calls."""
+        calls.clear()
+        for src in t.node_ids():
+            geo.shortest_path_tree(t, src)
+        return len(calls)
+
+    def test_no_full_order_search_without_ties(self, monkeypatch):
+        # the bundled topologies, the benchmark grids and a 20x20 grid of
+        # the same generator: jittered coordinates tie no delay
+        workloads = load_perfbench_workloads()
+        jittered = geo.load_topology(workloads.grid_topology(20, random.Random(1)))
+        untied = ([fixtures.att25_topology(), fixtures.ring5_topology()]
+                  + [t for t, _ in benchmark_worlds()[1:]] + [jittered])
+        calls = self.count_calls(monkeypatch, geo, "_paths_from_ordered")
+        assert [self.full_order_searches(t, calls) for t in untied] == [0] * 5
+
+    def test_full_order_search_at_ties(self, monkeypatch):
+        workloads = load_perfbench_workloads()
+        grids = [geo.load_topology(workloads.grid_topology(side)) for side in (7, 10, 20)]
+        calls = self.count_calls(monkeypatch, geo, "_paths_from_ordered")
+        assert [self.full_order_searches(t, calls) for t in grids] == [33, 84, 370]
+        # test_same_trees_on_random_topologies' zero-length links
+        rng = random.Random(11)
+        tied = []
+        for _ in range(60):
+            t = synthetic(*TestWorldBuildAgainstOracle.random_links(rng))
+            tied.append(self.full_order_searches(t, calls))
+        assert sum(map(bool, tied)) == 59 and sum(tied) == 444
+        # a path of 1.7e308 km links, whose delays past 211 hops overflow
+        # to inf: an inner source's two neighbours tie, and from an end
+        # source, which ties no finite delay, the first sum to overflow
+        # meets its node's tentative delay, inf
+        n = 220
+        far = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(n)],
+                       [(v, v + 1, 1.7e308) for v in range(n - 1)])
+        assert self.full_order_searches(far, calls) == n
+        self.assert_same_trees(far)
+
     def test_instance_delays_are_shortest_path_delays(self):
         # every (switch, controller) pair an instance can hold: the single
         # failures take each switch offline, its own controller failed

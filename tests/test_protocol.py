@@ -116,6 +116,18 @@ class TestEventRules:
     def test_master_loss_builds_with_or_without_controller(self, controller):
         assert Event(MASTER_CONNECTION_LOST, controller).controller == controller
 
+    @pytest.mark.parametrize("controller", ["x", True, 1.5])
+    @pytest.mark.parametrize("kind", [ADOPT, MASTER_CONNECTION_LOST])
+    def test_controller_not_a_whole_number(self, kind, controller):
+        message = f"event controller must be a whole number, got {controller!r}"
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            Event(kind, controller)
+
+    def test_whole_float_controller_stored_as_int(self):
+        e = Event(ADOPT, 2.0)
+        assert type(e.controller) is int and e.controller == 2
+        assert e == Event(ADOPT, 2) and e.describe() == "adopt(2)"
+
 
 class TestModelCheck:
     def test_bfs_depth_6_no_invariant_violation(self):

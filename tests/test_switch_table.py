@@ -8,6 +8,7 @@ active controllers. Both must lead the greedy, the baseline and the
 exact search to the same decisions.
 """
 
+import hashlib
 import math
 import random
 
@@ -340,3 +341,61 @@ class TestClearedTable:
                                   for i in inst.offline_switches for j in inst.active_controllers}
             assert math.isfinite(sum(inst.w(i, j) for i, j in inst.delay))
         assert calls == [(0, 1), (2, 3)]
+
+
+# sha256 of every instance's delay pairs, recorded when each instance
+# built its own {(switch, controller): ms} dict: per instance, its label
+# and then "i,j:hex" per pair in the dict's order, one line each, over
+# the instances of WORLD_GROUPS[name]
+DELAY_PAIRS_SHA256 = {
+    "att25-sweep": "765a73ab7a4c21ab00cae437d6203bff29f2e6d25286e11019ecb5eda4611c45",
+    "grid49-exact": "88142a33e4ffe446e0220d151ed15ca2027263b63e47bec609be49c515bc2ee5",
+    "grid100-greedy": "5bd0f53e920ecd603d22e187fe9f304f0c32aa09221d35bd9c00968e0feede7f",
+}
+
+
+class TestSharedDelayRows:
+    """A world's instance keeps no delay pairs: it shares the World's
+    delay rows, and `delay` and w read them, answering only the pairs of
+    an offline switch and an active controller."""
+
+    @pytest.mark.parametrize("name", sorted(DELAY_PAIRS_SHA256))
+    def test_rows_shared_and_pairs_unchanged(self, worlds, name):
+        world = worlds[name]
+        h = hashlib.sha256()
+        for inst in world_instances(world, WORLD_GROUPS[name]):
+            assert "delay" not in vars(inst)
+            assert inst.delay_rows is world.delay
+            pairs = inst.delay
+            assert list(pairs) == [(i, j) for i in inst.offline_switches
+                                   for j in inst.active_controllers]
+            h.update(f"{inst.label}\n".encode())
+            for (i, j), d in pairs.items():
+                assert inst.w(i, j) == inst.g[i] * d
+                h.update(f"{i},{j}:{d.hex()}\n".encode())
+        assert h.hexdigest() == DELAY_PAIRS_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(DELAY_PAIRS_SHA256))
+    def test_only_offline_by_active_pairs(self, worlds, name):
+        # the world's rows hold a delay for both kinds of pair
+        world = worlds[name]
+        for inst in world_instances(world, [(1, 1.0), (2, 1.0)]):
+            i, j = inst.offline_switches[0], inst.active_controllers[0]
+            online = next(v for v in world.topology.node_ids() if v not in inst.g)
+            failed = next(c for c in world.placement.controller_ids if c not in inst.a_rest)
+            assert failed in world.delay[i] and j in world.delay[online]
+            pairs = inst.delay
+            for pair in ((i, failed), (online, j)):
+                with pytest.raises(KeyError):
+                    inst.w(*pair)
+                with pytest.raises(KeyError):
+                    pairs[pair]
+
+    def test_constructed_instance_raises_alike(self, toy):
+        i, j = toy.offline_switches[0], toy.active_controllers[0]
+        assert toy.w(i, j) == toy.g[i] * toy.delay_rows[i][j]
+        for pair in ((i, -1), (-1, j)):
+            with pytest.raises(KeyError):
+                toy.w(*pair)
+            with pytest.raises(KeyError):
+                toy.delay[pair]

@@ -7,14 +7,14 @@ scenarios on programmability, load, and communication overhead.
 """
 
 from .domains import (FailureScenario, Placement, enumerate_failure_scenarios,
-                      load_placement, load_placement_file, residual_capacity)
+                      load_placement, load_placement_file)
 from .experiment import (ScenarioReport, World, emit_report, load_diagnostics,
                          make_world, queueing_penalty_ms, run_scenario, sweep_summary)
 from .flows import BetaMatrix
 from .geo import (GeoCoordinate, Topology, TopologyError, haversine_km, load_topology,
                   load_topology_file)
 from .oscm import (OscmInstance, Solution, ValidationReport, build_instance,
-                   objective, programmable_flows, validate)
+                   programmable_flows, validate)
 from .protocol import Event, ProtocolError, SwitchSession, run_script, step
 from .solvers import (ExactResult, GapInstance, SolverBudget, gap_bruteforce,
                       reduce_to_gap, solve_exact, solve_nearest, solve_retroflow)

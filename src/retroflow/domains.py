@@ -148,13 +148,6 @@ def domain_loads(p: Placement, loads: dict[int, int]) -> dict[int, int]:
     return {cid: sum(map(loads.__getitem__, sws)) for cid, sws in p.domains.items()}
 
 
-def residual_capacity(p: Placement, loads: dict[int, int], s: FailureScenario) -> dict[int, int]:
-    """Remaining ability per active controller after serving its own
-    surviving domain, from per-switch loads: surviving_residuals over
-    their domain_loads."""
-    return surviving_residuals(p, domain_loads(p, loads), s)
-
-
 def surviving_residuals(p: Placement, own: dict[int, int], s: FailureScenario) -> dict[int, int]:
     """Capacity minus own-domain load (own, as domain_loads gives it) per
     active controller, keyed in ascending controller id, once s is

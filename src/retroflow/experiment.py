@@ -111,7 +111,8 @@ class ScenarioReport:
 
     def normalized(self, algorithm: str, metric: str) -> float | None:
         """Metric divided by Nearest's value for the same scenario; None
-        when Nearest is absent, zero, or the metric is null."""
+        when Nearest is absent, zero, or the metric is null, and when the
+        ratio overflows (a subnormal base), which JSON could not write."""
         try:
             base = getattr(self.outcome("nearest"), metric)
         except KeyError:
@@ -119,7 +120,8 @@ class ScenarioReport:
         value = getattr(self.outcome(algorithm), metric)
         if base is None or value is None or base == 0:
             return None
-        return value / base
+        ratio = value / base
+        return ratio if math.isfinite(ratio) else None
 
 
 def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,

@@ -1,4 +1,4 @@
-"""Switch configuration and mapping instances: data, objective, validation.
+"""Switch configuration and mapping instances: data, assembly, validation.
 
 An instance fixes, for one failure scenario: the offline switches, the
 surviving controllers, per-switch loads g, the overhead matrix w = g * D,
@@ -203,14 +203,6 @@ class OscmInstance:
         self.nearest, self.cheapest = nearest, cheapest
         self.q_required = q_required
         return self
-
-    @property
-    def n_switches(self) -> int:
-        return len(self.offline_switches)
-
-    @property
-    def n_controllers(self) -> int:
-        return len(self.active_controllers)
 
     @property
     def n_flows(self) -> int:
@@ -558,8 +550,10 @@ def build_instance(t: Topology, b: BetaMatrix, p: dm.Placement, s: dm.FailureSce
         union, world.nearest, world.cheapest, math.ceil(q_fraction * union.bit_count()))
 
 
-def _check_dimensions(inst: OscmInstance, sol: Solution, y: tuple[int, ...]):
-    """y: sol.y, decoded once by the caller."""
+def validate(inst: OscmInstance, sol: Solution) -> ValidationReport:
+    """Check every constraint family and report pass/fail per family;
+    raise InstanceError first if sol is not indexed over inst."""
+    y = sol.y
     switches = set(inst.offline_switches)
     if set(sol.x) != switches:
         raise InstanceError("solution x not indexed over the offline switches")
@@ -569,18 +563,6 @@ def _check_dimensions(inst: OscmInstance, sol: Solution, y: tuple[int, ...]):
         raise InstanceError("solution assigns to unknown controllers")
     if not set(y) <= set(inst.flows):
         raise InstanceError("solution marks unknown flows programmable")
-
-
-def objective(inst: OscmInstance, sol: Solution) -> float:
-    """Total communication overhead: sum of w_ij over assignments."""
-    _check_dimensions(inst, sol, sol.y)
-    return sum(inst.w(i, j) for i, j in sol.assigned.items())
-
-
-def validate(inst: OscmInstance, sol: Solution) -> ValidationReport:
-    """Check every constraint family and report pass/fail per family."""
-    y = sol.y
-    _check_dimensions(inst, sol, y)
 
     mapping_bad = []
     for i in inst.offline_switches:

@@ -80,10 +80,14 @@ def _solution(inst: OscmInstance, assigned: dict[int, int], mask: int) -> Soluti
     inserted it, and only then are the dicts sorted: summing the same
     overheads in another order can change the last digits of the float.
     Each term is g_i * D_ij, the float inst.w(i, j) returns, read from
-    the instance's delay rows.
+    the instance's delay rows. The loop adds left to right from the int
+    0, which an empty mapping keeps: sum() compensates float additions
+    since Python 3.12, so its last digits would depend on the version.
     """
     g, rows = inst.g, inst.delay_rows
-    cost = sum(g[i] * rows[i][j] for i, j in assigned.items())
+    cost = 0
+    for i, j in assigned.items():
+        cost += g[i] * rows[i][j]
     return Solution._of_mask(
         x={i: (1 if i in assigned else 0) for i in inst.offline_switches},
         assigned=dict(sorted(assigned.items())),

@@ -158,14 +158,32 @@ def gap_optimum_recursive(costs, usage, capacities):
     return best[0]
 
 
+def objective(inst, sol):
+    """Total communication overhead: the sum of w_ij over sol's
+    assignments, once validate has checked sol's dimensions against inst.
+    It adds left to right from the int 0 in sol.assigned's order, which a
+    solver's solution sorts by switch, so its value can differ in the
+    last digits from that solution's objective, summed in pick order."""
+    from retroflow.oscm import validate
+
+    validate(inst, sol)
+    cost = 0
+    for i, j in sol.assigned.items():
+        cost += inst.w(i, j)
+    return cost
+
+
 def solution_of(inst, assigned, covered):
     """The solver output for a mapping and the set of flows it recovers,
     built through the public constructor. The objective is summed over
-    `assigned` in insertion order, as the solvers sum it: another order
-    can change the last digits of the float."""
+    `assigned` in insertion order, as the solvers sum it, left to right
+    from the int 0: another order, or sum()'s compensated float additions
+    since Python 3.12, can change the last digits of the float."""
     from retroflow.oscm import Solution
 
-    cost = sum(inst.w(i, j) for i, j in assigned.items())
+    cost = 0
+    for i, j in assigned.items():
+        cost += inst.w(i, j)
     return Solution(
         x={i: (1 if i in assigned else 0) for i in inst.offline_switches},
         assigned=dict(sorted(assigned.items())),

@@ -1,5 +1,8 @@
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +17,7 @@ from retroflow.fixtures import data_path
 from retroflow.solvers import solve_retroflow
 
 from test_domains import TWICE_LISTED
+from test_experiment import written_floats
 
 TOPO = data_path("att25.json")
 PLACEMENT = data_path("att_table2.json")
@@ -157,6 +161,26 @@ class TestRun:
                      "--placement", str(DATA / "tied9_placement.json"),
                      "--failures", "1", "--format", "csv", "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "tied9_failures1.csv").read_bytes()
+
+    @pytest.mark.parametrize("penalty", ["0.1", "0"])
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_ratio_past_the_float_range(self, capsys, tmp_path, format, penalty):
+        # Nearest maps switch 3 to controller 1, a 1e-310 km link away, so
+        # the greedy's overhead over Nearest's overflowed to inf: CSV wrote
+        # it, and JSON, which cannot, exited 2. The ratio is null in both
+        out = tmp_path / f"report.{format}"
+        assert main(["run", "--topology", str(DATA / "subnormal_ring_topology.json"),
+                     "--placement", str(DATA / "subnormal_ring_placement.json"),
+                     "--failures", "0,", "--algorithms", "retroflow,nearest",
+                     "--queue-penalty", penalty, "--format", format, "--out", str(out)]) == 0
+        text = out.read_text()
+        floats = written_floats(text, format)
+        assert floats and all(map(math.isfinite, floats))
+        rows = (json.loads(text)["records"] if format == "json"
+                else list(csv.DictReader(io.StringIO(text))))
+        assert rows[0]["algorithm"] == "retroflow"
+        assert rows[0]["norm_raw_overhead"] in (None, "")
+        assert "inf" not in capsys.readouterr().out
 
 
 class TestValidateCommand:
@@ -635,7 +659,9 @@ class TestOneLineExits:
         (lambda doc: doc["assigned"].update(dict.fromkeys(doc["assigned"], 99)),
          "solution assigns to unknown controllers"),
         (lambda doc: doc["y"].append(12345), "solution marks unknown flows programmable"),
-    ], ids=["unknown-switch", "unknown-controller", "unknown-flow"])
+        (lambda doc: doc["x"].update({"77": 0}),
+         "solution x not indexed over the offline switches"),
+    ], ids=["unknown-switch", "unknown-controller", "unknown-flow", "x-off-the-switches"])
     def test_solution_outside_the_instance(self, capsys, tmp_path, edit, message):
         doc = json.loads(solve_retroflow(fixtures.toy_recovery_instance()).to_json())
         edit(doc)

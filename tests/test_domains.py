@@ -7,8 +7,14 @@ import pytest
 from retroflow import domains as dm
 from retroflow.domains import (FailureScenario, Placement, PlacementError,
                                enumerate_failure_scenarios, load_placement,
-                               offline_switches, residual_capacity, scenario_count)
+                               offline_switches, scenario_count)
 from retroflow.fixtures import data_path
+
+
+def residual_capacity(p, loads, s):
+    """Each active controller's residual from per-switch loads: the
+    residuals over the domains' loads, as a World reads them."""
+    return dm.surviving_residuals(p, dm.domain_loads(p, loads), s)
 
 
 # node 2 listed twice, with disjoint switches and different capacities

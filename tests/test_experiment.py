@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import random
 import re
 from pathlib import Path
@@ -9,12 +10,35 @@ from pathlib import Path
 import pytest
 
 from retroflow import experiment, fixtures, oscm, solvers
-from retroflow.domains import FailureScenario, enumerate_failure_scenarios
+from retroflow.domains import FailureScenario, enumerate_failure_scenarios, load_placement_file
 from retroflow.experiment import (ReportError, emit_report, queueing_penalty_ms,
                                   run_scenario, sweep_summary)
+from retroflow.geo import load_topology_file
 
 from _oracles import random_instance, score_per_switch
+from test_flows import benchmark_worlds
 from test_solvers import greedy_case
+
+# the tests' own documents
+DATA = Path(__file__).parent / "data"
+
+
+def written_floats(text, format):
+    """Every number a report writes as a float: the JSON document's float
+    values, or each CSV cell that parses as one (inf and nan included)."""
+    if format == "json":
+        doc = json.loads(text)
+        values = [v for row in doc["records"] for v in row.values()]
+        values += doc["summary"].values()
+        return [v for v in values if isinstance(v, float)]
+    floats = []
+    for row in csv.reader(io.StringIO(text)):
+        for cell in row:
+            try:
+                floats.append(float(cell))
+            except ValueError:
+                pass
+    return floats
 
 
 class TestQueueingPenalty:
@@ -324,6 +348,25 @@ class TestEmitReport:
         rep = run_scenario(att_world, FailureScenario(frozenset({20})), 1.0)
         with pytest.raises(ValueError, match="not JSON compliant"):
             emit_report([dataclasses.replace(rep, q_fraction=float("nan"))], format="json")
+
+    def test_every_written_float_is_finite(self):
+        """att25 at k=1..2 with every solver, the benchmark grids at k=1
+        with the greedy and the baseline, and a ring whose subnormal link
+        puts Nearest's controller a subnormal delay away, so dividing by
+        Nearest's overhead overflows."""
+        t = load_topology_file(DATA / "subnormal_ring_topology.json")
+        ring = (t, load_placement_file(DATA / "subnormal_ring_placement.json", t))
+        att, *grids = benchmark_worlds()
+        runs = [(att, (1, 2), experiment.ALGORITHMS)]
+        runs += [(w, (1,), ("retroflow", "nearest")) for w in [*grids, ring]]
+        for (t, p), ks, algorithms in runs:
+            world = experiment.make_world(t, p)
+            for penalty in (0.1, 0.0):
+                reports = [run_scenario(world, s, 0.9, algorithms, penalty)
+                           for k in ks for s in enumerate_failure_scenarios(p, k)]
+                for format in ("csv", "json"):
+                    floats = written_floats(emit_report(reports, format), format)
+                    assert floats and all(map(math.isfinite, floats))
 
     def test_unknown_format(self, att_world):
         rep = run_scenario(att_world, FailureScenario(frozenset({20})), 1.0)

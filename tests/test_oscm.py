@@ -11,11 +11,11 @@ from retroflow.cli import main
 from retroflow.flows import BetaMatrix, programmability
 from retroflow.geo import GeoCoordinate, Topology, load_topology, shortest_path_tree
 from retroflow.oscm import (InstanceError, OscmInstance, Solution,
-                            build_instance, objective, programmable_flows,
-                            validate)
+                            build_instance, programmable_flows, validate)
 from retroflow.solvers import solve_retroflow
 
-from _oracles import check_solution, random_instance
+from _oracles import check_solution, objective, random_instance
+from test_domains import residual_capacity
 from test_flows import benchmark_worlds
 
 
@@ -54,8 +54,8 @@ class TestBuildInstance:
         assert inst.q_required == inst.n_flows
 
     def test_toy_shape(self, toy):
-        assert toy.n_switches == 5
-        assert toy.n_controllers == 2
+        assert len(toy.offline_switches) == 5
+        assert len(toy.active_controllers) == 2
         assert toy.offline_switches == (20, 21, 22, 23, 24)
         assert toy.flows == (1, 2, 3)
 
@@ -196,7 +196,7 @@ class TestWorldRoute:
         s = FailureScenario(frozenset({0}))
         with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
             build_instance(t, b, p, s, 1.0)
-        rest = dm.residual_capacity(p, p.flow_counts, s)
+        rest = residual_capacity(p, p.flow_counts, s)
         assert self.constructor_error(t, b, p.flow_counts, (0, 1), (2,), rest) == message
 
     def test_overflowing_overheads_exit_the_cli(self, capsys, tmp_path):
@@ -386,7 +386,7 @@ class TestValidate:
         for _ in range(100):
             inst = random_instance(rng)
             chosen = rng.sample(inst.offline_switches,
-                                rng.randint(0, inst.n_switches))
+                                rng.randint(0, len(inst.offline_switches)))
             assigned = {i: rng.choice(inst.active_controllers) for i in chosen}
             x = {i: (1 if i in assigned else 0) for i in inst.offline_switches}
             if rng.random() < 0.3 and inst.offline_switches:
@@ -420,7 +420,7 @@ class TestProgrammableFlows:
         rng = random.Random(9)
         for _ in range(50):
             inst = random_instance(rng)
-            on = set(rng.sample(inst.offline_switches, rng.randint(0, inst.n_switches)))
+            on = set(rng.sample(inst.offline_switches, rng.randint(0, len(inst.offline_switches))))
             smaller = {i: (1 if i in on else 0) for i in inst.offline_switches}
             more = set(on)
             for i in inst.offline_switches:
@@ -433,7 +433,7 @@ class TestProgrammableFlows:
         rng = random.Random(13)
         for _ in range(50):
             inst = random_instance(rng)
-            chosen = rng.sample(inst.offline_switches, rng.randint(0, inst.n_switches))
+            chosen = rng.sample(inst.offline_switches, rng.randint(0, len(inst.offline_switches)))
             x = {i: (1 if i in chosen else 0) for i in inst.offline_switches}
             supported = programmable_flows(inst, x)
             y = set(rng.sample(sorted(supported), rng.randint(0, len(supported))))

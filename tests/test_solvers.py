@@ -447,9 +447,9 @@ class TestLazyGreedy:
                 seen.add("no fit")
             if any(inst.g[i] == 0 for i in sol.assigned):
                 seen.add("zero load")
-            if inst.n_switches and inst.q_required == 0:
+            if inst.offline_switches and inst.q_required == 0:
                 seen.add("zero quota")
-            if not inst.n_switches:
+            if not inst.offline_switches:
                 seen.add("no switch")
         assert seen == {"tie", "stalled", "no fit", "zero load", "zero quota", "no switch"}
 
@@ -744,6 +744,17 @@ class TestSolveNearest:
         )
         assert solve_nearest(inst).assigned == {1: 10}
 
+    def test_objective_adds_left_to_right(self):
+        # 1.0 + 1e-16 rounds to 1.0 twice over; sum()'s compensated float
+        # additions since Python 3.12 keep the two 1e-16 and give
+        # 1.0000000000000002, so a report would depend on the version
+        inst = OscmInstance(
+            offline_switches=[1, 2, 3], active_controllers=[10],
+            delay={(1, 10): 1.0, (2, 10): 1e-16, (3, 10): 1e-16}, g={1: 1, 2: 1, 3: 1},
+            beta={1: {0}, 2: {1}, 3: {2}}, a_rest={10: 3}, q_required=3,
+        )
+        assert solve_nearest(inst).objective == 1.0
+
     def test_recovers_every_flow(self):
         rng = random.Random(32)
         for _ in range(50):
@@ -785,8 +796,8 @@ class TestGapReduction:
         inst = random_gap_special_instance(rng)
         gap = reduce_to_gap(inst)
         assert gap is not None
-        assert gap.n_tasks == inst.n_switches
-        assert gap.n_agents == inst.n_controllers
+        assert gap.n_tasks == len(inst.offline_switches)
+        assert gap.n_agents == len(inst.active_controllers)
 
     def test_att_instance_not_applicable(self, att_world):
         s = FailureScenario(frozenset({20}))

@@ -223,10 +223,10 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
     carries. A flow is lost when the legacy branch passes over its last
     carrier in branching order; more than n_flows - q lost flows leave
     the quota out of reach, and the node is pruned without further work.
-    Otherwise one pass prices each undecided switch once and bounds the
-    node (see _bound): the flows its usable switches can still recover,
-    then the overhead of the flows still needed. The result's status is
-    every outcome: `optimal` or `infeasible` when the search completes
+    Otherwise the node is bounded (see _bound) from the undecided
+    switches' uncovered-flow counts: the flows its usable switches can
+    still recover, then the overhead of the flows still needed. The
+    result's status is every outcome: `optimal` or `infeasible` when the search completes
     with or without an incumbent, `not_proven` (the incumbent) or
     `budget_exhausted` (no solution) when a limit ends it first. Both
     limits are checked at every node, the clock from the call's start.
@@ -240,11 +240,19 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
     a legacy child shares its parent's covered flows and residuals, and a
     mapped child gets new ones. The stack holds a pending sibling per
     level of the current path, so it takes about path depth x covered
-    flows of memory.
+    flows of memory, plus the counts below.
+
+    Only the root and mapped nodes price (_price): one list of the
+    undecided switches' uncovered-flow counts. A legacy child has its
+    parent's covered flows, so its entry carries the parent's list by
+    reference with the index it starts at, and a chain of legacy nodes
+    shares the list of the node that priced it; its bound re-derives
+    only each switch's fit from the shared residuals. A mapped child's
+    entry carries None and prices from its own covered flows.
 
     The search's flow sets are frozensets of flow ids: the instance's
-    rows, read once per call and handed to _bound. No other solver reads
-    rows.
+    rows, read once per call and handed to _price and _bound. No other
+    solver reads rows.
     """
     budget = budget or SolverBudget()
     deadline = time.monotonic() + budget.time_limit_ms / 1000.0
@@ -269,11 +277,13 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
         best_cost, best = greedy.objective, greedy
 
     nodes = 0
-    # (idx, cost, lost, covered, rest, moves) visits node idx, reached by
-    # the (switch, controller) pairs `moves`, having lost `lost` flows
-    stack = [(0, 0.0, 0, frozenset(), inst.a_rest, ())]
+    # (idx, cost, lost, covered, rest, moves, counts, base) visits node
+    # idx, reached by the (switch, controller) pairs `moves`, having lost
+    # `lost` flows; counts[k - base] is order[k]'s uncovered-flow count,
+    # or counts is None when the node prices itself
+    stack = [(0, 0.0, 0, frozenset(), inst.a_rest, (), None, 0)]
     while stack:
-        idx, cost, lost, covered, rest, moves = stack.pop()
+        idx, cost, lost, covered, rest, moves, counts, base = stack.pop()
         nodes += 1
         if nodes > budget.max_nodes_explored or time.monotonic() > deadline:
             return ExactResult(best, "budget_exhausted" if best is None else "not_proven",
@@ -293,7 +303,10 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
         if idx == len(order) or lost > slack:
             continue
 
-        bound = _bound(inst, beta, order, options, idx, covered, rest, needed, slack - lost)
+        if counts is None:
+            counts, base = _price(beta, order, idx, covered), idx
+        bound = _bound(inst, beta, order, options, idx, counts[idx - base:], covered, rest,
+                       needed, slack - lost)
         if bound is None or cost + bound >= best_cost:
             continue
 
@@ -303,55 +316,60 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
         # covered (dies[idx] is a subset of beta[i]). `rest` is never
         # written: a mapped child gets a copy
         i = order[idx]
-        stack.append((idx + 1, cost, lost + len(dies[idx] - covered), covered, rest, moves))
+        stack.append((idx + 1, cost, lost + len(dies[idx] - covered), covered, rest, moves,
+                      counts, base))
         mapped = covered | beta[i]
         for w_ij, j in reversed([(w_ij, j) for w_ij, j in options[i] if rest[j] >= g[i]]):
             stack.append((idx + 1, cost + w_ij, lost, mapped,
-                          {**rest, j: rest[j] - g[i]}, moves + ((i, j),)))
+                          {**rest, j: rest[j] - g[i]}, moves + ((i, j),), None, 0))
 
     if best is None:
         return ExactResult(None, "infeasible", nodes)
     return ExactResult(best, "optimal", nodes)
 
 
-def _bound(inst, beta, order, options, idx, covered, rest, needed, spare):
+def _price(beta, order, idx, covered):
+    """The uncovered-flow count of each undecided switch, order[idx:]."""
+    return [len(beta[i] - covered) for i in order[idx:]]
+
+
+def _bound(inst, beta, order, options, idx, counts, covered, rest, needed, spare):
     """Cost lower bound of any completion that gains `needed` more
     flows, or None when no completion can gain them.
 
-    One pass over the undecided switches keeps the usable ones, those
-    that add flows and fit some surviving controller, with their
-    uncovered-flow count and cheapest fitting mapping. Coverage ceiling:
+    counts[k] is order[idx + k]'s uncovered-flow count (_price), which a
+    legacy node reads from the node that priced it. One pass over the
+    undecided switches keeps the usable ones, those that add flows and
+    fit some surviving controller, with their count and cheapest fitting
+    mapping, read from this node's residuals. Coverage ceiling:
     fractional knapsack of those counts on the total remaining capacity,
     rounded upward. Reachable flows: the union of the usable switches'
     uncovered flows must reach `needed`. The caller's lost-flow test has
     shown that all undecided switches together reach it with `spare`
     flows over, and the switches that fit no controller take away at
     most their uncovered flows. So the union is only collected when
-    those exceed `spare`, and only until it reaches `needed`. Cost
-    floor: the needed flows bought fractionally at each switch's
-    cheapest price per flow, ignoring capacity coupling.
+    those exceed `spare`, from the usable switches' flows less
+    `covered`, and only until it reaches `needed`. Cost floor: the
+    needed flows bought fractionally at each switch's cheapest price per
+    flow, ignoring capacity coupling.
     """
-    usable = []
-    reach = []  # the usable switches' uncovered flows
+    usable = []  # (price per flow, price, count, load, switch)
     stranded = 0  # uncovered flows of the other switches, with repeats
-    for i in order[idx:]:
-        gain = beta[i] - covered
-        if not gain:
+    for i, potential in zip(order[idx:], counts):
+        if not potential:
             continue
         g_i = inst.g[i]
         for cheapest, j in options[i]:
             if rest[j] >= g_i:
-                potential = len(gain)
-                usable.append((cheapest / potential, cheapest, potential, g_i))
-                reach.append(gain)
+                usable.append((cheapest / potential, cheapest, potential, g_i, i))
                 break
         else:
-            stranded += len(gain)
+            stranded += potential
 
     # zero-load switches are free; count them in full
-    ceiling = sum(p for _, _, p, g in usable if g == 0)
+    ceiling = sum(p for _, _, p, g, _ in usable if g == 0)
     capacity = sum(rest.values())
-    for _, p, g in sorted((g * 1.0 / p, p, g) for _, _, p, g in usable if g > 0):
+    for _, p, g in sorted((g * 1.0 / p, p, g) for _, _, p, g, _ in usable if g > 0):
         if capacity <= 0:
             break
         if g <= capacity:
@@ -364,8 +382,8 @@ def _bound(inst, beta, order, options, idx, covered, rest, needed, spare):
         return None
     if stranded > spare:
         union: set[int] = set()
-        for gain in reach:
-            union |= gain
+        for *_, i in usable:
+            union |= beta[i] - covered
             if len(union) >= needed:
                 break
         else:
@@ -374,7 +392,7 @@ def _bound(inst, beta, order, options, idx, covered, rest, needed, spare):
     usable.sort()
     bound = 0.0
     left = needed
-    for _, cheap, pot, _ in usable:
+    for _, cheap, pot, _, _ in usable:
         if pot >= left:
             bound += cheap * (left / pot)
             break

@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 
 def law_of_cosines_km(lat1, lon1, lat2, lon2, radius=6371.0):
@@ -111,6 +112,76 @@ def enumerate_oscm(inst):
         if best_cost is None or cost < best_cost:
             best_cost, best_choice = cost, combo
     return best_cost, best_choice
+
+
+def milp_oscm(inst):
+    """The optimum as a mixed integer program, solved by scipy's HiGHS.
+
+    Binary x_ij maps switch i to controller j. Flows with the same
+    carriers form one class c of n_c flows, and y_c in [0, n_c] counts
+    the ones recovered: a per-flow binary y_l summed over its class, on
+    fewer variables. Each switch takes at most one controller, each
+    controller's mapped load stays within its residual, a class is
+    recovered only when some mapped switch carries it
+    (y_c <= n_c sum of its carriers' x_ij), and at least q flows are
+    recovered; the objective is the overhead sum of w_ij x_ij. With x
+    binary, y needs no integrality: a class is recovered in full or not
+    at all.
+
+    Returns (cost, assigned), or (None, None) when no mapping meets the
+    quota. The cost is summed over the rounded mapping, left to right
+    from the int 0, not read from HiGHS, whose objective carries its
+    tolerances. inst.beta is read once per call.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    beta = inst.beta
+    carriers = {}
+    for i in inst.offline_switches:
+        for l in beta[i]:
+            carriers.setdefault(l, []).append(i)
+    classes = Counter(tuple(c) for c in carriers.values())
+    switches, controllers = inst.offline_switches, inst.active_controllers
+    pairs = [(i, j) for i in switches for j in controllers]
+    col_of = {pair: col for col, pair in enumerate(pairs)}
+    n_x, n = len(pairs), len(pairs) + len(classes)
+
+    # rows: one per switch, one per controller, one per class, the quota
+    rows = len(switches) + len(controllers) + len(classes) + 1
+    a = np.zeros((rows, n))
+    lower, upper = np.full(rows, -np.inf), np.zeros(rows)
+    for r, i in enumerate(switches):
+        for j in controllers:
+            a[r, col_of[i, j]] = 1
+        upper[r] = 1
+    for r, j in enumerate(controllers, len(switches)):
+        for i in switches:
+            a[r, col_of[i, j]] = inst.g[i]
+        upper[r] = inst.a_rest[j]
+    for k, (carried_by, size) in enumerate(classes.items()):
+        r, col = len(switches) + len(controllers) + k, n_x + k
+        a[r, col] = 1
+        for i in carried_by:
+            for j in controllers:
+                a[r, col_of[i, j]] = -size
+        a[-1, col] = 1
+    lower[-1], upper[-1] = inst.q_required, np.inf
+
+    cost = np.zeros(n)
+    cost[:n_x] = [inst.w(i, j) for i, j in pairs]
+    res = milp(cost, constraints=LinearConstraint(a, lower, upper),
+               integrality=np.arange(n) < n_x,
+               bounds=Bounds(0, [1] * n_x + list(classes.values())),
+               options={"mip_rel_gap": 0})
+    if res.status == 2:
+        return None, None
+    assert res.status == 0, res.message
+    assigned = {i: j for (i, j), v in zip(pairs, res.x) if v > 0.5}
+    total = 0
+    for i, j in assigned.items():
+        total += inst.w(i, j)
+    return total, assigned
 
 
 def check_solution(inst, x, assigned, y, q_required):

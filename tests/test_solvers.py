@@ -1,12 +1,15 @@
 import copy
 import hashlib
+import math
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
 
+from retroflow import solvers
 from retroflow.domains import FailureScenario, Placement, enumerate_failure_scenarios
 from retroflow.experiment import AlgorithmOutcome, _score, make_world
 from retroflow.flows import compute_beta, generate_flows
@@ -15,7 +18,7 @@ from retroflow.solvers import (GapInstance, GapSizeError, SolverBudget, gap_brut
                                reduce_to_gap, solve_exact, solve_nearest, solve_retroflow)
 
 from _oracles import (enumerate_oscm, exact_undo, gap_optimum_recursive, greedy_rescan,
-                      nearest_by_min, random_instance, random_gap_special_instance)
+                      milp_oscm, nearest_by_min, random_instance, random_gap_special_instance)
 from test_flows import benchmark_worlds, load_perfbench_workloads
 from test_geo import random_connected_links, synthetic
 
@@ -320,6 +323,91 @@ class TestExactWithoutUndo:
     def test_att25_matches_undo_search(self, att_world):
         for inst in att25_instances(att_world):
             assert exact_outcome(solve_exact, inst) == exact_outcome(exact_undo, inst)
+
+
+class TestLegacyPricing:
+    """Only the root and mapped nodes price the undecided switches; a
+    legacy child reads the counts of the node that priced them."""
+
+    def test_workloads(self, monkeypatch):
+        # att25 makes 16,454 bound calls and grid49 8,777, of which legacy
+        # children make 3,331 and 2,621: a search that prices at every
+        # bound call reads those totals
+        calls = []
+        price = solvers._price
+
+        def counted(*args):
+            calls.append(None)
+            return price(*args)
+
+        monkeypatch.setattr(solvers, "_price", counted)
+        instances = workload_instances()
+        work = {}
+        for name in ("att25-sweep", "grid49-exact"):
+            calls.clear()
+            nodes = 0
+            for inst in instances[name]:
+                outcome = exact_outcome(solve_exact, inst)
+                assert outcome == exact_outcome(exact_undo, inst), inst.label
+                nodes += outcome[1]
+            work[name] = (len(calls), nodes)
+        assert work == {"att25-sweep": (13123, 22252), "grid49-exact": (6156, 11652)}
+
+    def test_chain_memory(self):
+        # a legacy entry holds its parent's counts by reference, one list
+        # of ints per priced node: the search peaks at about 5.5 MiB on
+        # this chain of 400 levels, 0.7 MiB over a search that prices at
+        # every node. Lists of per-switch flow sets in their place peak at
+        # about 22 MiB
+        inst = chain_instance(400)
+        tracemalloc.start()
+        try:
+            result = solve_exact(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.nodes_explored == 801
+        assert peak <= 6 * 2**20
+
+
+def milp_check(inst):
+    """solve_exact's status and objective against the MILP oracle's;
+    returns the status."""
+    cost, _ = milp_oscm(inst)
+    result = solve_exact(inst)
+    if cost is None:
+        assert result.status == "infeasible"
+    else:
+        assert result.status == "optimal"
+        assert math.isclose(result.solution.objective, cost, rel_tol=1e-9)
+    return result.status
+
+
+class TestMilpOracle:
+    """The exact search against a mixed integer program, on instances
+    past the reach of enumeration (at most 6 switches). Skipped where
+    scipy is missing, or installed for another interpreter and so fails
+    to import."""
+
+    def test_seeded_instances(self):
+        pytest.importorskip("scipy.optimize", exc_type=ImportError)
+        rng = random.Random(6006)
+        statuses, past_enumeration = Counter(), 0
+        for _ in range(300):
+            inst = random_instance(rng, n_max=16, m_max=4, q_mode="upper")
+            statuses[milp_check(inst)] += 1
+            past_enumeration += len(inst.offline_switches) > 6
+        assert statuses == {"optimal": 276, "infeasible": 24}
+        assert past_enumeration > 150
+
+    def test_att25(self, att_world):
+        pytest.importorskip("scipy.optimize", exc_type=ImportError)
+        statuses = Counter(
+            milp_check(build_instance(att_world.topology, att_world.beta, att_world.placement,
+                                      s, q))
+            for k in (1, 2) for s in enumerate_failure_scenarios(att_world.placement, k)
+            for q in (0.9, 1.0))
+        assert statuses == {"optimal": 25, "infeasible": 17}
 
 
 class TestInstanceLeftAlone:

@@ -13,8 +13,8 @@ from pathlib import Path as FsPath
 from . import domains as dm
 from . import protocol
 from ._doc import distinct, parse, record, whole
-from .experiment import (ALGORITHMS, FEASIBLE, emit_report, load_diagnostics, make_world,
-                         run_scenario, sweep_summary)
+from .experiment import (FEASIBLE, check_algorithms, emit_report, load_diagnostics,
+                         make_world, run_scenario, sweep_summary)
 from .geo import load_topology_file
 from .oscm import OscmInstance, Solution, validate
 from .solvers import SolverBudget
@@ -72,11 +72,7 @@ def _cmd_run(args) -> int:
     topo = load_topology_file(args.topology)
     placement = dm.load_placement_file(args.placement, topo)
     scenarios = _parse_scenarios(args.failures, placement)
-    algorithms = tuple(distinct([a.strip() for a in args.algorithms.split(",") if a.strip()],
-                                "algorithm", ValueError))
-    for a in algorithms:
-        if a not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {a!r}")
+    algorithms = check_algorithms([a.strip() for a in args.algorithms.split(",") if a.strip()])
     budget = SolverBudget(time_limit_ms=args.time_limit * 1000.0)
 
     world = make_world(topo, placement)

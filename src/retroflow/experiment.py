@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import domains as dm
+from ._doc import distinct
 # generate_flows and compute_beta are the per-flow reference for
 # programmability, the build make_world uses; perfbench/tracing.py wraps
 # all three here by name
@@ -40,6 +41,18 @@ def _check_penalty(penalty_ms: float):
     """Reject a negative, nan or infinite penalty, which would bill such overheads."""
     if not 0 <= penalty_ms < math.inf:
         raise ValueError("queue penalty must be finite and nonnegative")
+
+
+def check_algorithms(algorithms) -> tuple[str, ...]:
+    """The requested solver names as a tuple. ReportError names the first
+    repeated name, else the first unknown one, and refuses an empty list."""
+    names = tuple(distinct(algorithms, "algorithm", ReportError))
+    if not names:
+        raise ReportError("at least one algorithm required")
+    for name in names:
+        if name not in ALGORITHMS:
+            raise ReportError(f"unknown algorithm {name!r}")
+    return names
 
 
 def queueing_penalty_ms(load: int, ability: int, penalty_ms: float) -> float:
@@ -134,8 +147,7 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
     An exact row takes the search's status, with `optimal` written as
     `ok`; a budget_exhausted or infeasible search has no solution, so
     its row has null metrics."""
-    if not algorithms:
-        raise ReportError("at least one algorithm required")
+    algorithms = check_algorithms(algorithms)
     # also checked here: a scenario whose solutions map no switch never
     # calls queueing_penalty_ms
     _check_penalty(queue_penalty_ms)
@@ -151,11 +163,9 @@ def run_scenario(world: World, s: dm.FailureScenario, q_fraction: float,
             result = solve_exact(inst, budget, _greedy=greedy)
             sol = result.solution
             status = "ok" if result.status == "optimal" else result.status
-        elif name in ("retroflow", "nearest"):
+        else:
             sol = greedy if name == "retroflow" else solve_nearest(inst)
             status = "ok" if sol.quota_met else "quota_unmet"
-        else:
-            raise ReportError(f"unknown algorithm {name!r}")
         outcomes.append(_score(inst, name, status, sol, ability, queue_penalty_ms))
 
     return ScenarioReport(

@@ -4,20 +4,24 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from retroflow import cli
 from retroflow.cli import main
-from retroflow.oscm import Solution
+from retroflow.domains import FailureScenario
+from retroflow.oscm import Solution, build_instance
 from retroflow import fixtures
 from retroflow.fixtures import data_path
 from retroflow.solvers import solve_retroflow
 
 from test_domains import TWICE_LISTED
 from test_experiment import written_floats
+from test_flows import load_perfbench_workloads
 
 TOPO = data_path("att25.json")
 PLACEMENT = data_path("att_table2.json")
@@ -31,6 +35,16 @@ REPORT_SHA256 = {
     (2, "0.9"): "2343b49327245fddc995a718f0d580448f85017395bd449ce9725637012aed5d",
     (2, "1.0"): "7e172469290316ffab77cfe4b3c35d80667447da5cfbd3361771e558a72c2a5f",
 }
+
+
+def _world_args(tmp_path, topology, placement):
+    """Write the two documents into tmp_path; the run options that name them."""
+    args = []
+    for name, doc in (("topology", topology), ("placement", placement)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        args += [f"--{name}", str(path)]
+    return args
 
 
 class TestRun:
@@ -80,11 +94,54 @@ class TestRun:
         statuses = {row.split(",")[5] for row in out.read_text().splitlines()[1:]}
         assert statuses == {"budget_exhausted"}
 
-    def test_bad_algorithm_is_input_error(self, capsys):
-        code = main(["run", "--topology", TOPO, "--placement", PLACEMENT,
-                     "--failures", "1", "--algorithms", "magic"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+    def test_bad_algorithm_is_input_error(self, capsys, monkeypatch):
+        # refused before the world build: an empty list was refused only
+        # by the first scenario
+        monkeypatch.setattr(cli, "make_world", None)
+        for value, message in [("magic", "unknown algorithm 'magic'"),
+                               ("exact,bogus", "unknown algorithm 'bogus'"),
+                               ("greedy,greedy", "duplicate algorithm 'greedy'"),
+                               (",", "at least one algorithm required")]:
+            code = main(["run", "--topology", TOPO, "--placement", PLACEMENT,
+                         "--failures", "1", "--algorithms", value])
+            assert code == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_summary_reads_each_algorithms_own_rows(self, capsys):
+        # without Nearest in the run, and without --out, so the summary
+        # goes to stderr beside the report on stdout
+        assert main(["run", "--topology", TOPO, "--placement", PLACEMENT,
+                     "--failures", "1", "--algorithms", "exact,retroflow"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("scenario,") and out.count("\n") == 1 + 6 * 2
+        assert "exact_feasible_scenarios: 6" in err.splitlines()
+
+    def test_no_quota_met_exits_1(self, capsys, tmp_path):
+        # one controller survives each scenario, and the greedy strands
+        # the switches heavier than its residual
+        out = tmp_path / "report.csv"
+        assert main(["run", "--topology", TOPO, "--placement", PLACEMENT,
+                     "--failures", "5", "--algorithms", "retroflow", "--out", str(out)]) == 1
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 6
+        assert {row["status"] for row in rows} == {"quota_unmet"}
+        assert "retroflow_feasible_scenarios: 0" in capsys.readouterr().out
+
+    def test_world_of_topology_zoo_size(self, capsys, tmp_path):
+        # the benchmark generator's 20x20 grid of seed 1 with its k-center
+        # placement: 400 nodes, 159,600 flows, and a quota met everywhere
+        workloads = load_perfbench_workloads()
+        topo = workloads.grid_topology(20, random.Random(1))
+        place = workloads.kcenter_placement(topo, workloads.grid_topology(20),
+                                            workloads.CONTROLLERS, workloads.SLACK)
+        world = _world_args(tmp_path, topo, place)
+        out = tmp_path / "report.csv"
+        assert main(["run", *world, "--failures", "1", "--q-fraction", "0.9",
+                     "--algorithms", "retroflow,nearest", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 6 * 2
+        assert {row["status"] for row in rows} == {"ok"}
+        assert "nodes: 400" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("option, value, message", [
         ("--algorithms", "retroflow,retroflow,nearest", "error: duplicate algorithm 'retroflow'"),
@@ -202,6 +259,21 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "feasible: True" in out
         assert "capacity: pass" in out
+
+    def test_world_built_instance(self, capsys, tmp_path, att_world):
+        # att25 with C13 and C22 failed, at q=0.9: an instance built from
+        # the world, and the greedy's solution, read back through the
+        # checked constructor
+        w = att_world
+        inst = build_instance(w.topology, w.beta, w.placement,
+                              FailureScenario(frozenset({13, 22})), 0.9, world=w)
+        ipath, spath = tmp_path / "inst.json", tmp_path / "sol.json"
+        ipath.write_text(inst.to_json())
+        spath.write_text(solve_retroflow(inst).to_json())
+        assert main(["validate", "--instance", str(ipath), "--solution", str(spath)]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "feasible: True"
+        assert err == ""
 
     def test_infeasible_solution(self, capsys, tmp_path):
         ipath, spath = self._write_pair(tmp_path, feasible=False)
@@ -394,15 +466,11 @@ class TestScenarioCeiling:
                 "links": [{"a": v, "b": (v + 1) % n} for v in range(n)]}
         place = {"capacity": 10**6,
                  "controllers": [{"node": v, "switches": [v]} for v in range(n)]}
-        paths = []
-        for name, doc in (("topology", topo), ("placement", place)):
-            paths.append(tmp_path / f"{name}.json")
-            paths[-1].write_text(json.dumps(doc))
+        world = _world_args(tmp_path, topo, place)
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run(
-            [sys.executable, "-c", self.CHILD, command, "--topology", str(paths[0]),
-             "--placement", str(paths[1]), "--failures", "30"],
+            [sys.executable, "-c", self.CHILD, command, *world, "--failures", "30"],
             capture_output=True, text=True, timeout=60, env=env)
         assert done.returncode == 2
         assert done.stdout == ""
@@ -423,15 +491,11 @@ class TestMaskCeiling:
         place = {"capacity": 10**9,
                  "controllers": [{"node": 0, "switches": list(range(n // 2))},
                                  {"node": n // 2, "switches": list(range(n // 2, n))}]}
-        paths = []
-        for name, doc in (("topology", topo), ("placement", place)):
-            paths.append(tmp_path / f"{name}.json")
-            paths[-1].write_text(json.dumps(doc))
+        world = _world_args(tmp_path, topo, place)
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run(
-            [sys.executable, "-c", TestScenarioCeiling.CHILD, "run", "--topology", str(paths[0]),
-             "--placement", str(paths[1]), "--failures", "1"],
+            [sys.executable, "-c", TestScenarioCeiling.CHILD, "run", *world, "--failures", "1"],
             capture_output=True, text=True, timeout=60, env=env)
         assert done.returncode == 2
         assert done.stdout == ""
@@ -646,6 +710,24 @@ class TestOneLineExits:
         self._exit_2(capsys, ["run", "--topology", TOPO, "--placement", PLACEMENT,
                               "--failures", ","],
                      "failure scenario must name at least one controller")
+
+    def test_inf_delay_on_a_far_path(self, capsys, tmp_path):
+        # a 220-node path of 1.7e308 km links, whose delays sum to inf past
+        # 211 hops: no one check of the world clears it, so each instance
+        # checks its offline switches, and the first scenario, C0, names
+        # its first fault
+        n = 220
+        topo = {"nodes": [{"id": v, "lat": 0.0, "lon": 0.0} for v in range(n)],
+                "links": [{"a": v, "b": v + 1, "distance_km": 1.7e308}
+                          for v in range(n - 1)]}
+        place = {"capacity": 10**9,
+                 "controllers": [{"node": 0, "switches": [0]},
+                                 {"node": 10, "switches": list(range(1, 21))},
+                                 {"node": n - 1, "switches": list(range(21, n))}]}
+        world = _world_args(tmp_path, topo, place)
+        self._exit_2(capsys, ["run", *world, "--failures", "1",
+                              "--algorithms", "retroflow,nearest"],
+                     "delay inf for switch 0, controller 219 must be finite and nonnegative")
 
     def test_quota_above_the_flows(self, capsys, tmp_path):
         solution = tmp_path / "sol.json"

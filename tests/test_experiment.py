@@ -271,6 +271,21 @@ class TestRunScenario:
             run_scenario(att_world, FailureScenario(frozenset({20})), 1.0,
                          algorithms=("nearest", "greedy"))
 
+    def test_unknown_algorithm_refused_before_any_solver(self, att_world, monkeypatch):
+        # the greedy ran, and only then did the loop reach the unknown name
+        runs = []
+        monkeypatch.setattr(experiment, "solve_retroflow", runs.append)
+        with pytest.raises(ReportError, match="^unknown algorithm 'greedy'$"):
+            run_scenario(att_world, FailureScenario(frozenset({20})), 0.9,
+                         algorithms=("retroflow", "greedy"))
+        assert runs == []
+
+    def test_repeated_algorithm_refused(self, att_world):
+        # two identical nearest rows were returned, and emit_report wrote both
+        with pytest.raises(ReportError, match="^duplicate algorithm 'nearest'$"):
+            run_scenario(att_world, FailureScenario(frozenset({20})), 0.9,
+                         algorithms=("nearest", "nearest"))
+
 
 class TestScore:
     def test_matches_per_switch_penalty(self):

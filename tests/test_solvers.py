@@ -332,7 +332,8 @@ class TestLegacyPricing:
     def test_workloads(self, monkeypatch):
         # att25 makes 16,454 bound calls and grid49 8,777, of which legacy
         # children make 3,331 and 2,621: a search that prices at every
-        # bound call reads those totals
+        # bound call reads those totals. The statuses are the optimal,
+        # infeasible and not_proven counts that CI's traced pass pins
         calls = []
         price = solvers._price
 
@@ -346,12 +347,15 @@ class TestLegacyPricing:
         for name in ("att25-sweep", "grid49-exact"):
             calls.clear()
             nodes = 0
+            statuses = dict.fromkeys(("optimal", "infeasible", "not_proven"), 0)
             for inst in instances[name]:
                 outcome = exact_outcome(solve_exact, inst)
                 assert outcome == exact_outcome(exact_undo, inst), inst.label
                 nodes += outcome[1]
-            work[name] = (len(calls), nodes)
-        assert work == {"att25-sweep": (13123, 22252), "grid49-exact": (6156, 11652)}
+                statuses[outcome[0]] += 1
+            work[name] = (len(calls), nodes, tuple(statuses.values()))
+        assert work == {"att25-sweep": (13123, 22252, (28, 96, 0)),
+                        "grid49-exact": (6156, 11652, (17, 4, 0))}
 
     def test_chain_memory(self):
         # a legacy entry holds its parent's counts by reference, one list

@@ -22,7 +22,7 @@ from . import domains as dm
 from ._doc import distinct
 # generate_flows and compute_beta are the per-flow reference for
 # programmability, the build make_world uses; perfbench/tracing.py wraps
-# all three here by name
+# both here by name, and make_world, but not programmability
 from .flows import compute_beta, generate_flows, programmability
 from .geo import Topology
 from .oscm import OscmInstance, Solution, World, build_instance

@@ -12,11 +12,13 @@ The topology's bridge components and search trees are also checked
 against networkx, an implementation that shares no code with this one.
 """
 
+import math
 import random
 
 import pytest
 
-from retroflow import geo
+from retroflow import domains, geo
+from retroflow.domains import Placement
 from retroflow.flows import flows_of, programmability
 from retroflow.geo import PROPAGATION_KM_PER_MS
 
@@ -40,6 +42,28 @@ def with_chain(nodes, links, u, rng):
     chain = [(u, p1, rng.randint(1, 9) * PROPAGATION_KM_PER_MS),
              (p1, p2, rng.randint(1, 9) * PROPAGATION_KM_PER_MS)]
     return geo.Topology(nodes + [(p1, coord), (p2, coord)], links + chain), p1, p2
+
+
+def bridged_grid():
+    """The integer 7x7 grid of seed 3 with a chain off node 24: (topology,
+    p1, p2)."""
+    rng = random.Random(3)
+    nodes, links = integer_grid(7, rng)
+    return with_chain(nodes, links, 24, rng)
+
+
+def bridged_world(grid49):
+    """bridged_grid's topology with grid49, the placement of grid49-exact,
+    as its k-center domains; the chain's two switches, which reprogram
+    nothing and so carry no load, join the domain of the node they hang
+    off. Capacities are 1.4 times each domain's computed load, rounded up."""
+    t, p1, p2 = bridged_grid()
+    domain_of = dict(grid49.domain_of)
+    domain_of[p1] = domain_of[p2] = domain_of[24]
+    shape = Placement([(c, 0) for c in grid49.controller_ids], domain_of)
+    own = domains.domain_loads(shape, programmability(t).loads())
+    return t, Placement([(c, math.ceil(1.4 * own[c])) for c in grid49.controller_ids],
+                        domain_of)
 
 
 def reprogrammed(t):
@@ -87,10 +111,7 @@ def test_pendant_chain(side):
 def networkx_worlds():
     """att25, the grid49 and grid100 benchmark worlds, and a bridged 7x7
     grid."""
-    rng = random.Random(3)
-    nodes, links = integer_grid(7, rng)
-    bridged, _, _ = with_chain(nodes, links, 24, rng)
-    return [t for t, _ in benchmark_worlds()] + [bridged]
+    return [t for t, _ in benchmark_worlds()] + [bridged_grid()[0]]
 
 
 def graph(nx, t):

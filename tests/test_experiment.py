@@ -16,7 +16,6 @@ from retroflow.experiment import (ReportError, emit_report, queueing_penalty_ms,
 from retroflow.geo import load_topology_file
 
 from _oracles import random_instance, score_per_switch
-from test_flows import benchmark_worlds
 from test_solvers import greedy_case
 
 # the tests' own documents
@@ -364,21 +363,22 @@ class TestEmitReport:
         with pytest.raises(ValueError, match="not JSON compliant"):
             emit_report([dataclasses.replace(rep, q_fraction=float("nan"))], format="json")
 
-    def test_every_written_float_is_finite(self):
+    def test_every_written_float_is_finite(self, workload_worlds):
         """att25 at k=1..2 with every solver, the benchmark grids at k=1
         with the greedy and the baseline, and a ring whose subnormal link
         puts Nearest's controller a subnormal delay away, so dividing by
         Nearest's overhead overflows."""
         t = load_topology_file(DATA / "subnormal_ring_topology.json")
-        ring = (t, load_placement_file(DATA / "subnormal_ring_placement.json", t))
-        att, *grids = benchmark_worlds()
+        ring = experiment.make_world(
+            t, load_placement_file(DATA / "subnormal_ring_placement.json", t))
+        att, grid49, grid100 = (workload_worlds[name][0]
+                                for name in ("att25-sweep", "grid49-exact", "grid100-greedy"))
         runs = [(att, (1, 2), experiment.ALGORITHMS)]
-        runs += [(w, (1,), ("retroflow", "nearest")) for w in [*grids, ring]]
-        for (t, p), ks, algorithms in runs:
-            world = experiment.make_world(t, p)
+        runs += [(w, (1,), ("retroflow", "nearest")) for w in (grid49, grid100, ring)]
+        for world, ks, algorithms in runs:
             for penalty in (0.1, 0.0):
                 reports = [run_scenario(world, s, 0.9, algorithms, penalty)
-                           for k in ks for s in enumerate_failure_scenarios(p, k)]
+                           for k in ks for s in enumerate_failure_scenarios(world.placement, k)]
                 for format in ("csv", "json"):
                     floats = written_floats(emit_report(reports, format), format)
                     assert floats and all(map(math.isfinite, floats))

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import math
@@ -258,8 +259,10 @@ def checked_tree(t, src):
     return geo.SearchTree([at[v] for v in paths], parent, delay)
 
 
+@functools.cache
 def load_perfbench_workloads():
-    """perfbench/workloads.py, which generates the benchmark's grids."""
+    """perfbench/workloads.py, which generates the benchmark's grids,
+    loaded once and shared: no caller may change it."""
     path = FsPath(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
@@ -542,14 +545,14 @@ class TestSearchTrees:
         assert self.full_order_searches(far, calls) == n
         self.assert_same_trees(far)
 
-    def test_instance_delays_are_shortest_path_delays(self):
+    def test_instance_delays_are_shortest_path_delays(self, workload_worlds):
         # every (switch, controller) pair an instance can hold: the single
         # failures take each switch offline, its own controller failed
-        for t, p in benchmark_worlds():
-            b = programmability(t)
+        for name in ("att25-sweep", "grid49-exact", "grid100-greedy"):
+            world, runs = workload_worlds[name]
+            t, p = world.topology, world.placement
             pairs = set()
-            for s in enumerate_failure_scenarios(p, 1):
-                inst = build_instance(t, b, p, s, 1.0)
+            for inst in (inst for s, _, inst in runs if len(s.failed) == 1):
                 for (i, j), d in inst.delay.items():
                     want = 0.0 if i == j else geo.shortest_path(t, i, j).total_delay_ms
                     assert d.hex() == want.hex()

@@ -34,25 +34,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from retroflow.domains import enumerate_failure_scenarios
-from retroflow.flows import programmability
-from retroflow.oscm import OscmInstance, build_instance
+from retroflow.oscm import OscmInstance
 from retroflow.solvers import solve_exact, solve_nearest, solve_retroflow
 
 from _oracles import greedy_rescan, random_instance
 from test_documents import _FUZZ
-from test_flows import benchmark_worlds
 
 QUOTA_FRACTIONS = (0.8, 0.85, 0.9, 0.95, 1.0)
-
-
-@pytest.fixture(scope="module")
-def att_instances(att_world):
-    """Every att25 scenario of k=1..3 at q=0.9 and 1.0."""
-    w = att_world
-    return [build_instance(w.topology, w.beta, w.placement, s, q)
-            for k in (1, 2, 3) for s in enumerate_failure_scenarios(w.placement, k)
-            for q in (0.9, 1.0)]
 
 
 def rebuilt(inst, **changes):
@@ -89,10 +77,10 @@ def quota_ladder(inst):
     return [r.status for r in results[:-1]]
 
 
-def test_quota(att_instances):
+def test_quota(att25_instances):
     checked = Counter()
     # a scenario listed at several quotas has one ladder
-    for inst in {inst.label: inst for inst in att_instances}.values():
+    for inst in {inst.label: inst for inst in att25_instances}.values():
         checked.update(quota_ladder(inst))
     # the ladder crosses from feasible to infeasible, so both halves are checked
     assert checked["optimal"] > 0 and checked["infeasible"] > 0
@@ -104,8 +92,8 @@ def answers(inst):
     return exact, greedy, nearest
 
 
-def test_delays_doubled(att_instances):
-    for inst in att_instances:
+def test_delays_doubled(att25_instances):
+    for inst in att25_instances:
         doubled = rebuilt(inst, delay={pair: 2 * d for pair, d in inst.delay.items()})
         exact, greedy, nearest = answers(inst)
         exact2, greedy2, nearest2 = answers(doubled)
@@ -120,8 +108,8 @@ def test_delays_doubled(att_instances):
             assert sol2.objective == 2 * sol.objective, inst.label
 
 
-def test_more_capacity(att_instances):
-    for inst in att_instances:
+def test_more_capacity(att25_instances):
+    for inst in att25_instances:
         roomier = rebuilt(inst, a_rest={j: r + 50 for j, r in inst.a_rest.items()})
         before, after = solve_exact(inst), solve_exact(roomier)
         if before.status == "optimal":
@@ -129,8 +117,8 @@ def test_more_capacity(att_instances):
             assert after.solution.objective <= before.solution.objective, inst.label
 
 
-def test_padding(att_instances):
-    for inst in att_instances:
+def test_padding(att25_instances):
+    for inst in att25_instances:
         pad = 1 + max(inst.offline_switches + inst.active_controllers)
         padded = rebuilt(inst, offline_switches=inst.offline_switches + (pad,),
                          delay={**inst.delay, **{(pad, j): 1.0 for j in inst.active_controllers}},
@@ -148,8 +136,8 @@ def test_padding(att_instances):
             assert sol2.objective == sol.objective, inst.label
 
 
-def test_relabel_reversed(att_instances):
-    for inst in att_instances:
+def test_relabel_reversed(att25_instances):
+    for inst in att25_instances:
         top = max(inst.offline_switches + inst.active_controllers)
         relabelled = rebuilt(inst, offline_switches=[top - i for i in inst.offline_switches],
                              active_controllers=[top - j for j in inst.active_controllers],
@@ -171,13 +159,10 @@ _SLOW_GRID49 = {"C24", "C0+C24", "C6+C24", "C24+C48"}
 
 
 @pytest.fixture(scope="module")
-def grid49_instances():
+def grid49_instances(workload_worlds):
     """grid49-exact's scenarios at q=0.8 but _SLOW_GRID49: 15 optimal and
     2 infeasible."""
-    t, p = benchmark_worlds()[1]
-    b = programmability(t)
-    return [build_instance(t, b, p, s, 0.8)
-            for k in (1, 2) for s in enumerate_failure_scenarios(p, k)
+    return [inst for s, _, inst in workload_worlds["grid49-exact"][1]
             if s.label() not in _SLOW_GRID49]
 
 

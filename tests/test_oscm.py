@@ -16,7 +16,6 @@ from retroflow.solvers import solve_retroflow
 
 from _oracles import check_solution, objective, random_instance
 from test_domains import residual_capacity
-from test_flows import benchmark_worlds
 
 
 def all_legacy(inst):
@@ -116,53 +115,55 @@ def decoded_rows(inst):
     return {i: inst.flows_of(inst.masks[i]) for i in inst.offline_switches}
 
 
+def assert_same_as_document(inst, doc):
+    """doc, inst's document read back, holds the same values: flow rows
+    decoded, since the document's index ranks only its own flows.
+    test_switch_table checks its delays and orders."""
+    assert doc.offline_switches == inst.offline_switches
+    assert doc.active_controllers == inst.active_controllers
+    assert doc.g == inst.g
+    assert doc.a_rest == inst.a_rest
+    assert decoded_rows(doc) == decoded_rows(inst)
+    assert doc.counts == inst.counts
+    assert (doc.q_required, doc.label) == (inst.q_required, inst.label)
+
+
+def far_path(controllers, domain_of, flow_counts=None):
+    """A path of nodes 0..219 and links of 1.7e308 km (8.5e305 ms), whose
+    delays sum to inf past 211 hops; controllers of capacity 10**9, node
+    v in the domain of domain_of(v)."""
+    n = 220
+    t = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(n)],
+                 [(v, v + 1, 1.7e308) for v in range(n - 1)])
+    return t, Placement([(c, 10**9) for c in controllers],
+                        {v: domain_of(v) for v in range(n)}, flow_counts)
+
+
 class TestWorldRoute:
     """build_instance skips the constructor's per-pair and per-key checks:
     it must build the instance the checked constructor builds from the
     same document, and keep every exit the world does not rule out, with
     the constructor's message."""
 
-    @staticmethod
-    def assert_same_as_document(inst):
-        doc = OscmInstance.from_json(inst.to_json())
-        assert doc.offline_switches == inst.offline_switches
-        assert doc.active_controllers == inst.active_controllers
-        # floats bit for bit; the document lists its keys as sorted strings
-        assert ({ij: d.hex() for ij, d in doc.delay.items()}
-                == {ij: d.hex() for ij, d in inst.delay.items()})
-        assert doc.g == inst.g
-        assert doc.a_rest == inst.a_rest
-        assert decoded_rows(doc) == decoded_rows(inst)
-        assert doc.counts == inst.counts
-        assert (doc.q_required, doc.label) == (inst.q_required, inst.label)
+    def test_same_as_checked_constructor_on_att25(self, workload_worlds,
+                                                  workload_documents):
+        runs = workload_worlds["att25-sweep"][1]
+        assert len(runs) == 124
+        for (_, _, inst), doc in zip(runs, workload_documents("att25-sweep")):
+            assert_same_as_document(inst, doc)
 
-    def test_same_as_checked_constructor_on_att25(self, att_world):
-        w = att_world
-        built = 0
-        for k in range(1, 6):
-            for q in (0.9, 1.0):
-                for s in dm.enumerate_failure_scenarios(w.placement, k):
-                    self.assert_same_as_document(
-                        build_instance(w.topology, w.beta, w.placement, s, q))
-                    built += 1
-        assert built == 124
-
-    def test_same_as_checked_constructor_on_grid49(self):
+    def test_same_as_checked_constructor_on_grid49(self, workload_worlds,
+                                                   workload_documents):
         # grid49-exact's world: generator seed 1, k=1..2 at q=0.8
-        t, p = benchmark_worlds()[1]
-        b = programmability(t)
-        built = 0
-        for k in (1, 2):
-            for s in dm.enumerate_failure_scenarios(p, k):
-                self.assert_same_as_document(build_instance(t, b, p, s, 0.8))
-                built += 1
-        assert built == 21
+        runs = workload_worlds["grid49-exact"][1]
+        assert len(runs) == 21
+        for (_, _, inst), doc in zip(runs, workload_documents("grid49-exact")):
+            assert_same_as_document(inst, doc)
 
-    def test_same_attributes_as_its_document(self, att_world):
-        w = att_world
-        inst = build_instance(w.topology, w.beta, w.placement,
-                              FailureScenario(frozenset({13, 22})), 0.9, world=w)
-        assert sorted(vars(OscmInstance.from_json(inst.to_json()))) == sorted(vars(inst))
+    def test_same_attributes_as_its_document(self, workload_worlds, workload_documents):
+        for name, (_, runs) in workload_worlds.items():
+            for (_, _, inst), doc in zip(runs, workload_documents(name)):
+                assert sorted(vars(doc)) == sorted(vars(inst)), inst.label
 
     @staticmethod
     def constructor_error(t, b, loads, offline, active, rest):
@@ -214,22 +215,19 @@ class TestWorldRoute:
                                 "sum to inf; overheads must stay finite\n")
 
     def test_infinite_delay(self):
-        # a path of 220 nodes whose links of 1.7e308 km (8.5e305 ms) sum
-        # to inf past 211 hops: the first offline switch that far from
-        # controller 0 is named, as the constructor names it
-        n = 220
-        t = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(n)],
-                     [(v, v + 1, 1.7e308) for v in range(n - 1)])
-        p = Placement([(0, 0), (n - 1, 0)], {v: 0 if v < n // 2 else n - 1 for v in range(n)})
+        # the far path with controllers at its ends: the first offline
+        # switch past 211 hops from controller 0 is named, as the
+        # constructor names it
+        t, p = far_path((0, 219), lambda v: 0 if v < 110 else 219)
         b = programmability(t)
-        far = [v for v in range(n) if shortest_path_tree(t, v).delay[0] == math.inf]
-        assert far and far[0] > n // 2
-        offline = tuple(range(n // 2, n))
+        far = [v for v in t.node_ids() if shortest_path_tree(t, v).delay[0] == math.inf]
+        assert far and far[0] > 110
+        offline = tuple(range(110, 220))
         message = self.constructor_error(t, b, b.loads(), offline, (0,), {0: 0})
         assert message == (f"delay inf for switch {far[0]}, controller 0 "
                            "must be finite and nonnegative")
         with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
-            build_instance(t, b, p, FailureScenario(frozenset({n - 1})), 1.0)
+            build_instance(t, b, p, FailureScenario(frozenset({219})), 1.0)
 
     @pytest.mark.parametrize("failed, negative, message", [
         # switch 1 is 1 hop from controller 0 and 218 from controller 219
@@ -238,13 +236,9 @@ class TestWorldRoute:
         (219, 21, "switch 21 has negative load"),
     ], ids=["inf-to-second-controller", "negative-load-before-later-inf"])
     def test_first_fault_on_a_far_path(self, failed, negative, message):
-        # the path of test_infinite_delay with controllers at both ends and
-        # at node 10, whose domain is nodes 1..20
-        n = 220
-        t = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(n)],
-                     [(v, v + 1, 1.7e308) for v in range(n - 1)])
-        p = Placement([(0, 0), (10, 0), (n - 1, 0)],
-                      {v: 0 if v == 0 else 10 if v <= 20 else n - 1 for v in range(n)})
+        # the far path with controllers at both ends and at node 10, whose
+        # domain is nodes 1..20
+        t, p = far_path((0, 10, 219), lambda v: 0 if v == 0 else 10 if v <= 20 else 219)
         b = programmability(t)
         loads = b.loads()
         s = FailureScenario(frozenset({failed}))

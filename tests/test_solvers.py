@@ -19,7 +19,6 @@ from retroflow.solvers import (GapInstance, GapSizeError, SolverBudget, gap_brut
 
 from _oracles import (enumerate_oscm, exact_undo, gap_optimum_recursive, greedy_rescan,
                       milp_oscm, nearest_by_min, random_instance, random_gap_special_instance)
-from test_flows import benchmark_worlds, load_perfbench_workloads
 from test_geo import random_connected_links, synthetic
 
 # sha256 of the greedy's trace lines over every att25 scenario, k=1..5 at
@@ -223,18 +222,6 @@ class TestSolveExact:
         assert result.nodes_explored == 1
         assert result.solution.objective == 1500.0
 
-    def test_oracle_equivalence_smoke(self):
-        rng = random.Random(4242)
-        for _ in range(40):
-            inst = random_instance(rng)
-            expected, _ = enumerate_oscm(inst)
-            result = solve_exact(inst)
-            if expected is None:
-                assert result.status == "infeasible"
-            else:
-                assert result.status == "optimal"
-                assert result.solution.objective == expected
-
 
 def shared_flow_instance(rng, quota):
     """Switches that share flows, under residual abilities that cannot take
@@ -293,13 +280,6 @@ def seeded_instances(seed, count):
     return [draw[k % 3]() for k in range(count)]
 
 
-def att25_instances(world):
-    """Every att25 scenario of one to three failures, at q 0.9 and 1.0."""
-    return [build_instance(world.topology, world.beta, world.placement, s, q)
-            for k in (1, 2, 3) for s in enumerate_failure_scenarios(world.placement, k)
-            for q in (0.9, 1.0)]
-
-
 def exact_outcome(solve, inst, budget=None):
     result = solve(inst, budget)
     solution = result.solution and result.solution.to_json()
@@ -320,8 +300,8 @@ class TestExactWithoutUndo:
             statuses.update((outcome[0], cut_outcome[0]))
         assert statuses == {"optimal", "infeasible", "not_proven", "budget_exhausted"}
 
-    def test_att25_matches_undo_search(self, att_world):
-        for inst in att25_instances(att_world):
+    def test_att25_matches_undo_search(self, att25_instances):
+        for inst in att25_instances:
             assert exact_outcome(solve_exact, inst) == exact_outcome(exact_undo, inst)
 
 
@@ -329,7 +309,7 @@ class TestLegacyPricing:
     """Only the root and mapped nodes price the undecided switches; a
     legacy child reads the counts of the node that priced them."""
 
-    def test_workloads(self, monkeypatch):
+    def test_workloads(self, monkeypatch, workload_worlds):
         # att25 makes 16,454 bound calls and grid49 8,777, of which legacy
         # children make 3,331 and 2,621: a search that prices at every
         # bound call reads those totals. The statuses are the optimal,
@@ -342,13 +322,12 @@ class TestLegacyPricing:
             return price(*args)
 
         monkeypatch.setattr(solvers, "_price", counted)
-        instances = workload_instances()
         work = {}
         for name in ("att25-sweep", "grid49-exact"):
             calls.clear()
             nodes = 0
             statuses = dict.fromkeys(("optimal", "infeasible", "not_proven"), 0)
-            for inst in instances[name]:
+            for _, _, inst in workload_worlds[name][1]:
                 outcome = exact_outcome(solve_exact, inst)
                 assert outcome == exact_outcome(exact_undo, inst), inst.label
                 nodes += outcome[1]
@@ -429,8 +408,8 @@ class TestInstanceLeftAlone:
         assert inst.to_json() == before
         assert vars(inst) == state
 
-    def test_att25(self, att_world):
-        for inst in att25_instances(att_world):
+    def test_att25(self, att25_instances):
+        for inst in att25_instances:
             self._check(inst)
 
     def test_seeded_instances(self):
@@ -545,18 +524,19 @@ class TestLazyGreedy:
                 seen.add("no switch")
         assert seen == {"tie", "stalled", "no fit", "zero load", "zero quota", "no switch"}
 
-    def test_att25_trace_digest(self, att_world):
+    def test_att25_trace_digest(self, workload_worlds):
+        # att25-sweep runs q 0.9 over k=1..5, then q 1.0: the digest reads
+        # each scenario at both quotas in turn
+        by_scenario = {}
+        for s, _, inst in workload_worlds["att25-sweep"][1]:
+            by_scenario.setdefault(s, []).append(inst)
         digest = hashlib.sha256()
         lines = 0
-        for k in range(1, 6):
-            for s in enumerate_failure_scenarios(att_world.placement, k):
-                for q in (0.9, 1.0):
-                    inst = build_instance(att_world.topology, att_world.beta,
-                                          att_world.placement, s, q)
-                    trace = []
-                    solve_retroflow(inst, trace)
-                    digest.update(("\n".join(trace) + "\n").encode())
-                    lines += len(trace)
+        for inst in (inst for pair in by_scenario.values() for inst in pair):
+            trace = []
+            solve_retroflow(inst, trace)
+            digest.update(("\n".join(trace) + "\n").encode())
+            lines += len(trace)
         assert lines == 5158
         assert digest.hexdigest() == ATT25_TRACE_SHA256
 
@@ -591,47 +571,32 @@ def stranding_instance():
     )
 
 
-def workload_instances():
-    """Every scenario's instance of the three benchmark workloads, with
-    the world's switch table: att25-sweep (124), grid49-exact (21) and
-    grid100-greedy at seed 1 (41)."""
-    groups = load_perfbench_workloads().WORKLOADS
-    instances = {}
-    for name, (t, p) in zip(("att25-sweep", "grid49-exact", "grid100-greedy"),
-                            benchmark_worlds()):
-        w = make_world(t, p)
-        instances[name] = [build_instance(t, w.beta, p, s, q, world=w)
-                           for k, q in groups[name].groups
-                           for s in enumerate_failure_scenarios(p, k)]
-    return instances
-
-
 class TestUnfitSwitches:
     """A switch heavier than every residual leaves the untraced greedy's
     heap unpriced; a traced run still picks and tests it."""
 
-    def test_workloads(self):
+    def test_workloads(self, monkeypatch, workload_worlds):
         # the untraced greedy reads no mask of a switch heavier than every
         # residual at the start (148 over the three workloads), a traced
         # run picks each of them, and both match the rescanning greedy
-        instances = workload_instances()
-        assert {name: len(x) for name, x in instances.items()} == {
-            "att25-sweep": 124, "grid49-exact": 21, "grid100-greedy": 41}
         heavy_picks = 0
-        for inst in (inst for x in instances.values() for inst in x):
-            heavy = [i for i in inst.offline_switches
-                     if inst.g[i] > max(inst.a_rest.values(), default=-1)]
-            inst.masks = masks = CountingMasks(inst.masks)
-            sol = solve_retroflow(inst)
-            assert not any(masks.reads[i] for i in heavy), inst.label
-            traced, rescanned = [], []
-            want = greedy_rescan(inst, rescanned).to_json()
-            assert sol.to_json() == want, inst.label
-            assert solve_retroflow(inst, traced).to_json() == want, inst.label
-            assert traced == rescanned, inst.label
-            picked = {line.split()[1] for line in traced if line.startswith("pick ")}
-            assert {f"switch={i}" for i in heavy} <= picked, inst.label
-            heavy_picks += len(heavy)
+        for name in ("att25-sweep", "grid49-exact", "grid100-greedy"):
+            for _, _, inst in workload_worlds[name][1]:
+                heavy = [i for i in inst.offline_switches
+                         if inst.g[i] > max(inst.a_rest.values(), default=-1)]
+                # the instance is shared: its masks count reads until the test ends
+                monkeypatch.setattr(inst, "masks", CountingMasks(inst.masks))
+                masks = inst.masks
+                sol = solve_retroflow(inst)
+                assert not any(masks.reads[i] for i in heavy), inst.label
+                traced, rescanned = [], []
+                want = greedy_rescan(inst, rescanned).to_json()
+                assert sol.to_json() == want, inst.label
+                assert solve_retroflow(inst, traced).to_json() == want, inst.label
+                assert traced == rescanned, inst.label
+                picked = {line.split()[1] for line in traced if line.startswith("pick ")}
+                assert {f"switch={i}" for i in heavy} <= picked, inst.label
+                heavy_picks += len(heavy)
         assert heavy_picks == 148
 
     def test_unfit_masks_are_not_read(self):
@@ -801,8 +766,8 @@ class TestSolutionMasks:
     """Solvers hand out their flow masks undecoded; the solution decodes
     y on each read and otherwise acts as one built from flow ids."""
 
-    def test_att25(self, att_world):
-        for inst in att25_instances(att_world):
+    def test_att25(self, att25_instances):
+        for inst in att25_instances:
             for sol in solver_solutions(inst):
                 assert_like_constructed(sol)
 
@@ -1002,19 +967,6 @@ class TestSolverInvariants:
                 compared += 1
                 assert result.solution.objective <= greedy.objective
         assert compared > 100
-
-    def test_reduction_equivalence_smoke(self):
-        rng = random.Random(88)
-        for _ in range(30):
-            inst = random_gap_special_instance(rng)
-            gap = reduce_to_gap(inst)
-            assert gap is not None
-            expected = gap_bruteforce(gap)
-            result = solve_exact(inst)
-            if expected is None:
-                assert result.status == "infeasible"
-            else:
-                assert result.solution.objective == expected
 
     def test_determinism_byte_identical(self, toy):
         first = [solve_exact(toy).solution.to_json(),

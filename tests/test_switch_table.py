@@ -6,11 +6,14 @@ instances share the world's orders, which list every controller, failed
 ones included; an instance read from a document sorts its own over its
 active controllers. Both must lead the greedy, the baseline and the
 exact search to the same decisions.
+
+The benchmark worlds and their instances are conftest's session
+fixtures, workload_worlds and workload_documents: each is built, and
+each instance read back from its document, once per session.
 """
 
 import hashlib
 import math
-import random
 
 import pytest
 
@@ -25,47 +28,15 @@ from retroflow.geo import GeoCoordinate, Topology
 from retroflow.oscm import InstanceError, OscmInstance, World, build_instance
 from retroflow.solvers import solve_exact, solve_nearest, solve_retroflow
 
-from test_bridged import integer_grid, with_chain
-from test_flows import benchmark_worlds
+from test_oscm import far_path
+
+WORLDS = ["att25-sweep", "grid49-exact", "grid100-greedy", "bridged7x7"]
 
 
-def bridged_world():
-    """test_bridged's bridged 7x7 grid, with grid49-exact's k-center
-    domains; the chain's two switches, which reprogram nothing and so
-    carry no load, join the domain of the node they hang off. Capacities
-    are 1.4 times each domain's computed load, rounded up."""
-    rng = random.Random(3)
-    nodes, links = integer_grid(7, rng)
-    t, p1, p2 = with_chain(nodes, links, 24, rng)
-    grid = benchmark_worlds()[1][1]
-    domain_of = dict(grid.domain_of)
-    domain_of[p1] = domain_of[p2] = domain_of[24]
-    shape = Placement([(c, 0) for c in grid.controller_ids], domain_of)
-    own = dm.domain_loads(shape, programmability(t).loads())
-    return t, Placement([(c, math.ceil(1.4 * own[c])) for c in grid.controller_ids], domain_of)
-
-
-WORLD_GROUPS = {
-    "att25-sweep": [(k, q) for q in (0.9, 1.0) for k in range(1, 6)],
-    "grid49-exact": [(1, 0.8), (2, 0.8)],
-    "grid100-greedy": [(1, 0.9), (2, 0.9), (3, 0.9)],
-    "bridged7x7": [(1, 0.9), (2, 0.9)],
-}
-
-
-@pytest.fixture(scope="module")
-def worlds():
-    """The worlds of att25-sweep, grid49-exact and grid100-greedy (seed
-    1), and the bridged 7x7 grid, by name."""
-    return {name: make_world(t, p) for name, (t, p) in
-            zip(WORLD_GROUPS, benchmark_worlds() + [bridged_world()])}
-
-
-def world_instances(world, groups):
-    for k, q in groups:
-        for s in dm.enumerate_failure_scenarios(world.placement, k):
-            yield build_instance(world.topology, world.beta, world.placement, s, q, None,
-                                 world)
+def bits(floats):
+    """A mapping's items with each float as its hex, so that == compares
+    keys in order and floats bit for bit."""
+    return [(k, d.hex()) for k, d in floats.items()]
 
 
 def assert_same_decisions(inst, other):
@@ -76,30 +47,32 @@ def assert_same_decisions(inst, other):
 
 
 class TestOrdersAgainstCheckedConstructor:
-    """A world instance, whose orders are the table's and list failed
+    """A world instance, whose orders are the World's and list failed
     controllers too, against the same instance read back from its
     document, whose orders the checked constructor sorts over the active
     controllers alone."""
 
     @pytest.mark.parametrize("name, count", [("att25-sweep", 124), ("grid49-exact", 21),
                                              ("grid100-greedy", 41), ("bridged7x7", 21)])
-    def test_same_greedy_and_baseline(self, worlds, name, count):
-        world = worlds[name]
-        built = 0
-        for inst in world_instances(world, WORLD_GROUPS[name]):
+    def test_same_greedy_and_baseline(self, workload_worlds, workload_documents, name, count):
+        world, runs = workload_worlds[name]
+        docs = workload_documents(name)
+        assert len(runs) == len(docs) == count
+        for (_, _, inst), copy in zip(runs, docs):
             assert inst.nearest is world.nearest
             assert inst.cheapest is world.cheapest
-            copy = OscmInstance.from_json(inst.to_json())
             assert all(set(copy.nearest[i]) == set(copy.cheapest[i])
                        == set(inst.active_controllers) for i in inst.offline_switches)
             assert_same_decisions(inst, copy)
-            built += 1
-        assert built == count
 
-    def test_same_exact_search_on_att25(self, worlds):
-        world = worlds["att25-sweep"]
-        for inst in world_instances(world, [(1, 0.9), (2, 0.9), (1, 1.0)]):
-            assert solve_exact(inst) == solve_exact(OscmInstance.from_json(inst.to_json()))
+    def test_same_exact_search_on_att25(self, workload_worlds, workload_documents):
+        runs = workload_worlds["att25-sweep"][1]
+        searched = 0
+        for (s, q, inst), copy in zip(runs, workload_documents("att25-sweep")):
+            if (len(s.failed), q) in ((1, 0.9), (2, 0.9), (1, 1.0)):
+                assert solve_exact(inst) == solve_exact(copy)
+                searched += 1
+        assert searched == 27
 
 
 def triangle(loads):
@@ -134,10 +107,10 @@ class TestHandBuiltOrders:
     def test_rounding_tie_in_the_table(self):
         t, p = triangle({0: 3, 1: 0, 2: 0})
         b = programmability(t)
-        table = World(t, b, p, p.flow_counts)
-        assert table.nearest[0] == (0, 2, 1)
-        assert table.cheapest[0] == (0, 1, 2)
-        inst = build_instance(t, b, p, FailureScenario(frozenset({0})), 1.0, None, table)
+        world = World(t, b, p, p.flow_counts)
+        assert world.nearest[0] == (0, 2, 1)
+        assert world.cheapest[0] == (0, 1, 2)
+        inst = build_instance(t, b, p, FailureScenario(frozenset({0})), 1.0, None, world)
         trace = []
         assert solve_retroflow(inst, trace).assigned == {0: 1}
         assert trace[:2] == ["pick switch=0 delta=4",
@@ -154,28 +127,24 @@ class TestHandBuiltOrders:
         assert solve_retroflow(inst, trace).assigned == {5: 1}
         assert trace[1] == "test switch=5 controller=1 w=0.0 rest=0 fit=yes"
         t, p = triangle({0: 0, 1: 0, 2: 0})
-        table = World(t, programmability(t), p, p.flow_counts)
-        assert table.cheapest == {0: (0, 1, 2), 1: (0, 1, 2), 2: (0, 1, 2)}
-        assert table.nearest[0] == (0, 2, 1)
+        world = World(t, programmability(t), p, p.flow_counts)
+        assert world.cheapest == {0: (0, 1, 2), 1: (0, 1, 2), 2: (0, 1, 2)}
+        assert world.nearest[0] == (0, 2, 1)
 
     def test_zero_load_switch_at_inf_delay(self):
-        # a path of 220 links of 8.5e305 ms: delays past 211 hops overflow
-        # to inf. Switch 219 carries no load and sits in controller 0's
-        # domain, at inf from it; the cheapest order is by id, with no nan
-        n = 220
-        t = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(n)],
-                     [(v, v + 1, 1.7e308) for v in range(n - 1)])
-        domain_of = {v: 110 for v in range(n)}
-        domain_of[0] = domain_of[n - 1] = 0
-        p = Placement([(0, 10), (110, 10)], domain_of, {v: 0 for v in range(n)})
+        # on test_oscm's far path, switch 219 carries no load and sits in
+        # controller 0's domain, at inf from it; the cheapest order is by
+        # id, with no nan
+        t, p = far_path((0, 110), lambda v: 0 if v in (0, 219) else 110,
+                        dict.fromkeys(range(220), 0))
         b = programmability(t)
-        table = World(t, b, p, p.flow_counts)
-        assert table.delay[n - 1][0] == math.inf
-        assert table.nearest[n - 1] == (110, 0)
-        assert table.cheapest[n - 1] == (0, 110)
-        inst = build_instance(t, b, p, FailureScenario(frozenset({0})), 1.0, None, table)
-        assert inst.offline_switches == (0, n - 1)
-        assert solve_nearest(inst).assigned == {0: 110, n - 1: 110}
+        world = World(t, b, p, p.flow_counts)
+        assert world.delay[219][0] == math.inf
+        assert world.nearest[219] == (110, 0)
+        assert world.cheapest[219] == (0, 110)
+        inst = build_instance(t, b, p, FailureScenario(frozenset({0})), 1.0, None, world)
+        assert inst.offline_switches == (0, 219)
+        assert solve_nearest(inst).assigned == {0: 110, 219: 110}
         # a path has no alternative route, so nothing is programmable
         assert solve_exact(inst).status == "optimal"
 
@@ -190,18 +159,14 @@ class TestHandBuiltOrders:
                      [(v, (v + 1) % 4, 100.0) for v in range(4)])
         p = Placement([(1, 100), (2, 100), (3, 100)], {0: 2, 1: 1, 2: 2, 3: 3})
         b = programmability(t)
-        table = World(t, b, p, b.loads())
-        assert table.nearest[0] == (1, 3, 2)
-        assert table.nearest[2] == (2, 1, 3)
-        inst = build_instance(t, b, p, FailureScenario(frozenset({2})), 1.0, None, table)
+        world = World(t, b, p, b.loads())
+        assert world.nearest[0] == (1, 3, 2)
+        assert world.nearest[2] == (2, 1, 3)
+        inst = build_instance(t, b, p, FailureScenario(frozenset({2})), 1.0, None, world)
         assert solve_nearest(inst).assigned == {0: 1, 2: 1}
 
 
-FIELDS = ("offline_switches", "active_controllers", "delay", "g", "a_rest", "masks", "counts",
-          "union", "q_required", "label")
-
-
-def count_tables(monkeypatch):
+def count_worlds(monkeypatch):
     """Record the arguments of each World build, and pass it on."""
     built = []
     init = World.__init__
@@ -210,9 +175,28 @@ def count_tables(monkeypatch):
     return built
 
 
+def count_loop(monkeypatch):
+    """Record each call of the loop over offline switches, by its
+    offline switches, and pass it on."""
+    calls = []
+    loop = oscm._check_switches
+    monkeypatch.setattr(oscm, "_check_switches",
+                        lambda *args: calls.append(args[0]) or loop(*args))
+    return calls
+
+
+def assert_same_instance(inst, other):
+    """Attribute for attribute, the delay rows float bit for float bit."""
+    assert vars(inst).keys() == vars(other).keys()
+    for name, value in vars(inst).items():
+        assert value == vars(other)[name], name
+    assert ([(i, bits(row)) for i, row in inst.delay_rows.items()]
+            == [(i, bits(row)) for i, row in other.delay_rows.items()])
+
+
 class TestOneTablePerWorld:
     def test_built_with_the_world(self, monkeypatch):
-        built = count_tables(monkeypatch)
+        built = count_worlds(monkeypatch)
         matrices = []
         compute = experiment.programmability
         monkeypatch.setattr(experiment, "programmability",
@@ -229,23 +213,23 @@ class TestOneTablePerWorld:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_one_build_per_run(self, monkeypatch, capsys, k):
-        built = count_tables(monkeypatch)
+        built = count_worlds(monkeypatch)
         code = main(["run", "--topology", data_path("att25.json"),
                      "--placement", data_path("att_table2.json"), "--failures", str(k)])
         capsys.readouterr()
         assert code in (0, 1)
         assert len(built) == 1
 
-    def test_without_a_table_as_with_the_worlds(self, att_world):
-        w = att_world
-        for k in (1, 2, 3):
-            for s in dm.enumerate_failure_scenarios(w.placement, k):
-                alone = build_instance(w.topology, w.beta, w.placement, s, 0.9)
-                shared = build_instance(w.topology, w.beta, w.placement, s, 0.9, None, w)
-                for name in FIELDS:
-                    assert getattr(alone, name) == getattr(shared, name), name
-                assert ([d.hex() for d in alone.delay.values()]
-                        == [d.hex() for d in shared.delay.values()])
+    def test_without_a_table_as_with_the_worlds(self, workload_worlds, monkeypatch):
+        # every instance of the four worlds against the same scenario
+        # built without the World: the call builds its own, which is
+        # cleared too, so no build runs the loop over offline switches
+        calls = count_loop(monkeypatch)
+        for world, runs in workload_worlds.values():
+            t, b, p = world.topology, world.beta, world.placement
+            for s, q, inst in runs:
+                assert_same_instance(inst, build_instance(t, b, p, s, q))
+        assert calls == []
 
     def test_a_table_serves_its_own_world(self, att_world):
         w = att_world
@@ -259,46 +243,32 @@ class TestOneTablePerWorld:
             build_instance(w.topology, other.beta, w.placement, s, 1.0, None, w)
 
 
-def count_loop(monkeypatch):
-    """Record each call of the loop over offline switches, by its
-    offline switches, and pass it on."""
-    calls = []
-    loop = oscm._check_switches
-    monkeypatch.setattr(oscm, "_check_switches",
-                        lambda *args: calls.append(args[0]) or loop(*args))
-    return calls
-
-
-def path_world(n, km, controllers, domain_of):
-    """A path of n nodes and links of km each, controllers of capacity 10**9."""
-    t = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(n)],
-                 [(v, v + 1, km) for v in range(n - 1)])
-    return t, Placement([(c, 10**9) for c in controllers], domain_of)
-
-
 class TestClearedTable:
     """A world that clears its instances once (World.cleared) builds
     every instance's delays without the loop over offline switches; any
     other world runs the loop on every build."""
 
-    @pytest.mark.parametrize("name", ["att25-sweep", "grid49-exact", "grid100-greedy",
-                                      "bridged7x7"])
-    def test_delays_as_the_checked_constructor_builds_them(self, worlds, name):
+    @pytest.mark.parametrize("name", WORLDS)
+    def test_delays_as_the_checked_constructor_builds_them(self, workload_worlds,
+                                                            workload_documents, name):
         # the unchecked delays of a cleared world against those the
         # constructor checks, read back from the instance's document
-        world = worlds[name]
+        world, runs = workload_worlds[name]
         assert world.cleared
-        ks = sorted({k for k, _ in WORLD_GROUPS[name]})
-        for inst in world_instances(world, [(k, 1.0) for k in ks]):
-            copy = OscmInstance.from_json(inst.to_json())
+        for (_, _, inst), copy in zip(runs, workload_documents(name)):
             # same keys in the same order, floats bit for bit
-            assert ([(ij, d.hex()) for ij, d in inst.delay.items()]
-                    == [(ij, d.hex()) for ij, d in copy.delay.items()])
+            assert bits(inst.delay) == bits(copy.delay)
 
-    def test_no_loop_on_a_cleared_world(self, worlds, monkeypatch):
-        world = worlds["att25-sweep"]
+    def test_no_loop_on_a_cleared_world(self, workload_worlds, monkeypatch):
         calls = count_loop(monkeypatch)
-        assert sum(1 for _ in world_instances(world, WORLD_GROUPS["att25-sweep"])) == 124
+        built = 0
+        for world, runs in workload_worlds.values():
+            assert world.cleared
+            t, b, p = world.topology, world.beta, world.placement
+            for s, q, _ in runs:
+                build_instance(t, b, p, s, q, None, world)
+                built += 1
+        assert built == 124 + 21 + 41 + 21
         assert calls == []
 
     @pytest.mark.parametrize("failed, negative, message", [
@@ -306,38 +276,38 @@ class TestClearedTable:
         (219, 21, "switch 21 has negative load"),
     ], ids=["inf-to-second-controller", "negative-load-before-later-inf"])
     def test_one_loop_per_build_on_a_far_path(self, monkeypatch, failed, negative, message):
-        # test_oscm's far path: links of 1.7e308 km, whose delays sum to
-        # inf past 211 hops, controllers at 0, 10 and 219
-        n = 220
-        t, p = path_world(n, 1.7e308, (0, 10, n - 1),
-                          {v: 0 if v == 0 else 10 if v <= 20 else n - 1 for v in range(n)})
+        # test_oscm's far path, with controllers at 0, 10 and 219; each
+        # build, without a World or twice from one, runs the loop once
+        t, p = far_path((0, 10, 219), lambda v: 0 if v == 0 else 10 if v <= 20 else 219)
         b = programmability(t)
         loads = b.loads()
         if negative is not None:
             loads[negative] = -1
-        table = World(t, b, p, loads)
-        assert not table.cleared
+        world = World(t, b, p, loads)
+        assert not world.cleared
         calls = count_loop(monkeypatch)
         s = FailureScenario(frozenset({failed}))
-        for _ in range(2):
+        for given, shared in ((loads, None), (None, world), (None, world)):
             with pytest.raises(InstanceError) as err:
-                build_instance(t, b, p, s, 1.0, None, table)
+                build_instance(t, b, p, s, 1.0, given, shared)
             assert str(err.value) == message
-        assert calls == [dm.offline_switches(p, s)] * 2
+        assert calls == [dm.offline_switches(p, s)] * 3
 
     def test_world_sum_overflows_where_no_instance_does(self, monkeypatch):
         # links of 5e303 ms; each loaded switch's dearest overhead is
         # 10**4 * 1e304 = 1e308, finite alone, inf when the world sums both
-        t, p = path_world(4, 1e306, (0, 3), {0: 0, 1: 0, 2: 3, 3: 3})
+        t = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(4)],
+                     [(v, v + 1, 1e306) for v in range(3)])
+        p = Placement([(0, 10**9), (3, 10**9)], {0: 0, 1: 0, 2: 3, 3: 3})
         b = programmability(t)
         loads = {0: 0, 1: 10**4, 2: 10**4, 3: 0}
-        table = World(t, b, p, loads)
-        assert not table.cleared
-        assert sum(g * max(table.delay[i].values()) for i, g in loads.items()) == math.inf
+        world = World(t, b, p, loads)
+        assert not world.cleared
+        assert sum(g * max(world.delay[i].values()) for i, g in loads.items()) == math.inf
         calls = count_loop(monkeypatch)
         for s in dm.enumerate_failure_scenarios(p, 1):
-            inst = build_instance(t, b, p, s, 1.0, None, table)
-            assert inst.delay == {(i, j): table.delay[i][j]
+            inst = build_instance(t, b, p, s, 1.0, None, world)
+            assert inst.delay == {(i, j): world.delay[i][j]
                                   for i in inst.offline_switches for j in inst.active_controllers}
             assert math.isfinite(sum(inst.w(i, j) for i, j in inst.delay))
         assert calls == [(0, 1), (2, 3)]
@@ -346,7 +316,7 @@ class TestClearedTable:
 # sha256 of every instance's delay pairs, recorded when each instance
 # built its own {(switch, controller): ms} dict: per instance, its label
 # and then "i,j:hex" per pair in the dict's order, one line each, over
-# the instances of WORLD_GROUPS[name]
+# the instances of the workload's groups
 DELAY_PAIRS_SHA256 = {
     "att25-sweep": "765a73ab7a4c21ab00cae437d6203bff29f2e6d25286e11019ecb5eda4611c45",
     "grid49-exact": "88142a33e4ffe446e0220d151ed15ca2027263b63e47bec609be49c515bc2ee5",
@@ -360,10 +330,10 @@ class TestSharedDelayRows:
     an offline switch and an active controller."""
 
     @pytest.mark.parametrize("name", sorted(DELAY_PAIRS_SHA256))
-    def test_rows_shared_and_pairs_unchanged(self, worlds, name):
-        world = worlds[name]
+    def test_rows_shared_and_pairs_unchanged(self, workload_worlds, name):
+        world, runs = workload_worlds[name]
         h = hashlib.sha256()
-        for inst in world_instances(world, WORLD_GROUPS[name]):
+        for _, _, inst in runs:
             assert "delay" not in vars(inst)
             assert inst.delay_rows is world.delay
             pairs = inst.delay
@@ -376,13 +346,13 @@ class TestSharedDelayRows:
         assert h.hexdigest() == DELAY_PAIRS_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(DELAY_PAIRS_SHA256))
-    def test_only_offline_by_active_pairs(self, worlds, name):
+    def test_only_offline_by_active_pairs(self, workload_worlds, name):
         # the world's rows hold a delay for both kinds of pair
-        world = worlds[name]
-        for inst in world_instances(world, [(1, 1.0), (2, 1.0)]):
+        world, runs = workload_worlds[name]
+        for s, _, inst in runs:
             i, j = inst.offline_switches[0], inst.active_controllers[0]
             online = next(v for v in world.topology.node_ids() if v not in inst.g)
-            failed = next(c for c in world.placement.controller_ids if c not in inst.a_rest)
+            failed = min(s.failed)
             assert failed in world.delay[i] and j in world.delay[online]
             pairs = inst.delay
             for pair in ((i, failed), (online, j)):

@@ -22,8 +22,12 @@ from dataclasses import dataclass
 from .oscm import OscmInstance, Solution
 
 
+# the most assignments, m ** n for n tasks and m agents, gap_bruteforce enumerates
+MAX_ASSIGNMENTS = 10_000_000
+
+
 class GapSizeError(ValueError):
-    """Brute-force search space above the desk-scale bound."""
+    """Brute-force search space above MAX_ASSIGNMENTS."""
 
 
 @dataclass(frozen=True)
@@ -423,7 +427,7 @@ def reduce_to_gap(inst: OscmInstance) -> GapInstance | None:
     )
 
 
-def gap_bruteforce(g: GapInstance, max_space: int = 10_000_000) -> float | None:
+def gap_bruteforce(g: GapInstance) -> float | None:
     """Exact optimum of the assignment problem by full enumeration over
     agent choices; None when no assignment fits the capacities."""
     n, m = g.n_tasks, g.n_agents
@@ -431,7 +435,7 @@ def gap_bruteforce(g: GapInstance, max_space: int = 10_000_000) -> float | None:
         return 0.0
     if m == 0:
         return None
-    if m ** n > max_space:
+    if m ** n > MAX_ASSIGNMENTS:
         raise GapSizeError(f"{m}^{n} assignments exceed the enumeration bound")
     best = None
     for choice in itertools.product(range(m), repeat=n):

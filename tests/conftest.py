@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from retroflow import fixtures
@@ -61,6 +63,15 @@ def workload_documents(workload_worlds):
                           for _, _, inst in workload_worlds[name][1]]
         return read[name]
     return read_back
+
+
+@pytest.fixture(scope="session")
+def benchmark_sweeps(workload_worlds):
+    """sweep(name): test_experiment.benchmark_sweep over the workload's
+    workload_worlds world, once per session."""
+    from test_experiment import benchmark_sweep
+
+    return functools.cache(lambda name: benchmark_sweep(name, workload_worlds[name][0]))
 
 
 @pytest.fixture(scope="session")

@@ -190,14 +190,6 @@ class TestRun:
                      "--out", str(out)]) == 0
         assert out.read_text().split("\n")[1].startswith("C13,")
 
-    def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (a, b):
-            assert main(["run", "--topology", TOPO, "--placement", PLACEMENT,
-                         "--failures", "2", "--q-fraction", "0.9",
-                         "--out", str(out)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     @pytest.mark.parametrize("k, q", sorted(REPORT_SHA256))
     def test_report_bytes_golden(self, tmp_path, k, q):
         # pins every digit of the report: the overhead columns are float

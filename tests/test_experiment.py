@@ -5,21 +5,64 @@ import json
 import math
 import random
 import re
+import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from retroflow import experiment, fixtures, oscm, solvers
+from retroflow import experiment, fixtures, flows, geo, oscm, solvers
 from retroflow.domains import FailureScenario, enumerate_failure_scenarios, load_placement_file
 from retroflow.experiment import (ReportError, emit_report, queueing_penalty_ms,
                                   run_scenario, sweep_summary)
 from retroflow.geo import load_topology_file
 
 from _oracles import random_instance, score_per_switch
+from test_flows import load_perfbench_workloads
 from test_solvers import greedy_case
 
 # the tests' own documents
 DATA = Path(__file__).parent / "data"
+
+# each benchmark workload's sweep at seed 1, as benchmark_sweep counts it:
+# its instance builds and their delay pairs. test_solvers.py pins the
+# sweep's exact search: TestLegacyPricing::test_workloads its _price calls,
+# statuses and nodes, TestSolveExact::test_att_search_size att25's nodes
+# per (k, q) group
+SWEEP_PINS = {"att25-sweep": (124, 4000), "grid49-exact": (21, 1225),
+              "grid100-greedy": (41, 5500)}
+
+
+def benchmark_sweep(name, shared):
+    """A benchmark pass past its matrix build, as perfbench/run.py runs
+    it and its tracer counts it, through module-attribute wrappers: a
+    World over the shared world's topology, matrix and placement, then
+    run_scenario over the workload's (k, q) groups and algorithms. The
+    World is built under the wrappers, so a World build that queries
+    pairs is counted too. queries counts flows.shortest_path,
+    flows.has_alternative_path, oscm.shortest_path and geo.Path; exact
+    holds each exact search's (instance, result)."""
+    with pytest.MonkeyPatch.context() as mp:
+        builds, exact, prices, *queries = [
+            recorded_calls(mp, module, attr)
+            for module, attr in ((experiment, "build_instance"), (experiment, "solve_exact"),
+                                 (solvers, "_price"), (flows, "shortest_path"),
+                                 (flows, "has_alternative_path"), (oscm, "shortest_path"),
+                                 (geo, "Path"))]
+        workload = load_perfbench_workloads().WORKLOADS[name]
+        world = oscm.World(shared.topology, shared.beta, shared.placement)
+        nodes = {}
+        for k, q in workload.groups:
+            done = len(exact)
+            for s in enumerate_failure_scenarios(world.placement, k):
+                run_scenario(world, s, q, algorithms=workload.algorithms)
+            nodes[k, q] = sum(result.nodes_explored for _, result in exact[done:])
+    statuses = Counter(result.status for _, result in exact)
+    return types.SimpleNamespace(
+        builds=len(builds), delay_pairs=sum(len(inst.delay) for _, inst in builds),
+        prices=len(prices), statuses=(statuses["optimal"], statuses["infeasible"],
+                                      statuses["not_proven"]),
+        nodes=nodes, queries=[len(calls) for calls in queries], exact=exact)
 
 
 def written_floats(text, format):
@@ -38,6 +81,19 @@ def written_floats(text, format):
             except ValueError:
                 pass
     return floats
+
+
+def recorded_calls(monkeypatch, module, attr):
+    """Wrap module.attr for the test; each call appends (its first
+    argument, its result) to the list returned."""
+    calls, fn = [], getattr(module, attr)
+
+    def recorded(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((args[0] if args else None, result))
+        return result
+    monkeypatch.setattr(module, attr, recorded)
+    return calls
 
 
 class TestQueueingPenalty:
@@ -95,11 +151,7 @@ class TestRunScenario:
         """The solvers, the scoring and the report decode neither the
         instance's flows nor a solution's: flow ids are decoded only once
         someone reads them."""
-        built = []
-        build = experiment.build_instance
-        monkeypatch.setattr(experiment, "build_instance",
-                            lambda *args, **kwargs: built.append(build(*args, **kwargs))
-                            or built[-1])
+        built = recorded_calls(monkeypatch, experiment, "build_instance")
         decoded = []
         decode = oscm.flows_of
         monkeypatch.setattr(oscm, "flows_of", lambda *args: decoded.append(args) or decode(*args))
@@ -108,7 +160,7 @@ class TestRunScenario:
         emit_report(reports)
         assert len(built) == 6
         assert decoded == []
-        for inst, rep in zip(built, reports):
+        for (_, inst), rep in zip(built, reports):
             for o in rep.outcomes:
                 if o.solution is not None:
                     assert o.programmable_flow_fraction == len(o.solution.y) / len(inst.flows)
@@ -284,6 +336,16 @@ class TestRunScenario:
         with pytest.raises(ReportError, match="^duplicate algorithm 'nearest'$"):
             run_scenario(att_world, FailureScenario(frozenset({20})), 0.9,
                          algorithms=("nearest", "nearest"))
+
+    @pytest.mark.parametrize("name", list(SWEEP_PINS))
+    def test_benchmark_sweep(self, name, benchmark_sweeps):
+        """One instance build per scenario, one delay pair per (offline
+        switch, active controller), no per-pair path query and no Path
+        built over the whole sweep."""
+        sweep = benchmark_sweeps(name)
+        assert (sweep.builds, sweep.delay_pairs) == SWEEP_PINS[name]
+        # flows.shortest_path, flows.has_alternative_path, oscm.shortest_path, geo.Path
+        assert sweep.queries == [0, 0, 0, 0]
 
 
 class TestScore:

@@ -411,39 +411,36 @@ class TestWorldBuildAgainstOracle:
         assert [i for i, m in got.masks.items() if not m] == [5, 12]
 
     def test_one_search_per_source_and_no_pair_query_on_att25(self, monkeypatch):
-        calls = {(geo, "_paths_from"): 0}
-        for module in (flows, geo):
-            for name in ("shortest_path", "has_alternative_path"):
-                calls[(module, name)] = 0
-
-        def counted(module, name):
-            fn = getattr(module, name)
-
-            def wrapper(*args):
-                calls[(module, name)] += 1
-                return fn(*args)
-            return wrapper
-
-        for module, name in calls:
-            monkeypatch.setattr(module, name, counted(module, name))
+        searches, *queries = [
+            TestSearchTrees.count_calls(monkeypatch, module, name)
+            for module, name in ((geo, "_paths_from"), (flows, "shortest_path"),
+                                 (flows, "has_alternative_path"), (geo, "shortest_path"),
+                                 (geo, "has_alternative_path"))]
         t = fixtures.att25_topology()
         make_world(t, fixtures.att_table2_placement(t))
-        searches = calls.pop((geo, "_paths_from"))
-        assert searches == 25
-        assert set(calls.values()) == {0}
+        assert [len(calls) for calls in [searches] + queries] == [25, 0, 0, 0, 0]
+
+
+@functools.cache
+def grid_documents():
+    """The topology and k-center placement documents of grid49-exact's
+    fixed seed and grid100-greedy's seed 1, generated once and shared: no
+    caller may change them."""
+    workloads = load_perfbench_workloads()
+    docs = []
+    for side in (7, 10):
+        doc = workloads.grid_topology(side, random.Random(1))
+        docs.append((doc, workloads.kcenter_placement(doc, workloads.grid_topology(side),
+                                                      workloads.CONTROLLERS, workloads.SLACK)))
+    return tuple(docs)
 
 
 def benchmark_worlds():
     """(topology, placement) of att25 and of the benchmark grids, each on a
-    topology no search has touched: grid49-exact's fixed seed and
-    grid100-greedy's seed 1, with their k-center placements."""
-    workloads = load_perfbench_workloads()
+    topology loaded on this call, so no search has touched it."""
     t = fixtures.att25_topology()
     worlds = [(t, fixtures.att_table2_placement(t))]
-    for side in (7, 10):
-        doc = workloads.grid_topology(side, random.Random(1))
-        place = workloads.kcenter_placement(doc, workloads.grid_topology(side),
-                                            workloads.CONTROLLERS, workloads.SLACK)
+    for doc, place in grid_documents():
         t = geo.load_topology(doc)
         worlds.append((t, domains.load_placement(place, t)))
     return worlds

@@ -9,7 +9,6 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from retroflow import solvers
 from retroflow.domains import FailureScenario, Placement, enumerate_failure_scenarios
 from retroflow.experiment import AlgorithmOutcome, _score, make_world
 from retroflow.flows import compute_beta, generate_flows
@@ -165,27 +164,15 @@ class TestSolveExact:
                     outcome.raw_overhead, outcome.adjusted_overhead,
                     outcome.controller_load, outcome.overloaded) == (0, 0, 0, 0, {}, ())
 
-    def test_att_search_size(self, att_world):
-        """Summed B&B node counts and the statuses over every att25
-        scenario, k=1..5 at q 0.9 and 1.0: the sweep of the att25-sweep
-        benchmark workload, whose traced CI pass pins the same 22,252
-        nodes. Pruning may only change when a bound changes: a change
-        that tightens the bounds (ROADMAP item 1) updates these numbers
-        and records why in CHANGES.md."""
-        t, b, p = att_world.topology, att_world.beta, att_world.placement
-        nodes, statuses = {}, Counter()
-        for k in range(1, 6):
-            for q in (0.9, 1.0):
-                results = [solve_exact(build_instance(t, b, p, s, q))
-                           for s in enumerate_failure_scenarios(p, k)]
-                nodes[k, q] = sum(r.nodes_explored for r in results)
-                statuses.update(r.status for r in results)
-        assert nodes == {
+    def test_att_search_size(self, benchmark_sweeps):
+        """B&B nodes per (k, q) group of the att25-sweep benchmark
+        workload, as test_experiment's benchmark_sweep counts them. A
+        change that tightens the bounds (ROADMAP item 1) updates these
+        numbers and records why in CHANGES.md."""
+        assert benchmark_sweeps("att25-sweep").nodes == {
             (1, 0.9): 173, (2, 0.9): 2339, (3, 0.9): 12854, (4, 0.9): 4750, (5, 0.9): 34,
             (1, 1.0): 199, (2, 1.0): 1751, (3, 1.0): 116, (4, 1.0): 28, (5, 1.0): 8,
         }
-        assert sum(nodes.values()) == 22252
-        assert statuses == {"optimal": 28, "infeasible": 96}
 
     def test_depth_is_not_bounded_by_recursion(self):
         # one search level per switch: 1,500 levels are past the default
@@ -300,41 +287,34 @@ class TestExactWithoutUndo:
             statuses.update((outcome[0], cut_outcome[0]))
         assert statuses == {"optimal", "infeasible", "not_proven", "budget_exhausted"}
 
-    def test_att25_matches_undo_search(self, att25_instances):
-        for inst in att25_instances:
-            assert exact_outcome(solve_exact, inst) == exact_outcome(exact_undo, inst)
+    def test_att25_matches_undo_search(self, benchmark_sweeps):
+        # every exact search of the att25-sweep benchmark workload (124),
+        # and of grid49-exact (21)
+        for name in ("att25-sweep", "grid49-exact"):
+            for inst, result in benchmark_sweeps(name).exact:
+                solution = result.solution and result.solution.to_json()
+                assert exact_outcome(exact_undo, inst) == (result.status, result.nodes_explored,
+                                                           solution), inst.label
 
 
 class TestLegacyPricing:
     """Only the root and mapped nodes price the undecided switches; a
     legacy child reads the counts of the node that priced them."""
 
-    def test_workloads(self, monkeypatch, workload_worlds):
+    def test_workloads(self, benchmark_sweeps):
         # att25 makes 16,454 bound calls and grid49 8,777, of which legacy
         # children make 3,331 and 2,621: a search that prices at every
-        # bound call reads those totals. The statuses are the optimal,
-        # infeasible and not_proven counts that CI's traced pass pins
-        calls = []
-        price = solvers._price
-
-        def counted(*args):
-            calls.append(None)
-            return price(*args)
-
-        monkeypatch.setattr(solvers, "_price", counted)
+        # bound call reads those _price totals. With them: the exact
+        # statuses (optimal, infeasible, not_proven) and summed nodes of
+        # each benchmark workload's sweep, as test_experiment's
+        # benchmark_sweep counts them
         work = {}
-        for name in ("att25-sweep", "grid49-exact"):
-            calls.clear()
-            nodes = 0
-            statuses = dict.fromkeys(("optimal", "infeasible", "not_proven"), 0)
-            for _, _, inst in workload_worlds[name][1]:
-                outcome = exact_outcome(solve_exact, inst)
-                assert outcome == exact_outcome(exact_undo, inst), inst.label
-                nodes += outcome[1]
-                statuses[outcome[0]] += 1
-            work[name] = (len(calls), nodes, tuple(statuses.values()))
-        assert work == {"att25-sweep": (13123, 22252, (28, 96, 0)),
-                        "grid49-exact": (6156, 11652, (17, 4, 0))}
+        for name in ("att25-sweep", "grid49-exact", "grid100-greedy"):
+            sweep = benchmark_sweeps(name)
+            work[name] = (sweep.prices, sweep.statuses, sum(sweep.nodes.values()))
+        assert work == {"att25-sweep": (13123, (28, 96, 0), 22252),
+                        "grid49-exact": (6156, (17, 4, 0), 11652),
+                        "grid100-greedy": (0, (0, 0, 0), 0)}
 
     def test_chain_memory(self):
         # a legacy entry holds its parent's counts by reference, one list
@@ -927,7 +907,7 @@ class TestGapBruteforce:
         gap = GapInstance(costs=tuple((1.0, 1.0) for _ in range(n)),
                           usage=tuple((1.0, 1.0) for _ in range(n)),
                           capacities=(99.0, 99.0))
-        with pytest.raises(GapSizeError):
+        with pytest.raises(GapSizeError, match=r"^2\^30 assignments exceed the enumeration bound$"):
             gap_bruteforce(gap)
 
 

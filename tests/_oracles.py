@@ -8,12 +8,27 @@ component labelling, kept verbatim, against which a rewrite must give the
 same results step for step.
 """
 
+import csv
+import functools
 import heapq
+import importlib.util
+import io
 import itertools
+import json
 import math
 import random
+import sys
 import time
 from collections import Counter
+from pathlib import Path as FsPath
+
+from hypothesis import settings
+
+from retroflow import domains as dm
+from retroflow import geo, oscm
+from retroflow.domains import Placement
+from retroflow.geo import PROPAGATION_KM_PER_MS, GeoCoordinate, Topology
+from retroflow.oscm import OscmInstance
 
 
 def law_of_cosines_km(lat1, lon1, lat2, lon2, radius=6371.0):
@@ -691,3 +706,160 @@ def random_gap_special_instance(rng, n_max=6, m_max=3):
         a_rest={j: rng.randint(0, 25) for j in controllers},
         q_required=n,
     )
+
+
+# Generators and helpers that more than one test module, or conftest.py,
+# calls: each defined once here, so that no test module imports another.
+
+
+def synthetic(n, weighted_links):
+    """n nodes at dummy coordinates, explicit link distances in km."""
+    nodes = [(i, GeoCoordinate(10.0 + i * 0.1, 20.0)) for i in range(n)]
+    return Topology(nodes, [(a, b, d) for a, b, d in weighted_links])
+
+
+def random_connected_links(rng, n, distances):
+    """A path backbone plus random extra links, each with a distance drawn
+    from `distances`."""
+    links = [(i, i + 1, rng.choice(distances)) for i in range(n - 1)]
+    present = {(i, i + 1) for i in range(n - 1)}
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.sample(range(n), 2)
+        key = (min(a, b), max(a, b))
+        if key not in present:
+            present.add(key)
+            links.append((key[0], key[1], rng.choice(distances)))
+    return links
+
+
+def far_path(controllers, domain_of, flow_counts=None):
+    """A path of nodes 0..219 and links of 1.7e308 km (8.5e305 ms), whose
+    delays sum to inf past 211 hops; controllers of capacity 10**9, node
+    v in the domain of domain_of(v)."""
+    n = 220
+    t = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(n)],
+                 [(v, v + 1, 1.7e308) for v in range(n - 1)])
+    return t, Placement([(c, 10**9) for c in controllers],
+                        {v: domain_of(v) for v in range(n)}, flow_counts)
+
+
+@functools.cache
+def load_perfbench_workloads():
+    """perfbench/workloads.py, which generates the benchmark's grids,
+    loaded once and shared: no caller may change it."""
+    path = FsPath(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def integer_grid(side, rng):
+    """The benchmark's side x side grid, each link 1 to 9 whole ms long."""
+    doc = load_perfbench_workloads().grid_topology(side)
+    nodes = [(v["id"], geo.GeoCoordinate(v["lat"], v["lon"])) for v in doc["nodes"]]
+    links = [(e["a"], e["b"], rng.randint(1, 9) * PROPAGATION_KM_PER_MS)
+             for e in doc["links"]]
+    return nodes, links
+
+
+def with_chain(nodes, links, u, rng):
+    """The topology plus the chain u - p1 - p2, p1 and p2 new ids."""
+    p1 = max(v for v, _ in nodes) + 1
+    p2 = p1 + 1
+    coord = dict(nodes)[u]
+    chain = [(u, p1, rng.randint(1, 9) * PROPAGATION_KM_PER_MS),
+             (p1, p2, rng.randint(1, 9) * PROPAGATION_KM_PER_MS)]
+    return geo.Topology(nodes + [(p1, coord), (p2, coord)], links + chain), p1, p2
+
+
+def bridged_grid():
+    """The integer 7x7 grid of seed 3 with a chain off node 24: (topology,
+    p1, p2)."""
+    rng = random.Random(3)
+    nodes, links = integer_grid(7, rng)
+    return with_chain(nodes, links, 24, rng)
+
+
+def greedy_case(rng):
+    """Random instance for the greedy: a few flow ids, so switches tie on
+    uncovered counts and run out of new flows; empty flow sets; zero loads;
+    residuals too small for some switches; quotas from 0 to every flow;
+    now and then no offline switch at all."""
+    n = rng.randint(0, 16)
+    m = rng.randint(1, 3)
+    switches = range(1, n + 1)
+    controllers = range(101, 101 + m)
+    pool = rng.randint(1, 16)
+    beta = {i: set(rng.sample(range(pool), rng.randint(0, min(5, pool)))) for i in switches}
+    n_flows = len(set().union(*beta.values()))
+    return OscmInstance(
+        offline_switches=switches,
+        active_controllers=controllers,
+        delay={(i, j): float(rng.randint(0, 4)) for i in switches for j in controllers},
+        g={i: rng.randint(0, 9) for i in switches},
+        beta=beta,
+        a_rest={j: rng.randint(0, 30) for j in controllers},
+        q_required=rng.choice([0, rng.randint(0, n_flows), n_flows, n_flows]),
+    )
+
+
+def residual_capacity(p, loads, s):
+    """Each active controller's residual from per-switch loads: the
+    residuals over the domains' loads, as a World reads them."""
+    return dm.surviving_residuals(p, dm.domain_loads(p, loads), s)
+
+
+# node 2 listed twice, with disjoint switches and different capacities
+TWICE_LISTED = {
+    "controllers": [
+        {"node": 2, "capacity": 10, "switches": list(range(12))},
+        {"node": 2, "capacity": 900, "switches": list(range(12, 25))},
+    ],
+}
+
+
+def written_floats(text, format):
+    """Every number a report writes as a float: the JSON document's float
+    values, or each CSV cell that parses as one (inf and nan included)."""
+    if format == "json":
+        doc = json.loads(text)
+        values = [v for row in doc["records"] for v in row.values()]
+        values += doc["summary"].values()
+        return [v for v in values if isinstance(v, float)]
+    floats = []
+    for row in csv.reader(io.StringIO(text)):
+        for cell in row:
+            try:
+                floats.append(float(cell))
+            except ValueError:
+                pass
+    return floats
+
+
+def recorded_calls(monkeypatch, module, attr):
+    """Wrap module.attr for the test; each call appends (its first
+    argument, its result) to the list returned."""
+    calls, fn = [], getattr(module, attr)
+
+    def recorded(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((args[0] if args else None, result))
+        return result
+    monkeypatch.setattr(module, attr, recorded)
+    return calls
+
+
+def count_loop(monkeypatch):
+    """Record each call of the loop over offline switches, by its
+    offline switches, and pass it on."""
+    calls = []
+    loop = oscm._check_switches
+    monkeypatch.setattr(oscm, "_check_switches",
+                        lambda *args: calls.append(args[0]) or loop(*args))
+    return calls
+
+
+_FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None)

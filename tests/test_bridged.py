@@ -12,58 +12,14 @@ The topology's bridge components and search trees are also checked
 against networkx, an implementation that shares no code with this one.
 """
 
-import math
 import random
 
 import pytest
 
-from retroflow import domains, geo
-from retroflow.domains import Placement
+from retroflow import geo
 from retroflow.flows import flows_of, programmability
-from retroflow.geo import PROPAGATION_KM_PER_MS
 
-from test_flows import benchmark_worlds, load_perfbench_workloads
-
-
-def integer_grid(side, rng):
-    """The benchmark's side x side grid, each link 1 to 9 whole ms long."""
-    doc = load_perfbench_workloads().grid_topology(side)
-    nodes = [(v["id"], geo.GeoCoordinate(v["lat"], v["lon"])) for v in doc["nodes"]]
-    links = [(e["a"], e["b"], rng.randint(1, 9) * PROPAGATION_KM_PER_MS)
-             for e in doc["links"]]
-    return nodes, links
-
-
-def with_chain(nodes, links, u, rng):
-    """The topology plus the chain u - p1 - p2, p1 and p2 new ids."""
-    p1 = max(v for v, _ in nodes) + 1
-    p2 = p1 + 1
-    coord = dict(nodes)[u]
-    chain = [(u, p1, rng.randint(1, 9) * PROPAGATION_KM_PER_MS),
-             (p1, p2, rng.randint(1, 9) * PROPAGATION_KM_PER_MS)]
-    return geo.Topology(nodes + [(p1, coord), (p2, coord)], links + chain), p1, p2
-
-
-def bridged_grid():
-    """The integer 7x7 grid of seed 3 with a chain off node 24: (topology,
-    p1, p2)."""
-    rng = random.Random(3)
-    nodes, links = integer_grid(7, rng)
-    return with_chain(nodes, links, 24, rng)
-
-
-def bridged_world(grid49):
-    """bridged_grid's topology with grid49, the placement of grid49-exact,
-    as its k-center domains; the chain's two switches, which reprogram
-    nothing and so carry no load, join the domain of the node they hang
-    off. Capacities are 1.4 times each domain's computed load, rounded up."""
-    t, p1, p2 = bridged_grid()
-    domain_of = dict(grid49.domain_of)
-    domain_of[p1] = domain_of[p2] = domain_of[24]
-    shape = Placement([(c, 0) for c in grid49.controller_ids], domain_of)
-    own = domains.domain_loads(shape, programmability(t).loads())
-    return t, Placement([(c, math.ceil(1.4 * own[c])) for c in grid49.controller_ids],
-                        domain_of)
+from _oracles import bridged_grid, integer_grid, with_chain
 
 
 def reprogrammed(t):
@@ -108,10 +64,10 @@ def test_pendant_chain(side):
                     assert ((p2, d) in after[i]) == was
 
 
-def networkx_worlds():
+def networkx_worlds(benchmark_worlds):
     """att25, the grid49 and grid100 benchmark worlds, and a bridged 7x7
     grid."""
-    return [t for t, _ in benchmark_worlds()] + [bridged_grid()[0]]
+    return [t for t, _ in benchmark_worlds] + [bridged_grid()[0]]
 
 
 def graph(nx, t):
@@ -121,9 +77,9 @@ def graph(nx, t):
     return g
 
 
-def test_bridge_components_match_networkx():
+def test_bridge_components_match_networkx(fresh_benchmark_worlds):
     nx = pytest.importorskip("networkx")
-    for t in networkx_worlds():
+    for t in networkx_worlds(fresh_benchmark_worlds):
         ours = {}
         for v, label in zip(t.node_ids(), t._component):
             ours.setdefault(label, set()).add(v)
@@ -131,9 +87,9 @@ def test_bridge_components_match_networkx():
         assert {frozenset(c) for c in ours.values()} == want
 
 
-def test_tree_delays_match_networkx():
+def test_tree_delays_match_networkx(fresh_benchmark_worlds):
     nx = pytest.importorskip("networkx")
-    for t in networkx_worlds():
+    for t in networkx_worlds(fresh_benchmark_worlds):
         g = graph(nx, t)
         ids = t.node_ids()
         for src in ids:

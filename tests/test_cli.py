@@ -19,9 +19,7 @@ from retroflow import fixtures
 from retroflow.fixtures import data_path
 from retroflow.solvers import solve_retroflow
 
-from test_domains import TWICE_LISTED
-from test_experiment import written_floats
-from test_flows import load_perfbench_workloads
+from _oracles import TWICE_LISTED, load_perfbench_workloads, written_floats
 
 TOPO = data_path("att25.json")
 PLACEMENT = data_path("att_table2.json")

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from retroflow import fixtures
 from retroflow._doc import distinct, key, number, parse, record, whole
@@ -20,6 +20,8 @@ from retroflow.fixtures import master_loss_script, toy_recovery_instance
 from retroflow.geo import TopologyError, load_topology, load_topology_file
 from retroflow.oscm import InstanceError, OscmInstance, Solution
 from retroflow.solvers import solve_retroflow
+
+from _oracles import _FUZZ
 
 
 class TestReaders:
@@ -213,8 +215,6 @@ def _near(draw, base):
             parent.append(parent[k])
     return doc
 
-
-_FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
 LOADERS = {
     "topology": (TOPOLOGY, load_topology, TopologyError),

@@ -10,20 +10,7 @@ from retroflow.domains import (FailureScenario, Placement, PlacementError,
                                offline_switches, scenario_count)
 from retroflow.fixtures import data_path
 
-
-def residual_capacity(p, loads, s):
-    """Each active controller's residual from per-switch loads: the
-    residuals over the domains' loads, as a World reads them."""
-    return dm.surviving_residuals(p, dm.domain_loads(p, loads), s)
-
-
-# node 2 listed twice, with disjoint switches and different capacities
-TWICE_LISTED = {
-    "controllers": [
-        {"node": 2, "capacity": 10, "switches": list(range(12))},
-        {"node": 2, "capacity": 900, "switches": list(range(12, 25))},
-    ],
-}
+from _oracles import TWICE_LISTED, residual_capacity
 
 
 class TestPlacement:

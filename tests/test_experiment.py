@@ -5,21 +5,18 @@ import json
 import math
 import random
 import re
-import types
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from retroflow import experiment, fixtures, flows, geo, oscm, solvers
+from retroflow import experiment, fixtures, oscm, solvers
 from retroflow.domains import FailureScenario, enumerate_failure_scenarios, load_placement_file
 from retroflow.experiment import (ReportError, emit_report, queueing_penalty_ms,
                                   run_scenario, sweep_summary)
 from retroflow.geo import load_topology_file
 
-from _oracles import random_instance, score_per_switch
-from test_flows import load_perfbench_workloads
-from test_solvers import greedy_case
+from _oracles import (greedy_case, random_instance, recorded_calls, score_per_switch,
+                      written_floats)
 
 # the tests' own documents
 DATA = Path(__file__).parent / "data"
@@ -31,69 +28,6 @@ DATA = Path(__file__).parent / "data"
 # per (k, q) group
 SWEEP_PINS = {"att25-sweep": (124, 4000), "grid49-exact": (21, 1225),
               "grid100-greedy": (41, 5500)}
-
-
-def benchmark_sweep(name, shared):
-    """A benchmark pass past its matrix build, as perfbench/run.py runs
-    it and its tracer counts it, through module-attribute wrappers: a
-    World over the shared world's topology, matrix and placement, then
-    run_scenario over the workload's (k, q) groups and algorithms. The
-    World is built under the wrappers, so a World build that queries
-    pairs is counted too. queries counts flows.shortest_path,
-    flows.has_alternative_path, oscm.shortest_path and geo.Path; exact
-    holds each exact search's (instance, result)."""
-    with pytest.MonkeyPatch.context() as mp:
-        builds, exact, prices, *queries = [
-            recorded_calls(mp, module, attr)
-            for module, attr in ((experiment, "build_instance"), (experiment, "solve_exact"),
-                                 (solvers, "_price"), (flows, "shortest_path"),
-                                 (flows, "has_alternative_path"), (oscm, "shortest_path"),
-                                 (geo, "Path"))]
-        workload = load_perfbench_workloads().WORKLOADS[name]
-        world = oscm.World(shared.topology, shared.beta, shared.placement)
-        nodes = {}
-        for k, q in workload.groups:
-            done = len(exact)
-            for s in enumerate_failure_scenarios(world.placement, k):
-                run_scenario(world, s, q, algorithms=workload.algorithms)
-            nodes[k, q] = sum(result.nodes_explored for _, result in exact[done:])
-    statuses = Counter(result.status for _, result in exact)
-    return types.SimpleNamespace(
-        builds=len(builds), delay_pairs=sum(len(inst.delay) for _, inst in builds),
-        prices=len(prices), statuses=(statuses["optimal"], statuses["infeasible"],
-                                      statuses["not_proven"]),
-        nodes=nodes, queries=[len(calls) for calls in queries], exact=exact)
-
-
-def written_floats(text, format):
-    """Every number a report writes as a float: the JSON document's float
-    values, or each CSV cell that parses as one (inf and nan included)."""
-    if format == "json":
-        doc = json.loads(text)
-        values = [v for row in doc["records"] for v in row.values()]
-        values += doc["summary"].values()
-        return [v for v in values if isinstance(v, float)]
-    floats = []
-    for row in csv.reader(io.StringIO(text)):
-        for cell in row:
-            try:
-                floats.append(float(cell))
-            except ValueError:
-                pass
-    return floats
-
-
-def recorded_calls(monkeypatch, module, attr):
-    """Wrap module.attr for the test; each call appends (its first
-    argument, its result) to the list returned."""
-    calls, fn = [], getattr(module, attr)
-
-    def recorded(*args, **kwargs):
-        result = fn(*args, **kwargs)
-        calls.append((args[0] if args else None, result))
-        return result
-    monkeypatch.setattr(module, attr, recorded)
-    return calls
 
 
 class TestQueueingPenalty:

@@ -1,10 +1,6 @@
-import functools
 import hashlib
-import importlib.util
 import math
 import random
-import sys
-from pathlib import Path as FsPath
 
 import pytest
 
@@ -17,8 +13,8 @@ from retroflow.experiment import emit_report, load_diagnostics, make_world, run_
 from retroflow.oscm import build_instance, validate
 from retroflow.solvers import solve_nearest, solve_retroflow
 
-from _oracles import compute_beta_per_flow, index_flows_by_digits, paths_from_checked
-from test_geo import random_connected_links, synthetic
+from _oracles import (compute_beta_per_flow, index_flows_by_digits, load_perfbench_workloads,
+                      paths_from_checked, random_connected_links, synthetic)
 
 
 def line3():
@@ -259,19 +255,6 @@ def checked_tree(t, src):
     return geo.SearchTree([at[v] for v in paths], parent, delay)
 
 
-@functools.cache
-def load_perfbench_workloads():
-    """perfbench/workloads.py, which generates the benchmark's grids,
-    loaded once and shared: no caller may change it."""
-    path = FsPath(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses resolve their annotations through sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestWorldBuildAgainstOracle:
     """The world's masks, built from one path tree per source, against
     generate_flows over verbatim copies of the per-edge-checked search and
@@ -421,31 +404,6 @@ class TestWorldBuildAgainstOracle:
         assert [len(calls) for calls in [searches] + queries] == [25, 0, 0, 0, 0]
 
 
-@functools.cache
-def grid_documents():
-    """The topology and k-center placement documents of grid49-exact's
-    fixed seed and grid100-greedy's seed 1, generated once and shared: no
-    caller may change them."""
-    workloads = load_perfbench_workloads()
-    docs = []
-    for side in (7, 10):
-        doc = workloads.grid_topology(side, random.Random(1))
-        docs.append((doc, workloads.kcenter_placement(doc, workloads.grid_topology(side),
-                                                      workloads.CONTROLLERS, workloads.SLACK)))
-    return tuple(docs)
-
-
-def benchmark_worlds():
-    """(topology, placement) of att25 and of the benchmark grids, each on a
-    topology loaded on this call, so no search has touched it."""
-    t = fixtures.att25_topology()
-    worlds = [(t, fixtures.att_table2_placement(t))]
-    for doc, place in grid_documents():
-        t = geo.load_topology(doc)
-        worlds.append((t, domains.load_placement(place, t)))
-    return worlds
-
-
 class TestSearchTrees:
     """One search tree per source, parents and delays, against the verbatim
     per-edge-checked search, and the paths and delays read from it."""
@@ -478,8 +436,8 @@ class TestSearchTrees:
             n, links = TestWorldBuildAgainstOracle.random_links(rng)
             self.assert_same_trees(synthetic(n, links))
 
-    def test_same_trees_on_att25_and_benchmark_grids(self):
-        for t, _ in benchmark_worlds():
+    def test_same_trees_on_att25_and_benchmark_grids(self, fresh_benchmark_worlds):
+        for t, _ in fresh_benchmark_worlds:
             self.assert_same_trees(t)
 
     @pytest.mark.parametrize("side", [7, 10, 20])
@@ -510,13 +468,13 @@ class TestSearchTrees:
             geo.shortest_path_tree(t, src)
         return len(calls)
 
-    def test_no_full_order_search_without_ties(self, monkeypatch):
+    def test_no_full_order_search_without_ties(self, monkeypatch, fresh_benchmark_worlds):
         # the bundled topologies, the benchmark grids and a 20x20 grid of
         # the same generator: jittered coordinates tie no delay
         workloads = load_perfbench_workloads()
         jittered = geo.load_topology(workloads.grid_topology(20, random.Random(1)))
         untied = ([fixtures.att25_topology(), fixtures.ring5_topology()]
-                  + [t for t, _ in benchmark_worlds()[1:]] + [jittered])
+                  + [t for t, _ in fresh_benchmark_worlds[1:]] + [jittered])
         calls = self.count_calls(monkeypatch, geo, "_paths_from_ordered")
         assert [self.full_order_searches(t, calls) for t in untied] == [0] * 5
 
@@ -568,9 +526,9 @@ class TestSearchTrees:
         monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_one_search_per_source_per_world_build(self, monkeypatch):
+    def test_one_search_per_source_per_world_build(self, monkeypatch, fresh_benchmark_worlds):
         searches = self.count_calls(monkeypatch, geo, "_paths_from")
-        for (t, p), n in zip(benchmark_worlds(), (25, 49, 100)):
+        for (t, p), n in zip(fresh_benchmark_worlds, (25, 49, 100)):
             searches.clear()
             make_world(t, p)
             assert len(searches) == n

@@ -8,28 +8,8 @@ from hypothesis import given, strategies as st
 from retroflow.geo import (GeoCoordinate, Topology, TopologyError, haversine_km,
                            has_alternative_path, load_topology, shortest_path)
 
-from _oracles import (best_simple_path, law_of_cosines_km, path_weight,
-                      two_edge_components_two_pass, two_edge_disjoint_paths_exist)
-
-
-def synthetic(n, weighted_links):
-    """n nodes at dummy coordinates, explicit link distances in km."""
-    nodes = [(i, GeoCoordinate(10.0 + i * 0.1, 20.0)) for i in range(n)]
-    return Topology(nodes, [(a, b, d) for a, b, d in weighted_links])
-
-
-def random_connected_links(rng, n, distances):
-    """A path backbone plus random extra links, each with a distance drawn
-    from `distances`."""
-    links = [(i, i + 1, rng.choice(distances)) for i in range(n - 1)]
-    present = {(i, i + 1) for i in range(n - 1)}
-    for _ in range(rng.randint(0, n)):
-        a, b = rng.sample(range(n), 2)
-        key = (min(a, b), max(a, b))
-        if key not in present:
-            present.add(key)
-            links.append((key[0], key[1], rng.choice(distances)))
-    return links
+from _oracles import (best_simple_path, law_of_cosines_km, path_weight, random_connected_links,
+                      synthetic, two_edge_components_two_pass, two_edge_disjoint_paths_exist)
 
 
 def random_tree_with_links(rng, n):

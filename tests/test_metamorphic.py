@@ -1,6 +1,6 @@
 """Metamorphic relations over the att25 instances, k=1..3 (41 scenarios),
-over the grid49-exact world's, k=1..2 at q=0.8 (test_grid49), and over
-hypothesis-drawn instances of up to 20 switches (test_random_instances).
+and over hypothesis-drawn instances of up to 20 switches
+(test_random_instances).
 
 Beyond a few switches no oracle says what the exact optimum is, but a
 change to an instance whose effect on the answer is known needs none
@@ -25,20 +25,19 @@ on the two:
 
 Every relation rebuilds the instance through the checked constructor,
 from its rows of flow ids. Most att25 scenarios are infeasible; most of
-grid49's are optimal, so there the relations compare exact optima.
+the drawn instances are optimal, so there the relations compare exact
+optima.
 """
 
 import math
 from collections import Counter
 
-import pytest
 from hypothesis import given, strategies as st
 
 from retroflow.oscm import OscmInstance
 from retroflow.solvers import solve_exact, solve_nearest, solve_retroflow
 
-from _oracles import greedy_rescan, random_instance
-from test_documents import _FUZZ
+from _oracles import _FUZZ, greedy_rescan, random_instance
 
 QUOTA_FRACTIONS = (0.8, 0.85, 0.9, 0.95, 1.0)
 
@@ -150,27 +149,6 @@ def test_relabel_reversed(att25_instances):
         if exact.solution is not None:
             assert math.isclose(exact2.solution.objective, exact.solution.objective,
                                 rel_tol=1e-9), inst.label
-
-
-# the four grid49 scenarios whose exact search explores the most nodes
-# (1,388 to 3,974 each) took about 5 of the relations' 6.7 s on one Intel
-# Xeon core
-_SLOW_GRID49 = {"C24", "C0+C24", "C6+C24", "C24+C48"}
-
-
-@pytest.fixture(scope="module")
-def grid49_instances(workload_worlds):
-    """grid49-exact's scenarios at q=0.8 but _SLOW_GRID49: 15 optimal and
-    2 infeasible."""
-    return [inst for s, _, inst in workload_worlds["grid49-exact"][1]
-            if s.label() not in _SLOW_GRID49]
-
-
-@pytest.mark.parametrize("relation", [test_quota, test_delays_doubled, test_more_capacity,
-                                      test_padding, test_relabel_reversed],
-                         ids=lambda relation: relation.__name__[len("test_"):])
-def test_grid49(relation, grid49_instances):
-    relation(grid49_instances)
 
 
 @_FUZZ

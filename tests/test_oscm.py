@@ -9,13 +9,13 @@ from retroflow import domains as dm
 from retroflow.domains import FailureScenario, Placement, PlacementError
 from retroflow.cli import main
 from retroflow.flows import BetaMatrix, programmability
-from retroflow.geo import GeoCoordinate, Topology, load_topology, shortest_path_tree
+from retroflow.geo import load_topology, shortest_path_tree
 from retroflow.oscm import (InstanceError, OscmInstance, Solution,
                             build_instance, programmable_flows, validate)
 from retroflow.solvers import solve_retroflow
 
-from _oracles import check_solution, objective, random_instance
-from test_domains import residual_capacity
+from _oracles import (check_solution, far_path, objective, random_instance,
+                      residual_capacity)
 
 
 def all_legacy(inst):
@@ -128,32 +128,19 @@ def assert_same_as_document(inst, doc):
     assert (doc.q_required, doc.label) == (inst.q_required, inst.label)
 
 
-def far_path(controllers, domain_of, flow_counts=None):
-    """A path of nodes 0..219 and links of 1.7e308 km (8.5e305 ms), whose
-    delays sum to inf past 211 hops; controllers of capacity 10**9, node
-    v in the domain of domain_of(v)."""
-    n = 220
-    t = Topology([(v, GeoCoordinate(0.0, 0.0)) for v in range(n)],
-                 [(v, v + 1, 1.7e308) for v in range(n - 1)])
-    return t, Placement([(c, 10**9) for c in controllers],
-                        {v: domain_of(v) for v in range(n)}, flow_counts)
-
-
 class TestWorldRoute:
     """build_instance skips the constructor's per-pair and per-key checks:
     it must build the instance the checked constructor builds from the
     same document, and keep every exit the world does not rule out, with
     the constructor's message."""
 
-    def test_same_as_checked_constructor_on_att25(self, workload_worlds,
-                                                  workload_documents):
+    def test_same_as_checked_constructor_on_att25(self, workload_worlds, workload_documents):
         runs = workload_worlds["att25-sweep"][1]
         assert len(runs) == 124
         for (_, _, inst), doc in zip(runs, workload_documents("att25-sweep")):
             assert_same_as_document(inst, doc)
 
-    def test_same_as_checked_constructor_on_grid49(self, workload_worlds,
-                                                   workload_documents):
+    def test_same_as_checked_constructor_on_grid49(self, workload_worlds, workload_documents):
         # grid49-exact's world: generator seed 1, k=1..2 at q=0.8
         runs = workload_worlds["grid49-exact"][1]
         assert len(runs) == 21

@@ -53,6 +53,11 @@ class TestTransitions:
         assert s.mode == SDN and s.master == 3
         assert actions == ("set_master controller=3",)
 
+    def test_master_loss_on_a_legacy_switch_rejected(self):
+        s = SwitchSession(switch_id=1, mode=LEGACY, master=None, backups=(2, 3))
+        with pytest.raises(ProtocolError, match="^master_connection_lost: no active master to lose$"):
+            step(s, Event(MASTER_CONNECTION_LOST))
+
     def test_accept_while_stable_rejected(self):
         before = fresh()
         with pytest.raises(ProtocolError, match="not awaiting"):
@@ -134,7 +139,8 @@ class TestModelCheck:
         # SwitchSession construction raises on violation, so surviving the
         # search is the proof; spot-check the invariants anyway
         states = reachable_states(fresh(), EVENTS, max_depth=6)
-        assert len(states) > 1
+        # the search reaches all 7 states by depth 3, then stops growing
+        assert [len(reachable_states(fresh(), EVENTS, d)) for d in range(1, 7)] == [2, 6, 7, 7, 7, 7]
         for s in states:
             s.check_invariants()
             assert s.mode in (SDN, LEGACY)

@@ -16,9 +16,9 @@ from retroflow.oscm import OscmInstance, Solution, build_instance, validate
 from retroflow.solvers import (GapInstance, GapSizeError, SolverBudget, gap_bruteforce,
                                reduce_to_gap, solve_exact, solve_nearest, solve_retroflow)
 
-from _oracles import (enumerate_oscm, exact_undo, gap_optimum_recursive, greedy_rescan,
-                      milp_oscm, nearest_by_min, random_instance, random_gap_special_instance)
-from test_geo import random_connected_links, synthetic
+from _oracles import (enumerate_oscm, exact_undo, gap_optimum_recursive, greedy_case,
+                      greedy_rescan, milp_oscm, nearest_by_min, random_connected_links,
+                      random_instance, random_gap_special_instance, synthetic)
 
 # sha256 of the greedy's trace lines over every att25 scenario, k=1..5 at
 # q 0.9 and 1.0 (124 instances, 5,158 lines), recorded with the rescanning
@@ -166,7 +166,7 @@ class TestSolveExact:
 
     def test_att_search_size(self, benchmark_sweeps):
         """B&B nodes per (k, q) group of the att25-sweep benchmark
-        workload, as test_experiment's benchmark_sweep counts them. A
+        workload, as conftest.py's benchmark_sweep counts them. A
         change that tightens the bounds (ROADMAP item 1) updates these
         numbers and records why in CHANGES.md."""
         assert benchmark_sweeps("att25-sweep").nodes == {
@@ -306,7 +306,7 @@ class TestLegacyPricing:
         # children make 3,331 and 2,621: a search that prices at every
         # bound call reads those _price totals. With them: the exact
         # statuses (optimal, infeasible, not_proven) and summed nodes of
-        # each benchmark workload's sweep, as test_experiment's
+        # each benchmark workload's sweep, as conftest.py's
         # benchmark_sweep counts them
         work = {}
         for name in ("att25-sweep", "grid49-exact", "grid100-greedy"):
@@ -451,29 +451,6 @@ class TestSolveRetroflow:
         sol = solve_retroflow(greedy_trap_instance())
         assert not sol.quota_met
         assert 0 < len(sol.y) < 2
-
-
-def greedy_case(rng):
-    """Random instance for the greedy: a few flow ids, so switches tie on
-    uncovered counts and run out of new flows; empty flow sets; zero loads;
-    residuals too small for some switches; quotas from 0 to every flow;
-    now and then no offline switch at all."""
-    n = rng.randint(0, 16)
-    m = rng.randint(1, 3)
-    switches = range(1, n + 1)
-    controllers = range(101, 101 + m)
-    pool = rng.randint(1, 16)
-    beta = {i: set(rng.sample(range(pool), rng.randint(0, min(5, pool)))) for i in switches}
-    n_flows = len(set().union(*beta.values()))
-    return OscmInstance(
-        offline_switches=switches,
-        active_controllers=controllers,
-        delay={(i, j): float(rng.randint(0, 4)) for i in switches for j in controllers},
-        g={i: rng.randint(0, 9) for i in switches},
-        beta=beta,
-        a_rest={j: rng.randint(0, 30) for j in controllers},
-        q_required=rng.choice([0, rng.randint(0, n_flows), n_flows, n_flows]),
-    )
 
 
 class TestLazyGreedy:

@@ -18,7 +18,7 @@ import math
 import pytest
 
 from retroflow import domains as dm
-from retroflow import experiment, oscm
+from retroflow import experiment
 from retroflow.cli import main
 from retroflow.domains import FailureScenario, Placement
 from retroflow.experiment import make_world, run_scenario
@@ -28,7 +28,7 @@ from retroflow.geo import GeoCoordinate, Topology
 from retroflow.oscm import InstanceError, OscmInstance, World, build_instance
 from retroflow.solvers import solve_exact, solve_nearest, solve_retroflow
 
-from test_oscm import far_path
+from _oracles import count_loop, far_path
 
 WORLDS = ["att25-sweep", "grid49-exact", "grid100-greedy", "bridged7x7"]
 
@@ -132,7 +132,7 @@ class TestHandBuiltOrders:
         assert world.nearest[0] == (0, 2, 1)
 
     def test_zero_load_switch_at_inf_delay(self):
-        # on test_oscm's far path, switch 219 carries no load and sits in
+        # on _oracles' far path, switch 219 carries no load and sits in
         # controller 0's domain, at inf from it; the cheapest order is by
         # id, with no nan
         t, p = far_path((0, 110), lambda v: 0 if v in (0, 219) else 110,
@@ -173,16 +173,6 @@ def count_worlds(monkeypatch):
     monkeypatch.setattr(World, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
     return built
-
-
-def count_loop(monkeypatch):
-    """Record each call of the loop over offline switches, by its
-    offline switches, and pass it on."""
-    calls = []
-    loop = oscm._check_switches
-    monkeypatch.setattr(oscm, "_check_switches",
-                        lambda *args: calls.append(args[0]) or loop(*args))
-    return calls
 
 
 def assert_same_instance(inst, other):
@@ -276,7 +266,7 @@ class TestClearedTable:
         (219, 21, "switch 21 has negative load"),
     ], ids=["inf-to-second-controller", "negative-load-before-later-inf"])
     def test_one_loop_per_build_on_a_far_path(self, monkeypatch, failed, negative, message):
-        # test_oscm's far path, with controllers at 0, 10 and 219; each
+        # _oracles' far path, with controllers at 0, 10 and 219; each
         # build, without a World or twice from one, runs the loop once
         t, p = far_path((0, 10, 219), lambda v: 0 if v == 0 else 10 if v <= 20 else 219)
         b = programmability(t)

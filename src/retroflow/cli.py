@@ -12,7 +12,7 @@ from pathlib import Path as FsPath
 
 from . import domains as dm
 from . import protocol
-from ._doc import distinct, parse, record, whole
+from ._doc import distinct, key, parse, record, whole
 from .experiment import (FEASIBLE, check_algorithms, emit_report, load_diagnostics,
                          make_world, run_scenario, sweep_summary)
 from .geo import load_topology_file
@@ -59,13 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_scenarios(spec: str, placement: dm.Placement) -> list[dm.FailureScenario]:
+    """Ids, and the count, are read as documents read id keys: "013" is refused."""
     if "," in spec:
-        ids = distinct([int(tok) for tok in spec.split(",") if tok.strip()],
+        ids = distinct([key(tok.strip(), "failed controller", ValueError)
+                        for tok in spec.split(",") if tok.strip()],
                        "failed controller", ValueError)
         scenario = dm.FailureScenario(frozenset(ids))
         dm.validate_scenario(placement, scenario)
         return [scenario]
-    return dm.enumerate_failure_scenarios(placement, int(spec))
+    k = key(spec.strip(), "failure count", ValueError)
+    return dm.enumerate_failure_scenarios(placement, k)
 
 
 def _cmd_run(args) -> int:
@@ -94,8 +97,8 @@ def _cmd_run(args) -> int:
     summary["computed_flow_total"] = diag["computed_total"]
     summary["fixture_flow_total"] = diag["fixture_total"]
     summary.update(sweep_summary(reports))
-    for key, value in sorted(summary.items()):
-        print(f"{key}: {value}", file=out)
+    for name, value in sorted(summary.items()):
+        print(f"{name}: {value}", file=out)
 
     any_feasible = any(o.status in FEASIBLE for rep in reports for o in rep.outcomes)
     return 0 if any_feasible else 1

@@ -31,8 +31,8 @@ def att25_topology() -> Topology:
     return load_topology_file(data_path("att25.json"))
 
 
-def att_table2_placement(t: Topology | None = None) -> Placement:
-    return load_placement_file(data_path("att_table2.json"), t or att25_topology())
+def att_table2_placement(t: Topology) -> Placement:
+    return load_placement_file(data_path("att_table2.json"), t)
 
 
 def ring5_topology() -> Topology:

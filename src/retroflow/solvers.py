@@ -304,7 +304,7 @@ def solve_exact(inst: OscmInstance, budget: SolverBudget | None = None, *,
                     mask |= inst.masks[i]
                 best_cost, best = cost, _solution(inst, dict(moves), mask)
             continue
-        if idx == len(order) or lost > slack:
+        if lost > slack:  # true at every leaf short of the quota: each flow has a carrier
             continue
 
         if counts is None:
@@ -347,15 +347,16 @@ def _bound(inst, beta, order, options, idx, counts, covered, rest, needed, spare
     fit some surviving controller, with their count and cheapest fitting
     mapping, read from this node's residuals. Coverage ceiling:
     fractional knapsack of those counts on the total remaining capacity,
-    rounded upward. Reachable flows: the union of the usable switches'
-    uncovered flows must reach `needed`. The caller's lost-flow test has
-    shown that all undecided switches together reach it with `spare`
-    flows over, and the switches that fit no controller take away at
-    most their uncovered flows. So the union is only collected when
-    those exceed `spare`, from the usable switches' flows less
-    `covered`, and only until it reaches `needed`. Cost floor: the
-    needed flows bought fractionally at each switch's cheapest price per
-    flow, ignoring capacity coupling.
+    in ascending load per flow, rounded upward; zero-load switches sort
+    first and always fit, as residuals are never negative. Reachable
+    flows: the union of the usable switches' uncovered flows must reach
+    `needed`. The caller's lost-flow test has shown that all undecided
+    switches together reach it with `spare` flows over, and the switches
+    that fit no controller take away at most their uncovered flows. So
+    the union is only collected when those exceed `spare`, from the
+    usable switches' flows less `covered`, and only until it reaches
+    `needed`. Cost floor: the needed flows bought fractionally at each
+    switch's cheapest price per flow, ignoring capacity coupling.
     """
     usable = []  # (price per flow, price, count, load, switch)
     stranded = 0  # uncovered flows of the other switches, with repeats
@@ -370,18 +371,13 @@ def _bound(inst, beta, order, options, idx, counts, covered, rest, needed, spare
         else:
             stranded += potential
 
-    # zero-load switches are free; count them in full
-    ceiling = sum(p for _, _, p, g, _ in usable if g == 0)
-    capacity = sum(rest.values())
-    for _, p, g in sorted((g * 1.0 / p, p, g) for _, _, p, g, _ in usable if g > 0):
-        if capacity <= 0:
-            break
-        if g <= capacity:
-            ceiling += p
-            capacity -= g
-        else:
+    ceiling, capacity = 0, sum(rest.values())
+    for _, p, g in sorted((g / p, p, g) for _, _, p, g, _ in usable):
+        if g > capacity:
             ceiling += (p * capacity + g - 1) // g
-            capacity = 0
+            break
+        ceiling += p
+        capacity -= g
     if ceiling < needed:
         return None
     if stranded > spare:

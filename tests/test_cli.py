@@ -146,10 +146,15 @@ class TestRun:
         ("--algorithms", "exact, nearest,exact", "error: duplicate algorithm 'exact'"),
         ("--failures", "13,13,22", "error: duplicate failed controller 13"),
         ("--failures", "13, 13", "error: duplicate failed controller 13"),
+        ("--failures", "1_3,", "error: failed controller must be canonical decimal, got '1_3'"),
+        ("--failures", "013,", "error: failed controller must be canonical decimal, got '013'"),
+        ("--failures", "\u0661\u0663,",
+         "error: failed controller must be canonical decimal, got '\u0661\u0663'"),
     ])
     def test_duplicate_entry_is_input_error(self, capsys, option, value, message):
         # a repeated algorithm wrote its report rows twice; a repeated
-        # failed controller was silently dropped
+        # failed controller was silently dropped; an id that documents
+        # refuse as a key ran scenario C13
         args = {"--failures": "1", "--algorithms": "nearest", option: value}
         argv = ["run", "--topology", TOPO, "--placement", PLACEMENT]
         for name, arg in args.items():

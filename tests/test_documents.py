@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -35,7 +36,8 @@ class TestReaders:
         with pytest.raises(ValueError, match="n must be a whole number"):
             whole(value, "n", ValueError)
 
-    @pytest.mark.parametrize("value", [3, 2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [3, 2.5, float("nan"), float("inf"),
+                                       pytest.param(int(sys.float_info.max), id="int-max")])
     def test_number_accepts(self, value):
         assert repr(number(value, "x", ValueError)) == repr(float(value))
 

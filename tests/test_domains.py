@@ -195,7 +195,7 @@ class TestEnumerateScenarios:
         assert len(enumerate_failure_scenarios(att_placement, 2)) == 15
 
     def test_all_fail_rejected(self, att_placement):
-        with pytest.raises(PlacementError, match="out of range"):
+        with pytest.raises(PlacementError, match=r"^failure cardinality 6 out of range \[1, 5\]$"):
             enumerate_failure_scenarios(att_placement, 6)
 
     def test_binomial_counts_exhaustive(self):
@@ -220,6 +220,8 @@ class TestEnumerateScenarios:
     def test_enumeration_checks_the_count_first(self, att_placement, monkeypatch):
         # att25's largest count is C(6, 3) = 20
         assert max(scenario_count(att_placement, k) for k in range(1, 6)) == 20
+        monkeypatch.setattr(dm, "MAX_SCENARIOS", 20)
+        assert scenario_count(att_placement, 3) == 20
         monkeypatch.setattr(dm, "MAX_SCENARIOS", 19)
         assert len(enumerate_failure_scenarios(att_placement, 2)) == 15
         with pytest.raises(PlacementError, match="gives 20 scenarios, above the ceiling of 19$"):

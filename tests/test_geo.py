@@ -110,6 +110,9 @@ class TestLoadTopology:
         }
         with pytest.raises(TopologyError, match="coordinate out of range"):
             load_topology(doc)
+        # the bounds themselves are in range
+        GeoCoordinate(90.0, 0.0)
+        GeoCoordinate(0.0, -180.0)
 
     def test_duplicate_node_id(self):
         doc = {
@@ -156,10 +159,15 @@ class TestLoadTopology:
             load_topology({"nodes": nodes, "links": [{"a": 0, "b": 0}, {"a": 0, "b": 1}]})
         with pytest.raises(TopologyError, match="duplicate link"):
             load_topology({"nodes": nodes, "links": [{"a": 0, "b": 1}, {"a": 1, "b": 0}]})
+        with pytest.raises(TopologyError, match="^link references unknown node 5$"):
+            load_topology({"nodes": nodes, "links": [{"a": 0, "b": 5}]})
 
     def test_single_node_doc_rejected(self):
         with pytest.raises(TopologyError, match="at least 2"):
             load_topology({"nodes": [{"id": 0, "lat": 0.0, "lon": 0.0}], "links": []})
+        with pytest.raises(TopologyError,
+                           match="^topology document needs 'nodes' and 'links' lists$"):
+            load_topology({"nodes": [{"id": 0, "lat": 0.0, "lon": 0.0}], "links": {}})
 
     @pytest.mark.parametrize("dist", [float("nan"), float("inf"), -1.0])
     def test_bad_distance_rejected(self, dist):

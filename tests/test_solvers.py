@@ -9,6 +9,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from retroflow import solvers
 from retroflow.domains import FailureScenario, Placement, enumerate_failure_scenarios
 from retroflow.experiment import AlgorithmOutcome, _score, make_world
 from retroflow.flows import compute_beta, generate_flows
@@ -200,6 +201,23 @@ class TestSolveExact:
         result = solve_exact(inst)
         assert result.status == "infeasible"
         assert result.nodes_explored == 1
+        # residual 3, loads 0, 2 and 2, two private flows each: the
+        # ceiling takes the zero-load switch, one loaded switch whole and
+        # half of the other, 2 + 2 + 1 = 5 flows, so quota 6 fails at
+        # the root and quota 5 only deeper
+        for quota, status, nodes in ((6, "infeasible", 1), (5, "infeasible", 3),
+                                     (4, "optimal", 5)):
+            result = solve_exact(OscmInstance(
+                offline_switches=[1, 2, 3],
+                active_controllers=[0],
+                delay={(i, 0): 1.0 for i in (1, 2, 3)},
+                g={1: 0, 2: 2, 3: 2},
+                beta={1: {1, 2}, 2: {3, 4}, 3: {5, 6}},
+                a_rest={0: 3},
+                q_required=quota,
+            ))
+            assert (result.status, result.nodes_explored) == (status, nodes), quota
+        assert result.solution.objective == 2.0
 
     def test_time_limit_is_read_at_every_node(self):
         # the deadline has passed before the first node, so the search
@@ -818,6 +836,12 @@ class TestGapReduction:
         inst = build_instance(att_world.topology, att_world.beta,
                               att_world.placement, s, 1.0)
         assert reduce_to_gap(inst) is None
+        # a switch with two flows, and two switches that share a flow
+        for beta, n_flows in (({1: {10, 11}}, 2), ({1: {10}, 2: {10}}, 1)):
+            inst = OscmInstance(offline_switches=list(beta), active_controllers=[7],
+                                delay={(i, 7): 1.0 for i in beta}, g=dict.fromkeys(beta, 1),
+                                beta=beta, a_rest={7: 3}, q_required=n_flows)
+            assert reduce_to_gap(inst) is None, beta
 
     def test_empty_instance(self):
         inst = OscmInstance(offline_switches=[], active_controllers=[7],
@@ -879,13 +903,18 @@ class TestGapBruteforce:
             gap = GapInstance(costs=costs, usage=usage, capacities=caps)
             assert gap_bruteforce(gap) == gap_optimum_recursive(costs, usage, caps)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         n = 30
         gap = GapInstance(costs=tuple((1.0, 1.0) for _ in range(n)),
                           usage=tuple((1.0, 1.0) for _ in range(n)),
                           capacities=(99.0, 99.0))
         with pytest.raises(GapSizeError, match=r"^2\^30 assignments exceed the enumeration bound$"):
             gap_bruteforce(gap)
+        # exactly at the bound, 2^3 assignments still enumerate
+        monkeypatch.setattr(solvers, "MAX_ASSIGNMENTS", 8)
+        gap = GapInstance(costs=((1.0, 1.0),) * 3, usage=((1.0, 1.0),) * 3,
+                          capacities=(99.0, 99.0))
+        assert gap_bruteforce(gap) == 3.0
 
 
 class TestSolverInvariants:
